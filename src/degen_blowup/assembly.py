@@ -128,9 +128,6 @@ class Problem:
     b_coef: object = 1.0
     source: object = 0.0
     boundary_value: object = 0.0
-    a_coef: object = None
-    gamma: float = 0.0
-    alpha: float = 0.0
 
     def b_at(self, r) -> np.ndarray:
         return _as_function(self.b_coef, "b_coef")(r)
@@ -188,9 +185,6 @@ def radial_blowup_problem(params: BlowupParams, boundary_value=0.0) -> Problem:
         b_coef=b_coef,
         source=0.0,
         boundary_value=boundary_value,
-        a_coef=params.a_coef,
-        gamma=params.gamma,
-        alpha=params.alpha,
     )
 
 

@@ -9,14 +9,13 @@ CSV plus a small text report into the output directory.  Exit codes:
     2  solver did not converge / did not stabilize
     3  certification failure (bound certificate or inequality sweep)
 
-The sweep command runs independent configs concurrently; the environment
-variable DEGEN_BLOWUP_THREADS caps its worker count.
+The sweep command runs its member configs concurrently, on up to
+min(4, members) threads.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -42,6 +41,7 @@ from .config import (
     resolve,
 )
 from .errors import (
+    ActivationRadiusError,
     AssemblyError,
     CertificationError,
     ConfigError,
@@ -58,7 +58,7 @@ from .exhaustion import (
     solve_large_solution,
 )
 from .grids import build_graded_grid, first_nested_index
-from .penalty_solver import SolveOptions, check_sandwich, solve_penalized
+from .penalty_solver import SolveOptions, check_sandwich, sandwich_tol, solve_penalized
 from .subsuper import (
     BlowupParams,
     build_subsolution,
@@ -85,6 +85,19 @@ EXIT_CONFIG = 1
 EXIT_NONCONVERGED = 2
 EXIT_CERTIFICATION = 3
 
+# (exception types, exit code, stderr label); main and sweep members both
+# read this table, and anything outside it propagates.
+_EXIT_TABLE = (
+    (
+        (ConfigError, ParameterError, DomainError, OrderingError, FitError, ActivationRadiusError),
+        EXIT_CONFIG,
+        "config error",
+    ),
+    ((AssemblyError, LinearSolveError), EXIT_NONCONVERGED, "solver error"),
+    ((CertificationError,), EXIT_CERTIFICATION, "certification failure"),
+)
+_HANDLED = tuple(t for types, _, _ in _EXIT_TABLE for t in types)
+
 
 # ---------------------------------------------------------------------------
 # config schemas
@@ -92,7 +105,6 @@ EXIT_CERTIFICATION = 3
 
 _RUN_KEYS = {
     "run.command": ("str", None),
-    "run.seed": ("int", 0),
 }
 
 _PROBLEM_KEYS = {
@@ -288,8 +300,7 @@ def cmd_solve(cfg, out: Path, quiet: bool) -> int:
     else:
         raise ConfigError(f"key 'problem.kind' must be 'linear' or 'blowup'; got {kind!r}")
 
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(hi.values))))
-    cert = check_sandwich(u, lo, hi, tol)
+    cert = check_sandwich(u, lo, hi, sandwich_tol(hi))
     trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
     res = assemble_residual(u, problem, trunc, report.penalty, lo, hi)
 
@@ -309,7 +320,6 @@ def cmd_solve(cfg, out: Path, quiet: bool) -> int:
             ("sandwich_ok", cert.ok),
             ("max_below", cert.max_below),
             ("max_above", cert.max_above),
-            ("seed", cfg["run.seed"]),
         ],
     )
     if not report.converged:
@@ -353,7 +363,6 @@ def cmd_rate(cfg, out: Path, quiet: bool) -> int:
             ("min_ratio", bounds.min_ratio),
             ("max_ratio", bounds.max_ratio),
             ("bounds_ok", bounds.ok),
-            ("seed", cfg["run.seed"]),
         ],
     )
     _say(quiet, f"rate: beta_hat={fit.beta_hat:.6g} K_hat={fit.K_hat:.6g} bounds_ok={bounds.ok}")
@@ -459,7 +468,6 @@ def cmd_exhaust(cfg, out: Path, quiet: bool) -> int:
             ("solves", len(run.n_values)),
             ("final_delta", run.deltas[-1] if run.deltas else float("nan")),
             ("limit_residual", limit_residual),
-            ("seed", cfg["run.seed"]),
         ],
     )
     _say(quiet, f"exhaust: status={run.status} after {len(run.n_values)} solves")
@@ -485,18 +493,8 @@ def cmd_b2(cfg, out: Path, quiet: bool) -> int:
                 ("interior-vanishing(|x-0.5|)", InteriorVanishingWeight(0.5), Domain.interval(1.0))
             )
     else:
-        if mode == "power":
-            family = WeightFamily.power(cfg["b2.alpha"])
-        elif mode == "power-log":
-            family = WeightFamily.power_log(cfg["b2.alpha"], cfg["b2.beta_log"])
-        elif mode == "log-negative":
-            family = WeightFamily.log_negative(cfg["b2.alpha"])
-        elif mode == "exp-deficit":
-            family = WeightFamily.exp_deficit(cfg["b2.a_exp"])
-        elif mode == "constant":
-            family = WeightFamily.constant()
-        else:
-            raise ConfigError(f"key 'b2.family' does not accept {mode!r}")
+        # each tag reads only its own parameters; an unknown tag raises ParameterError
+        family = WeightFamily(mode, alpha=cfg["b2.alpha"], beta_log=cfg["b2.beta_log"], a_exp=cfg["b2.a_exp"])
         family.validate_for_dimension(n_dim)
         entries.append((mode, family, domain))
 
@@ -543,6 +541,15 @@ def cmd_b2(cfg, out: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
+_HANDLERS = {
+    "solve": cmd_solve,
+    "rate": cmd_rate,
+    "verify-subsuper": cmd_verify_subsuper,
+    "exhaust": cmd_exhaust,
+    "b2": cmd_b2,
+}
+
+
 def _run_single(command: str, config_path: Path, out: Path, quiet: bool) -> int:
     raw = parse_config_file(config_path)
     cfg = resolve(raw, SCHEMAS[command], source=str(config_path))
@@ -551,14 +558,7 @@ def _run_single(command: str, config_path: Path, out: Path, quiet: bool) -> int:
         raise ConfigError(
             f"{config_path}: run.command = {declared!r} does not match the invoked command {command!r}"
         )
-    handler = {
-        "solve": cmd_solve,
-        "rate": cmd_rate,
-        "verify-subsuper": cmd_verify_subsuper,
-        "exhaust": cmd_exhaust,
-        "b2": cmd_b2,
-    }[command]
-    return handler(cfg, out, quiet)
+    return _HANDLERS[command](cfg, out, quiet)
 
 
 def cmd_sweep(config_path: Path, out: Path, quiet: bool) -> int:
@@ -575,12 +575,9 @@ def cmd_sweep(config_path: Path, out: Path, quiet: bool) -> int:
         if "run.command" not in sub_raw:
             raise ConfigError(f"{sub_path}: sweep members must declare run.command")
         sub_command = sub_raw["run.command"][0]
-        if sub_command not in SCHEMAS or sub_command == "sweep":
+        if sub_command not in _HANDLERS:
             raise ConfigError(f"{sub_path}: run.command = {sub_command!r} is not runnable in a sweep")
         jobs.append((sub_command, sub_path, out / sub_path.stem))
-
-    env_cap = os.environ.get("DEGEN_BLOWUP_THREADS")
-    workers = max(1, int(env_cap)) if env_cap else min(4, len(jobs))
 
     def run_job(job):
         command, path, job_out = job
@@ -588,22 +585,19 @@ def cmd_sweep(config_path: Path, out: Path, quiet: bool) -> int:
             return _dispatch(command, path, job_out, quiet)
         except Exception as exc:  # noqa: BLE001 - worker boundary
             _say(quiet, f"sweep member {path.name}: {exc}")
-            return _exit_code_for(exc)
+            return _exit_row(exc)[0]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
         codes = list(pool.map(run_job, jobs))
-    worst = max(codes) if codes else EXIT_OK
     _say(quiet, f"sweep: {len(jobs)} runs, exit codes {codes}")
-    return worst
+    return max(codes)
 
 
-def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (ConfigError, ParameterError, DomainError, OrderingError, FitError)):
-        return EXIT_CONFIG
-    if isinstance(exc, (AssemblyError, LinearSolveError)):
-        return EXIT_NONCONVERGED
-    if isinstance(exc, CertificationError):
-        return EXIT_CERTIFICATION
+def _exit_row(exc: Exception) -> tuple[int, str]:
+    """Exit code and stderr label of exc from _EXIT_TABLE; re-raises the rest."""
+    for types, code, label in _EXIT_TABLE:
+        if isinstance(exc, types):
+            return code, label
     raise exc
 
 
@@ -624,7 +618,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "rate", "verify-subsuper", "exhaust", "b2", "sweep"):
+    for name in SCHEMAS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, type=Path, help="path to the run config")
         p.add_argument("--out", default=Path("."), type=Path, help="output directory")
@@ -633,15 +627,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args.command, args.config, args.out, args.quiet)
-    except (ConfigError, ParameterError, DomainError, OrderingError, FitError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (AssemblyError, LinearSolveError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
-    except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+    except _HANDLED as exc:
+        code, label = _exit_row(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -13,13 +13,12 @@ asserted, only eventual smallness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .assembly import (
     DiscreteField,
-    Problem,
     assemble_residual,
     field_from_callable,
     radial_blowup_problem,
@@ -27,7 +26,7 @@ from .assembly import (
 )
 from .errors import ParameterError
 from .grids import Grid, build_graded_grid, nested_subdomain
-from .penalty_solver import SandwichReport, SolveOptions, check_sandwich, solve_penalized
+from .penalty_solver import SandwichReport, SolveOptions, check_sandwich, sandwich_tol, solve_penalized
 from .subsuper import BlowupParams
 
 STATUS_CONVERGED = "converged"
@@ -40,11 +39,9 @@ STATUS_CERTIFICATION_FAILED = "certification-failed"
 class ExhaustionRun:
     """Record of one nested-domain sweep."""
 
-    compact_radius: float
     monitor: Grid
     n_values: list[int] = field(default_factory=list)
     outer_radii: list[float] = field(default_factory=list)
-    fields: list[DiscreteField] = field(default_factory=list)
     monitor_values: list[np.ndarray] = field(default_factory=list)
     deltas: list[float] = field(default_factory=list)
     sandwich_reports: list[SandwichReport] = field(default_factory=list)
@@ -85,7 +82,6 @@ def solve_large_solution(
     grading: float = 2.0,
     opts: SolveOptions | None = None,
     monitor_m: int = 101,
-    problem: Problem | None = None,
     datum=None,
 ) -> ExhaustionRun:
     """Sweep the geometric schedule n0, 2*n0, ... up to n_max.
@@ -95,21 +91,18 @@ def solve_large_solution(
     Each solve warm-starts from the previous field, takes its Dirichlet
     datum at r = R - 1/n from the midpoint of the bounds (or from the
     ``datum`` callable when given), and must pass the sandwich certificate
-    at tol 1e-8 * (1 + sup upper) on its own domain.  The sweep stops early
+    at ``sandwich_tol(upper)`` on its own domain.  The sweep stops early
     once the monitor delta drops below tol; a failed certificate or a
     nonconverged inner solve aborts it with the partial record.
     """
-    base = problem if problem is not None else radial_blowup_problem(params)
+    base = radial_blowup_problem(params)
     first = nested_subdomain(params.R, n0)  # validates 1/n0 < R
     if not compact_radius < first.outer_radius:
         raise ParameterError(
             f"compact_radius={compact_radius} must stay inside the first "
             f"subdomain of radius {first.outer_radius}"
         )
-    run = ExhaustionRun(
-        compact_radius=compact_radius,
-        monitor=_monitor_grid(params.R, compact_radius, monitor_m),
-    )
+    run = ExhaustionRun(monitor=_monitor_grid(params.R, compact_radius, monitor_m))
     previous: DiscreteField | None = None
     for n in _geometric_schedule(n0, n_max):
         sub = nested_subdomain(params.R, n)
@@ -125,20 +118,12 @@ def solve_large_solution(
         solve_opts = opts or SolveOptions()
         if previous is not None:
             warm = np.clip(previous.interpolate_to(grid_n.nodes), lo.values, hi.values)
-            solve_opts = SolveOptions(
-                penalty=solve_opts.penalty,
-                max_iters=solve_opts.max_iters,
-                abs_tol=solve_opts.abs_tol,
-                damping=solve_opts.damping,
-                initial_guess=DiscreteField(grid_n, warm),
-            )
+            solve_opts = replace(solve_opts, initial_guess=DiscreteField(grid_n, warm))
 
         u_n, report = solve_penalized(problem_n, grid_n, lo, hi, solve_opts)
         run.n_values.append(n)
         run.outer_radii.append(sub.outer_radius)
-        run.fields.append(u_n)
-        cert_tol = 1e-8 * (1.0 + float(np.max(np.abs(hi.values))))
-        cert = check_sandwich(u_n, lo, hi, tol=cert_tol)
+        cert = check_sandwich(u_n, lo, hi, sandwich_tol(hi))
         run.sandwich_reports.append(cert)
 
         if not report.converged:
@@ -163,13 +148,13 @@ def solve_large_solution(
     return run
 
 
-def residual_on_monitor(params: BlowupParams, limit: DiscreteField, problem: Problem | None = None) -> float:
+def residual_on_monitor(params: BlowupParams, limit: DiscreteField) -> float:
     """Max-norm of the integrated residual of the limit field on its grid.
 
     Dirichlet rows take the field's own values, so only the interior
     consistency of the limit is measured.
     """
-    base = problem if problem is not None else radial_blowup_problem(params)
+    base = radial_blowup_problem(params)
 
     def own_values(r):
         return limit.interpolate_to(r)

@@ -23,7 +23,6 @@ class Grid:
     nodes: np.ndarray
     R: float
     eta: float
-    grading: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -84,7 +83,7 @@ def build_graded_grid(R: float, eta: float, m: int, grading: float = 2.0) -> Gri
     nodes = (R - eta) * (1.0 - (1.0 - s) ** grading)
     nodes[0] = 0.0
     nodes[-1] = R - eta
-    return Grid(nodes=nodes, R=R, eta=eta, grading=grading)
+    return Grid(nodes=nodes, R=R, eta=eta)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .assembly import (
     cell_volumes,
     truncate_nonlinearity,
 )
-from .errors import OrderingError, ParameterError
+from .errors import ParameterError
 from .grids import Grid
 from .tridiag import thomas_solve
 
@@ -71,7 +71,6 @@ class SolveReport:
     converged: bool
     iters: int
     residual_history: list = field(default_factory=list)
-    sandwich_violation: SandwichReport | None = None
     penalty: float = 0.0
 
 
@@ -88,6 +87,11 @@ def default_penalty(problem: Problem, grid: Grid, lower: DiscreteField, upper: D
         np.abs(problem.nonlin.slope(lower.values)), np.abs(problem.nonlin.slope(upper.values))
     )
     return 1.0 + sup_ratio * float(np.max(slopes))
+
+
+def sandwich_tol(upper: DiscreteField) -> float:
+    """Certificate tolerance 1e-8 * (1 + sup|upper|), relative to the envelope's size."""
+    return 1e-8 * (1.0 + float(np.max(np.abs(upper.values))))
 
 
 def check_sandwich(u: DiscreteField, lower: DiscreteField, upper: DiscreteField, tol: float) -> SandwichReport:
@@ -131,9 +135,7 @@ def solve_penalized(
     backtracking budget returns the current field with converged = False.
     """
     opts = opts or SolveOptions()
-    if np.any(lower.values > upper.values):
-        j = int(np.argmax(lower.values - upper.values))
-        raise OrderingError(f"lower bound exceeds upper bound at node {j}")
+    trunc = truncate_nonlinearity(problem.nonlin, lower, upper)  # checks lower <= upper
     problem.sup_b_over_w(grid)  # reaction/weight ratio must be finite
     _check_monotone(problem, lower, upper)
     # Square-integrability of the clamped reaction over the truncated grid
@@ -143,7 +145,6 @@ def solve_penalized(
     if not np.all(np.isfinite(extremes)):
         raise ParameterError("nonlinearity overflows on the slab")
 
-    trunc = truncate_nonlinearity(problem.nonlin, lower, upper)
     penalty = opts.penalty if opts.penalty is not None else default_penalty(problem, grid, lower, upper)
     if opts.initial_guess is not None:
         u = opts.initial_guess.copy()
@@ -181,7 +182,6 @@ def solve_penalized(
         converged=converged,
         iters=iters,
         residual_history=history,
-        sandwich_violation=check_sandwich(u, lower, upper, tol=0.0),
         penalty=penalty,
     )
     return u, report

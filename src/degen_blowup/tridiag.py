@@ -38,19 +38,6 @@ class Tridiagonal:
         out[:-1] += self.upper[:-1] * u[1:]
         return out
 
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.upper[:-1], self.lower[1:]))
-
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        a = np.diag(self.diag)
-        a += np.diag(self.upper[:-1], 1)
-        a += np.diag(self.lower[1:], -1)
-        return a
-
-    def copy(self) -> "Tridiagonal":
-        return Tridiagonal(self.lower.copy(), self.diag.copy(), self.upper.copy())
-
 
 def thomas_solve(mat: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """Solve mat @ x = rhs by forward elimination and back substitution.

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from degen_blowup.cli import main
 
 LINEAR_CFG = """
@@ -208,17 +210,48 @@ def test_b2_catalogue_table(tmp_path):
     assert by_family["power(1.9)"][5] == "false"
 
 
-def test_b2_invalid_exponent_is_config_error(tmp_path):
-    cfg = write(tmp_path / "b2.cfg", "run.command = b2\nb2.family = power\nb2.alpha = -1.5\n")
-    assert main(["b2", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+@pytest.mark.parametrize(
+    "family, params, code",
+    [
+        ("constant", "", 0),
+        ("power", "b2.alpha = 0.5\n", 0),
+        ("power-log", "b2.alpha = 0.5\nb2.beta_log = 2.0\n", 0),
+        ("log-negative", "b2.alpha = 1.0\n", 0),
+        ("exp-deficit", "b2.a_exp = -2.0\n", 0),
+        ("power", "b2.alpha = -1.5\n", 1),
+        ("cubic", "", 1),
+    ],
+    ids=["constant", "power", "power-log", "log-negative", "exp-deficit", "power-bad-alpha", "cubic"],
+)
+def test_b2_family_exit_code(tmp_path, family, params, code):
+    cfg = write(tmp_path / "b2.cfg", f"run.command = b2\nb2.family = {family}\n{params}")
+    out = tmp_path / "o"
+    assert main(["b2", "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+    if code == 0:
+        _, rows = read_csv(out / "b2.csv")
+        assert [row[0] for row in rows] == [family]
 
 
-def test_sweep_runs_members_in_own_directories(tmp_path, monkeypatch):
+def test_unbracketed_activation_radius_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "verify.cfg", "run.command = verify-subsuper\nverify.C = -1e15\n")
+    assert main(["verify-subsuper", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_member_config_error_does_not_abort_sweep(tmp_path):
+    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    write(tmp_path / "huge_c.cfg", "run.command = solve\nproblem.C = -1e15\n")
+    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, huge_c.cfg\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(sweep), "--out", str(out), "--quiet"]) == 1
+    assert (out / "linear" / "solution.csv").exists()
+
+
+def test_sweep_runs_members_in_own_directories(tmp_path):
     write(tmp_path / "linear.cfg", LINEAR_CFG)
     write(tmp_path / "b2.cfg", "run.command = b2\n")
     sweep = write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, b2.cfg\n")
     out = tmp_path / "out"
-    monkeypatch.setenv("DEGEN_BLOWUP_THREADS", "2")
     assert main(["sweep", "--config", str(sweep), "--out", str(out), "--quiet"]) == 0
     assert (out / "linear" / "solution.csv").exists()
     assert (out / "b2" / "b2.csv").exists()
