@@ -22,7 +22,6 @@ from .assembly import (
     radial_blowup_problem,
     truncate_nonlinearity,
     volume_weights,
-    with_boundary_value,
 )
 from .asymptotics import (
     EpsilonBoundsReport,

@@ -16,7 +16,7 @@ symmetry condition u'(0) = 0 to second order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -188,10 +188,6 @@ def radial_blowup_problem(params: BlowupParams, boundary_value=0.0) -> Problem:
     )
 
 
-def with_boundary_value(problem: Problem, boundary_value) -> Problem:
-    return replace(problem, boundary_value=boundary_value)
-
-
 # ---------------------------------------------------------------------------
 # truncated nonlinearity
 # ---------------------------------------------------------------------------
@@ -282,12 +278,6 @@ def assemble_stiffness(grid: Grid, problem: Problem) -> Tridiagonal:
     return Tridiagonal(lower=lower, diag=diag, upper=upper)
 
 
-def _penalty_terms(u, lower, upper, penalty, w_nodes, mu):
-    below = np.minimum(u - lower, 0.0)
-    above = np.maximum(u - upper, 0.0)
-    return penalty * (below + above) * w_nodes * mu
-
-
 def _check_penalty_args(penalty, lower, upper):
     if penalty < 0.0:
         raise ParameterError(f"penalty coefficient must be nonnegative; got {penalty}")
@@ -326,7 +316,9 @@ def assemble_residual(
     res += problem.b_at(r) * f.value(u.values) * mu
     if penalty > 0.0:
         w_nodes = problem.weight_at_gap(grid.boundary_gap)
-        res += _penalty_terms(u.values, lower.values, upper.values, penalty, w_nodes, mu)
+        below = np.minimum(u.values - lower.values, 0.0)
+        above = np.maximum(u.values - upper.values, 0.0)
+        res += penalty * (below + above) * w_nodes * mu
     res -= problem.h_at(r) * mu
     mask = problem.dirichlet_mask(grid)
     res[mask] = u.values[mask] - problem.g_at(r[mask])

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteField, Problem
+from .assembly import DiscreteField, PowerNonlinearity, Problem
 from .errors import FitError
 from .weights import Domain, WeightFamily
-from . import assembly
 
 DEFAULT_SLACK = 0.05
 
@@ -120,7 +119,7 @@ def oracle_exact_1d(R: float = 1.0):
     problem = Problem(
         domain=Domain.interval(R),
         weight=WeightFamily.constant(),
-        nonlin=assembly.PowerNonlinearity(3.0),
+        nonlin=PowerNonlinearity(3.0),
         b_coef=1.0,
         source=0.0,
         boundary_value=u_star,

@@ -233,20 +233,19 @@ def _grid(cfg):
     )
 
 
-def _solve_options(cfg, initial_guess=None) -> SolveOptions:
+def _solve_options(cfg) -> SolveOptions:
     return SolveOptions(
         penalty=cfg["solver.penalty"],
         max_iters=cfg["solver.max_iters"],
         abs_tol=cfg["solver.tol"],
         damping=cfg["solver.damping"],
-        initial_guess=initial_guess,
     )
 
 
-def _envelopes(cfg, params: BlowupParams, samples: int = 4097):
+def _envelopes(cfg, params: BlowupParams):
     A = cfg["problem.A"]
     if A is None:
-        A = find_min_A(params, np.linspace(0.0, params.R, samples))
+        A = find_min_A(params, np.linspace(0.0, params.R, 4097))
         if A is None:
             raise CertificationError("no shift in the default grid makes the upper barrier hold")
     sup = build_supersolution(params, A)
@@ -254,9 +253,9 @@ def _envelopes(cfg, params: BlowupParams, samples: int = 4097):
     return sub, sup
 
 
-def _linear_test_problem(R: float) -> tuple[Problem, object]:
-    """-u'' + u = 1 with zero boundary data; closed form for comparison."""
-    problem = Problem(
+def _linear_test_problem(R: float) -> Problem:
+    """-u'' + u = 1 with zero boundary data; closed form 1 - cosh(r - R/2)/cosh(R/2)."""
+    return Problem(
         domain=Domain.interval(R),
         weight=WeightFamily.constant(),
         nonlin=CallableNonlinearity(lambda t: t, lambda t: np.ones_like(t)),
@@ -264,11 +263,6 @@ def _linear_test_problem(R: float) -> tuple[Problem, object]:
         source=1.0,
         boundary_value=0.0,
     )
-
-    def closed_form(r):
-        return 1.0 - np.cosh(np.asarray(r, dtype=float) - R / 2.0) / np.cosh(R / 2.0)
-
-    return problem, closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,7 @@ def _run_blowup_solve(cfg):
 def cmd_solve(cfg, out: Path, quiet: bool) -> int:
     kind = cfg["problem.kind"]
     if kind == "linear":
-        problem, _ = _linear_test_problem(cfg["problem.R"])
+        problem = _linear_test_problem(cfg["problem.R"])
         grid = _grid(cfg)
         lo = constant_field(grid, 0.0)
         hi = constant_field(grid, 1.0)
@@ -372,8 +366,17 @@ def cmd_rate(cfg, out: Path, quiet: bool) -> int:
 
 
 def cmd_verify_subsuper(cfg, out: Path, quiet: bool) -> int:
+    n_samples = cfg["verify.samples"]
+    if n_samples < 2:
+        raise ConfigError(f"key 'verify.samples' must be at least 2; got {n_samples}")
+    try:
+        c_values = [float(c) for c in cfg["verify.C_list"].split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"key 'verify.C_list' expects comma-separated numbers; got {cfg['verify.C_list']!r}"
+        ) from None
     params = _blowup_params(cfg)
-    samples = np.linspace(0.0, params.R, cfg["verify.samples"])
+    samples = np.linspace(0.0, params.R, n_samples)
     A = cfg["problem.A"]
     min_A = find_min_A(params, samples) if A is None else A
     super_ok = min_A is not None and verify_super_inequality(params, min_A, samples).ok
@@ -381,10 +384,9 @@ def cmd_verify_subsuper(cfg, out: Path, quiet: bool) -> int:
     C = cfg["verify.C"]
     sub = build_subsolution(params, C)
     r_hi = params.R - cfg["verify.r_gap"]
-    sub_samples = np.linspace(sub.activation_radius, r_hi, cfg["verify.samples"])
+    sub_samples = np.linspace(sub.activation_radius, r_hi, n_samples)
     sub_report = verify_sub_inequality(params, C, sub_samples)
 
-    c_values = [float(c) for c in cfg["verify.C_list"].split(",")]
     c_table = [(c, build_subsolution(params, c).activation_radius) for c in c_values]
 
     sup_env = build_supersolution(params, min_A if min_A is not None else 1.0)

@@ -51,8 +51,7 @@ def _convert(key: str, value: str, lineno: int, kind: str, source: str):
         if kind == "float":
             return float(value)
         if kind == "int":
-            out = int(value)
-            return out
+            return int(value)
         if kind == "bool":
             lowered = value.lower()
             if lowered in _TRUE:
@@ -86,19 +85,13 @@ def resolve(
             value, lineno = raw[key]
             resolved[key] = _convert(key, value, lineno, kind, source)
         else:
-            if default is _REQUIRED:
+            if default is REQUIRED:
                 raise ConfigError(f"{source}: missing required key {key!r}")
             resolved[key] = default
     return resolved
 
 
-class _Required:
-    def __repr__(self):  # pragma: no cover - diagnostics only
-        return "<required>"
-
-
-_REQUIRED = _Required()
-REQUIRED = _REQUIRED
+REQUIRED = object()
 
 
 def parse_coefficient(spec: str):

@@ -22,11 +22,10 @@ from .assembly import (
     assemble_residual,
     field_from_callable,
     radial_blowup_problem,
-    with_boundary_value,
 )
 from .errors import ParameterError
 from .grids import Grid, build_graded_grid, nested_subdomain
-from .penalty_solver import SandwichReport, SolveOptions, check_sandwich, sandwich_tol, solve_penalized
+from .penalty_solver import SolveOptions, check_sandwich, sandwich_tol, solve_penalized
 from .subsuper import BlowupParams
 
 STATUS_CONVERGED = "converged"
@@ -44,13 +43,9 @@ class ExhaustionRun:
     outer_radii: list[float] = field(default_factory=list)
     monitor_values: list[np.ndarray] = field(default_factory=list)
     deltas: list[float] = field(default_factory=list)
-    sandwich_reports: list[SandwichReport] = field(default_factory=list)
+    sandwich_ok: list[bool] = field(default_factory=list)
     status: str = STATUS_EXHAUSTED
     limit_on_monitor: DiscreteField | None = None
-
-    @property
-    def sandwich_ok(self) -> list[bool]:
-        return [rep.ok for rep in self.sandwich_reports]
 
 
 def _monitor_grid(R: float, compact_radius: float, monitor_m: int) -> Grid:
@@ -113,7 +108,7 @@ def solve_large_solution(
             datum_value = 0.5 * (lo.values[-1] + hi.values[-1])
         else:
             datum_value = float(np.asarray(datum(grid_n.nodes[-1])))
-        problem_n = with_boundary_value(base, float(datum_value))
+        problem_n = replace(base, boundary_value=float(datum_value))
 
         solve_opts = opts or SolveOptions()
         if previous is not None:
@@ -124,7 +119,7 @@ def solve_large_solution(
         run.n_values.append(n)
         run.outer_radii.append(sub.outer_radius)
         cert = check_sandwich(u_n, lo, hi, sandwich_tol(hi))
-        run.sandwich_reports.append(cert)
+        run.sandwich_ok.append(cert.ok)
 
         if not report.converged:
             run.status = STATUS_NONCONVERGED
@@ -159,5 +154,5 @@ def residual_on_monitor(params: BlowupParams, limit: DiscreteField) -> float:
     def own_values(r):
         return limit.interpolate_to(r)
 
-    res = assemble_residual(limit, with_boundary_value(base, own_values))
+    res = assemble_residual(limit, replace(base, boundary_value=own_values))
     return float(np.max(np.abs(res.values)))

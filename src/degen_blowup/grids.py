@@ -112,9 +112,10 @@ def nested_subdomain(R: float, n: int) -> NestedDomain:
 
 
 def first_nested_index(R: float) -> int:
-    """Smallest n whose subdomain keeps at least half the radius.
+    """Smallest n whose subdomain keeps more than half the radius.
 
     Any n with 1/n < R gives a nonempty subdomain, but starting the
-    exhaustion at R - 1/n >= R/2 avoids degenerate first solves.
+    exhaustion at R - 1/n > R/2 avoids degenerate first solves and keeps
+    a compact radius of R/2 (the default 0.5 at R = 1) strictly inside.
     """
-    return max(1, math.ceil(2.0 / R))
+    return math.floor(2.0 / R) + 1

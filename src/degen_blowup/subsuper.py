@@ -91,12 +91,7 @@ class BlowupParams:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.p <= 1.0:
-            raise ParameterError(f"superlinear power p > 1 required; got p={self.p}")
-        if self.gamma - self.alpha < 0.0:
-            raise ParameterError(
-                f"gamma - alpha must be >= 0; got {self.gamma - self.alpha}"
-            )
+        blowup_exponent(self.p, self.alpha, self.gamma)
         if not 0.0 < self.epsilon < 1.0:
             raise ParameterError(f"epsilon must lie in (0, 1); got {self.epsilon}")
         if self.R <= 0.0:
@@ -142,11 +137,11 @@ def _envelope_amplitude(params: BlowupParams, factor: float) -> float:
 class _Envelope:
     """Shared evaluation of const + B*(r/R)^2*(R-r)^(-beta) profiles."""
 
-    def _core(self, r) -> np.ndarray:
+    def _core(self, shift: float, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if np.any(r >= self.R) or np.any(r < 0.0):
             raise DomainError("envelope evaluation needs 0 <= r < R (blow-up at r = R)")
-        return self.shift + self.B * (r / self.R) ** 2 * (self.R - r) ** (-self.beta)
+        return shift + self.B * (r / self.R) ** 2 * (self.R - r) ** (-self.beta)
 
     def __call__(self, r):
         out = self.evaluate(np.asarray(r, dtype=float))
@@ -162,12 +157,8 @@ class SuperSolution(_Envelope):
     beta: float
     R: float
 
-    @property
-    def shift(self) -> float:
-        return self.A
-
     def evaluate(self, r) -> np.ndarray:
-        return self._core(r)
+        return self._core(self.A, r)
 
 
 @dataclass(frozen=True)
@@ -184,12 +175,8 @@ class SubSolution(_Envelope):
     R: float
     activation_radius: float
 
-    @property
-    def shift(self) -> float:
-        return self.C
-
     def evaluate(self, r) -> np.ndarray:
-        return np.maximum(0.0, self._core(r))
+        return np.maximum(0.0, self._core(self.C, r))
 
 
 def build_supersolution(params: BlowupParams, A: float) -> SuperSolution:
@@ -235,7 +222,6 @@ def build_subsolution(params: BlowupParams, C: float) -> SubSolution:
 class InequalityReport:
     ok: bool
     worst_margin: float
-    worst_r: float
 
 
 @dataclass(frozen=True)
@@ -244,11 +230,7 @@ class SubInequalityReport:
 
     ok: bool
     ok_full: bool
-    worst_margin_full: float
-    worst_r_full: float
     ok_sufficient: bool
-    worst_margin_sufficient: float
-    worst_r_sufficient: float
 
 
 def _barrier_lhs(params: BlowupParams, B: float, r: np.ndarray) -> np.ndarray:
@@ -287,28 +269,24 @@ def super_inequality_margins(
     return _barrier_rhs(params, A, B, samples) - _barrier_lhs(params, B, samples)
 
 
-def _refine_worst(margins_of, samples: np.ndarray, refine: int = 64):
-    """Dense local re-scan around the coarsest worst margin."""
+def _refine_worst(margins_of, samples: np.ndarray, refine: int = 64) -> float:
+    """Worst margin, with a dense local re-scan around the coarsest worst sample."""
     margins = margins_of(samples)
     k = int(np.argmin(margins))
     lo = samples[max(k - 1, 0)]
     hi = samples[min(k + 1, samples.size - 1)]
-    local = np.linspace(lo, hi, refine)
-    local_margins = margins_of(local)
-    j = int(np.argmin(local_margins))
-    if local_margins[j] < margins[k]:
-        return float(local_margins[j]), float(local[j])
-    return float(margins[k]), float(samples[k])
+    local_margins = margins_of(np.linspace(lo, hi, refine))
+    return float(min(margins[k], np.min(local_margins)))
 
 
 def verify_super_inequality(
     params: BlowupParams, A: float, samples: np.ndarray, B: float | None = None
 ) -> InequalityReport:
     """Check the upper-barrier condition at all samples, refining the worst spot."""
-    worst, worst_r = _refine_worst(
+    worst = _refine_worst(
         lambda r: super_inequality_margins(params, A, r, B=B), np.asarray(samples, dtype=float)
     )
-    return InequalityReport(ok=worst >= 0.0, worst_margin=worst, worst_r=worst_r)
+    return InequalityReport(ok=worst >= 0.0, worst_margin=worst)
 
 
 def find_min_A(params: BlowupParams, samples: np.ndarray, A_grid=None) -> float | None:
@@ -362,16 +340,10 @@ def verify_sub_inequality(
     def full_margins(r):
         return _barrier_lhs(params, sub.B, r) - _barrier_rhs(params, C, sub.B, r)
 
-    worst_full, r_full = _refine_worst(full_margins, samples)
-    worst_suff, r_suff = _refine_worst(lambda r: sub_sufficient_margins(params, r), samples)
-    ok_full = worst_full >= 0.0
-    ok_suff = worst_suff >= 0.0
+    ok_full = _refine_worst(full_margins, samples) >= 0.0
+    ok_suff = _refine_worst(lambda r: sub_sufficient_margins(params, r), samples) >= 0.0
     return SubInequalityReport(
         ok=ok_full and ok_suff,
         ok_full=ok_full,
-        worst_margin_full=worst_full,
-        worst_r_full=r_full,
         ok_sufficient=ok_suff,
-        worst_margin_sufficient=worst_suff,
-        worst_r_sufficient=r_suff,
     )

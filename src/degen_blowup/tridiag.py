@@ -6,6 +6,7 @@ with lower[0] and upper[-1] fixed at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,26 +44,29 @@ def thomas_solve(mat: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """Solve mat @ x = rhs by forward elimination and back substitution.
 
     No pivoting; raises LinearSolveError on a zero or non-finite pivot.
+    Row 0 is the general step with c = d = 0, since lower[0] is zero.  The
+    loops index memoryviews, which yield Python floats without copying the
+    bands into lists.
     """
     n = mat.n
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size != n:
         raise ValueError("rhs length does not match the matrix")
-    c = np.empty(n)
-    d = np.empty(n)
-    piv = mat.diag[0]
-    if piv == 0.0 or not np.isfinite(piv):
-        raise LinearSolveError("singular pivot at row 0")
-    c[0] = mat.upper[0] / piv
-    d[0] = rhs[0] / piv
-    for j in range(1, n):
-        piv = mat.diag[j] - mat.lower[j] * c[j - 1]
-        if piv == 0.0 or not np.isfinite(piv):
+    c = memoryview(np.empty(n))
+    d = memoryview(np.empty(n))
+    out = np.empty(n)
+    x = memoryview(out)
+    c_prev = d_prev = 0.0
+    rows = zip(
+        memoryview(mat.lower), memoryview(mat.diag), memoryview(mat.upper), memoryview(rhs)
+    )
+    for j, (lo, di, up, b) in enumerate(rows):
+        piv = di - lo * c_prev
+        if piv == 0.0 or not math.isfinite(piv):
             raise LinearSolveError(f"singular pivot at row {j}")
-        c[j] = mat.upper[j] / piv
-        d[j] = (rhs[j] - mat.lower[j] * d[j - 1]) / piv
-    x = np.empty(n)
-    x[-1] = d[-1]
+        c_prev = c[j] = up / piv
+        d_prev = d[j] = (b - lo * d_prev) / piv
+    x_next = x[n - 1] = d[n - 1]
     for j in range(n - 2, -1, -1):
-        x[j] = d[j] - c[j] * x[j + 1]
-    return x
+        x_next = x[j] = d[j] - c[j] * x_next
+    return out

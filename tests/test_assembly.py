@@ -28,6 +28,24 @@ from degen_blowup import (
 IDENTITY = CallableNonlinearity(lambda t: t, lambda t: np.ones_like(t))
 
 
+def _indexed_thomas(mat, rhs):
+    """Reference elimination with row 0 as a special case and indexed numpy access."""
+    n = mat.n
+    c = np.empty(n)
+    d = np.empty(n)
+    c[0] = mat.upper[0] / mat.diag[0]
+    d[0] = rhs[0] / mat.diag[0]
+    for j in range(1, n):
+        piv = mat.diag[j] - mat.lower[j] * c[j - 1]
+        c[j] = mat.upper[j] / piv
+        d[j] = (rhs[j] - mat.lower[j] * d[j - 1]) / piv
+    x = np.empty(n)
+    x[-1] = d[-1]
+    for j in range(n - 2, -1, -1):
+        x[j] = d[j] - c[j] * x[j + 1]
+    return x
+
+
 def interval_problem(**overrides):
     defaults = dict(
         domain=Domain.interval(1.0),
@@ -264,8 +282,29 @@ class TestThomas:
         expected = np.linalg.solve(dense, rhs)
         np.testing.assert_allclose(x, expected, rtol=1e-10, atol=1e-12)
 
-    def test_singular_pivot_raises(self):
-        mat = Tridiagonal([0.0, 1.0, 0.0], [1.0, 1.0, 2.0], [1.0, 0.0, 0.0])
-        # elimination zeroes the second pivot: 1 - 1*1 = 0
-        with pytest.raises(LinearSolveError):
+    @pytest.mark.parametrize(
+        "diag, row",
+        [
+            ([0.0, 1.0, 2.0], 0),
+            # elimination zeroes the second pivot: 1 - 1*1 = 0
+            ([1.0, 1.0, 2.0], 1),
+            ([1.0, np.inf, 2.0], 1),
+        ],
+        ids=["zero-row-0", "zero-row-1", "inf-row-1"],
+    )
+    def test_singular_pivot_raises(self, diag, row):
+        mat = Tridiagonal([0.0, 1.0, 0.0], diag, [1.0, 0.0, 0.0])
+        with pytest.raises(LinearSolveError, match=f"row {row}"):
             thomas_solve(mat, np.ones(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2001])
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_bit_identical_to_indexed_elimination(self, n, strided):
+        rng = np.random.default_rng(n)
+        lower = np.concatenate(([0.0], rng.uniform(-1.0, 0.0, n - 1)))
+        upper = np.concatenate((rng.uniform(-1.0, 0.0, n - 1), [0.0]))
+        diag = 2.0 + rng.uniform(0.0, 1.0, n)
+        rhs = rng.standard_normal(2 * n)
+        rhs = rhs[::2] if strided else rhs[:n]
+        mat = Tridiagonal(lower, diag, upper)
+        assert np.array_equal(thomas_solve(mat, rhs), _indexed_thomas(mat, rhs))

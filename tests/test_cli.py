@@ -1,6 +1,10 @@
 """Command line interface: configs, outputs, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +185,14 @@ def test_exhaust_stabilizes_and_writes_tables(tmp_path):
     assert (out / "limit.csv").exists()
 
 
+def test_default_exhaust_config_exhausts_schedule(tmp_path):
+    # the default compact radius 0.5 lies strictly inside the first subdomain
+    cfg = write(tmp_path / "ex.cfg", "run.command = exhaust\n")
+    out = tmp_path / "out"
+    assert main(["exhaust", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "status = schedule-exhausted" in (out / "exhaust_report.txt").read_text()
+
+
 def test_exhaust_bound_injection_exits_three(tmp_path):
     cfg = write(
         tmp_path / "ex.cfg",
@@ -232,16 +244,36 @@ def test_b2_family_exit_code(tmp_path, family, params, code):
         assert [row[0] for row in rows] == [family]
 
 
-def test_unbracketed_activation_radius_is_config_error(tmp_path, capsys):
-    cfg = write(tmp_path / "verify.cfg", "run.command = verify-subsuper\nverify.C = -1e15\n")
+@pytest.mark.parametrize(
+    "body",
+    [
+        "verify.C = -1e15",
+        "verify.C_list = -1,abc",
+        "verify.C_list =",
+        "verify.samples = 0",
+        "verify.samples = 1",
+        "verify.samples = -3",
+    ],
+    ids=["huge-C", "C_list-not-a-number", "C_list-empty", "samples-0", "samples-1", "samples-negative"],
+)
+def test_unbracketed_activation_radius_is_config_error(tmp_path, capsys, body):
+    cfg = write(tmp_path / "verify.cfg", f"run.command = verify-subsuper\n{body}\n")
     assert main(["verify-subsuper", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert "config error" in capsys.readouterr().err
 
 
-def test_sweep_member_config_error_does_not_abort_sweep(tmp_path):
+@pytest.mark.parametrize(
+    "member",
+    [
+        "run.command = solve\nproblem.C = -1e15\n",
+        "run.command = verify-subsuper\nverify.C_list = -1,abc\n",
+    ],
+    ids=["solve-huge-C", "verify-bad-C_list"],
+)
+def test_sweep_member_config_error_does_not_abort_sweep(tmp_path, member):
     write(tmp_path / "linear.cfg", LINEAR_CFG)
-    write(tmp_path / "huge_c.cfg", "run.command = solve\nproblem.C = -1e15\n")
-    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, huge_c.cfg\n")
+    write(tmp_path / "bad.cfg", member)
+    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, bad.cfg\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(sweep), "--out", str(out), "--quiet"]) == 1
     assert (out / "linear" / "solution.csv").exists()
@@ -270,3 +302,33 @@ def test_outputs_are_bit_identical_across_reruns(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out2), "--quiet"]) == 0
     assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
     assert (out1 / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
+
+
+def test_package_never_loads_scipy(tmp_path):
+    # scipy.linalg alone adds about 26 MB of RSS; lazy imports count too, so
+    # the commands run in a fresh interpreter before sys.modules is checked.
+    write(tmp_path / "solve.cfg", LINEAR_CFG)
+    write(
+        tmp_path / "exhaust.cfg",
+        "run.command = exhaust\ngrid.m = 201\nexhaust.n0 = 4\nexhaust.n_max = 8\n",
+    )
+    write(tmp_path / "b2.cfg", "run.command = b2\nb2.quad_nodes = 32\n")
+    script = (
+        "import sys\n"
+        "from degen_blowup.cli import main\n"
+        "for command in ('solve', 'exhaust', 'b2'):\n"
+        "    main([command, '--config', command + '.cfg', '--out', command, '--quiet'])\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "exhaust" / "exhaust.csv").exists()

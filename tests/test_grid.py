@@ -77,6 +77,6 @@ def test_nested_radius_formula_and_monotonicity():
 def test_first_nested_index_keeps_half_radius():
     for R in (0.3, 1.0, 2.5, 10.0):
         n0 = first_nested_index(R)
-        assert R - 1.0 / n0 >= R / 2.0
+        assert R - 1.0 / n0 > R / 2.0
         if n0 > 1:
-            assert R - 1.0 / (n0 - 1) < R / 2.0
+            assert R - 1.0 / (n0 - 1) <= R / 2.0
