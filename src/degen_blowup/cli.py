@@ -195,11 +195,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+# Rows formatted per write: the writer holds one chunk of text, not the table.
+_CSV_CHUNK_ROWS = 8192
+
+
+def _write_csv(path: Path, header: list[str], columns: tuple) -> None:
+    """Write equal-length columns as CSV rows, one chunk of rows at a time.
+
+    A float64 array column is formatted with %.17g straight from .tolist();
+    the cells of any other column go through _fmt.  Both give the text _fmt
+    gives for the same value.
+    """
+    floats = [isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns]
+    line = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    n_rows = len(columns[0]) if columns else 0
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            cells = [
+                c[start:stop].tolist() if f else list(map(_fmt, c[start:stop]))
+                for c, f in zip(columns, floats)
+            ]
+            fh.write("".join(map(line.__mod__, zip(*cells))))
 
 
 def _write_report(path: Path, items: list[tuple[str, object]]) -> None:
@@ -216,6 +234,10 @@ def _say(quiet: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _blowup_params(cfg) -> BlowupParams:
+    if cfg["problem.kind"] != "blowup":
+        raise ConfigError(
+            f"key 'problem.kind' must be 'blowup' for this command; got {cfg['problem.kind']!r}"
+        )
     return BlowupParams(
         p=cfg["problem.p"],
         alpha=cfg["problem.alpha"],
@@ -302,7 +324,7 @@ def cmd_solve(cfg, out: Path, quiet: bool) -> int:
     _write_csv(
         out / "solution.csv",
         ["r", "d", "u", "sub", "super", "residual"],
-        zip(grid.nodes, grid.boundary_gap, u.values, lo.values, hi.values, res.values),
+        (grid.nodes, grid.boundary_gap, u.values, lo.values, hi.values, res.values),
     )
     _write_report(
         out / "report.txt",
@@ -343,7 +365,7 @@ def cmd_rate(cfg, out: Path, quiet: bool) -> int:
     d = grid.boundary_gap
     mask = (d >= window[0]) & (d <= window[1])
     ratio = u.values / (params.K * d ** (-params.beta))
-    _write_csv(out / "rate.csv", ["d", "u", "ratio"], zip(d[mask], u.values[mask], ratio[mask]))
+    _write_csv(out / "rate.csv", ["d", "u", "ratio"], (d[mask], u.values[mask], ratio[mask]))
     _write_report(
         out / "rate_summary.txt",
         [
@@ -396,9 +418,9 @@ def cmd_verify_subsuper(cfg, out: Path, quiet: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if min_A is not None:
         margins = super_inequality_margins(params, min_A, samples)
-        _write_csv(out / "super_margins.csv", ["r", "margin"], zip(samples, margins))
+        _write_csv(out / "super_margins.csv", ["r", "margin"], (samples, margins))
     sub_margins = sub_sufficient_margins(params, sub_samples)
-    _write_csv(out / "sub_margins.csv", ["r", "sufficient_margin"], zip(sub_samples, sub_margins))
+    _write_csv(out / "sub_margins.csv", ["r", "sufficient_margin"], (sub_samples, sub_margins))
     items = [
         ("min_A", "not-found" if min_A is None else min_A),
         ("super_ok", super_ok),
@@ -452,14 +474,17 @@ def cmd_exhaust(cfg, out: Path, quiet: bool) -> int:
     )
 
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i, n in enumerate(run.n_values):
-        delta = run.deltas[i - 1] if i >= 1 and i - 1 < len(run.deltas) else float("nan")
-        rows.append((n, run.outer_radii[i], delta, run.sandwich_ok[i]))
-    _write_csv(out / "exhaust.csv", ["n", "outer_radius", "delta", "sandwich_ok"], rows)
+    # row i > 0 holds the change from solve i-1 to solve i, nan where none was taken
+    n_rows = len(run.n_values)
+    deltas = ([float("nan"), *run.deltas] + [float("nan")] * n_rows)[:n_rows]
+    _write_csv(
+        out / "exhaust.csv",
+        ["n", "outer_radius", "delta", "sandwich_ok"],
+        (run.n_values, run.outer_radii, deltas, run.sandwich_ok),
+    )
     if run.limit_on_monitor is not None:
         limit = run.limit_on_monitor
-        _write_csv(out / "limit.csv", ["r", "u"], zip(limit.grid.nodes, limit.values))
+        _write_csv(out / "limit.csv", ["r", "u"], (limit.grid.nodes, limit.values))
         limit_residual = residual_on_monitor(params, limit)
     else:
         limit_residual = float("nan")
@@ -538,7 +563,7 @@ def cmd_b2(cfg, out: Path, quiet: bool) -> int:
             "a2_passes",
             "a2_estimate",
         ],
-        rows,
+        tuple(zip(*rows)),
     )
     return EXIT_OK
 
