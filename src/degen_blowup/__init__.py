@@ -19,6 +19,7 @@ from .assembly import (
     cell_volumes,
     constant_field,
     field_from_callable,
+    grid_terms,
     radial_blowup_problem,
     truncate_nonlinearity,
     volume_weights,

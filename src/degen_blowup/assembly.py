@@ -217,6 +217,7 @@ class TruncatedNonlinearity:
 
 
 def truncate_nonlinearity(base, lower: DiscreteField, upper: DiscreteField) -> TruncatedNonlinearity:
+    """Clamp ``base`` to the slab; the bound fields' arrays are shared, not copied."""
     lo, hi = lower.values, upper.values
     if lo.shape != hi.shape:
         raise OrderingError("bound fields must live on the same grid")
@@ -226,7 +227,7 @@ def truncate_nonlinearity(base, lower: DiscreteField, upper: DiscreteField) -> T
         raise OrderingError(
             f"lower bound exceeds upper bound at node {j}: {lo[j]} > {hi[j]}"
         )
-    return TruncatedNonlinearity(base=base, lower=lo.copy(), upper=hi.copy())
+    return TruncatedNonlinearity(base=base, lower=lo, upper=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +279,56 @@ def assemble_stiffness(grid: Grid, problem: Problem) -> Tridiagonal:
     return Tridiagonal(lower=lower, diag=diag, upper=upper)
 
 
-def _check_penalty_args(penalty, lower, upper):
+@dataclass(frozen=True)
+class GridTerms:
+    """The parts of a residual and a Jacobian that do not depend on u.
+
+    ``operator`` is the stiffness with every Dirichlet row replaced by an
+    identity row: the residual overwrites those rows and the Jacobian
+    needs them as identity rows, so one set of bands serves both, and a
+    Jacobian shares its off-diagonal bands with these terms.  ``w_nodes``
+    (the weight at the nodes) is only built for a positive penalty.
+    """
+
+    operator: Tridiagonal
+    mu: np.ndarray
+    b: np.ndarray
+    h_mu: np.ndarray
+    w_nodes: np.ndarray | None
+    mask: np.ndarray
+    datum: np.ndarray
+
+
+def grid_terms(grid: Grid, problem: Problem, penalty: float = 0.0) -> GridTerms:
+    """Build the u-independent terms once, for every residual and Jacobian of a solve."""
+    r = grid.nodes
+    mu = volume_weights(grid, problem.domain.N)
+    operator = assemble_stiffness(grid, problem)
+    mask = problem.dirichlet_mask(grid)
+    operator.diag[mask] = 1.0
+    operator.lower[mask] = 0.0
+    operator.upper[mask] = 0.0
+    return GridTerms(
+        operator=operator,
+        mu=mu,
+        b=problem.b_at(r),
+        h_mu=problem.h_at(r) * mu,
+        w_nodes=problem.weight_at_gap(grid.boundary_gap) if penalty > 0.0 else None,
+        mask=mask,
+        datum=problem.g_at(r[mask]),
+    )
+
+
+def _checked_terms(grid, problem, penalty, lower, upper, terms) -> GridTerms:
     if penalty < 0.0:
         raise ParameterError(f"penalty coefficient must be nonnegative; got {penalty}")
     if penalty > 0.0 and (lower is None or upper is None):
         raise ParameterError("a positive penalty needs both bound fields")
+    if terms is None:
+        return grid_terms(grid, problem, penalty)
+    if penalty > 0.0 and terms.w_nodes is None:
+        raise ParameterError("a positive penalty needs grid terms built with one")
+    return terms
 
 
 def assemble_residual(
@@ -292,6 +338,7 @@ def assemble_residual(
     penalty: float = 0.0,
     lower: DiscreteField | None = None,
     upper: DiscreteField | None = None,
+    terms: GridTerms | None = None,
 ) -> DiscreteField:
     """Integrated nodal residual of the (optionally penalized) problem.
 
@@ -304,27 +351,24 @@ def assemble_residual(
     with f the truncated nonlinearity when one is supplied and the raw one
     otherwise.  Dirichlet rows hold u_j - g_j.  The one-sided parts follow
     the sign convention t^- = min(t, 0), t^+ = max(t, 0), so the penalty
-    vanishes identically inside the slab.
+    vanishes identically inside the slab.  ``terms`` are built on the spot
+    when not given.
     """
-    _check_penalty_args(penalty, lower, upper)
     grid = u.grid
-    r = grid.nodes
-    mu = volume_weights(grid, problem.domain.N)
-    stiff = assemble_stiffness(grid, problem)
+    terms = _checked_terms(grid, problem, penalty, lower, upper, terms)
+    mu = terms.mu
     f = trunc if trunc is not None else problem.nonlin
-    res = stiff.matvec(u.values)
-    res += problem.b_at(r) * f.value(u.values) * mu
+    res = terms.operator.matvec(u.values)
+    res += terms.b * f.value(u.values) * mu
     if penalty > 0.0:
-        w_nodes = problem.weight_at_gap(grid.boundary_gap)
         below = np.minimum(u.values - lower.values, 0.0)
         above = np.maximum(u.values - upper.values, 0.0)
-        res += penalty * (below + above) * w_nodes * mu
-    res -= problem.h_at(r) * mu
-    mask = problem.dirichlet_mask(grid)
-    res[mask] = u.values[mask] - problem.g_at(r[mask])
+        res += penalty * (below + above) * terms.w_nodes * mu
+    res -= terms.h_mu
+    res[terms.mask] = u.values[terms.mask] - terms.datum
     if not np.all(np.isfinite(res)):
         j = int(np.argmin(np.isfinite(res)))
-        raise AssemblyError(f"non-finite residual entry at node {j} (r = {r[j]})")
+        raise AssemblyError(f"non-finite residual entry at node {j} (r = {grid.nodes[j]})")
     return DiscreteField(grid, res)
 
 
@@ -335,29 +379,25 @@ def assemble_jacobian(
     penalty: float = 0.0,
     lower: DiscreteField | None = None,
     upper: DiscreteField | None = None,
+    terms: GridTerms | None = None,
 ) -> Tridiagonal:
     """Newton matrix: stiffness plus the diagonal reaction and penalty slopes.
 
     Clamped branches contribute zero reaction slope; the penalty indicator
     is active strictly outside the slab.  Dirichlet rows become identity
-    rows.
+    rows.  Only the diagonal is new; the off-diagonal bands are those of
+    ``terms``, which are built on the spot when not given.
     """
-    _check_penalty_args(penalty, lower, upper)
-    grid = u.grid
-    r = grid.nodes
-    mu = volume_weights(grid, problem.domain.N)
-    jac = assemble_stiffness(grid, problem)
+    terms = _checked_terms(u.grid, problem, penalty, lower, upper, terms)
+    mu = terms.mu
     f = trunc if trunc is not None else problem.nonlin
-    diag_extra = problem.b_at(r) * f.slope(u.values) * mu
+    diag = terms.b * f.slope(u.values) * mu
     if penalty > 0.0:
-        w_nodes = problem.weight_at_gap(grid.boundary_gap)
         violated = (u.values < lower.values) | (u.values > upper.values)
-        diag_extra += penalty * w_nodes * mu * violated
-    jac.diag += diag_extra
-    mask = problem.dirichlet_mask(grid)
-    jac.diag[mask] = 1.0
-    jac.lower[mask] = 0.0
-    jac.upper[mask] = 0.0
+        diag += penalty * terms.w_nodes * mu * violated
+    diag += terms.operator.diag
+    diag[terms.mask] = 1.0
+    jac = Tridiagonal(lower=terms.operator.lower, diag=diag, upper=terms.operator.upper)
     if not (np.all(np.isfinite(jac.diag)) and np.all(np.isfinite(jac.lower)) and np.all(np.isfinite(jac.upper))):
         raise AssemblyError("non-finite Jacobian entry")
     return jac

@@ -23,6 +23,7 @@ from .assembly import (
     assemble_residual,
     assemble_stiffness,
     cell_volumes,
+    grid_terms,
     truncate_nonlinearity,
 )
 from .errors import ParameterError
@@ -150,9 +151,10 @@ def solve_penalized(
         u = opts.initial_guess.copy()
     else:
         u = DiscreteField(grid, 0.5 * (lower.values + upper.values))
+    terms = grid_terms(grid, problem, penalty)
 
     def residual_norm(candidate: DiscreteField) -> tuple[float, DiscreteField]:
-        res = assemble_residual(candidate, problem, trunc, penalty, lower, upper)
+        res = assemble_residual(candidate, problem, trunc, penalty, lower, upper, terms)
         return float(np.max(np.abs(res.values))), res
 
     norm, res = residual_norm(u)
@@ -160,8 +162,9 @@ def solve_penalized(
     converged = norm <= opts.abs_tol
     iters = 0
     while not converged and iters < opts.max_iters:
-        jac = assemble_jacobian(u, problem, trunc, penalty, lower, upper)
+        jac = assemble_jacobian(u, problem, trunc, penalty, lower, upper, terms)
         delta = thomas_solve(jac, -res.values)
+        del jac  # the line search needs only delta
         step = 1.0
         accepted = False
         while step >= _MIN_STEP:

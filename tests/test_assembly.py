@@ -10,6 +10,7 @@ from degen_blowup import (
     Domain,
     LinearSolveError,
     OrderingError,
+    ParameterError,
     PowerNonlinearity,
     Problem,
     Tridiagonal,
@@ -20,6 +21,7 @@ from degen_blowup import (
     build_graded_grid,
     constant_field,
     field_from_callable,
+    grid_terms,
     thomas_solve,
     truncate_nonlinearity,
     volume_weights,
@@ -308,3 +310,84 @@ class TestThomas:
         rhs = rhs[::2] if strided else rhs[:n]
         mat = Tridiagonal(lower, diag, upper)
         assert np.array_equal(thomas_solve(mat, rhs), _indexed_thomas(mat, rhs))
+
+
+def _reference_residual(u, problem, trunc, penalty, lower, upper):
+    """The residual with every term rebuilt from the problem, in the solver's operation order."""
+    grid = u.grid
+    r = grid.nodes
+    mu = volume_weights(grid, problem.domain.N)
+    f = trunc if trunc is not None else problem.nonlin
+    res = assemble_stiffness(grid, problem).matvec(u.values)
+    res += problem.b_at(r) * f.value(u.values) * mu
+    if penalty > 0.0:
+        w_nodes = problem.weight_at_gap(grid.boundary_gap)
+        below = np.minimum(u.values - lower.values, 0.0)
+        above = np.maximum(u.values - upper.values, 0.0)
+        res += penalty * (below + above) * w_nodes * mu
+    res -= problem.h_at(r) * mu
+    mask = problem.dirichlet_mask(grid)
+    res[mask] = u.values[mask] - problem.g_at(r[mask])
+    return res
+
+
+def _reference_jacobian(u, problem, trunc, penalty, lower, upper):
+    grid = u.grid
+    mu = volume_weights(grid, problem.domain.N)
+    jac = assemble_stiffness(grid, problem)
+    f = trunc if trunc is not None else problem.nonlin
+    diag_extra = problem.b_at(grid.nodes) * f.slope(u.values) * mu
+    if penalty > 0.0:
+        w_nodes = problem.weight_at_gap(grid.boundary_gap)
+        violated = (u.values < lower.values) | (u.values > upper.values)
+        diag_extra += penalty * w_nodes * mu * violated
+    jac.diag += diag_extra
+    mask = problem.dirichlet_mask(grid)
+    jac.diag[mask] = 1.0
+    jac.lower[mask] = 0.0
+    jac.upper[mask] = 0.0
+    return jac
+
+
+class TestGridTerms:
+    """Prebuilt grid terms change no bit of a residual or a Jacobian."""
+
+    @pytest.mark.parametrize("penalty", [0.0, 1e6])
+    @pytest.mark.parametrize("domain", [Domain.interval(1.0), Domain.ball(1.0, 3)], ids=["interval", "ball"])
+    def test_prebuilt_terms_are_bit_identical(self, domain, penalty):
+        grid = build_graded_grid(R=1.0, eta=1e-2, m=31, grading=1.5)
+        problem = Problem(
+            domain=domain,
+            weight=WeightFamily.power(0.5),
+            nonlin=PowerNonlinearity(3.0),
+            # reaction and penalty outweigh the flux term, so a change in
+            # their rounding shows in the sum
+            b_coef=lambda r: 1e4 * (1.0 + 0.5 * r),
+            source=lambda r: np.sin(3.0 * r),
+            boundary_value=lambda r: 0.2 + r,
+        )
+        lo = field_from_callable(grid, lambda r: -0.5 - r)
+        hi = field_from_callable(grid, lambda r: 0.5 + r)
+        values = 1.5 * np.sin(7.0 * grid.nodes) + 0.2  # leaves the slab on both sides
+        values[3], values[5] = lo.values[3], hi.values[5]  # exactly on the clamp
+        u = DiscreteField(grid, values)
+        assert np.any(values < lo.values) and np.any(values > hi.values)
+        trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
+        args = (u, problem, trunc, penalty, lo, hi)
+        terms = grid_terms(grid, problem, penalty)
+
+        res = assemble_residual(*args, terms)
+        assert np.array_equal(res.values, assemble_residual(*args).values)
+        assert np.array_equal(res.values, _reference_residual(*args))
+
+        jac = assemble_jacobian(*args, terms)
+        for expected in (assemble_jacobian(*args), _reference_jacobian(*args)):
+            for band in ("lower", "diag", "upper"):
+                assert np.array_equal(getattr(jac, band), getattr(expected, band)), band
+
+    def test_positive_penalty_needs_node_weights(self):
+        grid = uniform_grid(m=12)
+        problem = interval_problem()
+        lo, hi = constant_field(grid, -1.0), constant_field(grid, 1.0)
+        with pytest.raises(ParameterError, match="grid terms"):
+            assemble_residual(constant_field(grid, 0.0), problem, None, 2.0, lo, hi, grid_terms(grid, problem))

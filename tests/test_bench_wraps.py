@@ -2,8 +2,9 @@
 
 ``bench/tracing.py`` times layers by replacing ``module.attribute`` for each
 entry of its ``WRAPS`` table; a name the package no longer has is silently
-reported as absent and its metrics read 0.  This test makes such a removal
-fail loudly instead.
+reported as absent and its metrics read 0.  These tests make such a removal
+fail loudly instead, and check that a traced solve still reaches the
+assembly layers.
 """
 
 import importlib
@@ -11,6 +12,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from degen_blowup import cli
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -33,3 +36,25 @@ _tracing = _load_tracing()
 def test_wrapped_name_resolves(module, attribute):
     target = importlib.import_module(f"{_tracing.PACKAGE}.{module}")
     assert callable(getattr(target, attribute))
+
+
+TINY_SOLVE_CFG = """
+run.command = solve
+problem.kind = blowup
+grid.m = 201
+solver.tol = 1e-5
+solver.max_iters = 100
+"""
+
+
+def test_traced_solve_reports_assembly_layers(tmp_path):
+    # the grid-only terms are built outside the residual; the stiffness
+    # build must still reach the per-layer metrics through its wrapper
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(TINY_SOLVE_CFG, encoding="utf-8")
+    tracer = _tracing.Tracer()
+    assert tracer.absent == []
+    tracer.trace_op(0, lambda: cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]))
+    metrics = _tracing.layer_metrics(tracer, [], [], [], {})
+    assert metrics["assembly.stiffness.calls"]["value"] > 0
+    assert metrics["assembly.residual.calls"]["value"] > 0

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from degen_blowup import cli
 from degen_blowup.cli import _CSV_CHUNK_ROWS, _write_csv, main
+from degen_blowup.config import parse_config_text, resolve
 
 LINEAR_CFG = """
 run.command = solve
@@ -416,3 +418,38 @@ def test_csv_writer_memory_stays_at_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+SOLVE_FINE_CFG = """
+run.command = solve
+problem.kind = blowup
+problem.epsilon = 0.12
+grid.m = 200001
+grid.eta = 1e-4
+grid.grading = 2
+solver.tol = 1e-5
+solver.max_iters = 100
+"""
+
+
+def test_solve_memory_holds_no_per_residual_rebuilds(monkeypatch):
+    # one Newton solve of the solve-fine config: rebuilding the grid-only
+    # terms in every residual, with the Jacobian alive through the line
+    # search, peaked at 33.6 MB; building them once and dropping the
+    # Jacobian after its solve peaks at 29.0 MB
+    peaks = []
+    solve_penalized = cli.solve_penalized
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            result = solve_penalized(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(cli, "solve_penalized", traced)
+    cli._run_blowup_solve(resolve(parse_config_text(SOLVE_FINE_CFG), cli.SCHEMAS["solve"]))
+    assert len(peaks) == 1
+    assert peaks[0] < 31.3e6, f"traced peak {peaks[0] / 1e6:.1f} MB"

@@ -24,6 +24,8 @@ from degen_blowup import (
     solve_penalized,
     verify_subsupersolution,
 )
+from degen_blowup import assembly
+from degen_blowup.assembly import assemble_stiffness
 
 IDENTITY = CallableNonlinearity(lambda t: t, lambda t: np.ones_like(t))
 
@@ -130,6 +132,23 @@ class TestSolverBehaviour:
         assert not report.converged
         assert report.iters == 1
         assert u.values.shape == (grid.m,)
+
+    def test_one_stiffness_build_per_solve(self, monkeypatch):
+        # grid-only terms are built once, not on every residual and Jacobian
+        builds = []
+
+        def counted(*args):
+            builds.append(1)
+            return assemble_stiffness(*args)
+
+        monkeypatch.setattr(assembly, "assemble_stiffness", counted)
+        problem, u_star = oracle_exact_1d(R=1.0)
+        grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
+        lo = field_from_callable(grid, lambda r: 0.9 * u_star(r))
+        hi = field_from_callable(grid, lambda r: 1.1 * u_star(r))
+        _, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9))
+        assert report.iters >= 2
+        assert len(builds) == 1
 
     def test_options_validation(self):
         with pytest.raises(ParameterError):
