@@ -27,11 +27,10 @@ from .assembly import (
     CallableNonlinearity,
     DiscreteField,
     Problem,
-    assemble_residual,
+    assemble_residual,  # not called here; bench/tracing.py wraps cli.assemble_residual
     constant_field,
     field_from_callable,
     radial_blowup_problem,
-    truncate_nonlinearity,
 )
 from .asymptotics import check_epsilon_bounds, fit_blowup_rate
 from .config import (
@@ -57,6 +56,7 @@ from .exhaustion import (
     residual_on_monitor,
     solve_large_solution,
 )
+from .floatfmt import format_g17
 from .grids import build_graded_grid, first_nested_index
 from .penalty_solver import SolveOptions, check_sandwich, sandwich_tol, solve_penalized
 from .subsuper import (
@@ -199,25 +199,39 @@ def _fmt(value) -> str:
 _CSV_CHUNK_ROWS = 8192
 
 
+def _text_block(cells) -> np.ndarray:
+    """_fmt of each cell in a zero-padded row of bytes, one byte wider than the widest."""
+    text = np.array([_fmt(v).encode() for v in cells])
+    block = np.zeros((len(text), text.itemsize + 1), np.uint8)
+    block[:, :-1] = text.view(np.uint8).reshape(len(text), -1)
+    return block
+
+
 def _write_csv(path: Path, header: list[str], columns: tuple) -> None:
     """Write equal-length columns as CSV rows, one chunk of rows at a time.
 
-    A float64 array column is formatted with %.17g straight from .tolist();
-    the cells of any other column go through _fmt.  Both give the text _fmt
-    gives for the same value.
+    Each column of a chunk becomes a block of fixed-width byte slots, one per
+    cell, 0 padded: the float64 array columns through format_g17, all of them
+    in one call, and the cells of any other column through _fmt.  Both give
+    the text _fmt gives for the same value.  The last byte of each slot holds
+    the separator, so the chunk's table without its 0 bytes is its CSV text.
     """
     floats = [isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns]
-    line = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     n_rows = len(columns[0]) if columns else 0
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            cells = [
-                c[start:stop].tolist() if f else list(map(_fmt, c[start:stop]))
-                for c, f in zip(columns, floats)
-            ]
-            fh.write("".join(map(line.__mod__, zip(*cells))))
+            cells = [c[start : start + _CSV_CHUNK_ROWS] for c in columns]
+            values = np.empty((len(cells[0]), sum(floats)))
+            for j, c in enumerate(c for c, f in zip(cells, floats) if f):
+                values[:, j] = c
+            slots = iter(np.moveaxis(format_g17(values), 1, 0))
+            blocks = [next(slots) if f else _text_block(c) for c, f in zip(cells, floats)]
+            for block, sep in zip(blocks, seps):
+                block[:, -1] = sep
+            table = np.concatenate(blocks, axis=1)
+            fh.write(table[table != 0])
 
 
 def _write_report(path: Path, items: list[tuple[str, object]]) -> None:
@@ -300,7 +314,7 @@ def _run_blowup_solve(cfg):
     datum = 0.5 * (lo.values[-1] + hi.values[-1])
     problem = radial_blowup_problem(params, boundary_value=float(datum))
     u, report = solve_penalized(problem, grid, lo, hi, _solve_options(cfg))
-    return params, problem, grid, lo, hi, u, report
+    return grid, lo, hi, u, report
 
 
 def cmd_solve(cfg, out: Path, quiet: bool) -> int:
@@ -312,19 +326,17 @@ def cmd_solve(cfg, out: Path, quiet: bool) -> int:
         hi = constant_field(grid, 1.0)
         u, report = solve_penalized(problem, grid, lo, hi, _solve_options(cfg))
     elif kind == "blowup":
-        _, problem, grid, lo, hi, u, report = _run_blowup_solve(cfg)
+        grid, lo, hi, u, report = _run_blowup_solve(cfg)
     else:
         raise ConfigError(f"key 'problem.kind' must be 'linear' or 'blowup'; got {kind!r}")
 
     cert = check_sandwich(u, lo, hi, sandwich_tol(hi))
-    trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
-    res = assemble_residual(u, problem, trunc, report.penalty, lo, hi)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "solution.csv",
         ["r", "d", "u", "sub", "super", "residual"],
-        (grid.nodes, grid.boundary_gap, u.values, lo.values, hi.values, res.values),
+        (grid.nodes, grid.boundary_gap, u.values, lo.values, hi.values, report.residual.values),
     )
     _write_report(
         out / "report.txt",
@@ -356,7 +368,7 @@ def cmd_rate(cfg, out: Path, quiet: bool) -> int:
         u = DiscreteField(grid, params.K * grid.boundary_gap ** (-params.beta))
         converged = True
     else:
-        _, _, grid, _, _, u, report = _run_blowup_solve(cfg)
+        grid, _, _, u, report = _run_blowup_solve(cfg)
         converged = report.converged
     fit = fit_blowup_rate(u, window)
     bounds = check_epsilon_bounds(u, params.K, params.beta, params.epsilon, window)

@@ -71,6 +71,7 @@ class SandwichReport:
 class SolveReport:
     converged: bool
     iters: int
+    residual: DiscreteField  # of the returned field
     residual_history: list = field(default_factory=list)
     penalty: float = 0.0
 
@@ -184,6 +185,7 @@ def solve_penalized(
     report = SolveReport(
         converged=converged,
         iters=iters,
+        residual=res,
         residual_history=history,
         penalty=penalty,
     )

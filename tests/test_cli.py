@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degen_blowup import cli
+from degen_blowup import assembly, cli
 from degen_blowup.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from degen_blowup.config import parse_config_text, resolve
 
@@ -389,10 +389,14 @@ def _reference_write_csv(path, header, rows):
 @pytest.mark.parametrize("n_rows", [0, 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1])
 def test_csv_writer_bit_identical_to_joined_rows(tmp_path, n_rows):
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0])
+    powers = np.array([10.0**q for q in range(-300, 301)]).view(np.int64)
+    powers = (powers[:, None] + np.array([-1, 0, 1])).ravel().view(np.float64)  # +- 1 ulp
     rng = np.random.default_rng(n_rows)
     columns = (
         np.resize(special, n_rows),
         rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
+        np.zeros(n_rows),
+        np.resize(powers, n_rows),
         [float(v) for v in np.resize(special, n_rows)],
         list(range(n_rows)),
         np.arange(n_rows) - 3,
@@ -400,7 +404,7 @@ def test_csv_writer_bit_identical_to_joined_rows(tmp_path, n_rows):
         np.arange(n_rows) % 2 == 0,
         [f"family({i})" for i in range(n_rows)],
     )
-    header = ["f", "g", "f_list", "i", "i_array", "b", "b_array", "s"]
+    header = ["f", "g", "zero", "pow10", "f_list", "i", "i_array", "b", "b_array", "s"]
     _write_csv(tmp_path / "new.csv", header, columns)
     _reference_write_csv(tmp_path / "old.csv", header, zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -418,6 +422,22 @@ def test_csv_writer_memory_stays_at_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_solve_builds_stiffness_once(tmp_path, monkeypatch):
+    # the residual column is the solver's last accepted residual, not a
+    # second assembly with its own grid terms
+    builds = []
+    assemble_stiffness = assembly.assemble_stiffness
+
+    def counted(*args):
+        builds.append(1)
+        return assemble_stiffness(*args)
+
+    monkeypatch.setattr(assembly, "assemble_stiffness", counted)
+    cfg = write(tmp_path / "solve.cfg", BLOWUP_SOLVE_CFG)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(builds) == 1
 
 
 SOLVE_FINE_CFG = """

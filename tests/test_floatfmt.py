@@ -1,0 +1,141 @@
+"""The vectorized %.17g kernel against Python's own '%.17g' % x, value by value."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degen_blowup import floatfmt
+from degen_blowup.floatfmt import SLOT, format_g17
+
+
+def kernel_text(values):
+    """The kernel's text of each value: the non-zero bytes of its slot."""
+    slots = format_g17(np.asarray(values, dtype=np.float64))
+    assert slots.shape == np.shape(values) + (SLOT,)
+    slots = slots.reshape(-1, SLOT).copy()
+    assert not slots[:, -1].any(), "the last byte of a slot is left free"
+    slots[:, -1] = ord("\n")
+    return slots[slots != 0].tobytes().decode().splitlines()
+
+
+def assert_matches_g17(values):
+    values = np.asarray(values, dtype=np.float64).ravel()
+    got = kernel_text(values)
+    want = ["%.17g" % v for v in values.tolist()]
+    assert len(got) == len(want)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, f"{len(bad)} mismatches, first: {bad[:5]}"
+
+
+def neighbours(values, ulps):
+    """Each value and the doubles up to `ulps` steps below and above it."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel().view(np.float64)
+
+
+def exact_ties(rng, per_exponent):
+    """Values whose 17-digit rounding is an exact tie: |x| * 10**q = odd / 2.
+
+    x = m / 2**(q + 1) with m odd is one when m * 5**q lies in
+    [2e16, 2e17), which needs q in 1..24 (e.g. 1250000000000000.25, q = 1).
+    """
+    ties = []
+    for q in range(1, 25):
+        low = -(-2 * 10**16 // 5**q)
+        high = min(2 * 10**17 // 5**q, 2**53)
+        m = rng.integers(low, high, per_exponent) | 1
+        ties.append(m.astype(np.float64) / 2.0 ** (q + 1))
+    return np.concatenate(ties)
+
+
+def near_ties():
+    """Values whose rounding fraction is 1/2 +- d * 2**-t, t = 40..71, d = 1..64.
+
+    x = m / 2**(t + q) gives |x| * 10**q = m * 5**q / 2**t; m is the residue
+    mod 2**t that puts the fraction there, kept when a value of it puts the
+    product in [1e16, 1e17).
+    """
+    ties = []
+    for q in range(17, 45):
+        for t in range(40, 72):
+            period = 2**t
+            inverse = pow(5**q, -1, period)
+            low = -(-(10**16) * period // 5**q)
+            high = min(10**17 * period // 5**q, 2**53)
+            for offset in [*range(-64, 0), *range(1, 65)]:
+                m = (period // 2 + offset) * inverse % period
+                m += max(0, -(-(low - m) // period)) * period
+                if m < high:
+                    ties.append(math.ldexp(m, -(t + q)))
+    return np.array(ties)
+
+
+def test_matches_g17_on_a_million_values():
+    rng = np.random.default_rng(20240607)
+    powers = np.array([10.0**q for q in range(-300, 301)])
+    subnormal_bits = rng.integers(1, 2**52, 20000, dtype=np.int64)
+    magnitudes = np.concatenate(
+        [
+            rng.integers(0, 2**63, 600000, dtype=np.uint64).view(np.float64),  # random bit patterns
+            neighbours(powers, 50),
+            neighbours([2.0**53, 1e16, 1e17], 2000),
+            np.arange(2**53 - 1000, 2**53 + 1000, dtype=np.float64),
+            exact_ties(rng, 2000),
+            near_ties(),
+            subnormal_bits.view(np.float64),
+            [5e-324, 0.0, np.nan, np.inf, 1.7976931348623157e308, 2.2250738585072014e-308],
+            neighbours([1e-280, 1e280], 50),
+            rng.standard_normal(100000) * 10.0 ** rng.uniform(-20, 20, 100000),
+        ]
+    )
+    values = np.concatenate([magnitudes, -magnitudes])
+    assert values.size >= 1_000_000
+    assert_matches_g17(values)
+
+
+def test_special_values():
+    values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1250000000000000.25, 1250000000000000.75]
+    assert kernel_text(values) == ["0", "-0", "nan", "nan", "inf", "-inf", "1250000000000000.2", "1250000000000000.8"]
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (4097,), (3, 0), (5, 3), (2, 4096)])
+def test_shapes_and_block_edges(shape):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    assert_matches_g17(values)
+    assert format_g17(values).shape == shape + (SLOT,)
+
+
+def test_fallback_takes_only_what_the_kernel_cannot_place(monkeypatch):
+    # the per-value path costs about 1 us a value: zeros (68,798 of them in
+    # the solve-fine subsolution column) and ordinary values must not reach it
+    seen = []
+    dtoa = floatfmt._dtoa
+
+    def counted(values):
+        seen.extend(values.tolist())
+        return dtoa(values)
+
+    monkeypatch.setattr(floatfmt, "_dtoa", counted)
+    rng = np.random.default_rng(1)
+    ordinary = np.concatenate([[0.0, -0.0, 1.0, 1e-4, 0.5, 1e16, 1e17], rng.standard_normal(10000)])
+    assert_matches_g17(ordinary)
+    assert seen == []
+    hard = [np.inf, -np.inf, 1e300, 1e-300, 5e-324, 1250000000000000.25]
+    assert_matches_g17(hard)
+    assert seen == hard
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_property_floats(values):
+    assert_matches_g17(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_property_bit_patterns(bits):
+    assert_matches_g17(np.array(bits, dtype=np.uint64).view(np.float64))

@@ -121,6 +121,18 @@ class TestSolverBehaviour:
         hist = np.asarray(report.residual_history)
         assert np.all(np.diff(hist) < 0.0)
 
+    @pytest.mark.parametrize("max_iters", [1, 60])
+    def test_report_carries_the_returned_fields_residual(self, max_iters):
+        problem, u_star = oracle_exact_1d(R=1.0)
+        grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
+        lo = field_from_callable(grid, lambda r: 0.9 * u_star(r))
+        hi = field_from_callable(grid, lambda r: 1.1 * u_star(r))
+        u, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9, max_iters=max_iters))
+        trunc = assembly.truncate_nonlinearity(problem.nonlin, lo, hi)
+        again = assembly.assemble_residual(u, problem, trunc, report.penalty, lo, hi)
+        assert np.array_equal(report.residual.values, again.values)
+        assert np.max(np.abs(report.residual.values)) == report.residual_history[-1]
+
     def test_max_iters_exhaustion_returns_field(self):
         problem, u_star = oracle_exact_1d(R=1.0)
         grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
