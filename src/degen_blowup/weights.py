@@ -229,6 +229,11 @@ def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256) -> B2
     """
     if not 0.0 < margin < domain.R:
         raise ParameterError(f"margin must lie in (0, R); got margin={margin}, R={domain.R}")
+    if domain.kind == "interval" and not margin < domain.R / 2.0:
+        # the subset (margin, R - margin) is empty or reversed from R/2 on
+        raise ParameterError(
+            f"on an interval the margin must lie in (0, R/2); got margin={margin}, R/2={domain.R / 2.0}"
+        )
     if quad_nodes < 16:
         raise ParameterError(f"quad_nodes must be at least 16; got {quad_nodes}")
 
@@ -277,15 +282,14 @@ class A2Report:
     divergent: bool
 
 
-def _refined_integral(f, a: float, b: float, n: int):
-    """Midpoint estimates at n, 2n, 4n, 8n cells with a divergence verdict.
+def _refinement_verdict(estimates: list[float]):
+    """Finest of the midpoint estimates at n, 2n, 4n, 8n cells, with a divergence verdict.
 
     Convergent-but-singular integrands (t**(-s), s < 1) have increments
     shrinking by 2**(s-1) per doubling, a logarithmic divergence keeps them
     constant, and a power divergence grows them; the increment ratio
     separates the three without needing a rate-specific tolerance.
     """
-    estimates = [_midpoint(f, a, b, n * k) for k in (1, 2, 4, 8)]
     if not all(math.isfinite(e) for e in estimates):
         return math.inf, True
     d = [estimates[i + 1] - estimates[i] for i in range(3)]
@@ -312,20 +316,52 @@ def check_a2(family: WeightFamily, R: float = 1.0, levels: int = 6, quad_nodes: 
     Near the endpoints of an admissible range the quadrature converges
     slowly and deeper refinement may be needed; this is a desk-scale
     surrogate, not a proof.
+
+    Each interval is integrated by the midpoint rule on n, 2n, 4n and 8n
+    cells (n = quad_nodes).  The grids nest: on (0, R / 2**k) the grid of
+    8n / 2**i cells is the first 8n / 2**i midpoints of the 8n-cell grid
+    on (0, R / 2**(k-i)), bit for bit, since only powers of two are
+    rescaled.  So tau is evaluated once on the largest grid of each scale
+    s = k + log2(cells / n), and 1/tau is taken from the same values:
+    7n + 8n*levels points (55n at six levels) instead of 30n*levels.
     """
-    if R <= 0.0:
+    if not R > 0.0:
         raise ParameterError(f"R must be positive; got {R}")
+    if levels < 1:
+        raise ParameterError(f"levels must be at least 1; got {levels}")
     if quad_nodes < 16:
         raise ParameterError(f"quad_nodes must be at least 16; got {quad_nodes}")
+    direct: list[list[float]] = [[] for _ in range(levels)]
+    recip: list[list[float]] = [[] for _ in range(levels)]
     worst = 0.0
     with np.errstate(divide="ignore", over="ignore"):
-        for k in range(levels):
+        for s in range(levels + 3):
+            # level k meets scale s with quad_nodes * 2**(s-k) cells; the
+            # first such level has the largest grid, the others its prefixes
+            ks = range(max(s - 3, 0), min(s, levels - 1) + 1)
+            grids = [(k, R / 2.0**k, quad_nodes * 2 ** (s - k)) for k in ks]
+            _, b, cells = grids[0]
+            x = np.arange(cells, dtype=float)
+            x += 0.5
+            x *= b
+            x /= cells
+            t = family.tau(x)
+            del x
+            for k, b, c in grids:
+                direct[k].append(float(b / c * np.sum(t[:c])))
+            np.divide(1.0, t, out=t)
+            for k, b, c in grids:
+                recip[k].append(float(b / c * np.sum(t[:c])))
+            del t  # one grid's points or values alive at a time
+            k = s - 3
+            if k < 0:
+                continue
             b = R / 2.0**k
-            direct, div_direct = _refined_integral(family.tau, 0.0, b, quad_nodes)
-            recip, div_recip = _refined_integral(lambda t: 1.0 / family.tau(t), 0.0, b, quad_nodes)
+            direct_k, div_direct = _refinement_verdict(direct[k])
+            recip_k, div_recip = _refinement_verdict(recip[k])
             if div_direct or div_recip:
                 return A2Report(False, math.inf, True)
-            worst = max(worst, (direct / b) * (recip / b))
+            worst = max(worst, (direct_k / b) * (recip_k / b))
     return A2Report(True, worst, False)
 
 

@@ -246,6 +246,19 @@ def test_b2_catalogue_table(tmp_path):
     assert by_family["power(1.9)"][5] == "false"
 
 
+@pytest.mark.parametrize("include_failing, code", [("true", 1), ("false", 0)])
+def test_b2_margin_past_half_interval(tmp_path, include_failing, code):
+    # the failing case lives on (0, 1): a margin of 0.6 would reverse its
+    # subset, while the ball families accept any margin below R
+    cfg = write(
+        tmp_path / "b2.cfg",
+        f"run.command = b2\nb2.margin = 0.6\nb2.quad_nodes = 32\nb2.include_failing = {include_failing}\n",
+    )
+    out = tmp_path / "o"
+    assert main(["b2", "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+    assert (out / "b2.csv").exists() == (code == 0)
+
+
 @pytest.mark.parametrize(
     "family, params, code",
     [

@@ -1,5 +1,8 @@
 """Weight families, boundary distance, and the local-integrability surrogate."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,17 @@ class TestCheckB2:
         with pytest.raises(ParameterError):
             check_b2(WeightFamily.constant(), Domain.ball(1.0, 3), margin=0.1, quad_nodes=8)
 
+    @pytest.mark.parametrize("margin", [0.5, 0.6])
+    @pytest.mark.parametrize(
+        "weight",
+        [InteriorVanishingWeight(0.5), WeightFamily.power(0.5)],
+        ids=["interior-vanishing", "power"],
+    )
+    def test_interval_margin_below_half_length(self, weight, margin):
+        # (margin, R - margin) is empty at R/2 and reversed beyond it
+        with pytest.raises(ParameterError, match=r"margin=.*R/2=0\.5"):
+            check_b2(weight, Domain.interval(1.0), margin=margin)
+
 
 class TestCheckA2:
     """Two-sided average surrogate; recorded but never gated on."""
@@ -182,3 +196,92 @@ class TestCheckA2:
             check_a2(WeightFamily.constant(), R=-1.0)
         with pytest.raises(ParameterError):
             check_a2(WeightFamily.constant(), quad_nodes=4)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"R": 0.0}, {"R": math.nan}, {"levels": 0}, {"levels": -1}],
+        ids=["R-zero", "R-nan", "levels-0", "levels-negative"],
+    )
+    def test_preconditions_radius_and_levels(self, kwargs):
+        # a nan radius would read as divergent, zero levels as a vacuous pass
+        with pytest.raises(ParameterError):
+            check_a2(WeightFamily.constant(), **kwargs)
+
+    @pytest.mark.parametrize("levels", [1, 3, 6])
+    @pytest.mark.parametrize("n", [16, 17, 256])
+    def test_tau_evaluated_once_per_distinct_point(self, monkeypatch, n, levels):
+        # tau runs once per scale of the nested grids: on n, 2n and 4n
+        # points at the first three and on 8n at each of the other
+        # `levels`; 1/tau reuses those values
+        counted = []
+        tau = WeightFamily.tau
+
+        def counting_tau(self, t):
+            counted.append(np.size(t))
+            return tau(self, t)
+
+        monkeypatch.setattr(WeightFamily, "tau", counting_tau)
+        assert check_a2(WeightFamily.power(0.5), levels=levels, quad_nodes=n).passes
+        assert sum(counted) == 7 * n + 8 * n * levels
+
+    def test_traced_peak_at_65536_nodes(self):
+        # one grid of 8 * 65536 doubles is 4 MB and tau's own temporaries
+        # add up to three more; no two grids are held at once
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for label, fam in catalogue_families(3):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                check_a2(fam, quad_nodes=65536)
+                peaks[label] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) <= 16.5, peaks
+
+
+def _reference_midpoint(f, a, b, n):
+    x = a + (b - a) * (np.arange(n) + 0.5) / n
+    return float((b - a) / n * np.sum(f(x)))
+
+
+def _reference_refined_integral(f, a, b, n):
+    """Midpoint estimates at n, 2n, 4n, 8n cells with a divergence verdict."""
+    estimates = [_reference_midpoint(f, a, b, n * k) for k in (1, 2, 4, 8)]
+    if not all(math.isfinite(e) for e in estimates):
+        return math.inf, True
+    d = [estimates[i + 1] - estimates[i] for i in range(3)]
+    drift = abs(d[-1]) / max(abs(estimates[-1]), 1e-300)
+    same_sign = d[0] * d[1] > 0.0 and d[1] * d[2] > 0.0
+    ratios = [abs(d[i + 1]) / max(abs(d[i]), 1e-300) for i in range(2)]
+    divergent = same_sign and drift > 1e-10 and min(ratios) >= 0.97
+    return estimates[-1], divergent
+
+
+def _reference_check_a2(family, R, levels, quad_nodes):
+    """The two-sided check with each level's four grids built and evaluated apart."""
+    worst = 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        for k in range(levels):
+            b = R / 2.0**k
+            direct, div_direct = _reference_refined_integral(family.tau, 0.0, b, quad_nodes)
+            recip, div_recip = _reference_refined_integral(lambda t: 1.0 / family.tau(t), 0.0, b, quad_nodes)
+            if div_direct or div_recip:
+                return False, math.inf, True
+            worst = max(worst, (direct / b) * (recip / b))
+    return True, worst, False
+
+
+# catalogue N = 3 and N = 5; power(1.9) and exp-deficit(-1) take the early return
+_A2_FAMILIES = dict(catalogue_families(3) + catalogue_families(5))
+
+
+@pytest.mark.parametrize("quad_nodes", [16, 17, 100, 1000, 4096])
+@pytest.mark.parametrize("label", list(_A2_FAMILIES))
+def test_check_a2_bit_identical_to_per_level_quadrature(label, quad_nodes):
+    family = _A2_FAMILIES[label]
+    for R in (1e-3, 0.3, 1.0, 2.7):
+        for levels in (1, 3, 6, 9):
+            rep = check_a2(family, R=R, levels=levels, quad_nodes=quad_nodes)
+            expected = _reference_check_a2(family, R, levels, quad_nodes)
+            assert (rep.passes, rep.a2_estimate, rep.divergent) == expected, (R, levels)
