@@ -281,15 +281,18 @@ def assemble_stiffness(grid: Grid, problem: Problem) -> Tridiagonal:
 
 @dataclass(frozen=True)
 class GridTerms:
-    """The parts of a residual and a Jacobian that do not depend on u.
+    """Everything a residual and a Jacobian need besides u, built once per solve.
 
     ``operator`` is the stiffness with every Dirichlet row replaced by an
     identity row: the residual overwrites those rows and the Jacobian
     needs them as identity rows, so one set of bands serves both, and a
-    Jacobian shares its off-diagonal bands with these terms.  ``w_nodes``
-    (the weight at the nodes) is only built for a positive penalty.
+    Jacobian shares its off-diagonal bands with these terms.  ``f`` is
+    ``trunc`` when there is one and the problem's nonlinearity otherwise;
+    the penalty reads its slab from ``trunc.lower``/``trunc.upper``, and
+    ``w_nodes`` (the weight at the nodes) is only built for a positive one.
     """
 
+    grid: Grid
     operator: Tridiagonal
     mu: np.ndarray
     b: np.ndarray
@@ -297,10 +300,22 @@ class GridTerms:
     w_nodes: np.ndarray | None
     mask: np.ndarray
     datum: np.ndarray
+    f: object
+    trunc: TruncatedNonlinearity | None
+    penalty: float
 
 
-def grid_terms(grid: Grid, problem: Problem, penalty: float = 0.0) -> GridTerms:
-    """Build the u-independent terms once, for every residual and Jacobian of a solve."""
+def grid_terms(
+    grid: Grid,
+    problem: Problem,
+    trunc: TruncatedNonlinearity | None = None,
+    penalty: float = 0.0,
+) -> GridTerms:
+    """Build a solve's u-independent terms once; the penalty is checked here and nowhere else."""
+    if penalty < 0.0:
+        raise ParameterError(f"penalty coefficient must be nonnegative; got {penalty}")
+    if penalty > 0.0 and trunc is None:
+        raise ParameterError("a positive penalty needs a truncation to read its slab from")
     r = grid.nodes
     mu = volume_weights(grid, problem.domain.N)
     operator = assemble_stiffness(grid, problem)
@@ -309,6 +324,7 @@ def grid_terms(grid: Grid, problem: Problem, penalty: float = 0.0) -> GridTerms:
     operator.lower[mask] = 0.0
     operator.upper[mask] = 0.0
     return GridTerms(
+        grid=grid,
         operator=operator,
         mu=mu,
         b=problem.b_at(r),
@@ -316,30 +332,13 @@ def grid_terms(grid: Grid, problem: Problem, penalty: float = 0.0) -> GridTerms:
         w_nodes=problem.weight_at_gap(grid.boundary_gap) if penalty > 0.0 else None,
         mask=mask,
         datum=problem.g_at(r[mask]),
+        f=trunc if trunc is not None else problem.nonlin,
+        trunc=trunc,
+        penalty=penalty,
     )
 
 
-def _checked_terms(grid, problem, penalty, lower, upper, terms) -> GridTerms:
-    if penalty < 0.0:
-        raise ParameterError(f"penalty coefficient must be nonnegative; got {penalty}")
-    if penalty > 0.0 and (lower is None or upper is None):
-        raise ParameterError("a positive penalty needs both bound fields")
-    if terms is None:
-        return grid_terms(grid, problem, penalty)
-    if penalty > 0.0 and terms.w_nodes is None:
-        raise ParameterError("a positive penalty needs grid terms built with one")
-    return terms
-
-
-def assemble_residual(
-    u: DiscreteField,
-    problem: Problem,
-    trunc: TruncatedNonlinearity | None = None,
-    penalty: float = 0.0,
-    lower: DiscreteField | None = None,
-    upper: DiscreteField | None = None,
-    terms: GridTerms | None = None,
-) -> DiscreteField:
+def assemble_residual(u: DiscreteField, terms: GridTerms) -> DiscreteField:
     """Integrated nodal residual of the (optionally penalized) problem.
 
     Interior entry j:
@@ -348,22 +347,19 @@ def assemble_residual(
             + penalty * ((u-lower)^- + (u-upper)^+)_j * w_j * mu_j
             - h_j * mu_j
 
-    with f the truncated nonlinearity when one is supplied and the raw one
-    otherwise.  Dirichlet rows hold u_j - g_j.  The one-sided parts follow
-    the sign convention t^- = min(t, 0), t^+ = max(t, 0), so the penalty
-    vanishes identically inside the slab.  ``terms`` are built on the spot
-    when not given.
+    with f, the penalty and the slab [lower, upper] those of ``terms``.
+    Dirichlet rows hold u_j - g_j.  The one-sided parts follow the sign
+    convention t^- = min(t, 0), t^+ = max(t, 0), so the penalty vanishes
+    identically inside the slab.
     """
-    grid = u.grid
-    terms = _checked_terms(grid, problem, penalty, lower, upper, terms)
+    grid = terms.grid
     mu = terms.mu
-    f = trunc if trunc is not None else problem.nonlin
     res = terms.operator.matvec(u.values)
-    res += terms.b * f.value(u.values) * mu
-    if penalty > 0.0:
-        below = np.minimum(u.values - lower.values, 0.0)
-        above = np.maximum(u.values - upper.values, 0.0)
-        res += penalty * (below + above) * terms.w_nodes * mu
+    res += terms.b * terms.f.value(u.values) * mu
+    if terms.penalty > 0.0:
+        below = np.minimum(u.values - terms.trunc.lower, 0.0)
+        above = np.maximum(u.values - terms.trunc.upper, 0.0)
+        res += terms.penalty * (below + above) * terms.w_nodes * mu
     res -= terms.h_mu
     res[terms.mask] = u.values[terms.mask] - terms.datum
     if not np.all(np.isfinite(res)):
@@ -372,29 +368,19 @@ def assemble_residual(
     return DiscreteField(grid, res)
 
 
-def assemble_jacobian(
-    u: DiscreteField,
-    problem: Problem,
-    trunc: TruncatedNonlinearity | None = None,
-    penalty: float = 0.0,
-    lower: DiscreteField | None = None,
-    upper: DiscreteField | None = None,
-    terms: GridTerms | None = None,
-) -> Tridiagonal:
+def assemble_jacobian(u: DiscreteField, terms: GridTerms) -> Tridiagonal:
     """Newton matrix: stiffness plus the diagonal reaction and penalty slopes.
 
     Clamped branches contribute zero reaction slope; the penalty indicator
     is active strictly outside the slab.  Dirichlet rows become identity
     rows.  Only the diagonal is new; the off-diagonal bands are those of
-    ``terms``, which are built on the spot when not given.
+    ``terms``.
     """
-    terms = _checked_terms(u.grid, problem, penalty, lower, upper, terms)
     mu = terms.mu
-    f = trunc if trunc is not None else problem.nonlin
-    diag = terms.b * f.slope(u.values) * mu
-    if penalty > 0.0:
-        violated = (u.values < lower.values) | (u.values > upper.values)
-        diag += penalty * terms.w_nodes * mu * violated
+    diag = terms.b * terms.f.slope(u.values) * mu
+    if terms.penalty > 0.0:
+        violated = (u.values < terms.trunc.lower) | (u.values > terms.trunc.upper)
+        diag += terms.penalty * terms.w_nodes * mu * violated
     diag += terms.operator.diag
     diag[terms.mask] = 1.0
     jac = Tridiagonal(lower=terms.operator.lower, diag=diag, upper=terms.operator.upper)

@@ -58,7 +58,7 @@ from .exhaustion import (
 )
 from .floatfmt import format_g17
 from .grids import build_graded_grid, first_nested_index
-from .penalty_solver import SolveOptions, check_sandwich, sandwich_tol, solve_penalized
+from .penalty_solver import SolveOptions, solve_penalized
 from .subsuper import (
     BlowupParams,
     build_subsolution,
@@ -78,6 +78,7 @@ from .weights import (
     catalogue_families,
     check_a2,
     check_b2,
+    check_b2_margin,
 )
 
 EXIT_OK = 0
@@ -130,7 +131,6 @@ _SOLVER_KEYS = {
     "solver.penalty": ("float-or-auto", None),
     "solver.tol": ("float", 1e-7),
     "solver.max_iters": ("int", 60),
-    "solver.damping": ("float", 0.5),
 }
 
 SCHEMAS = {
@@ -274,7 +274,6 @@ def _solve_options(cfg) -> SolveOptions:
         penalty=cfg["solver.penalty"],
         max_iters=cfg["solver.max_iters"],
         abs_tol=cfg["solver.tol"],
-        damping=cfg["solver.damping"],
     )
 
 
@@ -330,7 +329,7 @@ def cmd_solve(cfg, out: Path, quiet: bool) -> int:
     else:
         raise ConfigError(f"key 'problem.kind' must be 'linear' or 'blowup'; got {kind!r}")
 
-    cert = check_sandwich(u, lo, hi, sandwich_tol(hi))
+    cert = report.sandwich
 
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -519,7 +518,8 @@ def cmd_exhaust(cfg, out: Path, quiet: bool) -> int:
 
 def cmd_b2(cfg, out: Path, quiet: bool) -> int:
     n_dim = cfg["b2.N"]
-    domain = Domain.ball(cfg["b2.R"], n_dim)
+    R = cfg["b2.R"]
+    domain = Domain.ball(R, n_dim)
     margin = cfg["b2.margin"]
     quad = cfg["b2.quad_nodes"]
 
@@ -529,13 +529,15 @@ def cmd_b2(cfg, out: Path, quiet: bool) -> int:
         entries += [(label, fam, domain) for label, fam in catalogue_families(n_dim)]
         if cfg["b2.include_failing"]:
             entries.append(
-                ("interior-vanishing(|x-0.5|)", InteriorVanishingWeight(0.5), Domain.interval(1.0))
+                (f"interior-vanishing(|x-{R / 2:g}|)", InteriorVanishingWeight(R / 2), Domain.interval(R))
             )
     else:
         # each tag reads only its own parameters; an unknown tag raises ParameterError
         family = WeightFamily(mode, alpha=cfg["b2.alpha"], beta_log=cfg["b2.beta_log"], a_exp=cfg["b2.a_exp"])
         family.validate_for_dimension(n_dim)
         entries.append((mode, family, domain))
+    for _, _, dom in entries:  # before any quadrature
+        check_b2_margin(dom, margin)
 
     rows = []
     for label, weight, dom in entries:

@@ -21,11 +21,12 @@ from .assembly import (
     DiscreteField,
     assemble_residual,
     field_from_callable,
+    grid_terms,
     radial_blowup_problem,
 )
 from .errors import ParameterError
 from .grids import Grid, build_graded_grid, nested_subdomain
-from .penalty_solver import SolveOptions, check_sandwich, sandwich_tol, solve_penalized
+from .penalty_solver import SolveOptions, solve_penalized
 from .subsuper import BlowupParams
 
 STATUS_CONVERGED = "converged"
@@ -118,13 +119,12 @@ def solve_large_solution(
         u_n, report = solve_penalized(problem_n, grid_n, lo, hi, solve_opts)
         run.n_values.append(n)
         run.outer_radii.append(sub.outer_radius)
-        cert = check_sandwich(u_n, lo, hi, sandwich_tol(hi))
-        run.sandwich_ok.append(cert.ok)
+        run.sandwich_ok.append(report.sandwich.ok)
 
         if not report.converged:
             run.status = STATUS_NONCONVERGED
             break
-        if not cert.ok:
+        if not report.sandwich.ok:
             run.status = STATUS_CERTIFICATION_FAILED
             break
 
@@ -154,5 +154,5 @@ def residual_on_monitor(params: BlowupParams, limit: DiscreteField) -> float:
     def own_values(r):
         return limit.interpolate_to(r)
 
-    res = assemble_residual(limit, replace(base, boundary_value=own_values))
+    res = assemble_residual(limit, grid_terms(limit.grid, replace(base, boundary_value=own_values)))
     return float(np.max(np.abs(res.values)))

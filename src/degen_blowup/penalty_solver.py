@@ -31,6 +31,7 @@ from .grids import Grid
 from .tridiag import thomas_solve
 
 _MIN_STEP = 1e-12
+_DAMPING = 0.5  # backtracking factor of the line search
 
 
 @dataclass
@@ -47,14 +48,11 @@ class SolveOptions:
     penalty: float | None = None
     max_iters: int = 60
     abs_tol: float = 1e-10
-    damping: float = 0.5
     initial_guess: DiscreteField | None = None
 
     def __post_init__(self):
         if self.abs_tol <= 0.0:
             raise ParameterError(f"abs_tol must be positive; got {self.abs_tol}")
-        if not 0.0 < self.damping < 1.0:
-            raise ParameterError(f"damping must lie in (0, 1); got {self.damping}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be at least 1; got {self.max_iters}")
 
@@ -72,6 +70,7 @@ class SolveReport:
     converged: bool
     iters: int
     residual: DiscreteField  # of the returned field
+    sandwich: SandwichReport  # of the returned field, at sandwich_tol(upper)
     residual_history: list = field(default_factory=list)
     penalty: float = 0.0
 
@@ -132,9 +131,10 @@ def solve_penalized(
     """Newton iteration on the clamped, penalized residual.
 
     Each step solves Jacobian * delta = -residual by tridiagonal
-    elimination and backtracks (step scaled by the damping factor) until
-    the residual max-norm strictly decreases.  Exhausting max_iters or the
+    elimination and backtracks (step scaled by _DAMPING) until the
+    residual max-norm strictly decreases.  Exhausting max_iters or the
     backtracking budget returns the current field with converged = False.
+    The report carries the field's sandwich certificate.
     """
     opts = opts or SolveOptions()
     trunc = truncate_nonlinearity(problem.nonlin, lower, upper)  # checks lower <= upper
@@ -152,10 +152,10 @@ def solve_penalized(
         u = opts.initial_guess.copy()
     else:
         u = DiscreteField(grid, 0.5 * (lower.values + upper.values))
-    terms = grid_terms(grid, problem, penalty)
+    terms = grid_terms(grid, problem, trunc, penalty)
 
     def residual_norm(candidate: DiscreteField) -> tuple[float, DiscreteField]:
-        res = assemble_residual(candidate, problem, trunc, penalty, lower, upper, terms)
+        res = assemble_residual(candidate, terms)
         return float(np.max(np.abs(res.values))), res
 
     norm, res = residual_norm(u)
@@ -163,7 +163,7 @@ def solve_penalized(
     converged = norm <= opts.abs_tol
     iters = 0
     while not converged and iters < opts.max_iters:
-        jac = assemble_jacobian(u, problem, trunc, penalty, lower, upper, terms)
+        jac = assemble_jacobian(u, terms)
         delta = thomas_solve(jac, -res.values)
         del jac  # the line search needs only delta
         step = 1.0
@@ -175,7 +175,7 @@ def solve_penalized(
                 u, norm, res = trial, trial_norm, trial_res
                 accepted = True
                 break
-            step *= opts.damping
+            step *= _DAMPING
         if not accepted:
             break  # stalled: no step length reduces the residual
         iters += 1
@@ -186,6 +186,7 @@ def solve_penalized(
         converged=converged,
         iters=iters,
         residual=res,
+        sandwich=check_sandwich(u, lower, upper, sandwich_tol(upper)),
         residual_history=history,
         penalty=penalty,
     )

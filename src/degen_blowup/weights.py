@@ -217,6 +217,17 @@ def _midpoint(f, a: float, b: float, n: int) -> float:
     return float((b - a) / n * np.sum(f(x)))
 
 
+def check_b2_margin(domain: Domain, margin: float) -> None:
+    """Refuse a margin that leaves ``check_b2`` no compact subset {d >= margin} of the domain."""
+    if not 0.0 < margin < domain.R:
+        raise ParameterError(f"margin must lie in (0, R); got margin={margin}, R={domain.R}")
+    if domain.kind == "interval" and not margin < domain.R / 2.0:
+        # the subset (margin, R - margin) is empty or reversed from R/2 on
+        raise ParameterError(
+            f"on an interval the margin must lie in (0, R/2); got margin={margin}, R/2={domain.R / 2.0}"
+        )
+
+
 def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256) -> B2Report:
     """Integrate 1/w over the compact subset {d >= margin} with refinement.
 
@@ -227,13 +238,7 @@ def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256) -> B2
     divergent (the signature of a non-integrable 1/w).  This is a
     surrogate for local integrability, not a proof.
     """
-    if not 0.0 < margin < domain.R:
-        raise ParameterError(f"margin must lie in (0, R); got margin={margin}, R={domain.R}")
-    if domain.kind == "interval" and not margin < domain.R / 2.0:
-        # the subset (margin, R - margin) is empty or reversed from R/2 on
-        raise ParameterError(
-            f"on an interval the margin must lie in (0, R/2); got margin={margin}, R/2={domain.R / 2.0}"
-        )
+    check_b2_margin(domain, margin)
     if quad_nodes < 16:
         raise ParameterError(f"quad_nodes must be at least 16; got {quad_nodes}")
 

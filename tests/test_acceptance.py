@@ -279,7 +279,6 @@ def test_criterion_7_penalty_inactivity(blowup_solve):
         penalty=2.0 * rep1.penalty,
         max_iters=opts.max_iters,
         abs_tol=opts.abs_tol,
-        damping=opts.damping,
     )
     u2, rep2 = solve_penalized(problem, grid, lo, hi, doubled)
     diff = float(np.max(np.abs(u1.values - u2.values)))

@@ -114,7 +114,8 @@ class TestStiffness:
     def test_positive_definite_after_dirichlet_elimination(self):
         rng = np.random.default_rng(2)
         grid = uniform_grid(m=25)
-        jac = assemble_jacobian(constant_field(grid, 0.0), interval_problem(b_coef=0.0))
+        problem = interval_problem(b_coef=0.0)
+        jac = assemble_jacobian(constant_field(grid, 0.0), grid_terms(grid, problem))
         for _ in range(20):
             v = rng.standard_normal(grid.m)
             v[0] = v[-1] = 0.0  # interior support
@@ -178,8 +179,8 @@ class TestResidual:
         hi = constant_field(grid, 1.0)
         trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         u = constant_field(grid, 0.5)
-        with_pen = assemble_residual(u, problem, trunc, 1e6, lo, hi)
-        without = assemble_residual(u, problem, trunc, 0.0, lo, hi)
+        with_pen = assemble_residual(u, grid_terms(grid, problem, trunc, 1e6))
+        without = assemble_residual(u, grid_terms(grid, problem, trunc, 0.0))
         np.testing.assert_array_equal(with_pen.values, without.values)
 
     def test_penalty_entry_below_slab(self):
@@ -190,7 +191,7 @@ class TestResidual:
         hi = constant_field(grid, 1.0)
         trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         u = constant_field(grid, -1.0)
-        res = assemble_residual(u, problem, trunc, 10.0, lo, hi)
+        res = assemble_residual(u, grid_terms(grid, problem, trunc, 10.0))
         mu = volume_weights(grid, 1)
         np.testing.assert_allclose(res.values[1:-1], -10.0 * mu[1:-1], rtol=1e-14)
 
@@ -200,18 +201,19 @@ class TestResidual:
         grid = uniform_grid(m=41)
         problem = interval_problem(source=1.0)
         mu = volume_weights(grid, 1)
-        jac = assemble_jacobian(constant_field(grid, 0.0), problem)
+        terms = grid_terms(grid, problem)
+        jac = assemble_jacobian(constant_field(grid, 0.0), terms)
         rhs = mu.copy()
         rhs[0] = rhs[-1] = 0.0
         u = DiscreteField(grid, thomas_solve(jac, rhs))
-        res = assemble_residual(u, problem)
+        res = assemble_residual(u, terms)
         assert np.max(np.abs(res.values)) < 1e-11
 
     def test_nonfinite_coefficient_names_node(self):
         grid = uniform_grid(m=10)
         problem = interval_problem(b_coef=lambda r: np.where(r > 0.5, np.inf, 1.0))
         with pytest.raises(AssemblyError, match="node"):
-            assemble_residual(constant_field(grid, 1.0), problem)
+            assemble_residual(constant_field(grid, 1.0), grid_terms(grid, problem))
 
 
 class TestJacobian:
@@ -222,7 +224,7 @@ class TestJacobian:
         hi = constant_field(grid, 1.0)
         trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         u = constant_field(grid, 0.0)
-        jac = assemble_jacobian(u, problem, trunc, 5.0, lo, hi)
+        jac = assemble_jacobian(u, grid_terms(grid, problem, trunc, 5.0))
         stiff = assemble_stiffness(grid, problem)
         mu = volume_weights(grid, 1)
         expected = stiff.diag + mu
@@ -236,7 +238,7 @@ class TestJacobian:
         hi = constant_field(grid, 1.0)
         trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         u = constant_field(grid, -10.0)
-        jac = assemble_jacobian(u, problem, trunc, 7.0, lo, hi)
+        jac = assemble_jacobian(u, grid_terms(grid, problem, trunc, 7.0))
         stiff = assemble_stiffness(grid, problem)
         mu = volume_weights(grid, 1)
         expected = stiff.diag + 7.0 * mu  # w = 1; reaction slope clamps to zero
@@ -258,12 +260,11 @@ class TestJacobian:
         trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         u = DiscreteField(grid, 0.3 + 0.2 * np.sin(5.0 * grid.nodes))
         direction = np.cos(4.0 * grid.nodes)
-        jac = assemble_jacobian(u, problem, trunc, 3.0, lo, hi)
+        terms = grid_terms(grid, problem, trunc, 3.0)
+        jac = assemble_jacobian(u, terms)
         step = 1e-6
-        plus = assemble_residual(DiscreteField(grid, u.values + step * direction),
-                                 problem, trunc, 3.0, lo, hi)
-        minus = assemble_residual(DiscreteField(grid, u.values - step * direction),
-                                  problem, trunc, 3.0, lo, hi)
+        plus = assemble_residual(DiscreteField(grid, u.values + step * direction), terms)
+        minus = assemble_residual(DiscreteField(grid, u.values - step * direction), terms)
         fd = (plus.values - minus.values) / (2.0 * step)
         jd = jac.matvec(direction)
         denom = np.max(np.abs(jd))
@@ -350,7 +351,7 @@ def _reference_jacobian(u, problem, trunc, penalty, lower, upper):
 
 
 class TestGridTerms:
-    """Prebuilt grid terms change no bit of a residual or a Jacobian."""
+    """Grid terms give the residual and the Jacobian bit for bit, and own the penalty checks."""
 
     @pytest.mark.parametrize("penalty", [0.0, 1e6])
     @pytest.mark.parametrize("domain", [Domain.interval(1.0), Domain.ball(1.0, 3)], ids=["interval", "ball"])
@@ -374,20 +375,27 @@ class TestGridTerms:
         assert np.any(values < lo.values) and np.any(values > hi.values)
         trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         args = (u, problem, trunc, penalty, lo, hi)
-        terms = grid_terms(grid, problem, penalty)
+        terms = grid_terms(grid, problem, trunc, penalty)
 
-        res = assemble_residual(*args, terms)
-        assert np.array_equal(res.values, assemble_residual(*args).values)
+        res = assemble_residual(u, terms)
         assert np.array_equal(res.values, _reference_residual(*args))
 
-        jac = assemble_jacobian(*args, terms)
-        for expected in (assemble_jacobian(*args), _reference_jacobian(*args)):
-            for band in ("lower", "diag", "upper"):
-                assert np.array_equal(getattr(jac, band), getattr(expected, band)), band
+        jac = assemble_jacobian(u, terms)
+        expected = _reference_jacobian(*args)
+        for band in ("lower", "diag", "upper"):
+            assert np.array_equal(getattr(jac, band), getattr(expected, band)), band
 
-    def test_positive_penalty_needs_node_weights(self):
+    def test_positive_penalty_needs_truncation(self):
+        grid = uniform_grid(m=12)
+        with pytest.raises(ParameterError, match="positive penalty needs a truncation"):
+            grid_terms(grid, interval_problem(), None, 2.0)
+
+    @pytest.mark.parametrize("with_trunc", [False, True], ids=["untruncated", "truncated"])
+    def test_negative_penalty_is_refused(self, with_trunc):
         grid = uniform_grid(m=12)
         problem = interval_problem()
-        lo, hi = constant_field(grid, -1.0), constant_field(grid, 1.0)
-        with pytest.raises(ParameterError, match="grid terms"):
-            assemble_residual(constant_field(grid, 0.0), problem, None, 2.0, lo, hi, grid_terms(grid, problem))
+        trunc = None
+        if with_trunc:
+            trunc = truncate_nonlinearity(problem.nonlin, constant_field(grid, -1.0), constant_field(grid, 1.0))
+        with pytest.raises(ParameterError, match="penalty coefficient must be nonnegative; got -1.0"):
+            grid_terms(grid, problem, trunc, -1.0)

@@ -87,6 +87,20 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "solver.typo" in capsys.readouterr().err
 
 
+def test_damping_is_not_a_config_key(tmp_path, capsys):
+    cfg = write(tmp_path / "bad.cfg", LINEAR_CFG + "solver.damping = 0.5\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "solver.damping" in capsys.readouterr().err
+
+
+def test_negative_penalty_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "bad.cfg", LINEAR_CFG + "solver.penalty = -1\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "penalty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_duplicate_key_rejected(tmp_path, capsys):
     cfg = write(tmp_path / "bad.cfg", LINEAR_CFG + "problem.R = 2.0\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -229,6 +243,8 @@ def test_exhaust_bound_injection_exits_three(tmp_path):
     assert main(["exhaust", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
     report = (out / "exhaust_report.txt").read_text()
     assert "certification-failed" in report
+    # the first solve's certificate fails, and the sweep stops there
+    assert read_csv(out / "exhaust.csv")[1] == [["4", "0.75", "nan", "false"]]
 
 
 def test_b2_catalogue_table(tmp_path):
@@ -248,8 +264,8 @@ def test_b2_catalogue_table(tmp_path):
 
 @pytest.mark.parametrize("include_failing, code", [("true", 1), ("false", 0)])
 def test_b2_margin_past_half_interval(tmp_path, include_failing, code):
-    # the failing case lives on (0, 1): a margin of 0.6 would reverse its
-    # subset, while the ball families accept any margin below R
+    # the failing case lives on (0, R) = (0, 1): a margin of 0.6 would
+    # reverse its subset, while the ball families accept any margin below R
     cfg = write(
         tmp_path / "b2.cfg",
         f"run.command = b2\nb2.margin = 0.6\nb2.quad_nodes = 32\nb2.include_failing = {include_failing}\n",
@@ -257,6 +273,27 @@ def test_b2_margin_past_half_interval(tmp_path, include_failing, code):
     out = tmp_path / "o"
     assert main(["b2", "--config", str(cfg), "--out", str(out), "--quiet"]) == code
     assert (out / "b2.csv").exists() == (code == 0)
+
+
+def test_b2_margin_checked_before_any_quadrature(tmp_path, monkeypatch):
+    calls = []
+    for name in ("check_b2", "check_a2"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    cfg = write(tmp_path / "b2.cfg", "run.command = b2\nb2.margin = 0.6\nb2.quad_nodes = 65536\n")
+    out = tmp_path / "o"
+    assert main(["b2", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert calls == []
+    assert not out.exists()
+
+
+def test_b2_failing_case_lives_on_the_configured_radius(tmp_path):
+    # a margin valid for the ball of radius 4 is valid for the interval (0, 4)
+    cfg = write(tmp_path / "b2.cfg", "run.command = b2\nb2.R = 4\nb2.margin = 1.0\n")
+    out = tmp_path / "o"
+    assert main(["b2", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    _, rows = read_csv(out / "b2.csv")
+    failing = {row[0]: row for row in rows}["interior-vanishing(|x-2|)"]
+    assert failing[1] == "false" and failing[4] == "true"
 
 
 @pytest.mark.parametrize(

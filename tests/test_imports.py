@@ -1,0 +1,52 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import degen_blowup
+
+PACKAGE = Path(degen_blowup.__file__).parent
+
+# bench/tracing.py wraps cli.assemble_residual, so cli keeps the name
+# although it no longer calls it; only a change to the benchmark may drop it.
+ALLOWED = {("cli", "assemble_residual")}
+
+
+def imported_names(tree):
+    """Each name an import statement binds at module level, with its line."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def used_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+# the package's __init__ imports names to re-export them
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    used = used_names(tree)
+    unused = [
+        f"{name} (line {line})"
+        for name, line in imported_names(tree)
+        if name not in used and (module, name) not in ALLOWED
+    ]
+    assert not unused, f"{module} imports but never uses: {', '.join(unused)}"
+
+
+def test_allowed_imports_are_still_unused():
+    # an allowance that is no longer needed is dropped with the import
+    for module, name in ALLOWED:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        assert name in dict(imported_names(tree)) and name not in used_names(tree)

@@ -26,6 +26,7 @@ from degen_blowup import (
 )
 from degen_blowup import assembly
 from degen_blowup.assembly import assemble_stiffness
+from degen_blowup.penalty_solver import sandwich_tol
 
 IDENTITY = CallableNonlinearity(lambda t: t, lambda t: np.ones_like(t))
 
@@ -129,9 +130,21 @@ class TestSolverBehaviour:
         hi = field_from_callable(grid, lambda r: 1.1 * u_star(r))
         u, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9, max_iters=max_iters))
         trunc = assembly.truncate_nonlinearity(problem.nonlin, lo, hi)
-        again = assembly.assemble_residual(u, problem, trunc, report.penalty, lo, hi)
+        again = assembly.assemble_residual(u, assembly.grid_terms(grid, problem, trunc, report.penalty))
         assert np.array_equal(report.residual.values, again.values)
         assert np.max(np.abs(report.residual.values)) == report.residual_history[-1]
+
+    @pytest.mark.parametrize("scale", [1.1, 1.0001], ids=["inside", "violated"])
+    def test_report_carries_the_returned_fields_sandwich(self, scale):
+        problem, u_star = oracle_exact_1d(R=1.0)
+        grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
+        # the tight upper bound cuts below the solution, so the certificate fails there
+        lo = field_from_callable(grid, lambda r: 0.9 * u_star(r))
+        hi = field_from_callable(grid, lambda r: scale * u_star(r) - 0.01)
+        u, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9))
+        expected = check_sandwich(u, lo, hi, sandwich_tol(hi))
+        assert report.sandwich == expected
+        assert report.sandwich.ok == (scale == 1.1)
 
     def test_max_iters_exhaustion_returns_field(self):
         problem, u_star = oracle_exact_1d(R=1.0)
@@ -165,8 +178,6 @@ class TestSolverBehaviour:
     def test_options_validation(self):
         with pytest.raises(ParameterError):
             SolveOptions(abs_tol=0.0)
-        with pytest.raises(ParameterError):
-            SolveOptions(damping=1.0)
 
     def test_non_monotone_nonlinearity_rejected(self):
         grid = build_graded_grid(R=1.0, eta=1e-6, m=33, grading=1.0)
