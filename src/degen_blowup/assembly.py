@@ -351,17 +351,36 @@ def assemble_residual(u: DiscreteField, terms: GridTerms) -> DiscreteField:
     Dirichlet rows hold u_j - g_j.  The one-sided parts follow the sign
     convention t^- = min(t, 0), t^+ = max(t, 0), so the penalty vanishes
     identically inside the slab.
+
+    With a truncation, u is clipped to the slab once, and the clipped
+    values feed both f and the penalty: one of (u-lower)^- and (u-upper)^+
+    is always an exact 0.0, so their sum is (u - clipped) + 0.0, bit for
+    bit (the + 0.0 turns the -0.0 of u = -0.0 on a zero bound into +0.0).
+    Products keep the order (b*f)*mu and ((penalty*s)*w)*mu, and only
+    arrays this function allocated are updated in place, since f may
+    return its argument.
     """
     grid = terms.grid
     mu = terms.mu
-    res = terms.operator.matvec(u.values)
-    res += terms.b * terms.f.value(u.values) * mu
+    values = u.values
+    res = terms.operator.matvec(values)
+    trunc = terms.trunc
+    if trunc is None:
+        reaction = terms.b * terms.f.value(values)
+    else:
+        clipped = np.clip(values, trunc.lower, trunc.upper)
+        reaction = terms.b * trunc.base.value(clipped)
+    reaction *= mu
+    res += reaction
     if terms.penalty > 0.0:
-        below = np.minimum(u.values - terms.trunc.lower, 0.0)
-        above = np.maximum(u.values - terms.trunc.upper, 0.0)
-        res += terms.penalty * (below + above) * terms.w_nodes * mu
+        outside = values - clipped
+        outside += 0.0
+        outside *= terms.penalty
+        outside *= terms.w_nodes
+        outside *= mu
+        res += outside
     res -= terms.h_mu
-    res[terms.mask] = u.values[terms.mask] - terms.datum
+    res[terms.mask] = values[terms.mask] - terms.datum
     if not np.all(np.isfinite(res)):
         j = int(np.argmin(np.isfinite(res)))
         raise AssemblyError(f"non-finite residual entry at node {j} (r = {grid.nodes[j]})")

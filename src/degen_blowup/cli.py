@@ -35,6 +35,7 @@ from .assembly import (
 from .asymptotics import check_epsilon_bounds, fit_blowup_rate
 from .config import (
     REQUIRED,
+    finite_float,
     parse_coefficient,
     parse_config_file,
     resolve,
@@ -403,10 +404,10 @@ def cmd_verify_subsuper(cfg, out: Path, quiet: bool) -> int:
     if n_samples < 2:
         raise ConfigError(f"key 'verify.samples' must be at least 2; got {n_samples}")
     try:
-        c_values = [float(c) for c in cfg["verify.C_list"].split(",")]
+        c_values = [finite_float(c) for c in cfg["verify.C_list"].split(",")]
     except ValueError:
         raise ConfigError(
-            f"key 'verify.C_list' expects comma-separated numbers; got {cfg['verify.C_list']!r}"
+            f"key 'verify.C_list' expects comma-separated finite numbers; got {cfg['verify.C_list']!r}"
         ) from None
     params = _blowup_params(cfg)
     samples = np.linspace(0.0, params.R, n_samples)

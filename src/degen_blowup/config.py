@@ -9,6 +9,8 @@ starts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -46,10 +48,18 @@ def parse_config_file(path) -> dict[str, tuple[str, int]]:
     return parse_config_text(text, source=str(path))
 
 
+def finite_float(text: str) -> float:
+    """float(text), refusing nan and +-inf with ValueError."""
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(text)
+    return number
+
+
 def _convert(key: str, value: str, lineno: int, kind: str, source: str):
     try:
         if kind == "float":
-            return float(value)
+            return finite_float(value)
         if kind == "int":
             return int(value)
         if kind == "bool":
@@ -62,11 +72,12 @@ def _convert(key: str, value: str, lineno: int, kind: str, source: str):
         if kind == "float-or-auto":
             if value.lower() == "auto":
                 return None
-            return float(value)
+            return finite_float(value)
         return value  # str
     except ValueError:
         raise ConfigError(
             f"{source}:{lineno}: key {key!r} expects a {kind}, got {value!r}"
+            + (" (numbers must be finite)" if kind.startswith("float") else "")
         ) from None
 
 
@@ -95,11 +106,11 @@ REQUIRED = object()
 
 
 def parse_coefficient(spec: str):
-    """Coefficient spec: a plain number, or ``poly:c0,c1,...`` in r."""
+    """Coefficient spec: a plain finite number, or ``poly:c0,c1,...`` in r with finite c_i."""
     spec = spec.strip()
     if spec.lower().startswith("poly:"):
         try:
-            coeffs = [float(c) for c in spec[5:].split(",")]
+            coeffs = [finite_float(c) for c in spec[5:].split(",")]
         except ValueError:
             raise ConfigError(f"bad polynomial coefficient spec {spec!r}") from None
         if not coeffs:
@@ -110,6 +121,6 @@ def parse_coefficient(spec: str):
 
         return poly
     try:
-        return float(spec)
+        return finite_float(spec)
     except ValueError:
-        raise ConfigError(f"coefficient spec {spec!r} is neither a number nor poly:...") from None
+        raise ConfigError(f"coefficient spec {spec!r} is neither a finite number nor poly:...") from None

@@ -7,7 +7,10 @@ already lies inside the slab both modifications are inactive, so the
 returned field solves the original discrete problem; the a-posteriori
 certificate ``check_sandwich`` verifies the two-sided bound that the
 continuum theory promises.  Convergence is declared on the max-norm of the
-integrated residual, the quantity the weak formulation controls.
+integrated residual, the quantity the weak formulation controls.  Each
+Newton step backtracks through at most 14 step lengths, 1 down to 2**-13
+(``_MIN_STEP``); an iteration that none of them improves ends the solve
+as stalled.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import ParameterError
 from .grids import Grid
 from .tridiag import thomas_solve
 
-_MIN_STEP = 1e-12
+_MIN_STEP = 1e-4  # 14 step lengths, 1 down to 2**-13, before a stall
 _DAMPING = 0.5  # backtracking factor of the line search
 
 
@@ -132,9 +135,11 @@ def solve_penalized(
 
     Each step solves Jacobian * delta = -residual by tridiagonal
     elimination and backtracks (step scaled by _DAMPING) until the
-    residual max-norm strictly decreases.  Exhausting max_iters or the
-    backtracking budget returns the current field with converged = False.
-    The report carries the field's sandwich certificate.
+    residual max-norm strictly decreases.  The backtracking budget is the
+    step lengths down to _MIN_STEP: 14 residual assemblies, at 1, 1/2, ...,
+    2**-13.  Exhausting max_iters or that budget returns the current field
+    with converged = False.  The report carries the field's sandwich
+    certificate.
     """
     opts = opts or SolveOptions()
     trunc = truncate_nonlinearity(problem.nonlin, lower, upper)  # checks lower <= upper
@@ -169,7 +174,9 @@ def solve_penalized(
         step = 1.0
         accepted = False
         while step >= _MIN_STEP:
-            trial = DiscreteField(grid, u.values + step * delta)
+            trial_values = delta * step
+            trial_values += u.values
+            trial = DiscreteField(grid, trial_values)
             trial_norm, trial_res = residual_norm(trial)
             if trial_norm < norm:
                 u, norm, res = trial, trial_norm, trial_res

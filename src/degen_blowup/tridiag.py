@@ -6,7 +6,6 @@ with lower[0] and upper[-1] fixed at zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,27 +45,44 @@ def thomas_solve(mat: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     No pivoting; raises LinearSolveError on a zero or non-finite pivot.
     Row 0 is the general step with c = d = 0, since lower[0] is zero.  The
     loops index memoryviews, which yield Python floats without copying the
-    bands into lists.
+    bands into lists.  Row j keeps its c and d at index j + 1 behind a
+    leading 0.0, so the pivots are checked after the sweep by recomputing
+    them all at once, diag - lower * c[j-1], with the loop's two roundings;
+    a zero pivot stops the sweep early through ZeroDivisionError.
     """
     n = mat.n
     rhs = np.asarray(rhs, dtype=float)
     if rhs.size != n:
         raise ValueError("rhs length does not match the matrix")
-    c = memoryview(np.empty(n))
-    d = memoryview(np.empty(n))
+    c_shifted = np.empty(n + 1)
+    c_shifted[0] = 0.0
+    c = memoryview(c_shifted)
+    d = memoryview(np.empty(n + 1))
     out = np.empty(n)
     x = memoryview(out)
     c_prev = d_prev = 0.0
+    swept = n
     rows = zip(
-        memoryview(mat.lower), memoryview(mat.diag), memoryview(mat.upper), memoryview(rhs)
+        range(1, n + 1),
+        memoryview(mat.lower),
+        memoryview(mat.diag),
+        memoryview(mat.upper),
+        memoryview(rhs),
     )
-    for j, (lo, di, up, b) in enumerate(rows):
-        piv = di - lo * c_prev
-        if piv == 0.0 or not math.isfinite(piv):
-            raise LinearSolveError(f"singular pivot at row {j}")
-        c_prev = c[j] = up / piv
-        d_prev = d[j] = (b - lo * d_prev) / piv
-    x_next = x[n - 1] = d[n - 1]
-    for j in range(n - 2, -1, -1):
-        x_next = x[j] = d[j] - c[j] * x_next
+    try:
+        for k, lo, di, up, b in rows:
+            piv = di - lo * c_prev
+            c_prev = c[k] = up / piv
+            d_prev = d[k] = (b - lo * d_prev) / piv
+    except ZeroDivisionError:
+        swept = k
+    pivots = out[:swept]  # back substitution overwrites them
+    np.multiply(mat.lower[:swept], c_shifted[:swept], out=pivots)
+    np.subtract(mat.diag[:swept], pivots, out=pivots)
+    if not (np.all(pivots) and np.all(np.isfinite(pivots))):
+        bad = (pivots == 0.0) | ~np.isfinite(pivots)
+        raise LinearSolveError(f"singular pivot at row {int(np.argmax(bad))}")
+    x_next = x[n - 1] = d_prev
+    for c_j, d_j, j in zip(c[n - 1:0:-1], d[n - 1:0:-1], range(n - 2, -1, -1)):
+        x_next = x[j] = d_j - c_j * x_next
     return out

@@ -292,8 +292,12 @@ class TestThomas:
             # elimination zeroes the second pivot: 1 - 1*1 = 0
             ([1.0, 1.0, 2.0], 1),
             ([1.0, np.inf, 2.0], 1),
+            ([1.0, np.nan, 2.0], 1),
+            # the infinite pivot makes c[1] = 0, so row 2's pivot is 0 - 0*0 = 0:
+            # the first bad row is still the one reported
+            ([1.0, np.inf, 0.0], 1),
         ],
-        ids=["zero-row-0", "zero-row-1", "inf-row-1"],
+        ids=["zero-row-0", "zero-row-1", "inf-row-1", "nan-row-1", "inf-row-1-then-zero"],
     )
     def test_singular_pivot_raises(self, diag, row):
         mat = Tridiagonal([0.0, 1.0, 0.0], diag, [1.0, 0.0, 0.0])
@@ -384,6 +388,28 @@ class TestGridTerms:
         expected = _reference_jacobian(*args)
         for band in ("lower", "diag", "upper"):
             assert np.array_equal(getattr(jac, band), getattr(expected, band)), band
+
+    def test_nonlinearity_returning_its_argument_on_the_bounds(self):
+        # IDENTITY's func returns the very array it is given, the clipped u
+        # here, so updating f(u) in place would also change the penalty's
+        # input.  u = -0.0 on lower = 0.0 must leave the reference's signed
+        # zero; a negative b keeps the zero of the reaction term negative.
+        grid = uniform_grid(m=11)
+        problem = interval_problem(b_coef=lambda r: np.where(r < 0.5, -1e4, 1e4))
+        lower = np.array([0.0, 0.0, 0.0, 0.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 0.0])
+        upper = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+        values = np.array([0.5, 0.0, -0.0, 0.0, -2.0, 0.3, 3.0, 1.0, -1.0, -0.0, 0.0])
+        # below, inside and above the slab, and on both bounds with either zero
+        u = DiscreteField(grid, values)
+        lo, hi = DiscreteField(grid, lower), DiscreteField(grid, upper)
+        before = [a.tobytes() for a in (u.values, lo.values, hi.values)]
+        trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
+
+        res = assemble_residual(u, grid_terms(grid, problem, trunc, 1e6))
+        expected = _reference_residual(u, problem, trunc, 1e6, lo, hi)
+        assert np.array_equal(res.values, expected)
+        assert np.array_equal(np.signbit(res.values), np.signbit(expected))
+        assert [a.tobytes() for a in (u.values, lo.values, hi.values)] == before
 
     def test_positive_penalty_needs_truncation(self):
         grid = uniform_grid(m=12)

@@ -101,6 +101,41 @@ def test_negative_penalty_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _with_key(text, key, value):
+    """``text`` with ``key = value`` replacing the key's line, or appended."""
+    lines = [line for line in text.strip().splitlines() if line.split("=")[0].strip() != key]
+    return "\n".join([*lines, f"{key} = {value}"]) + "\n"
+
+
+VERIFY_CFG = "run.command = verify-subsuper\nverify.samples = 1001\n"
+
+
+@pytest.mark.parametrize(
+    "command, base, key, value, names",
+    [
+        # nan passes both penalty sign checks and would solve unpenalized
+        ("solve", LINEAR_CFG, "solver.penalty", "nan", "key 'solver.penalty'"),
+        # a nan tolerance can never be met
+        ("solve", LINEAR_CFG, "solver.tol", "nan", "key 'solver.tol'"),
+        ("solve", LINEAR_CFG, "grid.eta", "inf", "key 'grid.eta'"),
+        ("verify-subsuper", VERIFY_CFG, "problem.A", "nan", "key 'problem.A'"),
+        ("verify-subsuper", VERIFY_CFG, "verify.C_list", "-1,nan", "'verify.C_list' expects comma-separated finite"),
+        ("verify-subsuper", VERIFY_CFG, "problem.a", "poly:1,nan", "'poly:1,nan'"),
+    ],
+    ids=["penalty-nan", "tol-nan", "eta-inf", "A-nan", "C_list-nan", "poly-nan"],
+)
+def test_nonfinite_number_is_config_error(tmp_path, capsys, command, base, key, value, names):
+    text = _with_key(base, key, value)
+    cfg = write(tmp_path / "bad.cfg", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert names in err
+    if key not in ("verify.C_list", "problem.a"):  # list and coefficient specs are parsed after the file
+        assert f"bad.cfg:{len(text.splitlines())}:" in err
+    assert not out.exists()
+
+
 def test_duplicate_key_rejected(tmp_path, capsys):
     cfg = write(tmp_path / "bad.cfg", LINEAR_CFG + "problem.R = 2.0\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

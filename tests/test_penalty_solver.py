@@ -24,8 +24,9 @@ from degen_blowup import (
     solve_penalized,
     verify_subsupersolution,
 )
-from degen_blowup import assembly
+from degen_blowup import assembly, cli, penalty_solver
 from degen_blowup.assembly import assemble_stiffness
+from degen_blowup.config import parse_config_text, resolve
 from degen_blowup.penalty_solver import sandwich_tol
 
 IDENTITY = CallableNonlinearity(lambda t: t, lambda t: np.ones_like(t))
@@ -84,6 +85,38 @@ class TestLinearClosedForm:
             SolveOptions(abs_tol=1e-10, penalty=2.0 * rep1.penalty),
         )
         assert np.max(np.abs(u1.values - u2.values)) <= 10.0 * 1e-10
+
+
+STALLING_CFG = """
+run.command = solve
+problem.kind = blowup
+problem.epsilon = 0.12
+grid.m = 8001
+grid.eta = 1e-4
+grid.grading = 2
+solver.tol = 1e-5
+solver.max_iters = 100
+"""
+
+
+def _solve_counting_stalled_trials(cfg, monkeypatch):
+    """Run the blowup solve of ``cfg``; also count the residuals assembled after the last Jacobian."""
+    events = []
+    with monkeypatch.context() as patch:
+        for name in ("assemble_residual", "assemble_jacobian"):
+            patch.setattr(penalty_solver, name, _logged(getattr(penalty_solver, name), name, events))
+        _, _, _, u, report = cli._run_blowup_solve(cfg)
+    trials = events[len(events) - events[::-1].index("assemble_jacobian"):]
+    assert set(trials) == {"assemble_residual"}
+    return u, report, len(trials)
+
+
+def _logged(func, name, events):
+    def logged(*args):
+        events.append(name)
+        return func(*args)
+
+    return logged
 
 
 class TestSolverBehaviour:
@@ -174,6 +207,23 @@ class TestSolverBehaviour:
         _, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9))
         assert report.iters >= 2
         assert len(builds) == 1
+
+    def test_stalled_iteration_stops_after_fourteen_step_lengths(self, monkeypatch):
+        # the solve-fine config at m = 8001 stalls: no step length lowers
+        # the residual max-norm.  The stalled iteration tries the 14 lengths
+        # 1 .. 2**-13; a floor of 1e-12 tries 40, all of them rejected, so
+        # both floors return the same result bit for bit.
+        cfg = resolve(parse_config_text(STALLING_CFG), cli.SCHEMAS["solve"])
+        u, report, trials = _solve_counting_stalled_trials(cfg, monkeypatch)
+        assert not report.converged and report.iters < cfg["solver.max_iters"]
+        assert 1 <= trials <= 14
+
+        monkeypatch.setattr(penalty_solver, "_MIN_STEP", 1e-12)
+        u_old, report_old, trials_old = _solve_counting_stalled_trials(cfg, monkeypatch)
+        assert trials_old == 40
+        assert np.array_equal(u.values, u_old.values)
+        assert report.iters == report_old.iters
+        assert np.array_equal(report.residual_history, report_old.residual_history)
 
     def test_options_validation(self):
         with pytest.raises(ParameterError):
