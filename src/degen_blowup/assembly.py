@@ -172,8 +172,8 @@ def radial_blowup_problem(params: BlowupParams, boundary_value=0.0) -> Problem:
     """
     weight = WeightFamily.constant() if params.alpha == 0.0 else WeightFamily.power(params.alpha)
     weight.validate_for_dimension(params.N)
-    kind = "interval" if params.N == 1 else "ball"
-    domain = Domain(kind=kind, R=params.R, N=params.N)
+    # N = 1 too: the slab (-R, R) is symmetric, so r = 0 carries the ball's symmetry row
+    domain = Domain.ball(params.R, params.N)
 
     def b_coef(r):
         return params.a_at(r) * (params.R - np.asarray(r, dtype=float)) ** params.gamma

@@ -35,8 +35,6 @@ from .assembly import (
 from .asymptotics import check_epsilon_bounds, fit_blowup_rate
 from .config import (
     REQUIRED,
-    finite_float,
-    parse_coefficient,
     parse_config_file,
     resolve,
 )
@@ -116,7 +114,7 @@ _PROBLEM_KEYS = {
     "problem.gamma": ("float", 0.0),
     "problem.N": ("int", 3),
     "problem.R": ("float", 1.0),
-    "problem.a": ("str", "1.0"),
+    "problem.a": ("coefficient", 1.0),
     "problem.epsilon": ("float", 0.1),
     "problem.A": ("float-or-auto", None),
     "problem.C": ("float", -1.0),
@@ -150,7 +148,7 @@ SCHEMAS = {
         **_PROBLEM_KEYS,
         "verify.samples": ("int", 10001),
         "verify.C": ("float", -1.0),
-        "verify.C_list": ("str", "-8,-4,-2,-1,-0.5,-0.1"),
+        "verify.C_list": ("float-list", (-8.0, -4.0, -2.0, -1.0, -0.5, -0.1)),
         "verify.r_gap": ("float", 1e-6),
     },
     "exhaust": {
@@ -259,7 +257,7 @@ def _blowup_params(cfg) -> BlowupParams:
         gamma=cfg["problem.gamma"],
         N=cfg["problem.N"],
         R=cfg["problem.R"],
-        a_coef=parse_coefficient(cfg["problem.a"]),
+        a_coef=cfg["problem.a"],
         epsilon=cfg["problem.epsilon"],
     )
 
@@ -403,12 +401,6 @@ def cmd_verify_subsuper(cfg, out: Path, quiet: bool) -> int:
     n_samples = cfg["verify.samples"]
     if n_samples < 2:
         raise ConfigError(f"key 'verify.samples' must be at least 2; got {n_samples}")
-    try:
-        c_values = [finite_float(c) for c in cfg["verify.C_list"].split(",")]
-    except ValueError:
-        raise ConfigError(
-            f"key 'verify.C_list' expects comma-separated finite numbers; got {cfg['verify.C_list']!r}"
-        ) from None
     params = _blowup_params(cfg)
     samples = np.linspace(0.0, params.R, n_samples)
     A = cfg["problem.A"]
@@ -421,7 +413,7 @@ def cmd_verify_subsuper(cfg, out: Path, quiet: bool) -> int:
     sub_samples = np.linspace(sub.activation_radius, r_hi, n_samples)
     sub_report = verify_sub_inequality(params, C, sub_samples)
 
-    c_table = [(c, build_subsolution(params, c).activation_radius) for c in c_values]
+    c_table = [(c, build_subsolution(params, c).activation_radius) for c in cfg["verify.C_list"]]
 
     sup_env = build_supersolution(params, min_A if min_A is not None else 1.0)
     reduced_lhs = params.a_R * sup_env.B**params.p

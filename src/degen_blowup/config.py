@@ -56,6 +56,13 @@ def finite_float(text: str) -> float:
     return number
 
 
+# what a kind's error message says the key expects, where "a <kind>" would not do
+_EXPECTS = {
+    "float-list": "comma-separated finite numbers",
+    "coefficient": "a finite number or poly:c0,c1,... with finite c_i",
+}
+
+
 def _convert(key: str, value: str, lineno: int, kind: str, source: str):
     try:
         if kind == "float":
@@ -73,11 +80,15 @@ def _convert(key: str, value: str, lineno: int, kind: str, source: str):
             if value.lower() == "auto":
                 return None
             return finite_float(value)
+        if kind == "float-list":
+            return tuple(finite_float(c) for c in value.split(","))
+        if kind == "coefficient":
+            return parse_coefficient(value)
         return value  # str
     except ValueError:
         raise ConfigError(
-            f"{source}:{lineno}: key {key!r} expects a {kind}, got {value!r}"
-            + (" (numbers must be finite)" if kind.startswith("float") else "")
+            f"{source}:{lineno}: key {key!r} expects {_EXPECTS.get(kind, 'a ' + kind)}, got {value!r}"
+            + (" (numbers must be finite)" if kind in ("float", "float-or-auto") else "")
         ) from None
 
 
@@ -106,21 +117,16 @@ REQUIRED = object()
 
 
 def parse_coefficient(spec: str):
-    """Coefficient spec: a plain finite number, or ``poly:c0,c1,...`` in r with finite c_i."""
+    """Coefficient spec: a plain finite number, or ``poly:c0,c1,...`` in r with finite c_i.
+
+    Raises ValueError on anything else.
+    """
     spec = spec.strip()
-    if spec.lower().startswith("poly:"):
-        try:
-            coeffs = [finite_float(c) for c in spec[5:].split(",")]
-        except ValueError:
-            raise ConfigError(f"bad polynomial coefficient spec {spec!r}") from None
-        if not coeffs:
-            raise ConfigError(f"bad polynomial coefficient spec {spec!r}")
-
-        def poly(r):
-            return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), coeffs)
-
-        return poly
-    try:
+    if not spec.lower().startswith("poly:"):
         return finite_float(spec)
-    except ValueError:
-        raise ConfigError(f"coefficient spec {spec!r} is neither a finite number nor poly:...") from None
+    coeffs = [finite_float(c) for c in spec[5:].split(",")]
+
+    def poly(r):
+        return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), coeffs)
+
+    return poly

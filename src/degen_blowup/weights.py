@@ -93,17 +93,46 @@ class WeightFamily:
 
     def tau(self, t):
         """Raw profile evaluation; callers guard the t=0 endpoint."""
-        t = np.asarray(t, dtype=float)
+        return self.tau_in_place(np.array(t, dtype=float))
+
+    def tau_in_place(self, t: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        """Overwrite the float array t with tau(t) and return it.
+
+        Each profile runs the ufuncs of its formula in the formula's order,
+        with the in-place operators (``**=`` takes numpy's scalar-power fast
+        paths just as ``**`` does), so the values are those of the plain
+        expressions bit for bit.  power-log needs a second array of t's
+        shape for its log factor: the first t.size values of ``scratch``
+        (see ``tau_scratch``), or a fresh array.
+        """
         if self.tag == "constant":
-            return np.ones_like(t)
-        if self.tag == "power":
-            return t**self.alpha
-        if self.tag == "power-log":
-            return t**self.alpha * np.log(2.0 + 1.0 / t) ** self.beta_log
-        if self.tag == "log-negative":
-            return np.log(2.0 + 1.0 / t) ** (-self.alpha)
-        # exp-deficit
-        return 1.0 - np.exp(self.a_exp * t)
+            t.fill(1.0)
+        elif self.tag == "power":
+            t **= self.alpha
+        elif self.tag == "power-log":
+            # t**alpha * log(2 + 1/t)**beta_log; the log factor reads t first
+            log_term = np.divide(1.0, t, out=np.empty_like(t) if scratch is None else scratch[: t.size])
+            log_term += 2.0
+            np.log(log_term, out=log_term)
+            log_term **= self.beta_log
+            t **= self.alpha
+            t *= log_term
+        elif self.tag == "log-negative":
+            # log(2 + 1/t)**(-alpha)
+            np.divide(1.0, t, out=t)
+            t += 2.0
+            np.log(t, out=t)
+            t **= -self.alpha
+        else:
+            # exp-deficit: 1 - exp(a_exp * t)
+            t *= self.a_exp
+            np.exp(t, out=t)
+            np.subtract(1.0, t, out=t)
+        return t
+
+    def tau_scratch(self, size: int) -> np.ndarray | None:
+        """The work array ``tau_in_place`` needs for up to ``size`` points, if any."""
+        return np.empty(size) if self.tag == "power-log" else None
 
     def finite_positive_at_zero(self) -> bool:
         """True when tau extends continuously to a positive value at t = 0."""
@@ -129,8 +158,12 @@ class InteriorVanishingWeight:
         if self.power <= 0.0:
             raise ParameterError(f"vanishing order must be positive; got {self.power}")
 
-    def value(self, x):
-        return np.abs(np.asarray(x, dtype=float) - self.center) ** self.power
+    def value_in_place(self, x: np.ndarray) -> np.ndarray:
+        """Overwrite the float array x with |x - center|**power and return it."""
+        x -= self.center
+        np.abs(x, out=x)
+        x **= self.power
+        return x
 
 
 @dataclass(frozen=True)
@@ -212,8 +245,15 @@ class B2Report:
     divergent: bool
 
 
-def _midpoint(f, a: float, b: float, n: int) -> float:
-    x = a + (b - a) * (np.arange(n) + 0.5) / n
+def _midpoint(f, a: float, b: float, n: int, half: np.ndarray, out: np.ndarray) -> float:
+    """Midpoint rule for f on (a, b) with n cells, the points built in out[:n].
+
+    ``half`` holds i + 0.5 for i < n at least (it may be ``out`` itself on
+    the last use); f receives the points and may overwrite them.
+    """
+    x = np.multiply(half[:n], b - a, out=out[:n])
+    x /= n
+    x += a
     return float((b - a) / n * np.sum(f(x)))
 
 
@@ -242,31 +282,48 @@ def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256) -> B2
     if quad_nodes < 16:
         raise ParameterError(f"quad_nodes must be at least 16; got {quad_nodes}")
 
+    # work arrays for the largest grid, 4n cells; each estimate uses their
+    # prefixes, and the last one builds its points over the i + 0.5 values
+    n = 4 * quad_nodes
+    half = np.arange(n, dtype=float)
+    half += 0.5
+    points = np.empty(n // 2)
+
     if isinstance(weight, InteriorVanishingWeight):
         if domain.kind != "interval":
             raise ParameterError("interior-vanishing test weights live on intervals")
 
         def integrand(x):
-            return 1.0 / weight.value(x)
+            return np.divide(1.0, weight.value_in_place(x), out=x)
 
         a, b = margin, domain.R - margin
     elif domain.kind == "ball":
         weight.validate_for_dimension(domain.N)
+        gap, scratch = np.empty(n), weight.tau_scratch(n)
 
         def integrand(r):
-            return r ** (domain.N - 1) / weight.tau(domain.R - r)
+            # r**(N-1) / tau(R - r)
+            g = np.subtract(domain.R, r, out=gap[: r.size])
+            weight.tau_in_place(g, scratch)
+            r **= domain.N - 1
+            return np.divide(r, g, out=r)
 
         a, b = 0.0, domain.R - margin
     else:
         weight.validate_for_dimension(domain.N)
+        gap, scratch = np.empty(n), weight.tau_scratch(n)
 
         def integrand(x):
-            return 1.0 / weight.tau(np.minimum(x, domain.R - x))
+            # 1 / tau(min(x, R - x))
+            np.minimum(x, np.subtract(domain.R, x, out=gap[: x.size]), out=x)
+            return np.divide(1.0, weight.tau_in_place(x, scratch), out=x)
 
         a, b = margin, domain.R - margin
 
     with np.errstate(divide="ignore", over="ignore"):
-        estimates = [_midpoint(integrand, a, b, quad_nodes * k) for k in (1, 2, 4)]
+        estimates = [
+            _midpoint(integrand, a, b, quad_nodes * k, half, out) for k, out in ((1, points), (2, points), (4, half))
+        ]
 
     if not all(np.isfinite(estimates)):
         return B2Report(False, estimates[-1], math.inf, True)
@@ -339,6 +396,11 @@ def check_a2(family: WeightFamily, R: float = 1.0, levels: int = 6, quad_nodes: 
     direct: list[list[float]] = [[] for _ in range(levels)]
     recip: list[list[float]] = [[] for _ in range(levels)]
     worst = 0.0
+    # work arrays for the largest grid, 8n cells; each scale fills a prefix
+    top = 8 * quad_nodes
+    half = np.arange(top, dtype=float)
+    half += 0.5
+    values, scratch = np.empty(top), family.tau_scratch(top)
     with np.errstate(divide="ignore", over="ignore"):
         for s in range(levels + 3):
             # level k meets scale s with quad_nodes * 2**(s-k) cells; the
@@ -346,18 +408,14 @@ def check_a2(family: WeightFamily, R: float = 1.0, levels: int = 6, quad_nodes: 
             ks = range(max(s - 3, 0), min(s, levels - 1) + 1)
             grids = [(k, R / 2.0**k, quad_nodes * 2 ** (s - k)) for k in ks]
             _, b, cells = grids[0]
-            x = np.arange(cells, dtype=float)
-            x += 0.5
-            x *= b
-            x /= cells
-            t = family.tau(x)
-            del x
+            t = np.multiply(half[:cells], b, out=values[:cells])
+            t /= cells
+            family.tau_in_place(t, scratch)
             for k, b, c in grids:
                 direct[k].append(float(b / c * np.sum(t[:c])))
             np.divide(1.0, t, out=t)
             for k, b, c in grids:
                 recip[k].append(float(b / c * np.sum(t[:c])))
-            del t  # one grid's points or values alive at a time
             k = s - 3
             if k < 0:
                 continue

@@ -58,3 +58,16 @@ def test_traced_solve_reports_assembly_layers(tmp_path):
     metrics = _tracing.layer_metrics(tracer, [], [], [], {})
     assert metrics["assembly.stiffness.calls"]["value"] > 0
     assert metrics["assembly.residual.calls"]["value"] > 0
+
+
+def test_traced_b2_reports_quadrature_layers(tmp_path):
+    # check_b2 integrates through _midpoint, whose n the tracer adds up: the
+    # nine catalogue entries take n, 2n and 4n points each
+    cfg = tmp_path / "b2.cfg"
+    cfg.write_text("run.command = b2\nb2.quad_nodes = 256\n", encoding="utf-8")
+    tracer = _tracing.Tracer()
+    assert tracer.trace_op(0, lambda: cli.main(["b2", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])) == 0
+    metrics = _tracing.layer_metrics(tracer, [], [], [], {})
+    assert metrics["weights.check_a2.s"]["value"] > 0
+    assert metrics["weights.check_b2.s"]["value"] > 0
+    assert metrics["weights.quad_points"]["value"] == 9 * 7 * 256

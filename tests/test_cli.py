@@ -131,8 +131,7 @@ def test_nonfinite_number_is_config_error(tmp_path, capsys, command, base, key, 
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert names in err
-    if key not in ("verify.C_list", "problem.a"):  # list and coefficient specs are parsed after the file
-        assert f"bad.cfg:{len(text.splitlines())}:" in err
+    assert f"bad.cfg:{len(text.splitlines())}: key '{key}'" in err
     assert not out.exists()
 
 
@@ -256,6 +255,30 @@ def test_all_default_config_runs(tmp_path, command, outputs):
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) in (0, 2, 3)
     for name in outputs:
         assert (out / name).is_file(), name
+
+
+def test_one_dimensional_solve_puts_symmetry_row_at_center(tmp_path):
+    # N = 1 is the slab (-R, R), whose large solution is even: r = 0 needs the
+    # ball's symmetry row, not a Dirichlet row with the datum of r = R - eta.
+    # The exit code is left alone: it is the stopping test's verdict.
+    cfg = write(tmp_path / "n1.cfg", "run.command = solve\nproblem.N = 1\ngrid.m = 2001\n")
+    out = tmp_path / "out"
+    main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"])
+    header, rows = read_csv(out / "solution.csv")
+    table = {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(header)}
+    assert abs(table["u"][0] - 1.8541) < 1e-4
+    assert np.all((table["sub"] <= table["u"]) & (table["u"] <= table["super"]))
+    assert abs(table["residual"][0]) < 1e-6
+
+
+def test_one_dimensional_exhaust_converges(tmp_path):
+    cfg = write(
+        tmp_path / "ex.cfg",
+        "run.command = exhaust\nproblem.N = 1\nproblem.epsilon = 0.1\ngrid.m = 801\n"
+        "solver.tol = 1e-5\nsolver.max_iters = 100\n"
+        "exhaust.n0 = 4\nexhaust.n_max = 64\nexhaust.tol = 1e-2\n",
+    )
+    assert main(["exhaust", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
 
 def test_default_exhaust_config_exhausts_schedule(tmp_path):

@@ -214,19 +214,20 @@ class TestCheckA2:
         # points at the first three and on 8n at each of the other
         # `levels`; 1/tau reuses those values
         counted = []
-        tau = WeightFamily.tau
+        tau_in_place = WeightFamily.tau_in_place
 
-        def counting_tau(self, t):
+        def counting_tau(self, t, scratch=None):
             counted.append(np.size(t))
-            return tau(self, t)
+            return tau_in_place(self, t, scratch)
 
-        monkeypatch.setattr(WeightFamily, "tau", counting_tau)
+        monkeypatch.setattr(WeightFamily, "tau_in_place", counting_tau)
         assert check_a2(WeightFamily.power(0.5), levels=levels, quad_nodes=n).passes
         assert sum(counted) == 7 * n + 8 * n * levels
 
     def test_traced_peak_at_65536_nodes(self):
-        # one grid of 8 * 65536 doubles is 4 MB and tau's own temporaries
-        # add up to three more; no two grids are held at once
+        # the work arrays of the largest grid, 8 * 65536 doubles of 4 MB
+        # each, are all a call allocates: the i + 0.5 values and the
+        # values, plus power-log's log factor
         peaks = {}
         tracemalloc.start()
         try:
@@ -237,7 +238,20 @@ class TestCheckA2:
                 peaks[label] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
         finally:
             tracemalloc.stop()
-        assert max(peaks.values()) <= 16.5, peaks
+        assert all(peak <= (12.5 if label.startswith("power-log") else 8.5) for label, peak in peaks.items()), peaks
+
+
+def _literal_tau(family, t):
+    """The profile formulas as plain numpy expressions."""
+    if family.tag == "constant":
+        return np.ones_like(t)
+    if family.tag == "power":
+        return t**family.alpha
+    if family.tag == "power-log":
+        return t**family.alpha * np.log(2.0 + 1.0 / t) ** family.beta_log
+    if family.tag == "log-negative":
+        return np.log(2.0 + 1.0 / t) ** (-family.alpha)
+    return 1.0 - np.exp(family.a_exp * t)
 
 
 def _reference_midpoint(f, a, b, n):
@@ -264,8 +278,8 @@ def _reference_check_a2(family, R, levels, quad_nodes):
     with np.errstate(divide="ignore", over="ignore"):
         for k in range(levels):
             b = R / 2.0**k
-            direct, div_direct = _reference_refined_integral(family.tau, 0.0, b, quad_nodes)
-            recip, div_recip = _reference_refined_integral(lambda t: 1.0 / family.tau(t), 0.0, b, quad_nodes)
+            direct, div_direct = _reference_refined_integral(lambda t: _literal_tau(family, t), 0.0, b, quad_nodes)
+            recip, div_recip = _reference_refined_integral(lambda t: 1.0 / _literal_tau(family, t), 0.0, b, quad_nodes)
             if div_direct or div_recip:
                 return False, math.inf, True
             worst = max(worst, (direct / b) * (recip / b))
@@ -285,3 +299,91 @@ def test_check_a2_bit_identical_to_per_level_quadrature(label, quad_nodes):
             rep = check_a2(family, R=R, levels=levels, quad_nodes=quad_nodes)
             expected = _reference_check_a2(family, R, levels, quad_nodes)
             assert (rep.passes, rep.a2_estimate, rep.divergent) == expected, (R, levels)
+
+
+@pytest.mark.parametrize("label", list(_A2_FAMILIES))
+def test_tau_bit_identical_to_formula(label):
+    family = _A2_FAMILIES[label]
+    gaps = np.geomspace(1e-300, 1e3, 20001)
+    kept = gaps.copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t in (gaps, np.zeros(3), np.asarray(0.25)):
+            assert np.asarray(family.tau(t)).tobytes() == np.asarray(_literal_tau(family, t)).tobytes()
+    assert gaps.tobytes() == kept.tobytes()  # tau leaves its argument alone
+
+
+def _reference_check_b2(weight, domain, margin, quad_nodes):
+    """check_b2's report from the plain integrands, each grid built apart."""
+    if isinstance(weight, InteriorVanishingWeight):
+        a, b = margin, domain.R - margin
+
+        def f(x):
+            return 1.0 / np.abs(x - weight.center) ** weight.power
+    elif domain.kind == "ball":
+        a, b = 0.0, domain.R - margin
+
+        def f(r):
+            return r ** (domain.N - 1) / _literal_tau(weight, domain.R - r)
+    else:
+        a, b = margin, domain.R - margin
+
+        def f(x):
+            return 1.0 / _literal_tau(weight, np.minimum(x, domain.R - x))
+
+    with np.errstate(divide="ignore", over="ignore"):
+        e = [_reference_midpoint(f, a, b, quad_nodes * k) for k in (1, 2, 4)]
+    if not all(np.isfinite(e)):
+        return False, e[-1], math.inf, True
+    rel = abs(e[2] - e[1]) / max(abs(e[2]), 1e-300)
+    passes = rel < 1e-3
+    increments = (e[1] - e[0], e[2] - e[1])
+    return passes, e[2], rel, (not passes) and increments[1] > 0.0 and increments[1] > 0.5 * increments[0]
+
+
+def _b2_cases(n_dim, R, margin):
+    """The entries of a catalogue b2 run: each family on the ball, the failing case on the interval."""
+    ball = Domain.ball(R, n_dim)
+    cases = [(f"{label}-N{n_dim}-R{R:g}", fam, ball, margin) for label, fam in catalogue_families(n_dim)]
+    return cases + [(f"interior-vanishing-R{R:g}", InteriorVanishingWeight(R / 2), Domain.interval(R), margin)]
+
+
+_B2_CASES = [
+    *_b2_cases(3, 1.0, 0.1),
+    *_b2_cases(5, 2.7, 0.3),
+    *_b2_cases(3, 1e-3, 2e-4),
+    # families admissible on an interval (N = 1), for check_b2's interval branch
+    *[
+        (f"{fam.tag}-interval", fam, Domain.interval(1.0), 0.1)
+        for fam in (
+            WeightFamily.constant(),
+            WeightFamily.power(-0.9),
+            WeightFamily.power_log(-0.5, 2.0),
+            WeightFamily.log_negative(1.0),
+        )
+    ],
+]
+
+
+@pytest.mark.parametrize("quad_nodes", [16, 17, 100, 4096])
+@pytest.mark.parametrize("case", _B2_CASES, ids=[case[0] for case in _B2_CASES])
+def test_check_b2_bit_identical_to_plain_midpoint_rule(case, quad_nodes):
+    _, weight, domain, margin = case
+    rep = check_b2(weight, domain, margin, quad_nodes)
+    expected = _reference_check_b2(weight, domain, margin, quad_nodes)
+    assert (rep.passes, rep.integral_estimate, rep.relative_change, rep.divergent) == expected
+
+
+def test_check_b2_traced_peak_at_65536_nodes():
+    # three work arrays of 4 * 65536 doubles, one of them half size; power-log
+    # adds its log factor
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for label, fam in catalogue_families(3):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            check_b2(fam, Domain.ball(1.0, 3), 0.1, quad_nodes=65536)
+            peaks[label] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert all(peak <= (7.5 if label.startswith("power-log") else 5.5) for label, peak in peaks.items()), peaks
