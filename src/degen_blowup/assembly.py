@@ -358,33 +358,52 @@ def assemble_residual(u: DiscreteField, terms: GridTerms) -> DiscreteField:
     bit (the + 0.0 turns the -0.0 of u = -0.0 on a zero bound into +0.0).
     Products keep the order (b*f)*mu and ((penalty*s)*w)*mu, and only
     arrays this function allocated are updated in place, since f may
-    return its argument.
+    return its argument.  The entries come from ``residual_rows`` over
+    every row.
     """
     grid = terms.grid
-    mu = terms.mu
-    values = u.values
-    res = terms.operator.matvec(values)
+    res = residual_rows(u.values, terms)
+    if not np.all(np.isfinite(res)):
+        j = int(np.argmin(np.isfinite(res)))
+        raise AssemblyError(f"non-finite residual entry at node {j} (r = {grid.nodes[j]})")
+    return DiscreteField(grid, res)
+
+
+def residual_rows(values: np.ndarray, terms: GridTerms, lo: int = 0) -> np.ndarray:
+    """Rows lo .. lo + len(values) - 1 of the residual of a field that is ``values`` there.
+
+    The one implementation of ``assemble_residual``'s formula, on a window
+    of consecutive rows, with no finiteness check.  A row whose neighbour
+    lies outside the window misses that neighbour's flux, so only rows with
+    both neighbours inside it (or beyond the ends of the grid) are exact;
+    those equal ``assemble_residual``'s entries bit for bit, since every
+    operation is elementwise and in the same order for any window.  Values
+    go through numpy arrays, never scalars: an array power and a scalar
+    power need not round alike.
+    """
+    rows = slice(lo, lo + values.size)
+    mu = terms.mu[rows]
+    res = terms.operator.matvec(values, lo)
     trunc = terms.trunc
     if trunc is None:
-        reaction = terms.b * terms.f.value(values)
+        reaction = terms.b[rows] * terms.f.value(values)
     else:
-        clipped = np.clip(values, trunc.lower, trunc.upper)
-        reaction = terms.b * trunc.base.value(clipped)
+        clipped = np.clip(values, trunc.lower[rows], trunc.upper[rows])
+        reaction = terms.b[rows] * trunc.base.value(clipped)
     reaction *= mu
     res += reaction
     if terms.penalty > 0.0:
         outside = values - clipped
         outside += 0.0
         outside *= terms.penalty
-        outside *= terms.w_nodes
+        outside *= terms.w_nodes[rows]
         outside *= mu
         res += outside
-    res -= terms.h_mu
-    res[terms.mask] = values[terms.mask] - terms.datum
-    if not np.all(np.isfinite(res)):
-        j = int(np.argmin(np.isfinite(res)))
-        raise AssemblyError(f"non-finite residual entry at node {j} (r = {grid.nodes[j]})")
-    return DiscreteField(grid, res)
+    res -= terms.h_mu[rows]
+    mask = terms.mask[rows]
+    first = np.count_nonzero(terms.mask[:lo])  # datum holds the Dirichlet rows in order
+    res[mask] = values[mask] - terms.datum[first:first + np.count_nonzero(mask)]
+    return res
 
 
 def assemble_jacobian(u: DiscreteField, terms: GridTerms) -> Tridiagonal:

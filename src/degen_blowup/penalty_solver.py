@@ -10,7 +10,10 @@ continuum theory promises.  Convergence is declared on the max-norm of the
 integrated residual, the quantity the weak formulation controls.  Each
 Newton step backtracks through at most 14 step lengths, 1 down to 2**-13
 (``_MIN_STEP``); an iteration that none of them improves ends the solve
-as stalled.
+as stalled.  The step-1 trial is always assembled in full; a shorter one
+is first evaluated on the one row where the current residual peaks
+(``assembly.residual_rows``), and fails there without an assembly when
+that row alone keeps the max-norm from decreasing.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .assembly import (
     assemble_stiffness,
     cell_volumes,
     grid_terms,
+    residual_rows,
     truncate_nonlinearity,
 )
 from .errors import ParameterError
@@ -136,9 +140,15 @@ def solve_penalized(
     Each step solves Jacobian * delta = -residual by tridiagonal
     elimination and backtracks (step scaled by _DAMPING) until the
     residual max-norm strictly decreases.  The backtracking budget is the
-    step lengths down to _MIN_STEP: 14 residual assemblies, at 1, 1/2, ...,
-    2**-13.  Exhausting max_iters or that budget returns the current field
-    with converged = False.  The report carries the field's sandwich
+    step lengths down to _MIN_STEP: 14 trials, at 1, 1/2, ..., 2**-13.
+    The trial at step 1 is assembled in full, so a non-finite step raises
+    as it would without the probe.  A shorter trial is probed first on
+    the row j where the current residual attains its norm: its max-norm
+    is at least |r_j(trial)|, so when that is finite and not below the
+    norm the trial is rejected without building it; otherwise it is
+    assembled.  Rejecting on the probe changes nothing but the work done.
+    Exhausting max_iters or that budget returns the current field with
+    converged = False.  The report carries the field's sandwich
     certificate.
     """
     opts = opts or SolveOptions()
@@ -159,11 +169,14 @@ def solve_penalized(
         u = DiscreteField(grid, 0.5 * (lower.values + upper.values))
     terms = grid_terms(grid, problem, trunc, penalty)
 
-    def residual_norm(candidate: DiscreteField) -> tuple[float, DiscreteField]:
+    def residual_norm(candidate: DiscreteField) -> tuple[float, int, DiscreteField]:
+        """The residual's max-norm, the first row that attains it, and the residual."""
         res = assemble_residual(candidate, terms)
-        return float(np.max(np.abs(res.values))), res
+        magnitudes = np.abs(res.values)
+        row = int(np.argmax(magnitudes))
+        return float(magnitudes[row]), row, res
 
-    norm, res = residual_norm(u)
+    norm, row, res = residual_norm(u)
     history = [norm]
     converged = norm <= opts.abs_tol
     iters = 0
@@ -171,15 +184,25 @@ def solve_penalized(
         jac = assemble_jacobian(u, terms)
         delta = thomas_solve(jac, -res.values)
         del jac  # the line search needs only delta
+        lo, hi = max(row - 1, 0), min(row + 2, grid.m)  # row and its neighbours
         step = 1.0
         accepted = False
         while step >= _MIN_STEP:
+            if step < 1.0:
+                # A trial's max-norm is at least its |residual| on row; when
+                # that alone reaches norm, the trial fails without assembly.
+                # A non-finite probe goes on to the assembly, which raises.
+                window = delta[lo:hi] * step
+                window += u.values[lo:hi]
+                if norm <= abs(residual_rows(window, terms, lo)[row - lo]) < np.inf:
+                    step *= _DAMPING
+                    continue
             trial_values = delta * step
             trial_values += u.values
             trial = DiscreteField(grid, trial_values)
-            trial_norm, trial_res = residual_norm(trial)
+            trial_norm, trial_row, trial_res = residual_norm(trial)
             if trial_norm < norm:
-                u, norm, res = trial, trial_norm, trial_res
+                u, norm, row, res = trial, trial_norm, trial_row, trial_res
                 accepted = True
                 break
             step *= _DAMPING

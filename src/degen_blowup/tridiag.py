@@ -31,11 +31,19 @@ class Tridiagonal:
     def n(self) -> int:
         return self.diag.size
 
-    def matvec(self, u: np.ndarray) -> np.ndarray:
+    def matvec(self, u: np.ndarray, lo: int = 0) -> np.ndarray:
+        """Rows lo .. lo + len(u) - 1 of the product with a vector that is u there.
+
+        Neighbours outside that window count as zero, so a window's first
+        and last rows are exact only at the ends of the matrix; with lo = 0
+        and u of full length this is the whole product.  Each row is
+        (diag*u + lower*u_prev) + upper*u_next, in that order, for any window.
+        """
         u = np.asarray(u, dtype=float)
-        out = self.diag * u
-        out[1:] += self.lower[1:] * u[:-1]
-        out[:-1] += self.upper[:-1] * u[1:]
+        hi = lo + u.size
+        out = self.diag[lo:hi] * u
+        out[1:] += self.lower[lo + 1:hi] * u[:-1]
+        out[:-1] += self.upper[lo:hi - 1] * u[1:]
         return out
 
 

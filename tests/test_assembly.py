@@ -26,6 +26,7 @@ from degen_blowup import (
     truncate_nonlinearity,
     volume_weights,
 )
+from degen_blowup.assembly import residual_rows
 
 IDENTITY = CallableNonlinearity(lambda t: t, lambda t: np.ones_like(t))
 
@@ -405,10 +406,14 @@ class TestGridTerms:
         before = [a.tobytes() for a in (u.values, lo.values, hi.values)]
         trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
 
-        res = assemble_residual(u, grid_terms(grid, problem, trunc, 1e6))
+        terms = grid_terms(grid, problem, trunc, 1e6)
+        res = assemble_residual(u, terms)
         expected = _reference_residual(u, problem, trunc, 1e6, lo, hi)
         assert np.array_equal(res.values, expected)
         assert np.array_equal(np.signbit(res.values), np.signbit(expected))
+        for j in range(1, grid.m - 1):
+            entry = residual_rows(values[j - 1:j + 2], terms, j - 1)[1]
+            assert entry == expected[j] and np.signbit(entry) == np.signbit(expected[j]), j
         assert [a.tobytes() for a in (u.values, lo.values, hi.values)] == before
 
     def test_positive_penalty_needs_truncation(self):
@@ -425,3 +430,48 @@ class TestGridTerms:
             trunc = truncate_nonlinearity(problem.nonlin, constant_field(grid, -1.0), constant_field(grid, 1.0))
         with pytest.raises(ParameterError, match="penalty coefficient must be nonnegative; got -1.0"):
             grid_terms(grid, problem, trunc, -1.0)
+
+
+class TestResidualRows:
+    """A window of rows gives assemble_residual's entries bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("nonlin", [PowerNonlinearity(3.0), IDENTITY], ids=["cube", "identity"])
+    @pytest.mark.parametrize(
+        "truncated, penalty", [(False, 0.0), (True, 0.0), (True, 1e6)], ids=["plain", "clamped", "penalized"]
+    )
+    @pytest.mark.parametrize("domain", [Domain.interval(1.0), Domain.ball(1.0, 3)], ids=["interval", "ball"])
+    def test_every_row_of_a_three_row_window(self, domain, truncated, penalty, nonlin):
+        grid = build_graded_grid(R=1.0, eta=1e-2, m=41, grading=1.5)
+        r = grid.nodes
+        problem = Problem(
+            domain=domain,
+            weight=WeightFamily.power(0.5),
+            nonlin=nonlin,
+            # a negative b keeps the zero of a reaction term negative
+            b_coef=lambda r: np.where(r < 0.5, -1e4, 1e4) * (1.0 + 0.5 * r),
+            source=lambda r: np.sin(3.0 * r),
+            boundary_value=lambda r: 0.2 + r,
+        )
+        lower = -0.5 - r
+        upper = 0.5 + r
+        values = 1.5 * np.sin(7.0 * r) + 0.2  # below, inside and above the slab
+        values[3], values[5] = lower[3], upper[5]  # exactly on the clamp
+        lower[8], values[8] = 0.0, -0.0  # -0.0 on a zero bound
+        upper[9], values[9] = 0.0, -0.0
+        lower[10], values[10] = 0.0, 0.0
+        u = DiscreteField(grid, values)
+        assert np.any(values < lower) and np.any(values > upper)
+        trunc = None
+        if truncated:
+            trunc = truncate_nonlinearity(nonlin, DiscreteField(grid, lower), DiscreteField(grid, upper))
+        terms = grid_terms(grid, problem, trunc, penalty)
+        full = assemble_residual(u, terms).values
+        assert np.array_equal(residual_rows(values, terms), full)
+
+        for j in range(grid.m):
+            lo, hi = max(j - 1, 0), min(j + 2, grid.m)
+            window = values[lo:hi].copy()
+            entry = residual_rows(window, terms, lo)[j - lo]
+            assert entry == full[j], j
+            assert np.signbit(entry) == np.signbit(full[j]), j
+            assert np.array_equal(window, values[lo:hi])

@@ -71,3 +71,29 @@ def test_traced_b2_reports_quadrature_layers(tmp_path):
     assert metrics["weights.check_a2.s"]["value"] > 0
     assert metrics["weights.check_b2.s"]["value"] > 0
     assert metrics["weights.quad_points"]["value"] == 9 * 7 * 256
+
+
+STALLING_SOLVE_CFG = """
+run.command = solve
+problem.kind = blowup
+problem.epsilon = 0.12
+grid.m = 3001
+grid.eta = 1e-4
+grid.grading = 2
+solver.tol = 1e-5
+solver.max_iters = 100
+"""
+
+
+def test_traced_stalled_solve_counts_only_full_residuals(tmp_path):
+    # the line search rejects shorter steps of a stalled iteration on one
+    # row, outside the wrapped assemble_residual: the traced residuals are
+    # the initial one, one per accepted step and the stalled step-1 trial
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(STALLING_SOLVE_CFG, encoding="utf-8")
+    tracer = _tracing.Tracer()
+    assert tracer.trace_op(0, lambda: cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])) == 2
+    metrics = _tracing.layer_metrics(tracer, [], [], [], {})
+    iters = metrics["penalty_solver.newton_iters"]["value"]
+    assert metrics["penalty_solver.converged_frac"]["value"] == 0.0 and 1 <= iters < 100
+    assert metrics["assembly.residual.calls"]["value"] <= iters + 2

@@ -100,15 +100,19 @@ solver.max_iters = 100
 
 
 def _solve_counting_stalled_trials(cfg, monkeypatch):
-    """Run the blowup solve of ``cfg``; also count the residuals assembled after the last Jacobian."""
+    """Run the blowup solve of ``cfg``; also return the step lengths tried after the last
+    Jacobian (each one probed on one row or assembled in full) and the full assemblies among them."""
     events = []
     with monkeypatch.context() as patch:
-        for name in ("assemble_residual", "assemble_jacobian"):
+        for name in ("assemble_residual", "residual_rows", "assemble_jacobian"):
             patch.setattr(penalty_solver, name, _logged(getattr(penalty_solver, name), name, events))
         _, _, _, u, report = cli._run_blowup_solve(cfg)
-    trials = events[len(events) - events[::-1].index("assemble_jacobian"):]
-    assert set(trials) == {"assemble_residual"}
-    return u, report, len(trials)
+    # every Newton step assembles its step-1 trial in full before it probes any shorter one
+    steps = [i for i, name in enumerate(events) if name == "assemble_jacobian"]
+    assert steps and all(events[i + 1] == "assemble_residual" for i in steps)
+    trials = events[steps[-1] + 1:]
+    assert set(trials) <= {"assemble_residual", "residual_rows"}
+    return u, report, len(trials), trials.count("assemble_residual")
 
 
 def _logged(func, name, events):
@@ -212,18 +216,43 @@ class TestSolverBehaviour:
         # the solve-fine config at m = 8001 stalls: no step length lowers
         # the residual max-norm.  The stalled iteration tries the 14 lengths
         # 1 .. 2**-13; a floor of 1e-12 tries 40, all of them rejected, so
-        # both floors return the same result bit for bit.
+        # both floors return the same result bit for bit.  Only the step-1
+        # trial is assembled in full: each shorter one fails on the row
+        # where the current residual peaks.
         cfg = resolve(parse_config_text(STALLING_CFG), cli.SCHEMAS["solve"])
-        u, report, trials = _solve_counting_stalled_trials(cfg, monkeypatch)
+        u, report, trials, assembled = _solve_counting_stalled_trials(cfg, monkeypatch)
         assert not report.converged and report.iters < cfg["solver.max_iters"]
-        assert 1 <= trials <= 14
+        assert trials == 14
+        assert assembled == 1
 
         monkeypatch.setattr(penalty_solver, "_MIN_STEP", 1e-12)
-        u_old, report_old, trials_old = _solve_counting_stalled_trials(cfg, monkeypatch)
+        u_old, report_old, trials_old, assembled_old = _solve_counting_stalled_trials(cfg, monkeypatch)
         assert trials_old == 40
+        assert assembled_old == 1
         assert np.array_equal(u.values, u_old.values)
         assert report.iters == report_old.iters
         assert np.array_equal(report.residual_history, report_old.residual_history)
+
+    def test_nonfinite_step_raises_before_any_probe(self, monkeypatch):
+        # the step-1 trial is always built in full, so a non-finite Newton
+        # step still fails in DiscreteField, and no shorter step is probed
+        events = []
+        solve = penalty_solver.thomas_solve
+
+        def broken(mat, rhs):
+            delta = solve(mat, rhs)
+            delta[delta.size // 2] = np.inf
+            return delta
+
+        monkeypatch.setattr(penalty_solver, "thomas_solve", _logged(broken, "thomas_solve", events))
+        for name in ("assemble_residual", "residual_rows"):
+            monkeypatch.setattr(penalty_solver, name, _logged(getattr(penalty_solver, name), name, events))
+        grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
+        lo = constant_field(grid, 0.0)
+        hi = constant_field(grid, 1.0)
+        with pytest.raises(ParameterError, match="field values must all be finite"):
+            solve_penalized(linear_problem(), grid, lo, hi)
+        assert events == ["assemble_residual", "thomas_solve"]
 
     def test_options_validation(self):
         with pytest.raises(ParameterError):
