@@ -12,7 +12,6 @@ from .assembly import (
     DiscreteField,
     PowerNonlinearity,
     Problem,
-    TruncatedNonlinearity,
     assemble_jacobian,
     assemble_residual,
     assemble_stiffness,
@@ -21,7 +20,6 @@ from .assembly import (
     field_from_callable,
     grid_terms,
     radial_blowup_problem,
-    truncate_nonlinearity,
     volume_weights,
 )
 from .asymptotics import (
@@ -55,7 +53,6 @@ from .penalty_solver import (
     SolveReport,
     VerificationReport,
     check_sandwich,
-    default_penalty,
     solve_penalized,
     verify_subsupersolution,
 )

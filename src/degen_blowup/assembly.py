@@ -11,7 +11,9 @@ symmetric.  Reaction, penalty and source terms carry the radial volume
 weight mu_j = r_j**(N-1) * (dual cell width), so every residual entry is an
 integrated (volume-weighted) quantity.  At the center of a ball mu_0
 vanishes and row 0 degenerates to pure flux balance, which enforces the
-symmetry condition u'(0) = 0 to second order.
+symmetry condition u'(0) = 0 to second order.  ``GridTerms`` holds the slab
+[lower, upper] of nodal bounds that truncates f between a sub- and a
+supersolution (Amann): f only sees u clipped to it; a missing bound is +-inf.
 """
 
 from __future__ import annotations
@@ -189,48 +191,6 @@ def radial_blowup_problem(params: BlowupParams, boundary_value=0.0) -> Problem:
 
 
 # ---------------------------------------------------------------------------
-# truncated nonlinearity
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TruncatedNonlinearity:
-    """f clamped nodewise to the slab [lower_j, upper_j].
-
-    Evaluation returns f(lower_j) below the slab, f(t) inside and
-    f(upper_j) above, so f is never sampled outside the slab and its
-    global growth becomes irrelevant.  Slopes vanish on the clamped
-    branches; at exact equality the clamp wins, keeping the Newton matrix
-    an M-matrix for monotone f.
-    """
-
-    base: object
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def value(self, t: np.ndarray) -> np.ndarray:
-        return self.base.value(np.clip(t, self.lower, self.upper))
-
-    def slope(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        inside = (t > self.lower) & (t < self.upper)
-        return np.where(inside, self.base.slope(t), 0.0)
-
-
-def truncate_nonlinearity(base, lower: DiscreteField, upper: DiscreteField) -> TruncatedNonlinearity:
-    """Clamp ``base`` to the slab; the bound fields' arrays are shared, not copied."""
-    lo, hi = lower.values, upper.values
-    if lo.shape != hi.shape:
-        raise OrderingError("bound fields must live on the same grid")
-    bad = lo > hi
-    if np.any(bad):
-        j = int(np.argmax(lo - hi))
-        raise OrderingError(
-            f"lower bound exceeds upper bound at node {j}: {lo[j]} > {hi[j]}"
-        )
-    return TruncatedNonlinearity(base=base, lower=lo, upper=hi)
-
-
-# ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
 
@@ -286,9 +246,9 @@ class GridTerms:
     ``operator`` is the stiffness with every Dirichlet row replaced by an
     identity row: the residual overwrites those rows and the Jacobian
     needs them as identity rows, so one set of bands serves both, and a
-    Jacobian shares its off-diagonal bands with these terms.  ``f`` is
-    ``trunc`` when there is one and the problem's nonlinearity otherwise;
-    the penalty reads its slab from ``trunc.lower``/``trunc.upper``, and
+    Jacobian shares its off-diagonal bands with these terms.  ``nonlin``
+    is the problem's nonlinearity, evaluated only inside the slab
+    [``lower``, ``upper``]; the penalty acts outside the same slab, and
     ``w_nodes`` (the weight at the nodes) is only built for a positive one.
     """
 
@@ -300,22 +260,34 @@ class GridTerms:
     w_nodes: np.ndarray | None
     mask: np.ndarray
     datum: np.ndarray
-    f: object
-    trunc: TruncatedNonlinearity | None
+    nonlin: object
+    lower: np.ndarray
+    upper: np.ndarray
     penalty: float
 
 
 def grid_terms(
     grid: Grid,
     problem: Problem,
-    trunc: TruncatedNonlinearity | None = None,
+    lower: np.ndarray | None = None,
+    upper: np.ndarray | None = None,
     penalty: float = 0.0,
 ) -> GridTerms:
-    """Build a solve's u-independent terms once; the penalty is checked here and nowhere else."""
+    """Build a solve's u-independent terms once; the slab and the penalty are checked here and nowhere else.
+
+    ``lower``/``upper`` (shared, not copied) bound the slab nodewise; a missing one is -inf/+inf.
+    """
     if penalty < 0.0:
         raise ParameterError(f"penalty coefficient must be nonnegative; got {penalty}")
-    if penalty > 0.0 and trunc is None:
-        raise ParameterError("a positive penalty needs a truncation to read its slab from")
+    lower = np.full(grid.m, -np.inf) if lower is None else lower
+    upper = np.full(grid.m, np.inf) if upper is None else upper
+    if lower.shape != (grid.m,) or upper.shape != (grid.m,):
+        raise OrderingError(f"slab bounds need {grid.m} values each; got shapes {lower.shape}, {upper.shape}")
+    if np.any(lower > upper):
+        j = int(np.argmax(lower - upper))
+        raise OrderingError(
+            f"lower bound exceeds upper bound at node {j}: {lower[j]} > {upper[j]}"
+        )
     r = grid.nodes
     mu = volume_weights(grid, problem.domain.N)
     operator = assemble_stiffness(grid, problem)
@@ -332,8 +304,9 @@ def grid_terms(
         w_nodes=problem.weight_at_gap(grid.boundary_gap) if penalty > 0.0 else None,
         mask=mask,
         datum=problem.g_at(r[mask]),
-        f=trunc if trunc is not None else problem.nonlin,
-        trunc=trunc,
+        nonlin=problem.nonlin,
+        lower=lower,
+        upper=upper,
         penalty=penalty,
     )
 
@@ -352,10 +325,10 @@ def assemble_residual(u: DiscreteField, terms: GridTerms) -> DiscreteField:
     convention t^- = min(t, 0), t^+ = max(t, 0), so the penalty vanishes
     identically inside the slab.
 
-    With a truncation, u is clipped to the slab once, and the clipped
-    values feed both f and the penalty: one of (u-lower)^- and (u-upper)^+
-    is always an exact 0.0, so their sum is (u - clipped) + 0.0, bit for
-    bit (the + 0.0 turns the -0.0 of u = -0.0 on a zero bound into +0.0).
+    u is clipped to the slab once (against +-inf it keeps its bits), and
+    the clipped values feed both f and the penalty: one of (u-lower)^- and
+    (u-upper)^+ is always an exact 0.0, so their sum is (u - clipped) + 0.0,
+    bit for bit (the + 0.0 turns the -0.0 of u = -0.0 on a zero bound into +0.0).
     Products keep the order (b*f)*mu and ((penalty*s)*w)*mu, and only
     arrays this function allocated are updated in place, since f may
     return its argument.  The entries come from ``residual_rows`` over
@@ -384,12 +357,8 @@ def residual_rows(values: np.ndarray, terms: GridTerms, lo: int = 0) -> np.ndarr
     rows = slice(lo, lo + values.size)
     mu = terms.mu[rows]
     res = terms.operator.matvec(values, lo)
-    trunc = terms.trunc
-    if trunc is None:
-        reaction = terms.b[rows] * terms.f.value(values)
-    else:
-        clipped = np.clip(values, trunc.lower[rows], trunc.upper[rows])
-        reaction = terms.b[rows] * trunc.base.value(clipped)
+    clipped = np.clip(values, terms.lower[rows], terms.upper[rows])
+    reaction = terms.b[rows] * terms.nonlin.value(clipped)
     reaction *= mu
     res += reaction
     if terms.penalty > 0.0:
@@ -409,15 +378,17 @@ def residual_rows(values: np.ndarray, terms: GridTerms, lo: int = 0) -> np.ndarr
 def assemble_jacobian(u: DiscreteField, terms: GridTerms) -> Tridiagonal:
     """Newton matrix: stiffness plus the diagonal reaction and penalty slopes.
 
-    Clamped branches contribute zero reaction slope; the penalty indicator
-    is active strictly outside the slab.  Dirichlet rows become identity
-    rows.  Only the diagonal is new; the off-diagonal bands are those of
-    ``terms``.
+    f's slope counts strictly inside the slab only (on a bound the clamp
+    wins, keeping an M-matrix for monotone f); the penalty indicator is
+    active strictly outside it.  Dirichlet rows become identity rows.
+    Only the diagonal is new; the off-diagonal bands are those of ``terms``.
     """
     mu = terms.mu
-    diag = terms.b * terms.f.slope(u.values) * mu
+    lower, upper = terms.lower, terms.upper
+    inside = (u.values > lower) & (u.values < upper)
+    diag = terms.b * np.where(inside, terms.nonlin.slope(u.values), 0.0) * mu
     if terms.penalty > 0.0:
-        violated = (u.values < terms.trunc.lower) | (u.values > terms.trunc.upper)
+        violated = (u.values < lower) | (u.values > upper)
         diag += terms.penalty * terms.w_nodes * mu * violated
     diag += terms.operator.diag
     diag[terms.mask] = 1.0

@@ -29,7 +29,6 @@ from .assembly import (
     Problem,
     assemble_residual,  # not called here; bench/tracing.py wraps cli.assemble_residual
     constant_field,
-    field_from_callable,
     radial_blowup_problem,
 )
 from .asymptotics import check_epsilon_bounds, fit_blowup_rate
@@ -53,6 +52,7 @@ from .exhaustion import (
     STATUS_CERTIFICATION_FAILED,
     STATUS_CONVERGED,
     residual_on_monitor,
+    slab_problem,
     solve_large_solution,
 )
 from .floatfmt import format_g17
@@ -307,10 +307,7 @@ def _run_blowup_solve(cfg):
     params = _blowup_params(cfg)
     grid = _grid(cfg)
     sub, sup = _envelopes(cfg, params)
-    lo = field_from_callable(grid, sub)
-    hi = field_from_callable(grid, sup)
-    datum = 0.5 * (lo.values[-1] + hi.values[-1])
-    problem = radial_blowup_problem(params, boundary_value=float(datum))
+    problem, lo, hi = slab_problem(radial_blowup_problem(params), grid, sub, sup)
     u, report = solve_penalized(problem, grid, lo, hi, _solve_options(cfg))
     return grid, lo, hi, u, report
 

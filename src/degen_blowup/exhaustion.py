@@ -19,6 +19,7 @@ import numpy as np
 
 from .assembly import (
     DiscreteField,
+    Problem,
     assemble_residual,
     field_from_callable,
     grid_terms,
@@ -66,6 +67,18 @@ def _geometric_schedule(n0: int, n_max: int) -> list[int]:
     return out
 
 
+def slab_problem(base: Problem, grid: Grid, lower, upper, datum=None):
+    """(problem, lo, hi): the bound callables' fields on grid, and base with
+    the Dirichlet datum (lo + hi)/2 at the last node, or datum(r) there when given."""
+    lo = field_from_callable(grid, lower)
+    hi = field_from_callable(grid, upper)
+    if datum is None:
+        datum_value = 0.5 * (lo.values[-1] + hi.values[-1])
+    else:
+        datum_value = float(np.asarray(datum(grid.nodes[-1])))
+    return replace(base, boundary_value=float(datum_value)), lo, hi
+
+
 def solve_large_solution(
     params: BlowupParams,
     lower,
@@ -103,13 +116,7 @@ def solve_large_solution(
     for n in _geometric_schedule(n0, n_max):
         sub = nested_subdomain(params.R, n)
         grid_n = build_graded_grid(R=params.R, eta=sub.margin, m=m, grading=grading)
-        lo = field_from_callable(grid_n, lower)
-        hi = field_from_callable(grid_n, upper)
-        if datum is None:
-            datum_value = 0.5 * (lo.values[-1] + hi.values[-1])
-        else:
-            datum_value = float(np.asarray(datum(grid_n.nodes[-1])))
-        problem_n = replace(base, boundary_value=float(datum_value))
+        problem_n, lo, hi = slab_problem(base, grid_n, lower, upper, datum)
 
         solve_opts = opts or SolveOptions()
         if previous is not None:
@@ -149,10 +156,6 @@ def residual_on_monitor(params: BlowupParams, limit: DiscreteField) -> float:
     Dirichlet rows take the field's own values, so only the interior
     consistency of the limit is measured.
     """
-    base = radial_blowup_problem(params)
-
-    def own_values(r):
-        return limit.interpolate_to(r)
-
-    res = assemble_residual(limit, grid_terms(limit.grid, replace(base, boundary_value=own_values)))
+    problem = radial_blowup_problem(params, boundary_value=limit.interpolate_to)
+    res = assemble_residual(limit, grid_terms(limit.grid, problem))
     return float(np.max(np.abs(res.values)))

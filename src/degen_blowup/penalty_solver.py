@@ -13,7 +13,8 @@ Newton step backtracks through at most 14 step lengths, 1 down to 2**-13
 as stalled.  The step-1 trial is always assembled in full; a shorter one
 is first evaluated on the one row where the current residual peaks
 (``assembly.residual_rows``), and fails there without an assembly when
-that row alone keeps the max-norm from decreasing.
+that row alone keeps the max-norm from decreasing.  Inputs are checked
+once per solve, the slab by ``assembly.grid_terms``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .assembly import (
     cell_volumes,
     grid_terms,
     residual_rows,
-    truncate_nonlinearity,
 )
 from .errors import ParameterError
 from .grids import Grid
@@ -45,11 +45,11 @@ _DAMPING = 0.5  # backtracking factor of the line search
 class SolveOptions:
     """Knobs of the penalized Newton iteration.
 
-    penalty = None picks 1 + sup|b/w| * (max slope of the clamped
-    nonlinearity over the slab); the coercivity argument only needs a
-    positive coefficient, and scaling with the reaction keeps the Newton
-    system well conditioned.  The default initial guess is the slab
-    midpoint (lower + upper)/2, which starts where the penalty is inactive.
+    penalty = None picks 1 + sup|b/w| * max_j max(|f'(lower_j)|, |f'(upper_j)|),
+    sup|b/w| coming from the solve's one finiteness check of b/w; the
+    coercivity argument only needs a positive coefficient, and scaling with
+    the reaction keeps the Newton system well conditioned.  The default initial
+    guess is the slab midpoint (lower + upper)/2, where the penalty is inactive.
     """
 
     penalty: float | None = None
@@ -87,14 +87,6 @@ class VerificationReport:
     ok: bool
     worst_residual: float
     worst_node: int
-
-
-def default_penalty(problem: Problem, grid: Grid, lower: DiscreteField, upper: DiscreteField) -> float:
-    sup_ratio = problem.sup_b_over_w(grid)
-    slopes = np.maximum(
-        np.abs(problem.nonlin.slope(lower.values)), np.abs(problem.nonlin.slope(upper.values))
-    )
-    return 1.0 + sup_ratio * float(np.max(slopes))
 
 
 def sandwich_tol(upper: DiscreteField) -> float:
@@ -152,8 +144,7 @@ def solve_penalized(
     certificate.
     """
     opts = opts or SolveOptions()
-    trunc = truncate_nonlinearity(problem.nonlin, lower, upper)  # checks lower <= upper
-    problem.sup_b_over_w(grid)  # reaction/weight ratio must be finite
+    sup_ratio = problem.sup_b_over_w(grid)  # reaction/weight ratio must be finite
     _check_monotone(problem, lower, upper)
     # Square-integrability of the clamped reaction over the truncated grid
     # is automatic; evaluating it at the extremes guards against overflow.
@@ -162,12 +153,18 @@ def solve_penalized(
     if not np.all(np.isfinite(extremes)):
         raise ParameterError("nonlinearity overflows on the slab")
 
-    penalty = opts.penalty if opts.penalty is not None else default_penalty(problem, grid, lower, upper)
+    penalty = opts.penalty
+    if penalty is None:
+        slopes = np.maximum(
+            np.abs(problem.nonlin.slope(lower.values)), np.abs(problem.nonlin.slope(upper.values))
+        )
+        penalty = 1.0 + sup_ratio * float(np.max(slopes))
+        del slopes  # one float per node that would otherwise live through the Newton loop
+    terms = grid_terms(grid, problem, lower.values, upper.values, penalty)  # checks lower <= upper
     if opts.initial_guess is not None:
         u = opts.initial_guess.copy()
     else:
         u = DiscreteField(grid, 0.5 * (lower.values + upper.values))
-    terms = grid_terms(grid, problem, trunc, penalty)
 
     def residual_norm(candidate: DiscreteField) -> tuple[float, int, DiscreteField]:
         """The residual's max-norm, the first row that attains it, and the residual."""

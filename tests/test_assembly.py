@@ -1,4 +1,4 @@
-"""Discrete operator assembly: stiffness, truncation, residual, Jacobian."""
+"""Discrete operator assembly: stiffness, the truncating slab, residual, Jacobian."""
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from degen_blowup import (
     field_from_callable,
     grid_terms,
     thomas_solve,
-    truncate_nonlinearity,
     volume_weights,
 )
 from degen_blowup.assembly import residual_rows
@@ -125,51 +124,74 @@ class TestStiffness:
             assert v @ jac.matvec(v) > 0.0
 
 
+def _sampling(base):
+    """A nonlinearity like base that records every argument f is evaluated at."""
+    seen = []
+
+    def func(t):
+        seen.append(t.copy())
+        return base.value(t)
+
+    return CallableNonlinearity(func, base.slope), seen
+
+
 class TestTruncation:
+    """The slab of the grid terms truncates f: f only ever sees u clipped to it."""
+
     def test_clamp_values(self):
         grid = uniform_grid(m=12)
-        trunc = truncate_nonlinearity(
-            PowerNonlinearity(3.0), constant_field(grid, -1.0), constant_field(grid, 2.0)
-        )
-        t = np.full(grid.m, -5.0)
-        np.testing.assert_allclose(trunc.value(t), -1.0)
-        np.testing.assert_allclose(trunc.value(np.ones(grid.m)), 1.0)
-        np.testing.assert_allclose(trunc.value(np.full(grid.m, 3.0)), 8.0)
+        nonlin, seen = _sampling(PowerNonlinearity(3.0))
+        problem = interval_problem(nonlin=nonlin)
+        terms = grid_terms(grid, problem, np.full(grid.m, -1.0), np.full(grid.m, 2.0))
+        stiff = terms.operator
+        mu = volume_weights(grid, 1)
+        for t, clamped in ((-5.0, -1.0), (1.0, 1.0), (3.0, 2.0)):
+            u = constant_field(grid, t)
+            res = assemble_residual(u, terms)
+            np.testing.assert_array_equal(seen.pop(), np.full(grid.m, clamped))
+            reaction = res.values[1:-1] - stiff.matvec(u.values)[1:-1]
+            np.testing.assert_allclose(reaction, clamped**3 * mu[1:-1], rtol=1e-12)
 
     def test_ordering_error(self):
         grid = uniform_grid(m=12)
-        with pytest.raises(OrderingError):
-            truncate_nonlinearity(
-                PowerNonlinearity(2.0), constant_field(grid, 1.0), constant_field(grid, 0.0)
-            )
+        lower = np.ones(grid.m)
+        lower[7] = 2.0
+        with pytest.raises(OrderingError, match="at node 7: 2.0 > 1.5"):
+            grid_terms(grid, interval_problem(), lower, np.full(grid.m, 1.5))
 
     def test_idempotent_under_reclamping(self):
         grid = uniform_grid(m=16)
+        nonlin, seen = _sampling(PowerNonlinearity(3.0))
         lo = field_from_callable(grid, lambda r: -1.0 - r)
         hi = field_from_callable(grid, lambda r: 1.0 + r)
-        trunc = truncate_nonlinearity(PowerNonlinearity(3.0), lo, hi)
+        terms = grid_terms(grid, interval_problem(nonlin=nonlin), lo.values, hi.values)
         t = np.linspace(-4.0, 4.0, grid.m)
-        once = trunc.value(t)
-        again = trunc.value(np.clip(t, lo.values, hi.values))
+        assemble_residual(DiscreteField(grid, t), terms)
+        assemble_residual(DiscreteField(grid, np.clip(t, lo.values, hi.values)), terms)
+        once, again = seen
         np.testing.assert_array_equal(once, again)
+        np.testing.assert_array_equal(once, np.clip(t, lo.values, hi.values))
 
     def test_monotone_when_base_is(self):
         grid = uniform_grid(m=8)
-        trunc = truncate_nonlinearity(
-            PowerNonlinearity(3.0), constant_field(grid, -2.0), constant_field(grid, 1.5)
-        )
+        base = PowerNonlinearity(3.0)
+        nonlin, seen = _sampling(base)
+        terms = grid_terms(grid, interval_problem(nonlin=nonlin), np.full(grid.m, -2.0), np.full(grid.m, 1.5))
         for t_grid in (np.linspace(-5, 5, 101), np.linspace(-1, 1, 41)):
-            vals = np.stack([trunc.value(np.full(grid.m, t)) for t in t_grid])
+            seen.clear()
+            for t in t_grid:
+                assemble_residual(constant_field(grid, t), terms)
+            vals = base.value(np.stack(seen))
             assert np.all(np.diff(vals, axis=0) >= 0.0)
 
     def test_slope_vanishes_on_clamp_and_at_kinks(self):
         grid = uniform_grid(m=8)
-        trunc = truncate_nonlinearity(
-            PowerNonlinearity(3.0), constant_field(grid, -1.0), constant_field(grid, 2.0)
-        )
-        assert np.all(trunc.slope(np.full(grid.m, -1.0)) == 0.0)
-        assert np.all(trunc.slope(np.full(grid.m, 2.0)) == 0.0)
-        assert np.all(trunc.slope(np.full(grid.m, 0.5)) > 0.0)
+        problem = interval_problem(nonlin=PowerNonlinearity(3.0))
+        terms = grid_terms(grid, problem, np.full(grid.m, -1.0), np.full(grid.m, 2.0))
+        stiff = terms.operator.diag[1:-1]
+        for t in (-1.0, 2.0, -3.0):
+            assert np.array_equal(assemble_jacobian(constant_field(grid, t), terms).diag[1:-1], stiff), t
+        assert np.all(assemble_jacobian(constant_field(grid, 0.5), terms).diag[1:-1] > stiff)
 
 
 class TestResidual:
@@ -178,10 +200,9 @@ class TestResidual:
         problem = interval_problem(source=1.0)
         lo = constant_field(grid, 0.0)
         hi = constant_field(grid, 1.0)
-        trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         u = constant_field(grid, 0.5)
-        with_pen = assemble_residual(u, grid_terms(grid, problem, trunc, 1e6))
-        without = assemble_residual(u, grid_terms(grid, problem, trunc, 0.0))
+        with_pen = assemble_residual(u, grid_terms(grid, problem, lo.values, hi.values, 1e6))
+        without = assemble_residual(u, grid_terms(grid, problem, lo.values, hi.values, 0.0))
         np.testing.assert_array_equal(with_pen.values, without.values)
 
     def test_penalty_entry_below_slab(self):
@@ -190,9 +211,8 @@ class TestResidual:
         problem = interval_problem(b_coef=0.0)
         lo = constant_field(grid, 0.0)
         hi = constant_field(grid, 1.0)
-        trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         u = constant_field(grid, -1.0)
-        res = assemble_residual(u, grid_terms(grid, problem, trunc, 10.0))
+        res = assemble_residual(u, grid_terms(grid, problem, lo.values, hi.values, 10.0))
         mu = volume_weights(grid, 1)
         np.testing.assert_allclose(res.values[1:-1], -10.0 * mu[1:-1], rtol=1e-14)
 
@@ -223,9 +243,8 @@ class TestJacobian:
         problem = interval_problem()
         lo = constant_field(grid, -1.0)
         hi = constant_field(grid, 1.0)
-        trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         u = constant_field(grid, 0.0)
-        jac = assemble_jacobian(u, grid_terms(grid, problem, trunc, 5.0))
+        jac = assemble_jacobian(u, grid_terms(grid, problem, lo.values, hi.values, 5.0))
         stiff = assemble_stiffness(grid, problem)
         mu = volume_weights(grid, 1)
         expected = stiff.diag + mu
@@ -237,9 +256,8 @@ class TestJacobian:
         problem = interval_problem(nonlin=PowerNonlinearity(3.0))
         lo = constant_field(grid, 0.0)
         hi = constant_field(grid, 1.0)
-        trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         u = constant_field(grid, -10.0)
-        jac = assemble_jacobian(u, grid_terms(grid, problem, trunc, 7.0))
+        jac = assemble_jacobian(u, grid_terms(grid, problem, lo.values, hi.values, 7.0))
         stiff = assemble_stiffness(grid, problem)
         mu = volume_weights(grid, 1)
         expected = stiff.diag + 7.0 * mu  # w = 1; reaction slope clamps to zero
@@ -258,10 +276,9 @@ class TestJacobian:
         )
         lo = constant_field(grid, -2.0)
         hi = constant_field(grid, 3.0)
-        trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
         u = DiscreteField(grid, 0.3 + 0.2 * np.sin(5.0 * grid.nodes))
         direction = np.cos(4.0 * grid.nodes)
-        terms = grid_terms(grid, problem, trunc, 3.0)
+        terms = grid_terms(grid, problem, lo.values, hi.values, 3.0)
         jac = assemble_jacobian(u, terms)
         step = 1e-6
         plus = assemble_residual(DiscreteField(grid, u.values + step * direction), terms)
@@ -318,18 +335,20 @@ class TestThomas:
         assert np.array_equal(thomas_solve(mat, rhs), _indexed_thomas(mat, rhs))
 
 
-def _reference_residual(u, problem, trunc, penalty, lower, upper):
-    """The residual with every term rebuilt from the problem, in the solver's operation order."""
+def _reference_residual(u, problem, penalty, lower, upper):
+    """The residual with every term rebuilt from the problem, in the solver's operation order.
+
+    ``lower`` and ``upper`` are the slab's bound arrays, +-inf where unbounded.
+    """
     grid = u.grid
     r = grid.nodes
     mu = volume_weights(grid, problem.domain.N)
-    f = trunc if trunc is not None else problem.nonlin
     res = assemble_stiffness(grid, problem).matvec(u.values)
-    res += problem.b_at(r) * f.value(u.values) * mu
+    res += problem.b_at(r) * problem.nonlin.value(np.clip(u.values, lower, upper)) * mu
     if penalty > 0.0:
         w_nodes = problem.weight_at_gap(grid.boundary_gap)
-        below = np.minimum(u.values - lower.values, 0.0)
-        above = np.maximum(u.values - upper.values, 0.0)
+        below = np.minimum(u.values - lower, 0.0)
+        above = np.maximum(u.values - upper, 0.0)
         res += penalty * (below + above) * w_nodes * mu
     res -= problem.h_at(r) * mu
     mask = problem.dirichlet_mask(grid)
@@ -337,15 +356,15 @@ def _reference_residual(u, problem, trunc, penalty, lower, upper):
     return res
 
 
-def _reference_jacobian(u, problem, trunc, penalty, lower, upper):
+def _reference_jacobian(u, problem, penalty, lower, upper):
     grid = u.grid
     mu = volume_weights(grid, problem.domain.N)
     jac = assemble_stiffness(grid, problem)
-    f = trunc if trunc is not None else problem.nonlin
-    diag_extra = problem.b_at(grid.nodes) * f.slope(u.values) * mu
+    slope = np.where((u.values > lower) & (u.values < upper), problem.nonlin.slope(u.values), 0.0)
+    diag_extra = problem.b_at(grid.nodes) * slope * mu
     if penalty > 0.0:
         w_nodes = problem.weight_at_gap(grid.boundary_gap)
-        violated = (u.values < lower.values) | (u.values > upper.values)
+        violated = (u.values < lower) | (u.values > upper)
         diag_extra += penalty * w_nodes * mu * violated
     jac.diag += diag_extra
     mask = problem.dirichlet_mask(grid)
@@ -376,19 +395,26 @@ class TestGridTerms:
         hi = field_from_callable(grid, lambda r: 0.5 + r)
         values = 1.5 * np.sin(7.0 * grid.nodes) + 0.2  # leaves the slab on both sides
         values[3], values[5] = lo.values[3], hi.values[5]  # exactly on the clamp
+        values[8] = -0.0
         u = DiscreteField(grid, values)
         assert np.any(values < lo.values) and np.any(values > hi.values)
-        trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
-        args = (u, problem, trunc, penalty, lo, hi)
-        terms = grid_terms(grid, problem, trunc, penalty)
+        # clipping against +-inf keeps every bit, so the unbounded slab is the plain problem
+        unbounded = (np.full(grid.m, -np.inf), np.full(grid.m, np.inf))
+        clipped = np.clip(values, *unbounded)
+        assert np.all(clipped == values) and np.array_equal(np.signbit(clipped), np.signbit(values))
+        for terms, (lower, upper) in (
+            (grid_terms(grid, problem, lo.values, hi.values, penalty), (lo.values, hi.values)),
+            (grid_terms(grid, problem, penalty=penalty), unbounded),
+        ):
+            args = (u, problem, penalty, lower, upper)
+            res = assemble_residual(u, terms).values
+            expected = _reference_residual(*args)
+            assert np.all(res == expected) and np.array_equal(np.signbit(res), np.signbit(expected))
 
-        res = assemble_residual(u, terms)
-        assert np.array_equal(res.values, _reference_residual(*args))
-
-        jac = assemble_jacobian(u, terms)
-        expected = _reference_jacobian(*args)
-        for band in ("lower", "diag", "upper"):
-            assert np.array_equal(getattr(jac, band), getattr(expected, band)), band
+            jac = assemble_jacobian(u, terms)
+            expected = _reference_jacobian(*args)
+            for band in ("lower", "diag", "upper"):
+                assert np.array_equal(getattr(jac, band), getattr(expected, band)), band
 
     def test_nonlinearity_returning_its_argument_on_the_bounds(self):
         # IDENTITY's func returns the very array it is given, the clipped u
@@ -404,11 +430,10 @@ class TestGridTerms:
         u = DiscreteField(grid, values)
         lo, hi = DiscreteField(grid, lower), DiscreteField(grid, upper)
         before = [a.tobytes() for a in (u.values, lo.values, hi.values)]
-        trunc = truncate_nonlinearity(problem.nonlin, lo, hi)
 
-        terms = grid_terms(grid, problem, trunc, 1e6)
+        terms = grid_terms(grid, problem, lo.values, hi.values, 1e6)
         res = assemble_residual(u, terms)
-        expected = _reference_residual(u, problem, trunc, 1e6, lo, hi)
+        expected = _reference_residual(u, problem, 1e6, lower, upper)
         assert np.array_equal(res.values, expected)
         assert np.array_equal(np.signbit(res.values), np.signbit(expected))
         for j in range(1, grid.m - 1):
@@ -416,20 +441,21 @@ class TestGridTerms:
             assert entry == expected[j] and np.signbit(entry) == np.signbit(expected[j]), j
         assert [a.tobytes() for a in (u.values, lo.values, hi.values)] == before
 
-    def test_positive_penalty_needs_truncation(self):
-        grid = uniform_grid(m=12)
-        with pytest.raises(ParameterError, match="positive penalty needs a truncation"):
-            grid_terms(grid, interval_problem(), None, 2.0)
-
     @pytest.mark.parametrize("with_trunc", [False, True], ids=["untruncated", "truncated"])
     def test_negative_penalty_is_refused(self, with_trunc):
         grid = uniform_grid(m=12)
-        problem = interval_problem()
-        trunc = None
-        if with_trunc:
-            trunc = truncate_nonlinearity(problem.nonlin, constant_field(grid, -1.0), constant_field(grid, 1.0))
+        slab = (np.full(grid.m, -1.0), np.full(grid.m, 1.0)) if with_trunc else (None, None)
         with pytest.raises(ParameterError, match="penalty coefficient must be nonnegative; got -1.0"):
-            grid_terms(grid, problem, trunc, -1.0)
+            grid_terms(grid, interval_problem(), *slab, -1.0)
+
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("size", [11, 13])
+    def test_bounds_of_the_wrong_length_are_refused(self, which, size):
+        grid = uniform_grid(m=12)
+        bounds = {"lower": np.full(grid.m, -1.0), "upper": np.full(grid.m, 1.0)}
+        bounds[which] = np.zeros(size)
+        with pytest.raises(OrderingError, match="slab bounds need 12 values each"):
+            grid_terms(grid, interval_problem(), **bounds)
 
 
 class TestResidualRows:
@@ -461,10 +487,8 @@ class TestResidualRows:
         lower[10], values[10] = 0.0, 0.0
         u = DiscreteField(grid, values)
         assert np.any(values < lower) and np.any(values > upper)
-        trunc = None
-        if truncated:
-            trunc = truncate_nonlinearity(nonlin, DiscreteField(grid, lower), DiscreteField(grid, upper))
-        terms = grid_terms(grid, problem, trunc, penalty)
+        slab = (lower, upper) if truncated else (None, None)
+        terms = grid_terms(grid, problem, *slab, penalty)
         full = assemble_residual(u, terms).values
         assert np.array_equal(residual_rows(values, terms), full)
 

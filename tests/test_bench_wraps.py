@@ -9,13 +9,16 @@ assembly layers.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from degen_blowup import cli
 
-_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACING = _ROOT / "bench" / "tracing.py"
 
 
 def _load_tracing():
@@ -97,3 +100,12 @@ def test_traced_stalled_solve_counts_only_full_residuals(tmp_path):
     iters = metrics["penalty_solver.newton_iters"]["value"]
     assert metrics["penalty_solver.converged_frac"]["value"] == 0.0 and 1 <= iters < 100
     assert metrics["assembly.residual.calls"]["value"] <= iters + 2
+
+
+def test_benchmark_selftest_passes():
+    # bench/selftest.py checks the tiny refs and the output checks against
+    # the current code; it runs from the root of the checkout
+    proc = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=_ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

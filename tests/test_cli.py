@@ -305,6 +305,19 @@ def test_exhaust_bound_injection_exits_three(tmp_path):
     assert read_csv(out / "exhaust.csv")[1] == [["4", "0.75", "nan", "false"]]
 
 
+def test_misordered_slab_is_config_error(tmp_path, capsys):
+    # a lower bound shifted past the upper one fails the slab's ordering check
+    cfg = write(
+        tmp_path / "ex.cfg",
+        "run.command = exhaust\nproblem.epsilon = 0.1\ngrid.m = 401\n"
+        "exhaust.n0 = 4\nexhaust.n_max = 16\nexhaust.sub_shift = 100.0\n",
+    )
+    out = tmp_path / "out"
+    assert main(["exhaust", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "lower bound exceeds upper bound at node 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_b2_catalogue_table(tmp_path):
     cfg = write(tmp_path / "b2.cfg", "run.command = b2\n")
     out = tmp_path / "out"

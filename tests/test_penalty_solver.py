@@ -7,6 +7,7 @@ from degen_blowup import (
     CallableNonlinearity,
     DiscreteField,
     Domain,
+    OrderingError,
     ParameterError,
     Problem,
     SolveOptions,
@@ -166,8 +167,7 @@ class TestSolverBehaviour:
         lo = field_from_callable(grid, lambda r: 0.9 * u_star(r))
         hi = field_from_callable(grid, lambda r: 1.1 * u_star(r))
         u, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9, max_iters=max_iters))
-        trunc = assembly.truncate_nonlinearity(problem.nonlin, lo, hi)
-        again = assembly.assemble_residual(u, assembly.grid_terms(grid, problem, trunc, report.penalty))
+        again = assembly.assemble_residual(u, assembly.grid_terms(grid, problem, lo.values, hi.values, report.penalty))
         assert np.array_equal(report.residual.values, again.values)
         assert np.max(np.abs(report.residual.values)) == report.residual_history[-1]
 
@@ -272,6 +272,32 @@ class TestSolverBehaviour:
         hi = constant_field(grid, 1.0)
         with pytest.raises(ParameterError, match="monotone"):
             solve_penalized(problem, grid, lo, hi)
+
+    def test_misordered_slab_names_its_node(self):
+        grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
+        lo = constant_field(grid, 0.0)
+        hi = constant_field(grid, 1.0)
+        lo.values[37] = 1.25
+        with pytest.raises(OrderingError, match="at node 37: 1.25 > 1.0"):
+            solve_penalized(linear_problem(), grid, lo, hi)
+
+    @pytest.mark.parametrize("penalty", [None, 3.0], ids=["auto", "given"])
+    def test_one_sup_b_over_w_per_solve(self, monkeypatch, penalty):
+        # the check that b/w is finite also gives the default penalty its sup
+        calls = []
+        sup_b_over_w = Problem.sup_b_over_w
+
+        def counted(problem, grid):
+            calls.append(grid.m)
+            return sup_b_over_w(problem, grid)
+
+        monkeypatch.setattr(Problem, "sup_b_over_w", counted)
+        grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
+        _, report = solve_penalized(
+            linear_problem(), grid, constant_field(grid, 0.0), constant_field(grid, 1.0), SolveOptions(penalty=penalty)
+        )
+        assert calls == [grid.m]
+        assert report.penalty == (2.0 if penalty is None else penalty)  # 1 + sup|b/w| * f' = 1 + 1 * 1
 
 
 class TestCheckSandwich:
