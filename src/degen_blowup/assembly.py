@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AssemblyError, OrderingError, ParameterError
 from .grids import Grid
-from .subsuper import BlowupParams
+from .subsuper import BlowupParams, as_function
 from .tridiag import Tridiagonal
 from .weights import Domain, WeightFamily, eval_weight
 
@@ -103,16 +103,6 @@ def field_from_callable(grid: Grid, func) -> DiscreteField:
     return DiscreteField(grid, np.asarray(func(grid.nodes), dtype=float))
 
 
-def _as_function(spec, name: str) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(spec):
-        return lambda r: np.asarray(spec(np.asarray(r, dtype=float)), dtype=float)
-    try:
-        value = float(spec)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a number or a callable of r") from None
-    return lambda r: np.full_like(np.asarray(r, dtype=float), value)
-
-
 @dataclass(frozen=True)
 class Problem:
     """One boundary value problem -div(w grad u) + b f(u) = h, u = g.
@@ -132,13 +122,13 @@ class Problem:
     boundary_value: object = 0.0
 
     def b_at(self, r) -> np.ndarray:
-        return _as_function(self.b_coef, "b_coef")(r)
+        return as_function(self.b_coef, "b_coef")(r)
 
     def h_at(self, r) -> np.ndarray:
-        return _as_function(self.source, "source")(r)
+        return as_function(self.source, "source")(r)
 
     def g_at(self, r) -> np.ndarray:
-        return _as_function(self.boundary_value, "boundary_value")(r)
+        return as_function(self.boundary_value, "boundary_value")(r)
 
     def dirichlet_mask(self, grid: Grid) -> np.ndarray:
         """True on rows that carry the Dirichlet datum."""
@@ -147,22 +137,6 @@ class Problem:
         if self.domain.kind == "interval":
             mask[0] = True
         return mask
-
-    def weight_at_gap(self, d) -> np.ndarray:
-        out = eval_weight(self.weight, d)
-        return np.atleast_1d(np.asarray(out, dtype=float))
-
-    def sup_b_over_w(self, grid: Grid) -> float:
-        """Numerical sup of |b/w| at the half-nodes of a grid.
-
-        Finiteness of this ratio is the standing hypothesis that keeps the
-        reaction term controlled by the weighted norm.
-        """
-        rh = grid.half_nodes
-        ratio = np.abs(self.b_at(rh)) / self.weight_at_gap(grid.R - rh)
-        if not np.all(np.isfinite(ratio)):
-            raise ParameterError("b/w is not finite at all half-nodes")
-        return float(np.max(ratio))
 
 
 def radial_blowup_problem(params: BlowupParams, boundary_value=0.0) -> Problem:
@@ -212,7 +186,7 @@ def cell_volumes(grid: Grid, n_dim: int) -> np.ndarray:
 def edge_conductances(grid: Grid, problem: Problem) -> np.ndarray:
     """W_{j+1/2} / h_{j+1/2} with the weight taken at mid-edge gaps."""
     rh = grid.half_nodes
-    w = problem.weight_at_gap(grid.R - rh)
+    w = eval_weight(problem.weight, grid.R - rh)
     W = w * rh ** (problem.domain.N - 1)
     if not np.all(np.isfinite(W)):
         j = int(np.argmin(np.isfinite(W)))
@@ -271,13 +245,21 @@ def grid_terms(
     problem: Problem,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
-    penalty: float = 0.0,
+    penalty: float | None = 0.0,
 ) -> GridTerms:
-    """Build a solve's u-independent terms once; the slab and the penalty are checked here and nowhere else.
+    """Check a solve's inputs and build its u-independent terms, once; nothing else checks them.
 
     ``lower``/``upper`` (shared, not copied) bound the slab nodewise; a missing one is -inf/+inf.
+    The checks are the hypotheses of the comparison argument on the grid:
+    lower <= upper, b/w finite at the half-nodes, f monotone nondecreasing on
+    [min lower, max upper] (sampled when both ends are finite), f finite at
+    every finite bound (f(+-inf) is +-inf), and a nonnegative penalty.
+
+    penalty = None picks 1 + sup|b/w| * max |f'| over the finite bounds; the
+    coercivity argument only needs a positive coefficient, and scaling with
+    the reaction keeps the Newton system well conditioned.
     """
-    if penalty < 0.0:
+    if penalty is not None and penalty < 0.0:
         raise ParameterError(f"penalty coefficient must be nonnegative; got {penalty}")
     lower = np.full(grid.m, -np.inf) if lower is None else lower
     upper = np.full(grid.m, np.inf) if upper is None else upper
@@ -288,6 +270,22 @@ def grid_terms(
         raise OrderingError(
             f"lower bound exceeds upper bound at node {j}: {lower[j]} > {upper[j]}"
         )
+    rh = grid.half_nodes
+    b_over_w = np.abs(problem.b_at(rh)) / eval_weight(problem.weight, grid.R - rh)
+    if not np.all(np.isfinite(b_over_w)):
+        raise ParameterError("b/w is not finite at all half-nodes")
+    nonlin = problem.nonlin
+    lo, hi = float(np.min(lower)), float(np.max(upper))
+    if np.isfinite(lo) and np.isfinite(hi) and hi > lo:
+        samples = nonlin.value(np.linspace(lo, hi, 64))
+        if np.any(np.diff(samples) < -1e-12 * max(1.0, float(np.max(np.abs(samples))))):
+            raise ParameterError("nonlinearity is not monotone nondecreasing on the slab")
+    finite_bounds = [bound[np.isfinite(bound)] for bound in (lower, upper)]
+    if not all(np.all(np.isfinite(nonlin.value(bound))) for bound in finite_bounds):
+        raise ParameterError("nonlinearity overflows on the slab")
+    if penalty is None:
+        slope = max(float(np.max(np.abs(nonlin.slope(bound)), initial=0.0)) for bound in finite_bounds)
+        penalty = 1.0 + float(np.max(b_over_w)) * slope
     r = grid.nodes
     mu = volume_weights(grid, problem.domain.N)
     operator = assemble_stiffness(grid, problem)
@@ -301,10 +299,10 @@ def grid_terms(
         mu=mu,
         b=problem.b_at(r),
         h_mu=problem.h_at(r) * mu,
-        w_nodes=problem.weight_at_gap(grid.boundary_gap) if penalty > 0.0 else None,
+        w_nodes=eval_weight(problem.weight, grid.boundary_gap) if penalty > 0.0 else None,
         mask=mask,
         datum=problem.g_at(r[mask]),
-        nonlin=problem.nonlin,
+        nonlin=nonlin,
         lower=lower,
         upper=upper,
         penalty=penalty,

@@ -27,7 +27,6 @@ class RateFit:
 
     beta_hat: float
     K_hat: float
-    window: tuple
     r2: float
 
 
@@ -68,7 +67,6 @@ def fit_blowup_rate(u: DiscreteField, window) -> RateFit:
     return RateFit(
         beta_hat=float(-slope),
         K_hat=float(math.exp(intercept)),
-        window=(float(window[0]), float(window[1])),
         r2=r2,
     )
 

@@ -132,6 +132,12 @@ _SOLVER_KEYS = {
     "solver.max_iters": ("int", 60),
 }
 
+
+def _without(keys: dict, name: str) -> dict:
+    """keys less the one named, for a command that never reads it."""
+    return {k: v for k, v in keys.items() if k != name}
+
+
 SCHEMAS = {
     "solve": {**_RUN_KEYS, **_PROBLEM_KEYS, **_GRID_KEYS, **_SOLVER_KEYS},
     "rate": {
@@ -145,7 +151,7 @@ SCHEMAS = {
     },
     "verify-subsuper": {
         **_RUN_KEYS,
-        **_PROBLEM_KEYS,
+        **_without(_PROBLEM_KEYS, "problem.C"),  # the sub-solution's C is verify.C
         "verify.samples": ("int", 10001),
         "verify.C": ("float", -1.0),
         "verify.C_list": ("float-list", (-8.0, -4.0, -2.0, -1.0, -0.5, -0.1)),
@@ -154,7 +160,7 @@ SCHEMAS = {
     "exhaust": {
         **_RUN_KEYS,
         **_PROBLEM_KEYS,
-        **_GRID_KEYS,
+        **_without(_GRID_KEYS, "grid.eta"),  # each truncation sets its own eta
         **_SOLVER_KEYS,
         "exhaust.n0": ("int", 0),  # 0 = derive from the radius
         "exhaust.n_max": ("int", 64),
@@ -581,34 +587,44 @@ _HANDLERS = {
 }
 
 
-def _run_single(command: str, config_path: Path, out: Path, quiet: bool) -> int:
-    raw = parse_config_file(config_path)
-    cfg = resolve(raw, SCHEMAS[command], source=str(config_path))
-    declared = cfg.get("run.command")
+def _load_config(command: str, config_path: Path) -> dict:
+    """config_path resolved against command's schema, refusing a run.command that names another."""
+    cfg = resolve(parse_config_file(config_path), SCHEMAS[command], source=str(config_path))
+    declared = cfg["run.command"]
     if declared is not None and declared != command:
         raise ConfigError(
             f"{config_path}: run.command = {declared!r} does not match the invoked command {command!r}"
         )
-    return _HANDLERS[command](cfg, out, quiet)
+    return cfg
+
+
+def _run_single(command: str, config_path: Path, out: Path, quiet: bool) -> int:
+    return _HANDLERS[command](_load_config(command, config_path), out, quiet)
 
 
 def cmd_sweep(config_path: Path, out: Path, quiet: bool) -> int:
-    raw = parse_config_file(config_path)
-    cfg = resolve(raw, SCHEMAS["sweep"], source=str(config_path))
+    cfg = _load_config("sweep", config_path)
     paths = [p.strip() for p in cfg["sweep.configs"].split(",") if p.strip()]
     if not paths:
         raise ConfigError(f"{config_path}: sweep.configs lists no config files")
     base = config_path.parent
     jobs = []
+    members = {}  # output directory -> the member that writes it
     for rel in paths:
         sub_path = (base / rel).resolve()
+        job_out = out / sub_path.stem
+        if job_out in members:
+            raise ConfigError(
+                f"{config_path}: sweep members {members[job_out]} and {sub_path} would both write to {job_out}"
+            )
+        members[job_out] = sub_path
         sub_raw = parse_config_file(sub_path)
         if "run.command" not in sub_raw:
             raise ConfigError(f"{sub_path}: sweep members must declare run.command")
         sub_command = sub_raw["run.command"][0]
         if sub_command not in _HANDLERS:
             raise ConfigError(f"{sub_path}: run.command = {sub_command!r} is not runnable in a sweep")
-        jobs.append((sub_command, sub_path, out / sub_path.stem))
+        jobs.append((sub_command, sub_path, job_out))
 
     def run_job(job):
         command, path, job_out = job

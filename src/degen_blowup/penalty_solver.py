@@ -13,8 +13,8 @@ Newton step backtracks through at most 14 step lengths, 1 down to 2**-13
 as stalled.  The step-1 trial is always assembled in full; a shorter one
 is first evaluated on the one row where the current residual peaks
 (``assembly.residual_rows``), and fails there without an assembly when
-that row alone keeps the max-norm from decreasing.  Inputs are checked
-once per solve, the slab by ``assembly.grid_terms``.
+that row alone keeps the max-norm from decreasing.  A solve's inputs are
+checked, and its default penalty picked, once, by ``assembly.grid_terms``.
 """
 
 from __future__ import annotations
@@ -45,11 +45,9 @@ _DAMPING = 0.5  # backtracking factor of the line search
 class SolveOptions:
     """Knobs of the penalized Newton iteration.
 
-    penalty = None picks 1 + sup|b/w| * max_j max(|f'(lower_j)|, |f'(upper_j)|),
-    sup|b/w| coming from the solve's one finiteness check of b/w; the
-    coercivity argument only needs a positive coefficient, and scaling with
-    the reaction keeps the Newton system well conditioned.  The default initial
-    guess is the slab midpoint (lower + upper)/2, where the penalty is inactive.
+    penalty = None picks the default of ``assembly.grid_terms``.  The default
+    initial guess is the slab midpoint (lower + upper)/2, where the penalty is
+    inactive.
     """
 
     penalty: float | None = None
@@ -86,7 +84,6 @@ class SolveReport:
 class VerificationReport:
     ok: bool
     worst_residual: float
-    worst_node: int
 
 
 def sandwich_tol(upper: DiscreteField) -> float:
@@ -107,17 +104,6 @@ def check_sandwich(u: DiscreteField, lower: DiscreteField, upper: DiscreteField,
         max_below=max_below,
         max_above=max_above,
     )
-
-
-def _check_monotone(problem: Problem, lower: DiscreteField, upper: DiscreteField) -> None:
-    lo = float(np.min(lower.values))
-    hi = float(np.max(upper.values))
-    if hi <= lo:
-        return
-    samples = np.linspace(lo, hi, 64)
-    values = problem.nonlin.value(samples)
-    if np.any(np.diff(values) < -1e-12 * max(1.0, float(np.max(np.abs(values))))):
-        raise ParameterError("nonlinearity is not monotone nondecreasing on the slab")
 
 
 def solve_penalized(
@@ -144,23 +130,7 @@ def solve_penalized(
     certificate.
     """
     opts = opts or SolveOptions()
-    sup_ratio = problem.sup_b_over_w(grid)  # reaction/weight ratio must be finite
-    _check_monotone(problem, lower, upper)
-    # Square-integrability of the clamped reaction over the truncated grid
-    # is automatic; evaluating it at the extremes guards against overflow.
-    extremes = np.maximum(np.abs(problem.nonlin.value(lower.values)),
-                          np.abs(problem.nonlin.value(upper.values)))
-    if not np.all(np.isfinite(extremes)):
-        raise ParameterError("nonlinearity overflows on the slab")
-
-    penalty = opts.penalty
-    if penalty is None:
-        slopes = np.maximum(
-            np.abs(problem.nonlin.slope(lower.values)), np.abs(problem.nonlin.slope(upper.values))
-        )
-        penalty = 1.0 + sup_ratio * float(np.max(slopes))
-        del slopes  # one float per node that would otherwise live through the Newton loop
-    terms = grid_terms(grid, problem, lower.values, upper.values, penalty)  # checks lower <= upper
+    terms = grid_terms(grid, problem, lower.values, upper.values, opts.penalty)
     if opts.initial_guess is not None:
         u = opts.initial_guess.copy()
     else:
@@ -215,7 +185,7 @@ def solve_penalized(
         residual=res,
         sandwich=check_sandwich(u, lower, upper, sandwich_tol(upper)),
         residual_history=history,
-        penalty=penalty,
+        penalty=terms.penalty,
     )
     return u, report
 
@@ -248,13 +218,10 @@ def verify_subsupersolution(
     pointwise = raw / volumes
     interior = ~problem.dirichlet_mask(grid)
     vals = pointwise[interior]
-    nodes = np.nonzero(interior)[0]
     if kind == "super":
-        worst_idx = int(np.argmin(vals))
-        worst = float(vals[worst_idx])
+        worst = float(np.min(vals))
         ok = worst >= -tol
     else:
-        worst_idx = int(np.argmax(vals))
-        worst = float(vals[worst_idx])
+        worst = float(np.max(vals))
         ok = worst <= tol
-    return VerificationReport(ok=ok, worst_residual=worst, worst_node=int(nodes[worst_idx]))
+    return VerificationReport(ok=ok, worst_residual=worst)

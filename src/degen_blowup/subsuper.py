@@ -71,10 +71,14 @@ def leading_balance_residual(p: float, alpha: float, gamma: float, B: float, a_R
     return beta * (beta + 1.0 - alpha) - a_R * B ** (p - 1.0)
 
 
-def _as_coefficient(a_coef) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(a_coef):
-        return a_coef
-    value = float(a_coef)
+def as_function(spec, name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """A number or a callable of r as a callable of r returning float arrays."""
+    if callable(spec):
+        return lambda r: np.asarray(spec(np.asarray(r, dtype=float)), dtype=float)
+    try:
+        value = float(spec)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a number or a callable of r") from None
     return lambda r: np.full_like(np.asarray(r, dtype=float), value)
 
 
@@ -103,7 +107,7 @@ class BlowupParams:
             raise ParameterError("a(r) must be finite and positive on [0, R]")
 
     def a_at(self, r) -> np.ndarray:
-        return np.asarray(_as_coefficient(self.a_coef)(np.asarray(r, dtype=float)), dtype=float)
+        return as_function(self.a_coef, "a_coef")(r)
 
     @property
     def a_R(self) -> float:

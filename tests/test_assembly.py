@@ -20,6 +20,7 @@ from degen_blowup import (
     assemble_stiffness,
     build_graded_grid,
     constant_field,
+    eval_weight,
     field_from_callable,
     grid_terms,
     thomas_solve,
@@ -165,6 +166,7 @@ class TestTruncation:
         lo = field_from_callable(grid, lambda r: -1.0 - r)
         hi = field_from_callable(grid, lambda r: 1.0 + r)
         terms = grid_terms(grid, interval_problem(nonlin=nonlin), lo.values, hi.values)
+        seen.clear()  # set-up evaluates f at the bounds and on monotonicity samples
         t = np.linspace(-4.0, 4.0, grid.m)
         assemble_residual(DiscreteField(grid, t), terms)
         assemble_residual(DiscreteField(grid, np.clip(t, lo.values, hi.values)), terms)
@@ -231,8 +233,9 @@ class TestResidual:
         assert np.max(np.abs(res.values)) < 1e-11
 
     def test_nonfinite_coefficient_names_node(self):
+        # a non-finite b is refused by grid_terms already (b/w); a source is not checked there
         grid = uniform_grid(m=10)
-        problem = interval_problem(b_coef=lambda r: np.where(r > 0.5, np.inf, 1.0))
+        problem = interval_problem(source=lambda r: np.where(r > 0.5, np.inf, 0.0))
         with pytest.raises(AssemblyError, match="node"):
             assemble_residual(constant_field(grid, 1.0), grid_terms(grid, problem))
 
@@ -346,7 +349,7 @@ def _reference_residual(u, problem, penalty, lower, upper):
     res = assemble_stiffness(grid, problem).matvec(u.values)
     res += problem.b_at(r) * problem.nonlin.value(np.clip(u.values, lower, upper)) * mu
     if penalty > 0.0:
-        w_nodes = problem.weight_at_gap(grid.boundary_gap)
+        w_nodes = eval_weight(problem.weight, grid.boundary_gap)
         below = np.minimum(u.values - lower, 0.0)
         above = np.maximum(u.values - upper, 0.0)
         res += penalty * (below + above) * w_nodes * mu
@@ -363,7 +366,7 @@ def _reference_jacobian(u, problem, penalty, lower, upper):
     slope = np.where((u.values > lower) & (u.values < upper), problem.nonlin.slope(u.values), 0.0)
     diag_extra = problem.b_at(grid.nodes) * slope * mu
     if penalty > 0.0:
-        w_nodes = problem.weight_at_gap(grid.boundary_gap)
+        w_nodes = eval_weight(problem.weight, grid.boundary_gap)
         violated = (u.values < lower) | (u.values > upper)
         diag_extra += penalty * w_nodes * mu * violated
     jac.diag += diag_extra
@@ -447,6 +450,29 @@ class TestGridTerms:
         slab = (np.full(grid.m, -1.0), np.full(grid.m, 1.0)) if with_trunc else (None, None)
         with pytest.raises(ParameterError, match="penalty coefficient must be nonnegative; got -1.0"):
             grid_terms(grid, interval_problem(), *slab, -1.0)
+
+    @pytest.mark.parametrize("side", ["lower", "upper", "neither"])
+    def test_f_is_checked_only_at_the_finite_bounds(self, side):
+        # f(+-inf) is +-inf, so a missing bound is neither evaluated nor sampled for monotonicity;
+        # the default penalty takes f' over the finite bound alone: 1 + sup|b/w| * max 3t**2
+        grid = uniform_grid(m=12)
+        nonlin, seen = _sampling(PowerNonlinearity(3.0))
+        bound = np.linspace(-1.0, 0.5, grid.m)
+        bounds = {"lower": {"lower": bound}, "upper": {"upper": -bound}, "neither": {}}[side]
+        terms = grid_terms(grid, interval_problem(nonlin=nonlin), **bounds, penalty=None)
+        assert [t.tolist() for t in seen if t.size] == [b.tolist() for b in bounds.values()]
+        assert terms.penalty == (1.0 if side == "neither" else 4.0)
+
+    def test_f_overflowing_at_a_finite_bound_is_refused(self):
+        grid = uniform_grid(m=12)
+        with np.errstate(over="ignore"), pytest.raises(ParameterError, match="nonlinearity overflows on the slab"):
+            grid_terms(grid, interval_problem(nonlin=PowerNonlinearity(3.0)), upper=np.full(grid.m, 1e200))
+
+    def test_nonfinite_b_over_w_is_refused(self):
+        grid = uniform_grid(m=10)
+        problem = interval_problem(b_coef=lambda r: np.where(r > 0.5, np.inf, 1.0))
+        with pytest.raises(ParameterError, match="b/w is not finite at all half-nodes"):
+            grid_terms(grid, problem)
 
     @pytest.mark.parametrize("which", ["lower", "upper"])
     @pytest.mark.parametrize("size", [11, 13])

@@ -281,22 +281,23 @@ class TestSolverBehaviour:
         with pytest.raises(OrderingError, match="at node 37: 1.25 > 1.0"):
             solve_penalized(linear_problem(), grid, lo, hi)
 
-    @pytest.mark.parametrize("penalty", [None, 3.0], ids=["auto", "given"])
-    def test_one_sup_b_over_w_per_solve(self, monkeypatch, penalty):
-        # the check that b/w is finite also gives the default penalty its sup
+    @pytest.mark.parametrize("penalty, weights", [(None, 3), (3.0, 3), (0.0, 2)], ids=["auto", "given", "off"])
+    def test_weight_evaluations_per_solve(self, monkeypatch, penalty, weights):
+        # grid_terms takes w once for the b/w check (which also gives the default penalty its sup),
+        # once for the edge conductances and, for a positive penalty, once at the nodes
         calls = []
-        sup_b_over_w = Problem.sup_b_over_w
+        eval_weight = assembly.eval_weight
 
-        def counted(problem, grid):
-            calls.append(grid.m)
-            return sup_b_over_w(problem, grid)
+        def counted(family, d):
+            calls.append(np.size(d))
+            return eval_weight(family, d)
 
-        monkeypatch.setattr(Problem, "sup_b_over_w", counted)
+        monkeypatch.setattr(assembly, "eval_weight", counted)
         grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
         _, report = solve_penalized(
             linear_problem(), grid, constant_field(grid, 0.0), constant_field(grid, 1.0), SolveOptions(penalty=penalty)
         )
-        assert calls == [grid.m]
+        assert len(calls) == weights
         assert report.penalty == (2.0 if penalty is None else penalty)  # 1 + sup|b/w| * f' = 1 + 1 * 1
 
 
