@@ -58,10 +58,9 @@ from .penalty_solver import (
 )
 from .subsuper import (
     BlowupParams,
+    Envelope,
     InequalityReport,
     SubInequalityReport,
-    SubSolution,
-    SuperSolution,
     blowup_constant,
     blowup_exponent,
     build_subsolution,

@@ -183,10 +183,13 @@ def cell_volumes(grid: Grid, n_dim: int) -> np.ndarray:
     return np.diff(edges**n_dim) / n_dim
 
 
-def edge_conductances(grid: Grid, problem: Problem) -> np.ndarray:
-    """W_{j+1/2} / h_{j+1/2} with the weight taken at mid-edge gaps."""
+def edge_conductances(grid: Grid, problem: Problem, w_half: np.ndarray | None = None) -> np.ndarray:
+    """W_{j+1/2} / h_{j+1/2} with the weight taken at mid-edge gaps.
+
+    ``w_half`` is the weight there when the caller has already evaluated it.
+    """
     rh = grid.half_nodes
-    w = eval_weight(problem.weight, grid.R - rh)
+    w = eval_weight(problem.weight, grid.R - rh) if w_half is None else w_half
     W = w * rh ** (problem.domain.N - 1)
     if not np.all(np.isfinite(W)):
         j = int(np.argmin(np.isfinite(W)))
@@ -194,14 +197,14 @@ def edge_conductances(grid: Grid, problem: Problem) -> np.ndarray:
     return W / grid.spacings
 
 
-def assemble_stiffness(grid: Grid, problem: Problem) -> Tridiagonal:
+def assemble_stiffness(grid: Grid, problem: Problem, w_half: np.ndarray | None = None) -> Tridiagonal:
     """Symmetric conservative flux operator, before any boundary rows.
 
     Row j couples neighbours through the edge conductances; the operator
     annihilates constants and is positive semidefinite, with
     v.S.v = sum_j cond_j * (v_{j+1} - v_j)**2.
     """
-    cond = edge_conductances(grid, problem)
+    cond = edge_conductances(grid, problem, w_half)
     m = grid.m
     lower = np.zeros(m)
     diag = np.zeros(m)
@@ -271,7 +274,8 @@ def grid_terms(
             f"lower bound exceeds upper bound at node {j}: {lower[j]} > {upper[j]}"
         )
     rh = grid.half_nodes
-    b_over_w = np.abs(problem.b_at(rh)) / eval_weight(problem.weight, grid.R - rh)
+    w_half = eval_weight(problem.weight, grid.R - rh)
+    b_over_w = np.abs(problem.b_at(rh)) / w_half
     if not np.all(np.isfinite(b_over_w)):
         raise ParameterError("b/w is not finite at all half-nodes")
     nonlin = problem.nonlin
@@ -288,7 +292,7 @@ def grid_terms(
         penalty = 1.0 + float(np.max(b_over_w)) * slope
     r = grid.nodes
     mu = volume_weights(grid, problem.domain.N)
-    operator = assemble_stiffness(grid, problem)
+    operator = assemble_stiffness(grid, problem, w_half)
     mask = problem.dirichlet_mask(grid)
     operator.diag[mask] = 1.0
     operator.lower[mask] = 0.0

@@ -10,7 +10,8 @@ CSV plus a small text report into the output directory.  Exit codes:
     3  certification failure (bound certificate or inequality sweep)
 
 The sweep command runs its member configs concurrently, on up to
-min(4, members) threads.
+min(4, members) threads, and prints their lines once all have finished,
+in the order its config lists them.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ from .subsuper import (
     build_supersolution,
     find_min_A,
     leading_balance_residual,
-    sub_sufficient_margins,
-    super_inequality_margins,
     verify_sub_inequality,
     verify_super_inequality,
 )
@@ -243,11 +242,6 @@ def _write_report(path: Path, items: list[tuple[str, object]]) -> None:
     path.write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in items), encoding="utf-8")
 
 
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
-
-
 # ---------------------------------------------------------------------------
 # problem construction from configs
 # ---------------------------------------------------------------------------
@@ -285,10 +279,12 @@ def _solve_options(cfg) -> SolveOptions:
 def _envelopes(cfg, params: BlowupParams):
     A = cfg["problem.A"]
     if A is None:
-        A = find_min_A(params, np.linspace(0.0, params.R, 4097))
-        if A is None:
+        report = find_min_A(params, np.linspace(0.0, params.R, 4097))
+        if report is None:
             raise CertificationError("no shift in the default grid makes the upper barrier hold")
-    sup = build_supersolution(params, A)
+        sup = report.envelope
+    else:
+        sup = build_supersolution(params, A)
     sub = build_subsolution(params, cfg["problem.C"])
     return sub, sup
 
@@ -318,7 +314,7 @@ def _run_blowup_solve(cfg):
     return grid, lo, hi, u, report
 
 
-def cmd_solve(cfg, out: Path, quiet: bool) -> int:
+def cmd_solve(cfg, out: Path, say) -> int:
     kind = cfg["problem.kind"]
     if kind == "linear":
         problem = _linear_test_problem(cfg["problem.R"])
@@ -352,16 +348,16 @@ def cmd_solve(cfg, out: Path, quiet: bool) -> int:
         ],
     )
     if not report.converged:
-        _say(quiet, f"solve: NOT converged after {report.iters} iterations")
+        say(f"solve: NOT converged after {report.iters} iterations")
         return EXIT_NONCONVERGED
     if not cert.ok:
-        _say(quiet, f"solve: sandwich violated (below={cert.max_below:g}, above={cert.max_above:g})")
+        say(f"solve: sandwich violated (below={cert.max_below:g}, above={cert.max_above:g})")
         return EXIT_CERTIFICATION
-    _say(quiet, f"solve: converged in {report.iters} iterations, sandwich certified")
+    say(f"solve: converged in {report.iters} iterations, sandwich certified")
     return EXIT_OK
 
 
-def cmd_rate(cfg, out: Path, quiet: bool) -> int:
+def cmd_rate(cfg, out: Path, say) -> int:
     window = (cfg["rate.d_min"], cfg["rate.d_max"])
     params = _blowup_params(cfg)
     if cfg["rate.synthetic"]:
@@ -394,40 +390,44 @@ def cmd_rate(cfg, out: Path, quiet: bool) -> int:
             ("bounds_ok", bounds.ok),
         ],
     )
-    _say(quiet, f"rate: beta_hat={fit.beta_hat:.6g} K_hat={fit.K_hat:.6g} bounds_ok={bounds.ok}")
+    say(f"rate: beta_hat={fit.beta_hat:.6g} K_hat={fit.K_hat:.6g} bounds_ok={bounds.ok}")
     if not converged:
         return EXIT_NONCONVERGED
     return EXIT_OK if bounds.ok else EXIT_CERTIFICATION
 
 
-def cmd_verify_subsuper(cfg, out: Path, quiet: bool) -> int:
+def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     n_samples = cfg["verify.samples"]
     if n_samples < 2:
         raise ConfigError(f"key 'verify.samples' must be at least 2; got {n_samples}")
     params = _blowup_params(cfg)
-    samples = np.linspace(0.0, params.R, n_samples)
-    A = cfg["problem.A"]
-    min_A = find_min_A(params, samples) if A is None else A
-    super_ok = min_A is not None and verify_super_inequality(params, min_A, samples).ok
 
     C = cfg["verify.C"]
     sub = build_subsolution(params, C)
     r_hi = params.R - cfg["verify.r_gap"]
     sub_samples = np.linspace(sub.activation_radius, r_hi, n_samples)
-    sub_report = verify_sub_inequality(params, C, sub_samples)
+    sub_report = verify_sub_inequality(params, sub, sub_samples)
 
     c_table = [(c, build_subsolution(params, c).activation_radius) for c in cfg["verify.C_list"]]
 
-    sup_env = build_supersolution(params, min_A if min_A is not None else 1.0)
-    reduced_lhs = params.a_R * sup_env.B**params.p
-    reduced_rhs = sup_env.B * params.beta * (params.beta + 1.0 - params.alpha)
+    samples = np.linspace(0.0, params.R, n_samples)
+    A = cfg["problem.A"]
+    if A is None:
+        sup_report = find_min_A(params, samples)
+    else:
+        sup_report = verify_super_inequality(params, build_supersolution(params, A), samples)
+    min_A = None if sup_report is None else sup_report.envelope.shift
+    super_ok = sup_report is not None and sup_report.ok
+    B = (build_supersolution(params, 1.0) if sup_report is None else sup_report.envelope).B
+    reduced_lhs = params.a_R * B**params.p
+    reduced_rhs = B * params.beta * (params.beta + 1.0 - params.alpha)
 
     out.mkdir(parents=True, exist_ok=True)
-    if min_A is not None:
-        margins = super_inequality_margins(params, min_A, samples)
-        _write_csv(out / "super_margins.csv", ["r", "margin"], (samples, margins))
-    sub_margins = sub_sufficient_margins(params, sub_samples)
-    _write_csv(out / "sub_margins.csv", ["r", "sufficient_margin"], (sub_samples, sub_margins))
+    if sup_report is not None:
+        _write_csv(out / "super_margins.csv", ["r", "margin"], (samples, sup_report.margins))
+    _write_csv(
+        out / "sub_margins.csv", ["r", "sufficient_margin"], (sub_samples, sub_report.sufficient_margins)
+    )
     items = [
         ("min_A", "not-found" if min_A is None else min_A),
         ("super_ok", super_ok),
@@ -439,16 +439,15 @@ def cmd_verify_subsuper(cfg, out: Path, quiet: bool) -> int:
     ]
     items += [(f"c_bar({c:g})", c_bar) for c, c_bar in c_table]
     _write_report(out / "subsuper_report.txt", items)
-    _say(
-        quiet,
+    say(
         f"verify-subsuper: min_A={min_A} super_ok={super_ok} "
-        f"sub_ok={sub_report.ok} c_bar({C:g})={sub.activation_radius:.6f}",
+        f"sub_ok={sub_report.ok} c_bar({C:g})={sub.activation_radius:.6f}"
     )
     all_ok = super_ok and sub_report.ok
     return EXIT_OK if all_ok else EXIT_CERTIFICATION
 
 
-def cmd_exhaust(cfg, out: Path, quiet: bool) -> int:
+def cmd_exhaust(cfg, out: Path, say) -> int:
     params = _blowup_params(cfg)
     sub, sup = _envelopes(cfg, params)
     shift = cfg["exhaust.sub_shift"]
@@ -504,7 +503,7 @@ def cmd_exhaust(cfg, out: Path, quiet: bool) -> int:
             ("limit_residual", limit_residual),
         ],
     )
-    _say(quiet, f"exhaust: status={run.status} after {len(run.n_values)} solves")
+    say(f"exhaust: status={run.status} after {len(run.n_values)} solves")
     if run.status == STATUS_CONVERGED:
         return EXIT_OK
     if run.status == STATUS_CERTIFICATION_FAILED:
@@ -512,7 +511,7 @@ def cmd_exhaust(cfg, out: Path, quiet: bool) -> int:
     return EXIT_NONCONVERGED
 
 
-def cmd_b2(cfg, out: Path, quiet: bool) -> int:
+def cmd_b2(cfg, out: Path, say) -> int:
     n_dim = cfg["b2.N"]
     R = cfg["b2.R"]
     domain = Domain.ball(R, n_dim)
@@ -555,8 +554,7 @@ def cmd_b2(cfg, out: Path, quiet: bool) -> int:
                 two_sided.a2_estimate,
             )
         )
-        _say(
-            quiet,
+        say(
             f"b2: {label:32s} passes={report.passes} divergent={report.divergent} "
             f"two_sided={two_sided.passes}",
         )
@@ -598,11 +596,9 @@ def _load_config(command: str, config_path: Path) -> dict:
     return cfg
 
 
-def _run_single(command: str, config_path: Path, out: Path, quiet: bool) -> int:
-    return _HANDLERS[command](_load_config(command, config_path), out, quiet)
-
-
-def cmd_sweep(config_path: Path, out: Path, quiet: bool) -> int:
+def cmd_sweep(config_path: Path, out: Path, say) -> int:
+    """Run the member configs on a thread pool, then pass each member's lines
+    to say, in the order sweep.configs lists the members."""
     cfg = _load_config("sweep", config_path)
     paths = [p.strip() for p in cfg["sweep.configs"].split(",") if p.strip()]
     if not paths:
@@ -624,19 +620,22 @@ def cmd_sweep(config_path: Path, out: Path, quiet: bool) -> int:
         sub_command = sub_raw["run.command"][0]
         if sub_command not in _HANDLERS:
             raise ConfigError(f"{sub_path}: run.command = {sub_command!r} is not runnable in a sweep")
-        jobs.append((sub_command, sub_path, job_out))
+        jobs.append((sub_command, sub_path, job_out, []))
 
     def run_job(job):
-        command, path, job_out = job
+        command, path, job_out, lines = job
         try:
-            return _dispatch(command, path, job_out, quiet)
+            return _dispatch(command, path, job_out, lines.append)
         except Exception as exc:  # noqa: BLE001 - worker boundary
-            _say(quiet, f"sweep member {path.name}: {exc}")
+            lines.append(f"sweep member {path.name}: {exc}")
             return _exit_row(exc)[0]
 
     with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
         codes = list(pool.map(run_job, jobs))
-    _say(quiet, f"sweep: {len(jobs)} runs, exit codes {codes}")
+    for *_, lines in jobs:
+        for line in lines:
+            say(line)
+    say(f"sweep: {len(jobs)} runs, exit codes {codes}")
     return max(codes)
 
 
@@ -648,10 +647,11 @@ def _exit_row(exc: Exception) -> tuple[int, str]:
     raise exc
 
 
-def _dispatch(command: str, config_path: Path, out: Path, quiet: bool) -> int:
+def _dispatch(command: str, config_path: Path, out: Path, say) -> int:
+    """Run one command; say(line) takes each progress line."""
     if command == "sweep":
-        return cmd_sweep(config_path, out, quiet)
-    return _run_single(command, config_path, out, quiet)
+        return cmd_sweep(config_path, out, say)
+    return _HANDLERS[command](_load_config(command, config_path), out, say)
 
 
 def main(argv=None) -> int:
@@ -673,7 +673,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args.command, args.config, args.out, args.quiet)
+        return _dispatch(args.command, args.config, args.out, (lambda line: None) if args.quiet else print)
     except _HANDLED as exc:
         code, label = _exit_row(exc)
         print(f"{label}: {exc}", file=sys.stderr)

@@ -65,7 +65,6 @@ class SolveOptions:
 @dataclass
 class SandwichReport:
     ok: bool
-    worst_node: int
     max_below: float
     max_above: float
 
@@ -95,12 +94,10 @@ def check_sandwich(u: DiscreteField, lower: DiscreteField, upper: DiscreteField,
     """Certify lower - tol <= u <= upper + tol nodewise."""
     below = np.maximum(lower.values - u.values, 0.0)
     above = np.maximum(u.values - upper.values, 0.0)
-    worst = np.maximum(below, above)
     max_below = float(np.max(below))
     max_above = float(np.max(above))
     return SandwichReport(
         ok=max_below <= tol and max_above <= tol,
-        worst_node=int(np.argmax(worst)),
         max_below=max_below,
         max_above=max_above,
     )

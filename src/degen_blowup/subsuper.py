@@ -17,10 +17,12 @@ the two explicit one-parameter envelope families
     lower:  max(0, C + B_low * (r/R)**2 * (R-r)**(-beta)),   C < 0
 
 whose amplitudes satisfy B_up**(p-1) * a(R) = (1+eps) * beta*(beta+1-alpha)
-and B_low**(p-1) * a(R) = (1-eps) * beta*(beta+1-alpha), and verifies by
-dense sampling the pointwise differential inequalities that make them an
-upper and a lower barrier.  Multiplying the barrier condition through by
-(R-r)**(beta+2) turns it into the polynomial comparison
+and B_low**(p-1) * a(R) = (1-eps) * beta*(beta+1-alpha), each as one
+``Envelope`` (the clamp at 0 never acts on the upper one).  It verifies by
+dense sampling, on the envelope as built, the pointwise differential
+inequalities that make them an upper and a lower barrier.  Multiplying the
+barrier condition through by (R-r)**(beta+2) turns it into the polynomial
+comparison
 
     2N*B/R^2 * (R-r)^2 + ((3+N)*beta - 2*alpha)*B/R^2 * r*(R-r)
         + B*beta*(beta+1-alpha)*(r/R)^2   vs   a(r)*(c*(R-r)**beta + B*(r/R)^2)**p
@@ -138,60 +140,39 @@ def _envelope_amplitude(params: BlowupParams, factor: float) -> float:
     )
 
 
-class _Envelope:
-    """Shared evaluation of const + B*(r/R)^2*(R-r)^(-beta) profiles."""
+@dataclass(frozen=True)
+class Envelope:
+    """Barrier max(0, shift + B*(r/R)^2*(R-r)^(-beta)) on 0 <= r < R.
 
-    def _core(self, shift: float, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if np.any(r >= self.R) or np.any(r < 0.0):
-            raise DomainError("envelope evaluation needs 0 <= r < R (blow-up at r = R)")
-        return shift + self.B * (r / self.R) ** 2 * (self.R - r) ** (-self.beta)
+    The upper barrier has a shift A > 0, where the clamp never acts, and
+    activation radius 0.  The lower one has a shift C < 0: it vanishes
+    identically on [0, activation_radius) and is positive, increasing
+    beyond it.
+    """
+
+    shift: float
+    B: float
+    beta: float
+    R: float
+    activation_radius: float = 0.0
 
     def __call__(self, r):
-        out = self.evaluate(np.asarray(r, dtype=float))
+        x = np.asarray(r, dtype=float)
+        if np.any(x >= self.R) or np.any(x < 0.0):
+            raise DomainError("envelope evaluation needs 0 <= r < R (blow-up at r = R)")
+        out = np.maximum(0.0, self.shift + self.B * (x / self.R) ** 2 * (self.R - x) ** (-self.beta))
         return float(out) if np.ndim(r) == 0 else out
 
 
-@dataclass(frozen=True)
-class SuperSolution(_Envelope):
-    """Upper barrier A + B*(r/R)^2*(R-r)^(-beta)."""
-
-    A: float
-    B: float
-    beta: float
-    R: float
-
-    def evaluate(self, r) -> np.ndarray:
-        return self._core(self.A, r)
-
-
-@dataclass(frozen=True)
-class SubSolution(_Envelope):
-    """Lower barrier max(0, C + B*(r/R)^2*(R-r)^(-beta)).
-
-    Vanishes identically on [0, activation_radius) and is positive,
-    increasing beyond it.
-    """
-
-    C: float
-    B: float
-    beta: float
-    R: float
-    activation_radius: float
-
-    def evaluate(self, r) -> np.ndarray:
-        return np.maximum(0.0, self._core(self.C, r))
-
-
-def build_supersolution(params: BlowupParams, A: float) -> SuperSolution:
+def build_supersolution(params: BlowupParams, A: float) -> Envelope:
     """Upper envelope with amplitude factor 1 + eps and vertical shift A > 0."""
     if A <= 0.0:
         raise ParameterError(f"shift A must be positive; got A={A}")
     B = _envelope_amplitude(params, 1.0 + params.epsilon)
-    return SuperSolution(A=float(A), B=B, beta=params.beta, R=params.R)
+    return Envelope(shift=float(A), B=B, beta=params.beta, R=params.R)
 
 
-def build_subsolution(params: BlowupParams, C: float) -> SubSolution:
+def build_subsolution(params: BlowupParams, C: float) -> Envelope:
     """Lower envelope with amplitude factor 1 - eps and shift C < 0.
 
     The activation radius is the unique root of C + B*(r/R)^2*(R-r)^(-beta)
@@ -219,22 +200,29 @@ def build_subsolution(params: BlowupParams, C: float) -> SubSolution:
         else:
             hi = mid
     c_bar = 0.5 * (lo + hi)
-    return SubSolution(C=float(C), B=B, beta=beta, R=R, activation_radius=c_bar)
+    return Envelope(shift=float(C), B=B, beta=beta, R=R, activation_radius=c_bar)
 
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """Upper-barrier condition for one envelope, with its margins at the samples."""
+
     ok: bool
-    worst_margin: float
+    envelope: Envelope
+    margins: np.ndarray
 
 
 @dataclass(frozen=True)
 class SubInequalityReport:
-    """Both forms of the lower-barrier condition on [activation radius, R)."""
+    """Both forms of the lower-barrier condition on [activation radius, R).
+
+    ``sufficient_margins`` holds the sufficient form's margins at the samples.
+    """
 
     ok: bool
     ok_full: bool
     ok_sufficient: bool
+    sufficient_margins: np.ndarray
 
 
 def _barrier_lhs(params: BlowupParams, B: float, r: np.ndarray) -> np.ndarray:
@@ -257,48 +245,39 @@ def _barrier_rhs(params: BlowupParams, shift: float, B: float, r: np.ndarray) ->
     return params.a_at(r) * np.maximum(base, 0.0) ** params.p
 
 
-def super_inequality_margins(
-    params: BlowupParams, A: float, samples: np.ndarray, B: float | None = None
-) -> np.ndarray:
-    """Margins rhs - lhs of the upper-barrier condition (>= 0 means barrier).
-
-    B defaults to the 1+eps envelope amplitude; overriding it supports
-    counterexample scans such as the balanced amplitude with A = 0.
-    """
+def super_inequality_margins(params: BlowupParams, sup: Envelope, samples: np.ndarray) -> np.ndarray:
+    """Margins rhs - lhs of the upper-barrier condition for sup (>= 0 means barrier)."""
     samples = np.asarray(samples, dtype=float)
     if np.any(samples < 0.0) or np.any(samples > params.R):
         raise ParameterError("samples must lie in [0, R]")
-    if B is None:
-        B = _envelope_amplitude(params, 1.0 + params.epsilon)
-    return _barrier_rhs(params, A, B, samples) - _barrier_lhs(params, B, samples)
+    return _barrier_rhs(params, sup.shift, sup.B, samples) - _barrier_lhs(params, sup.B, samples)
 
 
-def _refine_worst(margins_of, samples: np.ndarray, refine: int = 64) -> float:
-    """Worst margin, with a dense local re-scan around the coarsest worst sample."""
+def _refine_worst(margins_of, samples: np.ndarray, refine: int = 64) -> tuple[float, np.ndarray]:
+    """Worst margin, with a dense local re-scan around the coarsest worst sample,
+    and the margins at the samples."""
     margins = margins_of(samples)
     k = int(np.argmin(margins))
     lo = samples[max(k - 1, 0)]
     hi = samples[min(k + 1, samples.size - 1)]
     local_margins = margins_of(np.linspace(lo, hi, refine))
-    return float(min(margins[k], np.min(local_margins)))
+    return float(min(margins[k], np.min(local_margins))), margins
 
 
-def verify_super_inequality(
-    params: BlowupParams, A: float, samples: np.ndarray, B: float | None = None
-) -> InequalityReport:
-    """Check the upper-barrier condition at all samples, refining the worst spot."""
-    worst = _refine_worst(
-        lambda r: super_inequality_margins(params, A, r, B=B), np.asarray(samples, dtype=float)
+def verify_super_inequality(params: BlowupParams, sup: Envelope, samples: np.ndarray) -> InequalityReport:
+    """Check the upper-barrier condition for sup at all samples, refining the worst spot."""
+    worst, margins = _refine_worst(
+        lambda r: super_inequality_margins(params, sup, r), np.asarray(samples, dtype=float)
     )
-    return InequalityReport(ok=worst >= 0.0, worst_margin=worst)
+    return InequalityReport(ok=worst >= 0.0, envelope=sup, margins=margins)
 
 
-def find_min_A(params: BlowupParams, samples: np.ndarray, A_grid=None) -> float | None:
-    """Smallest shift in an increasing grid making the upper barrier hold.
+def find_min_A(params: BlowupParams, samples: np.ndarray, A_grid=None) -> InequalityReport | None:
+    """The report of the smallest shift in an increasing grid making the upper barrier hold.
 
     Near the boundary the 1+eps amplitude alone carries the condition; a
-    large enough shift extends it to the whole interval.  Returns None when
-    no grid entry passes.
+    large enough shift extends it to the whole interval.  Every grid entry
+    must be a valid shift (A > 0).  Returns None when no grid entry passes.
     """
     if A_grid is None:
         A_grid = 2.0 ** np.arange(0, 16)
@@ -306,35 +285,32 @@ def find_min_A(params: BlowupParams, samples: np.ndarray, A_grid=None) -> float 
     if np.any(np.diff(A_grid) <= 0.0):
         raise ParameterError("A_grid must be strictly increasing")
     for A in A_grid:
-        if verify_super_inequality(params, float(A), samples).ok:
-            return float(A)
+        report = verify_super_inequality(params, build_supersolution(params, float(A)), samples)
+        if report.ok:
+            return report
     return None
 
 
-def sub_sufficient_margins(params: BlowupParams, r: np.ndarray) -> np.ndarray:
-    """Margins of the sufficient lower-barrier form.
+def sub_sufficient_margins(params: BlowupParams, sub: Envelope, r: np.ndarray) -> np.ndarray:
+    """Margins of the sufficient lower-barrier form for sub.
 
     beta*(beta+1-alpha) >= a(r) * B**(p-1) * (r/R)**(2(p-1)) implies the
     full condition once the negative shift is discarded; with the 1-eps
     amplitude it holds with strict margin at r = R.
     """
     beta = params.beta
-    B = _envelope_amplitude(params, 1.0 - params.epsilon)
     r = np.asarray(r, dtype=float)
-    return beta * (beta + 1.0 - params.alpha) - params.a_at(r) * B ** (params.p - 1.0) * (
+    return beta * (beta + 1.0 - params.alpha) - params.a_at(r) * sub.B ** (params.p - 1.0) * (
         r / params.R
     ) ** (2.0 * (params.p - 1.0))
 
 
-def verify_sub_inequality(
-    params: BlowupParams, C: float, samples: np.ndarray
-) -> SubInequalityReport:
-    """Check the full and the sufficient lower-barrier conditions.
+def verify_sub_inequality(params: BlowupParams, sub: Envelope, samples: np.ndarray) -> SubInequalityReport:
+    """Check the full and the sufficient lower-barrier conditions for sub.
 
     Samples must not dip below the activation radius: there the profile is
     clamped to zero and the condition is vacuous.
     """
-    sub = build_subsolution(params, C)
     samples = np.asarray(samples, dtype=float)
     if np.any(samples < sub.activation_radius - 1e-9):
         raise ParameterError("samples must lie at or beyond the activation radius")
@@ -342,12 +318,14 @@ def verify_sub_inequality(
         raise ParameterError("samples must stay strictly below R")
 
     def full_margins(r):
-        return _barrier_lhs(params, sub.B, r) - _barrier_rhs(params, C, sub.B, r)
+        return _barrier_lhs(params, sub.B, r) - _barrier_rhs(params, sub.shift, sub.B, r)
 
-    ok_full = _refine_worst(full_margins, samples) >= 0.0
-    ok_suff = _refine_worst(lambda r: sub_sufficient_margins(params, r), samples) >= 0.0
+    ok_full = _refine_worst(full_margins, samples)[0] >= 0.0
+    worst, sufficient = _refine_worst(lambda r: sub_sufficient_margins(params, sub, r), samples)
+    ok_suff = worst >= 0.0
     return SubInequalityReport(
         ok=ok_full and ok_suff,
         ok_full=ok_full,
         ok_sufficient=ok_suff,
+        sufficient_margins=sufficient,
     )

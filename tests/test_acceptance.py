@@ -22,7 +22,6 @@ from degen_blowup import (
     blowup_exponent,
     build_graded_grid,
     build_subsolution,
-    build_supersolution,
     catalogue_families,
     check_b2,
     check_epsilon_bounds,
@@ -56,8 +55,7 @@ def blowup_solve():
     graded grid m=2001, eta=1e-4, grading 2, with midpoint boundary datum."""
     t0 = time.perf_counter()
     params = BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=1.0, a_coef=1.0, epsilon=0.1)
-    A = find_min_A(params, np.linspace(0.0, 1.0, 10001))
-    sup = build_supersolution(params, A)
+    sup = find_min_A(params, np.linspace(0.0, 1.0, 10001)).envelope
     sub = build_subsolution(params, -1.0)
     grid = build_graded_grid(R=1.0, eta=1e-4, m=2001, grading=2.0)
     lo = field_from_callable(grid, sub)
@@ -182,12 +180,13 @@ def test_criterion_4_constant_formulas():
 def test_criterion_5_inequality_suite():
     params = BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=1.0, a_coef=1.0, epsilon=0.5)
     samples = np.linspace(0.0, 1.0, 10001)
-    A = find_min_A(params, samples)
-    super_rep = verify_super_inequality(params, A, samples)
+    found = find_min_A(params, samples)
+    A = found.envelope.shift
+    super_rep = verify_super_inequality(params, found.envelope, samples)
 
     sub = build_subsolution(params, -1.0)
     sub_samples = np.linspace(sub.activation_radius, 1.0 - 1e-6, 10001)
-    sub_rep = verify_sub_inequality(params, -1.0, sub_samples)
+    sub_rep = verify_sub_inequality(params, sub, sub_samples)
 
     golden_ok = abs(sub.activation_radius - GOLDEN) <= 1e-9
     cs = [-8.0, -4.0, -2.0, -1.0, -0.5, -0.1]
@@ -216,8 +215,7 @@ def test_criterion_5_inequality_suite():
 def test_criterion_6_exhaustion_stabilization():
     t0 = time.perf_counter()
     params = BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=1.0, a_coef=1.0, epsilon=0.1)
-    A = find_min_A(params, np.linspace(0.0, 1.0, 10001))
-    sup = build_supersolution(params, A)
+    sup = find_min_A(params, np.linspace(0.0, 1.0, 10001)).envelope
     sub = build_subsolution(params, -1.0)
     run = solve_large_solution(
         params, sub, sup,
@@ -255,8 +253,7 @@ def test_criterion_6b_extended_schedule_stabilizes():
     to continue geometrically, well inside the stated runtime budget."""
     t0 = time.perf_counter()
     params = BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=1.0, a_coef=1.0, epsilon=0.1)
-    A = find_min_A(params, np.linspace(0.0, 1.0, 10001))
-    sup = build_supersolution(params, A)
+    sup = find_min_A(params, np.linspace(0.0, 1.0, 10001)).envelope
     sub = build_subsolution(params, -1.0)
     run = solve_large_solution(
         params, sub, sup,

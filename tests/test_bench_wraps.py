@@ -88,6 +88,49 @@ solver.max_iters = 100
 """
 
 
+def test_traced_verify_subsuper_builds_and_verifies_each_envelope_once(tmp_path, monkeypatch):
+    # default config: find_min_A probes A = 1, 2 and 4, two margin passes each (the samples
+    # and the refinement around the worst one); the report and CSVs reuse the passing
+    # probe, and one bisection each builds verify.C and the six verify.C_list entries
+    from degen_blowup import subsuper
+
+    counts = {"bisections": 0, "in_probe": 0, "outside_probe": 0}
+    depth = [0]
+    build = subsuper.build_subsolution
+    probe = subsuper.verify_super_inequality
+    margins = subsuper.super_inequality_margins
+
+    def counted_build(*args, **kwargs):
+        counts["bisections"] += 1
+        return build(*args, **kwargs)
+
+    def counted_probe(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return probe(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_margins(*args, **kwargs):
+        counts["in_probe" if depth[0] else "outside_probe"] += 1
+        return margins(*args, **kwargs)
+
+    for module in (cli, subsuper):
+        monkeypatch.setattr(module, "build_subsolution", counted_build)
+        if hasattr(module, "super_inequality_margins"):
+            monkeypatch.setattr(module, "super_inequality_margins", counted_margins)
+    monkeypatch.setattr(subsuper, "verify_super_inequality", counted_probe)
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("run.command = verify-subsuper\n", encoding="utf-8")
+    tracer = _tracing.Tracer()  # wraps the counters installed above
+    assert tracer.absent == []
+    out = tmp_path / "out"
+    assert tracer.trace_op(0, lambda: cli.main(["verify-subsuper", "--config", str(cfg), "--out", str(out), "--quiet"])) == 0
+    metrics = _tracing.layer_metrics(tracer, [], [], [], {})
+    assert metrics["subsuper.find_min_A.probes"]["value"] == 3
+    assert counts == {"bisections": 7, "in_probe": 6, "outside_probe": 0}
+
+
 def test_traced_stalled_solve_counts_only_full_residuals(tmp_path):
     # the line search rejects shorter steps of a stalled iteration on one
     # row, outside the wrapped assemble_residual: the traced residuals are

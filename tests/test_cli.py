@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -443,6 +444,31 @@ def test_sweep_runs_members_in_own_directories(tmp_path):
     assert main(["sweep", "--config", str(sweep), "--out", str(out), "--quiet"]) == 0
     assert (out / "linear" / "solution.csv").exists()
     assert (out / "b2" / "b2.csv").exists()
+
+
+def test_sweep_prints_member_lines_in_config_order(tmp_path, capsys, monkeypatch):
+    # the first member waits until the second has finished, yet its lines come first
+    write(tmp_path / "b2.cfg", "run.command = b2\nb2.include_failing = false\n")
+    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = b2.cfg, linear.cfg\n")
+    second_done = threading.Event()
+    handlers = dict(cli._HANDLERS)
+
+    def b2_after_solve(*args):
+        assert second_done.wait(30)
+        return handlers["b2"](*args)
+
+    def solve_then_signal(*args):
+        try:
+            return handlers["solve"](*args)
+        finally:
+            second_done.set()
+
+    monkeypatch.setitem(cli._HANDLERS, "b2", b2_after_solve)
+    monkeypatch.setitem(cli._HANDLERS, "solve", solve_then_signal)
+    assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "out")]) == 0
+    heads = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert heads == ["b2"] * (len(heads) - 2) + ["solve", "sweep"] and len(heads) > 2
 
 
 def test_sweep_member_needs_command(tmp_path):

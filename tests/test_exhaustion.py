@@ -9,7 +9,6 @@ from degen_blowup import (
     ParameterError,
     SolveOptions,
     build_subsolution,
-    build_supersolution,
     find_min_A,
     residual_on_monitor,
     solve_large_solution,
@@ -24,8 +23,7 @@ from degen_blowup.exhaustion import (
 @pytest.fixture(scope="module")
 def setup():
     params = BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=1.0, epsilon=0.1)
-    A = find_min_A(params, np.linspace(0.0, 1.0, 10001))
-    sup = build_supersolution(params, A)
+    sup = find_min_A(params, np.linspace(0.0, 1.0, 10001)).envelope
     sub = build_subsolution(params, -1.0)
     return params, sub, sup
 

@@ -14,7 +14,6 @@ from degen_blowup import (
     WeightFamily,
     build_graded_grid,
     build_subsolution,
-    build_supersolution,
     BlowupParams,
     check_sandwich,
     constant_field,
@@ -281,10 +280,10 @@ class TestSolverBehaviour:
         with pytest.raises(OrderingError, match="at node 37: 1.25 > 1.0"):
             solve_penalized(linear_problem(), grid, lo, hi)
 
-    @pytest.mark.parametrize("penalty, weights", [(None, 3), (3.0, 3), (0.0, 2)], ids=["auto", "given", "off"])
+    @pytest.mark.parametrize("penalty, weights", [(None, 2), (3.0, 2), (0.0, 1)], ids=["auto", "given", "off"])
     def test_weight_evaluations_per_solve(self, monkeypatch, penalty, weights):
-        # grid_terms takes w once for the b/w check (which also gives the default penalty its sup),
-        # once for the edge conductances and, for a positive penalty, once at the nodes
+        # grid_terms takes w once at the half-nodes, for the b/w check (which also gives the
+        # default penalty its sup) and the edge conductances, and, for a positive penalty, once at the nodes
         calls = []
         eval_weight = assembly.eval_weight
 
@@ -319,7 +318,6 @@ class TestCheckSandwich:
         cert = check_sandwich(DiscreteField(grid, values), lo, hi, tol=1e-12)
         assert not cert.ok
         assert cert.max_above == pytest.approx(1.0)
-        assert cert.worst_node == 7
 
 
 class TestVerifySubSuper:
@@ -337,8 +335,7 @@ class TestVerifySubSuper:
 
     def test_explicit_envelopes_verify_on_graded_grid(self):
         params = BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=1.0, epsilon=0.5)
-        A = find_min_A(params, np.linspace(0.0, 1.0, 10001))
-        sup = build_supersolution(params, A)
+        sup = find_min_A(params, np.linspace(0.0, 1.0, 10001)).envelope
         sub = build_subsolution(params, -1.0)
         problem = radial_blowup_problem(params)
         grid = build_graded_grid(R=1.0, eta=1e-3, m=800, grading=2.0)

@@ -9,6 +9,7 @@ from degen_blowup import (
     ActivationRadiusError,
     BlowupParams,
     DomainError,
+    Envelope,
     ParameterError,
     blowup_constant,
     blowup_exponent,
@@ -19,6 +20,7 @@ from degen_blowup import (
     verify_sub_inequality,
     verify_super_inequality,
 )
+from degen_blowup import subsuper
 from degen_blowup.subsuper import sub_sufficient_margins, super_inequality_margins
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -103,6 +105,15 @@ class TestEnvelopeConstruction:
         assert sup(0.0) == pytest.approx(10.0)
         assert sup(0.5) == pytest.approx(10.0 + math.sqrt(3.0) / 2.0)
 
+    def test_upper_envelope_is_the_unclamped_formula_bit_for_bit(self):
+        # for a shift A > 0 the clamp at 0 never acts
+        params = std_params()
+        sup = build_supersolution(params, 0.25)
+        r = np.linspace(0.0, 1.0 - 1e-9, 2001)
+        unclamped = 0.25 + sup.B * (r / params.R) ** 2 * (params.R - r) ** (-params.beta)
+        assert np.array_equal(sup(r), unclamped)
+        assert sup.activation_radius == 0.0
+
     def test_blowup_endpoint_refused(self):
         sup = build_supersolution(std_params(), 1.0)
         sub = build_subsolution(std_params(), -1.0)
@@ -135,7 +146,7 @@ class TestEnvelopeConstruction:
             params = std_params(epsilon=eps)
             sup = build_supersolution(params, float(rng.uniform(0.5, 8.0)))
             sub = build_subsolution(params, float(-rng.uniform(0.1, 8.0)))
-            assert np.all(sub.evaluate(r) <= sup.evaluate(r))
+            assert np.all(sub(r) <= sup(r))
 
     def test_normalized_boundary_growth(self):
         # envelope * d**beta / amplitude -> 1 as d -> 0
@@ -171,7 +182,7 @@ class TestActivationRadius:
     def test_vanishes_below_activation(self):
         sub = build_subsolution(std_params(), -1.0)
         r = np.linspace(0.0, sub.activation_radius - 1e-6, 50)
-        assert np.all(sub.evaluate(r) == 0.0)
+        assert np.all(sub(r) == 0.0)
         assert sub(sub.activation_radius + 1e-6) > 0.0
 
     def test_limits_in_shift(self):
@@ -192,24 +203,56 @@ class TestInequalities:
     def test_super_holds_with_min_shift(self):
         params = std_params()
         samples = np.linspace(0.0, 1.0, 10001)
-        A = find_min_A(params, samples)
-        assert A == 4.0
-        rep = verify_super_inequality(params, A, samples)
-        assert rep.ok and rep.worst_margin >= 0.0
+        found = find_min_A(params, samples)
+        assert found.ok and found.envelope.shift == 4.0
+        rep = verify_super_inequality(params, found.envelope, samples)
+        assert rep.ok and np.all(rep.margins >= 0.0)
 
     def test_super_fails_with_balanced_amplitude_and_no_shift(self):
         # the balanced amplitude alone cannot carry the condition at small r
         params = std_params()
         samples = np.linspace(0.0, 0.5, 2001)
-        rep = verify_super_inequality(params, 0.0, samples, B=params.K)
+        balanced = Envelope(shift=0.0, B=params.K, beta=params.beta, R=params.R)
+        rep = verify_super_inequality(params, balanced, samples)
         assert not rep.ok
-        assert rep.worst_margin < 0.0
+        assert np.min(rep.margins) < 0.0
 
     def test_min_shift_monotone(self):
         params = std_params()
         samples = np.linspace(0.0, 1.0, 4001)
-        A = find_min_A(params, samples)
-        assert verify_super_inequality(params, 2.0 * A, samples).ok
+        A = find_min_A(params, samples).envelope.shift
+        assert verify_super_inequality(params, build_supersolution(params, 2.0 * A), samples).ok
+
+    def test_reports_carry_the_sample_margins(self):
+        params = std_params()
+        samples = np.linspace(0.0, 1.0, 1001)
+        sup = build_supersolution(params, 2.0)
+        rep = verify_super_inequality(params, sup, samples)
+        assert rep.envelope is sup
+        assert np.array_equal(rep.margins, super_inequality_margins(params, sup, samples))
+        sub = build_subsolution(params, -1.0)
+        sub_samples = np.linspace(sub.activation_radius, 1.0 - 1e-6, 1001)
+        sub_rep = verify_sub_inequality(params, sub, sub_samples)
+        assert np.array_equal(sub_rep.sufficient_margins, sub_sufficient_margins(params, sub, sub_samples))
+
+    def test_sub_verifier_uses_the_envelope_as_built(self, monkeypatch):
+        params = std_params()
+        sub = build_subsolution(params, -1.0)
+
+        def no_bisection(*args):
+            raise AssertionError("verify_sub_inequality rebuilt the envelope")
+
+        monkeypatch.setattr(subsuper, "build_subsolution", no_bisection)
+        samples = np.linspace(sub.activation_radius, 1.0 - 1e-6, 101)
+        assert verify_sub_inequality(params, sub, samples).ok
+
+    def test_min_shift_not_found_is_none(self):
+        # the standard parameters need A = 4
+        assert find_min_A(std_params(), np.linspace(0.0, 1.0, 1001), A_grid=[1.0, 2.0]) is None
+
+    def test_a_grid_entries_must_be_shifts(self):
+        with pytest.raises(ParameterError):
+            find_min_A(std_params(), np.linspace(0.0, 1.0, 101), A_grid=[0.0, 4.0])
 
     def test_a_grid_must_increase(self):
         with pytest.raises(ParameterError):
@@ -217,12 +260,12 @@ class TestInequalities:
 
     def test_sufficient_form_pointwise_value(self):
         # amplitude 1: margin(0.9) = 2 - 0.9**4
-        margins = sub_sufficient_margins(std_params(), np.asarray([0.9]))
+        margins = sub_sufficient_margins(std_params(), build_subsolution(std_params(), -1.0), np.asarray([0.9]))
         assert margins[0] == pytest.approx(2.0 - 0.9**4)
 
     def test_sufficient_form_strict_at_boundary(self):
         params = std_params()
-        margin_at_R = sub_sufficient_margins(params, np.asarray([params.R]))[0]
+        margin_at_R = sub_sufficient_margins(params, build_subsolution(params, -1.0), np.asarray([params.R]))[0]
         expected = 2.0 - (1.0 - params.epsilon) * 2.0
         assert margin_at_R == pytest.approx(expected)
         assert margin_at_R > 0.0
@@ -231,18 +274,19 @@ class TestInequalities:
         params = std_params()
         sub = build_subsolution(params, -1.0)
         samples = np.linspace(sub.activation_radius, 1.0 - 1e-6, 10001)
-        rep = verify_sub_inequality(params, -1.0, samples)
+        rep = verify_sub_inequality(params, sub, samples)
         assert rep.ok and rep.ok_full and rep.ok_sufficient
 
     def test_samples_below_activation_rejected(self):
         params = std_params()
         with pytest.raises(ParameterError):
-            verify_sub_inequality(params, -1.0, np.linspace(0.0, 0.9, 101))
+            verify_sub_inequality(params, build_subsolution(params, -1.0), np.linspace(0.0, 0.9, 101))
 
     def test_super_margin_nonnegative_at_endpoint_sample(self):
         params = std_params()
-        margins = super_inequality_margins(params, 4.0, np.asarray([params.R]))
-        B = build_supersolution(params, 4.0).B
+        sup = build_supersolution(params, 4.0)
+        margins = super_inequality_margins(params, sup, np.asarray([params.R]))
+        B = sup.B
         expected = params.a_R * B**params.p - B * params.beta * (params.beta + 1.0)
         assert margins[0] == pytest.approx(expected)
         assert margins[0] > 0.0
