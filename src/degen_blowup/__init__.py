@@ -76,6 +76,7 @@ from .weights import (
     B2Report,
     Domain,
     InteriorVanishingWeight,
+    QuadWork,
     WeightFamily,
     catalogue_families,
     check_a2,

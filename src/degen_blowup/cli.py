@@ -11,14 +11,27 @@ CSV plus a small text report into the output directory.  Exit codes:
 
 The sweep command runs its member configs concurrently, on up to
 min(4, members) threads, and prints their lines once all have finished,
-in the order its config lists them.
+in the order its config lists them.  The b2 command checks its entries
+on two threads, which share one table of midpoint offsets and own one
+work array each (weights.QuadWork), and writes its rows and lines in
+entry order.  Threads pay off where the work is numpy ufuncs on large
+arrays, which run without the interpreter lock, as the quadratures do;
+solve and rate spend most of their time in the pure-Python tridiagonal
+loop, which holds it, so sweep members of those kinds gain less.
+
+A value that the envelope code refuses while a command runs (problem.A,
+problem.C, verify.C, an entry of verify.C_list, verify.r_gap) is a
+config error naming the file, the line and the key, like the errors of
+the config module.
 """
 
 from __future__ import annotations
 
 import argparse
+import queue
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -72,11 +85,13 @@ from .weights import (
     A2Report,
     Domain,
     InteriorVanishingWeight,
+    QuadWork,
     WeightFamily,
     catalogue_families,
     check_a2,
     check_b2,
     check_b2_margin,
+    check_quad_nodes,
 )
 
 EXIT_OK = 0
@@ -276,6 +291,23 @@ def _solve_options(cfg) -> SolveOptions:
     )
 
 
+class _ValueRefused(ConfigError):
+    """The program refused the value of one config key; _dispatch adds where the key is set."""
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(reason)
+        self.key = key
+
+
+@contextmanager
+def _value_of(key: str):
+    """Report a ParameterError or ActivationRadiusError raised inside as a refused value of key."""
+    try:
+        yield
+    except (ParameterError, ActivationRadiusError) as exc:
+        raise _ValueRefused(key, str(exc)) from exc
+
+
 def _envelopes(cfg, params: BlowupParams):
     A = cfg["problem.A"]
     if A is None:
@@ -284,8 +316,10 @@ def _envelopes(cfg, params: BlowupParams):
             raise CertificationError("no shift in the default grid makes the upper barrier hold")
         sup = report.envelope
     else:
-        sup = build_supersolution(params, A)
-    sub = build_subsolution(params, cfg["problem.C"])
+        with _value_of("problem.A"):
+            sup = build_supersolution(params, A)
+    with _value_of("problem.C"):
+        sub = build_subsolution(params, cfg["problem.C"])
     return sub, sup
 
 
@@ -403,19 +437,27 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     params = _blowup_params(cfg)
 
     C = cfg["verify.C"]
-    sub = build_subsolution(params, C)
+    with _value_of("verify.C"):
+        sub = build_subsolution(params, C)
     r_hi = params.R - cfg["verify.r_gap"]
     sub_samples = np.linspace(sub.activation_radius, r_hi, n_samples)
-    sub_report = verify_sub_inequality(params, sub, sub_samples)
+    with _value_of("verify.r_gap"):
+        sub_report = verify_sub_inequality(params, sub, sub_samples)
 
-    c_table = [(c, build_subsolution(params, c).activation_radius) for c in cfg["verify.C_list"]]
+    with _value_of("verify.C_list"):
+        # verify.C is bisected once, also when the list repeats it
+        c_table = [
+            (c, (sub if c == C else build_subsolution(params, c)).activation_radius) for c in cfg["verify.C_list"]
+        ]
 
     samples = np.linspace(0.0, params.R, n_samples)
     A = cfg["problem.A"]
     if A is None:
         sup_report = find_min_A(params, samples)
     else:
-        sup_report = verify_super_inequality(params, build_supersolution(params, A), samples)
+        with _value_of("problem.A"):
+            sup = build_supersolution(params, A)
+        sup_report = verify_super_inequality(params, sup, samples)
     min_A = None if sup_report is None else sup_report.envelope.shift
     super_ok = sup_report is not None and sup_report.ok
     B = (build_supersolution(params, 1.0) if sup_report is None else sup_report.envelope).B
@@ -511,6 +553,32 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
     return EXIT_NONCONVERGED
 
 
+# cmd_b2 checks its entries on this many threads: the quadratures are numpy
+# ufuncs over 10**5 to 10**6 doubles, which run without the interpreter lock
+_B2_WORKERS = 2
+
+
+def _b2_row(entry, margin: float, quad: int, work: QuadWork) -> tuple:
+    """The b2.csv row of one (label, weight, domain) entry, its grids built in work."""
+    label, weight, dom = entry
+    report = check_b2(weight, dom, margin, quad, work)
+    if isinstance(weight, WeightFamily):
+        two_sided = check_a2(weight, R=dom.R, quad_nodes=quad, work=work)
+    else:
+        # reciprocal already fails local integrability across the
+        # degeneracy point, so the two-sided averages diverge too
+        two_sided = A2Report(passes=False, a2_estimate=float("inf"), divergent=True)
+    return (
+        label,
+        report.passes,
+        report.integral_estimate,
+        report.relative_change,
+        report.divergent,
+        two_sided.passes,
+        two_sided.a2_estimate,
+    )
+
+
 def cmd_b2(cfg, out: Path, say) -> int:
     n_dim = cfg["b2.N"]
     R = cfg["b2.R"]
@@ -531,33 +599,30 @@ def cmd_b2(cfg, out: Path, say) -> int:
         family = WeightFamily(mode, alpha=cfg["b2.alpha"], beta_log=cfg["b2.beta_log"], a_exp=cfg["b2.a_exp"])
         family.validate_for_dimension(n_dim)
         entries.append((mode, family, domain))
-    for _, _, dom in entries:  # before any quadrature
+    for _, _, dom in entries:  # before any quadrature or work array
         check_b2_margin(dom, margin)
+    check_quad_nodes(quad)
+
+    # one i + 0.5 table for the run, one values array and block per thread;
+    # check_a2's largest grid, 8 * quad cells, is the largest either check builds
+    workers = min(_B2_WORKERS, len(entries))
+    first = QuadWork.allocate(8 * quad)
+    free = queue.SimpleQueue()
+    for work in [first, *(first.sibling() for _ in range(workers - 1))]:
+        free.put(work)
+
+    def check(entry):
+        work = free.get()  # never waits: there are as many as threads
+        try:
+            return _b2_row(entry, margin, quad, work)
+        finally:
+            free.put(work)
 
     rows = []
-    for label, weight, dom in entries:
-        report = check_b2(weight, dom, margin, quad)
-        if isinstance(weight, WeightFamily):
-            two_sided = check_a2(weight, R=dom.R, quad_nodes=quad)
-        else:
-            # reciprocal already fails local integrability across the
-            # degeneracy point, so the two-sided averages diverge too
-            two_sided = A2Report(passes=False, a2_estimate=float("inf"), divergent=True)
-        rows.append(
-            (
-                label,
-                report.passes,
-                report.integral_estimate,
-                report.relative_change,
-                report.divergent,
-                two_sided.passes,
-                two_sided.a2_estimate,
-            )
-        )
-        say(
-            f"b2: {label:32s} passes={report.passes} divergent={report.divergent} "
-            f"two_sided={two_sided.passes}",
-        )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for row in pool.map(check, entries):  # in entry order; the first error raises
+            rows.append(row)
+            say(f"b2: {row[0]:32s} passes={row[1]} divergent={row[4]} two_sided={row[5]}")
 
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -651,7 +716,16 @@ def _dispatch(command: str, config_path: Path, out: Path, say) -> int:
     """Run one command; say(line) takes each progress line."""
     if command == "sweep":
         return cmd_sweep(config_path, out, say)
-    return _HANDLERS[command](_load_config(command, config_path), out, say)
+    cfg = _load_config(command, config_path)
+    try:
+        return _HANDLERS[command](cfg, out, say)
+    except _ValueRefused as exc:
+        entry = parse_config_file(config_path).get(exc.key)
+        if entry is None:  # the key took its default
+            where = f"{config_path}: key {exc.key!r} (default)"
+        else:
+            where = f"{config_path}:{entry[1]}: key {exc.key!r}"
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def main(argv=None) -> int:

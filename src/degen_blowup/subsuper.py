@@ -107,6 +107,10 @@ class BlowupParams:
         probe = self.a_at(np.linspace(0.0, self.R, 65))
         if not (np.all(np.isfinite(probe)) and np.all(probe > 0.0)):
             raise ParameterError("a(r) must be finite and positive on [0, R]")
+        # so that every envelope amplitude exists, and the envelope builders
+        # refuse only their shift
+        if self.beta + 1.0 - self.alpha <= 0.0:
+            raise ParameterError(f"beta + 1 - alpha must be positive; got {self.beta + 1.0 - self.alpha}")
 
     def a_at(self, r) -> np.ndarray:
         return as_function(self.a_coef, "a_coef")(r)
@@ -131,10 +135,6 @@ def _envelope_amplitude(params: BlowupParams, factor: float) -> float:
     collapse onto the balanced amplitude K as eps -> 0.
     """
     beta = params.beta
-    if beta + 1.0 - params.alpha <= 0.0:
-        raise ParameterError(
-            f"beta + 1 - alpha must be positive; got {beta + 1.0 - params.alpha}"
-        )
     return (factor * beta * (beta + 1.0 - params.alpha) / params.a_R) ** (
         1.0 / (params.p - 1.0)
     )

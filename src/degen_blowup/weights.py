@@ -29,6 +29,10 @@ from .errors import BoundaryEvaluationError, DomainError, ParameterError
 
 _FAMILY_TAGS = ("constant", "power", "power-log", "log-negative", "exp-deficit")
 
+# Values per block where a formula needs a second array next to its input:
+# that array is one block long, not as long as the grid.
+_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class WeightFamily:
@@ -95,15 +99,15 @@ class WeightFamily:
         """Raw profile evaluation; callers guard the t=0 endpoint."""
         return self.tau_in_place(np.array(t, dtype=float))
 
-    def tau_in_place(self, t: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    def tau_in_place(self, t: np.ndarray, block: np.ndarray | None = None) -> np.ndarray:
         """Overwrite the float array t with tau(t) and return it.
 
         Each profile runs the ufuncs of its formula in the formula's order,
         with the in-place operators (``**=`` takes numpy's scalar-power fast
         paths just as ``**`` does), so the values are those of the plain
-        expressions bit for bit.  power-log needs a second array of t's
-        shape for its log factor: the first t.size values of ``scratch``
-        (see ``tau_scratch``), or a fresh array.
+        expressions bit for bit.  power-log needs a second array for its
+        log factor; it builds it ``_BLOCK`` values at a time in ``block``
+        (a fresh array when None), so t must be 1-d or contiguous.
         """
         if self.tag == "constant":
             t.fill(1.0)
@@ -111,12 +115,17 @@ class WeightFamily:
             t **= self.alpha
         elif self.tag == "power-log":
             # t**alpha * log(2 + 1/t)**beta_log; the log factor reads t first
-            log_term = np.divide(1.0, t, out=np.empty_like(t) if scratch is None else scratch[: t.size])
-            log_term += 2.0
-            np.log(log_term, out=log_term)
-            log_term **= self.beta_log
-            t **= self.alpha
-            t *= log_term
+            flat = t.reshape(-1)
+            if block is None:
+                block = np.empty(min(flat.size, _BLOCK))
+            for lo in range(0, flat.size, _BLOCK):
+                part = flat[lo : lo + _BLOCK]
+                log_term = np.divide(1.0, part, out=block[: part.size])
+                log_term += 2.0
+                np.log(log_term, out=log_term)
+                log_term **= self.beta_log
+                part **= self.alpha
+                part *= log_term
         elif self.tag == "log-negative":
             # log(2 + 1/t)**(-alpha)
             np.divide(1.0, t, out=t)
@@ -129,10 +138,6 @@ class WeightFamily:
             np.exp(t, out=t)
             np.subtract(1.0, t, out=t)
         return t
-
-    def tau_scratch(self, size: int) -> np.ndarray | None:
-        """The work array ``tau_in_place`` needs for up to ``size`` points, if any."""
-        return np.empty(size) if self.tag == "power-log" else None
 
     def finite_positive_at_zero(self) -> bool:
         """True when tau extends continuously to a positive value at t = 0."""
@@ -245,11 +250,46 @@ class B2Report:
     divergent: bool
 
 
+@dataclass(frozen=True, eq=False)
+class QuadWork:
+    """Arrays for the midpoint grids of ``check_b2`` and ``check_a2``.
+
+    ``half`` holds i + 0.5 for every i below its length and is read only,
+    so threads may share one table.  ``values`` is as long; a call builds
+    its points and integrand values in it.  ``block``, ``_BLOCK`` values,
+    holds power-log's log factor a block at a time.  A call writes both,
+    so each thread needs its own.  Sized for 8 * quad_nodes, one object
+    serves both checks at quad_nodes (``check_b2`` needs at most that,
+    ``check_a2`` exactly that).
+    """
+
+    half: np.ndarray
+    values: np.ndarray
+    block: np.ndarray
+
+    @classmethod
+    def allocate(cls, size: int) -> "QuadWork":
+        half = np.arange(size, dtype=float)
+        half += 0.5
+        half.flags.writeable = False
+        return cls(half, np.empty(size), np.empty(_BLOCK))
+
+    def sibling(self) -> "QuadWork":
+        """A work object sharing this one's i + 0.5 table, with its own values and block."""
+        return QuadWork(self.half, np.empty(self.half.size), np.empty(_BLOCK))
+
+    def values_for(self, size: int, caller: str) -> np.ndarray:
+        """The first size values, refusing a work object sized for fewer."""
+        if self.values.size < size:
+            raise ParameterError(f"{caller} needs work arrays of {size} values; got {self.values.size}")
+        return self.values[:size]
+
+
 def _midpoint(f, a: float, b: float, n: int, half: np.ndarray, out: np.ndarray) -> float:
     """Midpoint rule for f on (a, b) with n cells, the points built in out[:n].
 
-    ``half`` holds i + 0.5 for i < n at least (it may be ``out`` itself on
-    the last use); f receives the points and may overwrite them.
+    ``half`` holds i + 0.5 for i < n at least; f receives the points and
+    may overwrite them.
     """
     x = np.multiply(half[:n], b - a, out=out[:n])
     x /= n
@@ -268,7 +308,13 @@ def check_b2_margin(domain: Domain, margin: float) -> None:
         )
 
 
-def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256) -> B2Report:
+def check_quad_nodes(quad_nodes: int) -> None:
+    """Refuse a coarsest grid of fewer than 16 cells, for either check."""
+    if quad_nodes < 16:
+        raise ParameterError(f"quad_nodes must be at least 16; got {quad_nodes}")
+
+
+def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256, work: QuadWork | None = None) -> B2Report:
     """Integrate 1/w over the compact subset {d >= margin} with refinement.
 
     Composite midpoint quadrature at quad_nodes, 2*quad_nodes and
@@ -277,17 +323,22 @@ def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256) -> B2
     A monotone-growing sequence whose increments do not shrink is flagged
     divergent (the signature of a non-integrable 1/w).  This is a
     surrogate for local integrability, not a proof.
+
+    The grids are built in ``work`` (see ``QuadWork``), or in arrays
+    allocated for this call when it is None.
     """
     check_b2_margin(domain, margin)
-    if quad_nodes < 16:
-        raise ParameterError(f"quad_nodes must be at least 16; got {quad_nodes}")
+    check_quad_nodes(quad_nodes)
 
-    # work arrays for the largest grid, 4n cells; each estimate uses their
-    # prefixes, and the last one builds its points over the i + 0.5 values
+    # each estimate builds its points in a prefix of the first 4n values; the
+    # integrands build R - x a block at a time in the values after them, so
+    # at most 8n values are used, as in check_a2
     n = 4 * quad_nodes
-    half = np.arange(n, dtype=float)
-    half += 0.5
-    points = np.empty(n // 2)
+    size = n + min(n, _BLOCK)
+    if work is None:
+        work = QuadWork.allocate(size)
+    values = work.values_for(size, "check_b2")
+    points, gap = values[:n], values[n:]
 
     if isinstance(weight, InteriorVanishingWeight):
         if domain.kind != "interval":
@@ -299,31 +350,32 @@ def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256) -> B2
         a, b = margin, domain.R - margin
     elif domain.kind == "ball":
         weight.validate_for_dimension(domain.N)
-        gap, scratch = np.empty(n), weight.tau_scratch(n)
 
         def integrand(r):
             # r**(N-1) / tau(R - r)
-            g = np.subtract(domain.R, r, out=gap[: r.size])
-            weight.tau_in_place(g, scratch)
-            r **= domain.N - 1
-            return np.divide(r, g, out=r)
+            for lo in range(0, r.size, _BLOCK):
+                part = r[lo : lo + _BLOCK]
+                g = np.subtract(domain.R, part, out=gap[: part.size])
+                weight.tau_in_place(g, work.block)
+                part **= domain.N - 1
+                np.divide(part, g, out=part)
+            return r
 
         a, b = 0.0, domain.R - margin
     else:
         weight.validate_for_dimension(domain.N)
-        gap, scratch = np.empty(n), weight.tau_scratch(n)
 
         def integrand(x):
             # 1 / tau(min(x, R - x))
-            np.minimum(x, np.subtract(domain.R, x, out=gap[: x.size]), out=x)
-            return np.divide(1.0, weight.tau_in_place(x, scratch), out=x)
+            for lo in range(0, x.size, _BLOCK):
+                part = x[lo : lo + _BLOCK]
+                np.minimum(part, np.subtract(domain.R, part, out=gap[: part.size]), out=part)
+            return np.divide(1.0, weight.tau_in_place(x, work.block), out=x)
 
         a, b = margin, domain.R - margin
 
     with np.errstate(divide="ignore", over="ignore"):
-        estimates = [
-            _midpoint(integrand, a, b, quad_nodes * k, half, out) for k, out in ((1, points), (2, points), (4, half))
-        ]
+        estimates = [_midpoint(integrand, a, b, quad_nodes * k, work.half, points) for k in (1, 2, 4)]
 
     if not all(np.isfinite(estimates)):
         return B2Report(False, estimates[-1], math.inf, True)
@@ -362,7 +414,9 @@ def _refinement_verdict(estimates: list[float]):
     return estimates[-1], divergent
 
 
-def check_a2(family: WeightFamily, R: float = 1.0, levels: int = 6, quad_nodes: int = 256) -> A2Report:
+def check_a2(
+    family: WeightFamily, R: float = 1.0, levels: int = 6, quad_nodes: int = 256, work: QuadWork | None = None
+) -> A2Report:
     """Two-sided average surrogate over boundary-touching gap intervals.
 
     For the one-dimensional profile tau on the boundary gap, estimates
@@ -386,21 +440,22 @@ def check_a2(family: WeightFamily, R: float = 1.0, levels: int = 6, quad_nodes: 
     rescaled.  So tau is evaluated once on the largest grid of each scale
     s = k + log2(cells / n), and 1/tau is taken from the same values:
     7n + 8n*levels points (55n at six levels) instead of 30n*levels.
+    The grids are built in ``work`` (see ``QuadWork``), or in arrays
+    allocated for this call when it is None.
     """
     if not R > 0.0:
         raise ParameterError(f"R must be positive; got {R}")
     if levels < 1:
         raise ParameterError(f"levels must be at least 1; got {levels}")
-    if quad_nodes < 16:
-        raise ParameterError(f"quad_nodes must be at least 16; got {quad_nodes}")
+    check_quad_nodes(quad_nodes)
     direct: list[list[float]] = [[] for _ in range(levels)]
     recip: list[list[float]] = [[] for _ in range(levels)]
     worst = 0.0
-    # work arrays for the largest grid, 8n cells; each scale fills a prefix
+    # each scale fills a prefix of the work arrays, sized for the largest grid, 8n cells
     top = 8 * quad_nodes
-    half = np.arange(top, dtype=float)
-    half += 0.5
-    values, scratch = np.empty(top), family.tau_scratch(top)
+    if work is None:
+        work = QuadWork.allocate(top)
+    half, values = work.half, work.values_for(top, "check_a2")
     with np.errstate(divide="ignore", over="ignore"):
         for s in range(levels + 3):
             # level k meets scale s with quad_nodes * 2**(s-k) cells; the
@@ -410,7 +465,7 @@ def check_a2(family: WeightFamily, R: float = 1.0, levels: int = 6, quad_nodes: 
             _, b, cells = grids[0]
             t = np.multiply(half[:cells], b, out=values[:cells])
             t /= cells
-            family.tau_in_place(t, scratch)
+            family.tau_in_place(t, work.block)
             for k, b, c in grids:
                 direct[k].append(float(b / c * np.sum(t[:c])))
             np.divide(1.0, t, out=t)

@@ -91,7 +91,8 @@ solver.max_iters = 100
 def test_traced_verify_subsuper_builds_and_verifies_each_envelope_once(tmp_path, monkeypatch):
     # default config: find_min_A probes A = 1, 2 and 4, two margin passes each (the samples
     # and the refinement around the worst one); the report and CSVs reuse the passing
-    # probe, and one bisection each builds verify.C and the six verify.C_list entries
+    # probe, and one bisection each builds the six verify.C_list entries, verify.C = -1
+    # among them
     from degen_blowup import subsuper
 
     counts = {"bisections": 0, "in_probe": 0, "outside_probe": 0}
@@ -128,7 +129,7 @@ def test_traced_verify_subsuper_builds_and_verifies_each_envelope_once(tmp_path,
     assert tracer.trace_op(0, lambda: cli.main(["verify-subsuper", "--config", str(cfg), "--out", str(out), "--quiet"])) == 0
     metrics = _tracing.layer_metrics(tracer, [], [], [], {})
     assert metrics["subsuper.find_min_A.probes"]["value"] == 3
-    assert counts == {"bisections": 7, "in_probe": 6, "outside_probe": 0}
+    assert counts == {"bisections": 6, "in_probe": 6, "outside_probe": 0}
 
 
 def test_traced_stalled_solve_counts_only_full_residuals(tmp_path):

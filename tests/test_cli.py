@@ -11,7 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degen_blowup import assembly, cli
+from degen_blowup import (
+    A2Report,
+    Domain,
+    InteriorVanishingWeight,
+    WeightFamily,
+    assembly,
+    catalogue_families,
+    check_a2,
+    check_b2,
+    cli,
+)
 from degen_blowup.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from degen_blowup.config import parse_config_text, resolve
 
@@ -388,6 +398,115 @@ def test_b2_family_exit_code(tmp_path, family, params, code):
     if code == 0:
         _, rows = read_csv(out / "b2.csv")
         assert [row[0] for row in rows] == [family]
+
+
+def _serial_b2(n_dim=3, R=1.0, margin=0.1, quad=256, family=None, include_failing=True):
+    """b2.csv rows and progress lines from one check_b2/check_a2 call per entry, each with fresh arrays."""
+    domain = Domain.ball(R, n_dim)
+    if family is None:
+        entries = [(label, fam, domain) for label, fam in catalogue_families(n_dim)]
+        if include_failing:
+            entries.append((f"interior-vanishing(|x-{R / 2:g}|)", InteriorVanishingWeight(R / 2), Domain.interval(R)))
+    else:
+        entries = [(family.tag, family, domain)]
+    rows, lines = [], []
+    for label, weight, dom in entries:
+        b2 = check_b2(weight, dom, margin, quad)
+        if isinstance(weight, WeightFamily):
+            a2 = check_a2(weight, R=dom.R, quad_nodes=quad)
+        else:
+            a2 = A2Report(passes=False, a2_estimate=math.inf, divergent=True)
+        rows.append((label, b2.passes, b2.integral_estimate, b2.relative_change, b2.divergent, a2.passes, a2.a2_estimate))
+        lines.append(f"b2: {label:32s} passes={b2.passes} divergent={b2.divergent} two_sided={a2.passes}\n")
+    return rows, "".join(lines)
+
+
+_B2_HEADER = ["family", "passes", "integral_estimate", "relative_change", "divergent", "a2_passes", "a2_estimate"]
+
+
+@pytest.mark.parametrize(
+    "body, reference",
+    [
+        ("b2.quad_nodes = 16\n", {"quad": 16}),
+        ("b2.quad_nodes = 17\n", {"quad": 17}),
+        ("b2.quad_nodes = 256\n", {"quad": 256}),
+        ("b2.include_failing = false\n", {"include_failing": False}),
+        ("b2.N = 5\nb2.R = 2.7\nb2.margin = 0.3\nb2.quad_nodes = 100\n", {"n_dim": 5, "R": 2.7, "margin": 0.3, "quad": 100}),
+        (
+            "b2.family = power-log\nb2.alpha = -0.5\nb2.beta_log = 2\n",
+            {"family": WeightFamily.power_log(-0.5, 2.0)},
+        ),
+    ],
+    ids=["catalogue-16", "catalogue-17", "catalogue-256", "no-failing-case", "N5-R2.7", "one-family"],
+)
+def test_b2_pool_matches_serial_checks(tmp_path, capsys, body, reference):
+    # the table and the lines of the two-thread run, byte for byte and in entry order
+    cfg = write(tmp_path / "b2.cfg", f"run.command = b2\n{body}")
+    out = tmp_path / "out"
+    assert main(["b2", "--config", str(cfg), "--out", str(out)]) == 0
+    rows, lines = _serial_b2(**reference)
+    _reference_write_csv(tmp_path / "serial.csv", _B2_HEADER, rows)
+    assert (out / "b2.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert capsys.readouterr().out == lines
+
+
+def test_b2_lines_come_in_entry_order(tmp_path, capsys, monkeypatch):
+    # the first entry finishes after the second, yet its line comes first
+    second_done = threading.Event()
+    first, second = (family for _, family in catalogue_families(3)[:2])
+    check_a2 = cli.check_a2
+
+    def ordered(family, **kwargs):
+        if family == first:
+            assert second_done.wait(30)
+        try:
+            return check_a2(family, **kwargs)
+        finally:
+            if family == second:
+                second_done.set()
+
+    monkeypatch.setattr(cli, "check_a2", ordered)
+    cfg = write(tmp_path / "b2.cfg", "run.command = b2\nb2.quad_nodes = 16\n")
+    out = tmp_path / "out"
+    assert main(["b2", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == _serial_b2(quad=16)[1]
+
+
+def test_b2_run_traced_peak_at_65536_nodes(tmp_path):
+    # one i + 0.5 table and one values array per thread, 8 * 65536 doubles
+    # (4 MB) each, plus a block of each thread's gap or power-log factor
+    cfg = write(tmp_path / "b2.cfg", "run.command = b2\nb2.quad_nodes = 65536\n")
+    warm = write(tmp_path / "warm.cfg", "run.command = b2\nb2.quad_nodes = 16\n")
+    assert main(["b2", "--config", str(warm), "--out", str(tmp_path / "warm"), "--quiet"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["b2", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5, peak
+
+
+@pytest.mark.parametrize(
+    "command, body, where",
+    [
+        ("verify-subsuper", "problem.A = -1", ":3: key 'problem.A': shift A must be positive"),
+        ("verify-subsuper", "verify.C = -1e20", ":3: key 'verify.C': activation radius not bracketed"),
+        ("verify-subsuper", "verify.C_list = -1,-1e20", ":3: key 'verify.C_list': activation radius not bracketed"),
+        ("verify-subsuper", "verify.r_gap = 0.9", ":3: key 'verify.r_gap': samples must lie at or beyond"),
+        # -8, the first default entry, is too deep for the flat envelope of p = 100
+        ("verify-subsuper", "problem.p = 100", ": key 'verify.C_list' (default): activation radius not bracketed"),
+        ("solve", "problem.A = -1", ":3: key 'problem.A': shift A must be positive"),
+        ("exhaust", "problem.C = -1e20", ":3: key 'problem.C': activation radius not bracketed"),
+    ],
+    ids=["A", "C", "C_list", "r_gap", "C_list-default", "solve-A", "exhaust-C"],
+)
+def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, where):
+    cfg = write(tmp_path / "run.cfg", f"run.command = {command}\n# the value under test\n{body}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}{where}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

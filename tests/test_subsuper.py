@@ -57,6 +57,12 @@ class TestConstants:
         with pytest.raises(ParameterError):
             blowup_constant(2.0, 0.0, -1.0, 2.0)
 
+    def test_params_without_an_envelope_amplitude_are_refused(self):
+        # alpha = gamma = 3, p = 3: beta = 1 and beta + 1 - alpha = -1, so no
+        # envelope exists, and the envelope builders refuse only their shift
+        with pytest.raises(ParameterError, match="beta \\+ 1 - alpha must be positive"):
+            BlowupParams(p=3.0, alpha=3.0, gamma=3.0, N=3, R=1.0)
+
     def test_balance_residual_signs(self):
         K = blowup_constant(3.0, 0.0, 1.0, 1.0)
         assert leading_balance_residual(3.0, 0.0, 0.0, K, 1.0) == pytest.approx(0.0, abs=1e-14)

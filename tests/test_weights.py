@@ -19,6 +19,7 @@ from degen_blowup import (
     distance_to_boundary,
     eval_weight,
 )
+from degen_blowup.weights import _BLOCK
 
 
 class TestDistance:
@@ -227,7 +228,7 @@ class TestCheckA2:
     def test_traced_peak_at_65536_nodes(self):
         # the work arrays of the largest grid, 8 * 65536 doubles of 4 MB
         # each, are all a call allocates: the i + 0.5 values and the
-        # values, plus power-log's log factor
+        # values, plus one block of power-log's log factor
         peaks = {}
         tracemalloc.start()
         try:
@@ -238,7 +239,7 @@ class TestCheckA2:
                 peaks[label] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
         finally:
             tracemalloc.stop()
-        assert all(peak <= (12.5 if label.startswith("power-log") else 8.5) for label, peak in peaks.items()), peaks
+        assert all(peak <= 8.25 for peak in peaks.values()), peaks
 
 
 def _literal_tau(family, t):
@@ -312,6 +313,20 @@ def test_tau_bit_identical_to_formula(label):
     assert gaps.tobytes() == kept.tobytes()  # tau leaves its argument alone
 
 
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, None], ids=lambda s: f"size-{s}")
+@pytest.mark.parametrize("label", [label for label in _A2_FAMILIES if label.startswith("power-log")])
+def test_blocked_power_log_tau_bit_identical_to_formula(label, size):
+    # the log factor is built a block at a time: around one block, past
+    # three with a short last one, and on a 0-d array (size None)
+    family = _A2_FAMILIES[label]
+    t = np.asarray(0.25) if size is None else np.geomspace(1e-300, 1e3, size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        expected = np.asarray(_literal_tau(family, t)).tobytes()
+        assert np.asarray(family.tau(t)).tobytes() == expected
+        assert family.tau_in_place(t.copy()).tobytes() == expected
+        assert family.tau_in_place(t.copy(), np.empty(_BLOCK)).tobytes() == expected
+
+
 def _reference_check_b2(weight, domain, margin, quad_nodes):
     """check_b2's report from the plain integrands, each grid built apart."""
     if isinstance(weight, InteriorVanishingWeight):
@@ -364,7 +379,8 @@ _B2_CASES = [
 ]
 
 
-@pytest.mark.parametrize("quad_nodes", [16, 17, 100, 4096])
+# 4 * 4097 points: the integrands' last block holds 4 values
+@pytest.mark.parametrize("quad_nodes", [16, 17, 100, 4096, 4097])
 @pytest.mark.parametrize("case", _B2_CASES, ids=[case[0] for case in _B2_CASES])
 def test_check_b2_bit_identical_to_plain_midpoint_rule(case, quad_nodes):
     _, weight, domain, margin = case
@@ -374,8 +390,8 @@ def test_check_b2_bit_identical_to_plain_midpoint_rule(case, quad_nodes):
 
 
 def test_check_b2_traced_peak_at_65536_nodes():
-    # three work arrays of 4 * 65536 doubles, one of them half size; power-log
-    # adds its log factor
+    # two work arrays of 4 * 65536 doubles and a block, 2.1 MB each, the block
+    # for the gap; power-log adds one block of its log factor
     peaks = {}
     tracemalloc.start()
     try:
@@ -386,4 +402,4 @@ def test_check_b2_traced_peak_at_65536_nodes():
             peaks[label] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
     finally:
         tracemalloc.stop()
-    assert all(peak <= (7.5 if label.startswith("power-log") else 5.5) for label, peak in peaks.items()), peaks
+    assert all(peak <= 4.5 for peak in peaks.values()), peaks
