@@ -19,10 +19,10 @@ arrays, which run without the interpreter lock, as the quadratures do;
 solve and rate spend most of their time in the pure-Python tridiagonal
 loop, which holds it, so sweep members of those kinds gain less.
 
-A value that the envelope code refuses while a command runs (problem.A,
-problem.C, verify.C, an entry of verify.C_list, verify.r_gap) is a
-config error naming the file, the line and the key, like the errors of
-the config module.
+A value of one key that a command refuses while it runs (problem.kind,
+problem.A, problem.C, verify.C, an entry of verify.C_list, verify.r_gap,
+verify.samples, b2.margin, b2.quad_nodes) is a config error naming the
+file, the line and the key, like the errors of the config module.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 from . import __version__
 from .assembly import (
     CallableNonlinearity,
-    DiscreteField,
     Problem,
     assemble_residual,  # not called here; bench/tracing.py wraps cli.assemble_residual
     constant_field,
@@ -161,7 +160,6 @@ SCHEMAS = {
         **_SOLVER_KEYS,
         "rate.d_min": ("float", 1e-3),
         "rate.d_max": ("float", 1e-2),
-        "rate.synthetic": ("bool", False),
     },
     "verify-subsuper": {
         **_RUN_KEYS,
@@ -181,7 +179,6 @@ SCHEMAS = {
         "exhaust.compact_radius": ("float", 0.5),
         "exhaust.tol": ("float", 1e-6),
         "exhaust.monitor_m": ("int", 101),
-        "exhaust.sub_shift": ("float", 0.0),
     },
     "b2": {
         **_RUN_KEYS,
@@ -262,10 +259,9 @@ def _write_report(path: Path, items: list[tuple[str, object]]) -> None:
 # ---------------------------------------------------------------------------
 
 def _blowup_params(cfg) -> BlowupParams:
-    if cfg["problem.kind"] != "blowup":
-        raise ConfigError(
-            f"key 'problem.kind' must be 'blowup' for this command; got {cfg['problem.kind']!r}"
-        )
+    with _value_of(cfg, "problem.kind"):
+        if cfg["problem.kind"] != "blowup":
+            raise ParameterError(f"must be 'blowup' for this command; got {cfg['problem.kind']!r}")
     return BlowupParams(
         p=cfg["problem.p"],
         alpha=cfg["problem.alpha"],
@@ -291,21 +287,14 @@ def _solve_options(cfg) -> SolveOptions:
     )
 
 
-class _ValueRefused(ConfigError):
-    """The program refused the value of one config key; _dispatch adds where the key is set."""
-
-    def __init__(self, key: str, reason: str):
-        super().__init__(reason)
-        self.key = key
-
-
 @contextmanager
-def _value_of(key: str):
-    """Report a ParameterError or ActivationRadiusError raised inside as a refused value of key."""
+def _value_of(cfg, key: str):
+    """Report a ParameterError or ActivationRadiusError raised inside as a
+    config error naming the file, the line and the key."""
     try:
         yield
     except (ParameterError, ActivationRadiusError) as exc:
-        raise _ValueRefused(key, str(exc)) from exc
+        raise ConfigError(f"{cfg.where(key)}: {exc}") from exc
 
 
 def _envelopes(cfg, params: BlowupParams):
@@ -316,9 +305,9 @@ def _envelopes(cfg, params: BlowupParams):
             raise CertificationError("no shift in the default grid makes the upper barrier hold")
         sup = report.envelope
     else:
-        with _value_of("problem.A"):
+        with _value_of(cfg, "problem.A"):
             sup = build_supersolution(params, A)
-    with _value_of("problem.C"):
+    with _value_of(cfg, "problem.C"):
         sub = build_subsolution(params, cfg["problem.C"])
     return sub, sup
 
@@ -359,7 +348,8 @@ def cmd_solve(cfg, out: Path, say) -> int:
     elif kind == "blowup":
         grid, lo, hi, u, report = _run_blowup_solve(cfg)
     else:
-        raise ConfigError(f"key 'problem.kind' must be 'linear' or 'blowup'; got {kind!r}")
+        with _value_of(cfg, "problem.kind"):
+            raise ParameterError(f"must be 'linear' or 'blowup'; got {kind!r}")
 
     cert = report.sandwich
 
@@ -394,13 +384,7 @@ def cmd_solve(cfg, out: Path, say) -> int:
 def cmd_rate(cfg, out: Path, say) -> int:
     window = (cfg["rate.d_min"], cfg["rate.d_max"])
     params = _blowup_params(cfg)
-    if cfg["rate.synthetic"]:
-        grid = _grid(cfg)
-        u = DiscreteField(grid, params.K * grid.boundary_gap ** (-params.beta))
-        converged = True
-    else:
-        grid, _, _, u, report = _run_blowup_solve(cfg)
-        converged = report.converged
+    grid, _, _, u, report = _run_blowup_solve(cfg)
     fit = fit_blowup_rate(u, window)
     bounds = check_epsilon_bounds(u, params.K, params.beta, params.epsilon, window)
 
@@ -425,26 +409,27 @@ def cmd_rate(cfg, out: Path, say) -> int:
         ],
     )
     say(f"rate: beta_hat={fit.beta_hat:.6g} K_hat={fit.K_hat:.6g} bounds_ok={bounds.ok}")
-    if not converged:
+    if not report.converged:
         return EXIT_NONCONVERGED
     return EXIT_OK if bounds.ok else EXIT_CERTIFICATION
 
 
 def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     n_samples = cfg["verify.samples"]
-    if n_samples < 2:
-        raise ConfigError(f"key 'verify.samples' must be at least 2; got {n_samples}")
+    with _value_of(cfg, "verify.samples"):
+        if n_samples < 2:
+            raise ParameterError(f"must be at least 2; got {n_samples}")
     params = _blowup_params(cfg)
 
     C = cfg["verify.C"]
-    with _value_of("verify.C"):
+    with _value_of(cfg, "verify.C"):
         sub = build_subsolution(params, C)
     r_hi = params.R - cfg["verify.r_gap"]
     sub_samples = np.linspace(sub.activation_radius, r_hi, n_samples)
-    with _value_of("verify.r_gap"):
+    with _value_of(cfg, "verify.r_gap"):
         sub_report = verify_sub_inequality(params, sub, sub_samples)
 
-    with _value_of("verify.C_list"):
+    with _value_of(cfg, "verify.C_list"):
         # verify.C is bisected once, also when the list repeats it
         c_table = [
             (c, (sub if c == C else build_subsolution(params, c)).activation_radius) for c in cfg["verify.C_list"]
@@ -455,7 +440,7 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     if A is None:
         sup_report = find_min_A(params, samples)
     else:
-        with _value_of("problem.A"):
+        with _value_of(cfg, "problem.A"):
             sup = build_supersolution(params, A)
         sup_report = verify_super_inequality(params, sup, samples)
     min_A = None if sup_report is None else sup_report.envelope.shift
@@ -492,23 +477,10 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
 def cmd_exhaust(cfg, out: Path, say) -> int:
     params = _blowup_params(cfg)
     sub, sup = _envelopes(cfg, params)
-    shift = cfg["exhaust.sub_shift"]
-
-    def lower(r):
-        return sub(r) + shift
-
-    # A nonzero shift corrupts the certified lower bound while the Dirichlet
-    # datum stays at the midpoint of the true envelopes: a deliberate fault
-    # injection for exercising the certification exit path.
-    datum = None
-    if shift != 0.0:
-        def datum(r):
-            return 0.5 * (sub(r) + sup(r))
-
     n0 = cfg["exhaust.n0"] or first_nested_index(params.R)
     run = solve_large_solution(
         params,
-        lower,
+        sub,
         sup,
         n0=n0,
         n_max=cfg["exhaust.n_max"],
@@ -518,7 +490,6 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
         grading=cfg["grid.grading"],
         opts=_solve_options(cfg),
         monitor_m=cfg["exhaust.monitor_m"],
-        datum=datum,
     )
 
     out.mkdir(parents=True, exist_ok=True)
@@ -599,9 +570,11 @@ def cmd_b2(cfg, out: Path, say) -> int:
         family = WeightFamily(mode, alpha=cfg["b2.alpha"], beta_log=cfg["b2.beta_log"], a_exp=cfg["b2.a_exp"])
         family.validate_for_dimension(n_dim)
         entries.append((mode, family, domain))
-    for _, _, dom in entries:  # before any quadrature or work array
-        check_b2_margin(dom, margin)
-    check_quad_nodes(quad)
+    with _value_of(cfg, "b2.margin"):
+        for _, _, dom in entries:  # before any quadrature or work array
+            check_b2_margin(dom, margin)
+    with _value_of(cfg, "b2.quad_nodes"):
+        check_quad_nodes(quad)
 
     # one i + 0.5 table for the run, one values array and block per thread;
     # check_a2's largest grid, 8 * quad cells, is the largest either check builds
@@ -641,34 +614,13 @@ def cmd_b2(cfg, out: Path, say) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "solve": cmd_solve,
-    "rate": cmd_rate,
-    "verify-subsuper": cmd_verify_subsuper,
-    "exhaust": cmd_exhaust,
-    "b2": cmd_b2,
-}
-
-
-def _load_config(command: str, config_path: Path) -> dict:
-    """config_path resolved against command's schema, refusing a run.command that names another."""
-    cfg = resolve(parse_config_file(config_path), SCHEMAS[command], source=str(config_path))
-    declared = cfg["run.command"]
-    if declared is not None and declared != command:
-        raise ConfigError(
-            f"{config_path}: run.command = {declared!r} does not match the invoked command {command!r}"
-        )
-    return cfg
-
-
-def cmd_sweep(config_path: Path, out: Path, say) -> int:
+def cmd_sweep(cfg, out: Path, say) -> int:
     """Run the member configs on a thread pool, then pass each member's lines
     to say, in the order sweep.configs lists the members."""
-    cfg = _load_config("sweep", config_path)
     paths = [p.strip() for p in cfg["sweep.configs"].split(",") if p.strip()]
     if not paths:
-        raise ConfigError(f"{config_path}: sweep.configs lists no config files")
-    base = config_path.parent
+        raise ConfigError(f"{cfg.source}: sweep.configs lists no config files")
+    base = Path(cfg.source).parent
     jobs = []
     members = {}  # output directory -> the member that writes it
     for rel in paths:
@@ -676,14 +628,14 @@ def cmd_sweep(config_path: Path, out: Path, say) -> int:
         job_out = out / sub_path.stem
         if job_out in members:
             raise ConfigError(
-                f"{config_path}: sweep members {members[job_out]} and {sub_path} would both write to {job_out}"
+                f"{cfg.source}: sweep members {members[job_out]} and {sub_path} would both write to {job_out}"
             )
         members[job_out] = sub_path
         sub_raw = parse_config_file(sub_path)
         if "run.command" not in sub_raw:
             raise ConfigError(f"{sub_path}: sweep members must declare run.command")
         sub_command = sub_raw["run.command"][0]
-        if sub_command not in _HANDLERS:
+        if sub_command not in _HANDLERS or sub_command == "sweep":
             raise ConfigError(f"{sub_path}: run.command = {sub_command!r} is not runnable in a sweep")
         jobs.append((sub_command, sub_path, job_out, []))
 
@@ -704,6 +656,16 @@ def cmd_sweep(config_path: Path, out: Path, say) -> int:
     return max(codes)
 
 
+_HANDLERS = {
+    "solve": cmd_solve,
+    "rate": cmd_rate,
+    "verify-subsuper": cmd_verify_subsuper,
+    "exhaust": cmd_exhaust,
+    "b2": cmd_b2,
+    "sweep": cmd_sweep,
+}
+
+
 def _exit_row(exc: Exception) -> tuple[int, str]:
     """Exit code and stderr label of exc from _EXIT_TABLE; re-raises the rest."""
     for types, code, label in _EXIT_TABLE:
@@ -713,19 +675,15 @@ def _exit_row(exc: Exception) -> tuple[int, str]:
 
 
 def _dispatch(command: str, config_path: Path, out: Path, say) -> int:
-    """Run one command; say(line) takes each progress line."""
-    if command == "sweep":
-        return cmd_sweep(config_path, out, say)
-    cfg = _load_config(command, config_path)
-    try:
-        return _HANDLERS[command](cfg, out, say)
-    except _ValueRefused as exc:
-        entry = parse_config_file(config_path).get(exc.key)
-        if entry is None:  # the key took its default
-            where = f"{config_path}: key {exc.key!r} (default)"
-        else:
-            where = f"{config_path}:{entry[1]}: key {exc.key!r}"
-        raise ConfigError(f"{where}: {exc}") from exc
+    """Run one command on config_path resolved against its schema; say(line)
+    takes each progress line.  A run.command naming another command is refused."""
+    cfg = resolve(parse_config_file(config_path), SCHEMAS[command], source=str(config_path))
+    declared = cfg["run.command"]
+    if declared is not None and declared != command:
+        raise ConfigError(
+            f"{config_path}: run.command = {declared!r} does not match the invoked command {command!r}"
+        )
+    return _HANDLERS[command](cfg, out, say)
 
 
 def main(argv=None) -> int:

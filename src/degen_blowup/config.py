@@ -92,11 +92,26 @@ def _convert(key: str, value: str, lineno: int, kind: str, source: str):
         ) from None
 
 
+class Config(dict):
+    """A resolved config: key -> value, remembering the file and each set key's line."""
+
+    def __init__(self, values, source: str, lines: dict[str, int]):
+        super().__init__(values)
+        self.source = source
+        self.lines = lines
+
+    def where(self, key: str) -> str:
+        """Where key is set, "file:line: key 'k'", or "file: key 'k' (default)"."""
+        if key in self.lines:
+            return f"{self.source}:{self.lines[key]}: key {key!r}"
+        return f"{self.source}: key {key!r} (default)"
+
+
 def resolve(
     raw: dict[str, tuple[str, int]],
     schema: dict[str, tuple[str, object]],
     source: str = "<config>",
-) -> dict[str, object]:
+) -> Config:
     """Apply a {key: (type, default)} schema; unknown keys are rejected."""
     for key, (_, lineno) in raw.items():
         if key not in schema:
@@ -110,7 +125,7 @@ def resolve(
             if default is REQUIRED:
                 raise ConfigError(f"{source}: missing required key {key!r}")
             resolved[key] = default
-    return resolved
+    return Config(resolved, source, {key: lineno for key, (_, lineno) in raw.items()})
 
 
 REQUIRED = object()

@@ -67,16 +67,12 @@ def _geometric_schedule(n0: int, n_max: int) -> list[int]:
     return out
 
 
-def slab_problem(base: Problem, grid: Grid, lower, upper, datum=None):
+def slab_problem(base: Problem, grid: Grid, lower, upper):
     """(problem, lo, hi): the bound callables' fields on grid, and base with
-    the Dirichlet datum (lo + hi)/2 at the last node, or datum(r) there when given."""
+    the Dirichlet datum (lo + hi)/2 at the last node."""
     lo = field_from_callable(grid, lower)
     hi = field_from_callable(grid, upper)
-    if datum is None:
-        datum_value = 0.5 * (lo.values[-1] + hi.values[-1])
-    else:
-        datum_value = float(np.asarray(datum(grid.nodes[-1])))
-    return replace(base, boundary_value=float(datum_value)), lo, hi
+    return replace(base, boundary_value=float(0.5 * (lo.values[-1] + hi.values[-1]))), lo, hi
 
 
 def solve_large_solution(
@@ -91,18 +87,17 @@ def solve_large_solution(
     grading: float = 2.0,
     opts: SolveOptions | None = None,
     monitor_m: int = 101,
-    datum=None,
 ) -> ExhaustionRun:
     """Sweep the geometric schedule n0, 2*n0, ... up to n_max.
 
     lower and upper are callables of r supplying the two-sided bounds on
     every truncation (the explicit blow-up envelopes in the intended use).
     Each solve warm-starts from the previous field, takes its Dirichlet
-    datum at r = R - 1/n from the midpoint of the bounds (or from the
-    ``datum`` callable when given), and must pass the sandwich certificate
-    at ``sandwich_tol(upper)`` on its own domain.  The sweep stops early
-    once the monitor delta drops below tol; a failed certificate or a
-    nonconverged inner solve aborts it with the partial record.
+    datum at r = R - 1/n from the midpoint of the bounds, and must pass the
+    sandwich certificate at ``sandwich_tol(upper)`` on its own domain.  The
+    sweep stops early once the monitor delta drops below tol; a failed
+    certificate or a nonconverged inner solve aborts it with the partial
+    record.
     """
     base = radial_blowup_problem(params)
     first = nested_subdomain(params.R, n0)  # validates 1/n0 < R
@@ -116,7 +111,7 @@ def solve_large_solution(
     for n in _geometric_schedule(n0, n_max):
         sub = nested_subdomain(params.R, n)
         grid_n = build_graded_grid(R=params.R, eta=sub.margin, m=m, grading=grading)
-        problem_n, lo, hi = slab_problem(base, grid_n, lower, upper, datum)
+        problem_n, lo, hi = slab_problem(base, grid_n, lower, upper)
 
         solve_opts = opts or SolveOptions()
         if previous is not None:

@@ -23,7 +23,7 @@ from degen_blowup import (
     cli,
 )
 from degen_blowup.cli import _CSV_CHUNK_ROWS, _write_csv, main
-from degen_blowup.config import parse_config_text, resolve
+from degen_blowup.config import Config, parse_config_text, resolve
 
 LINEAR_CFG = """
 run.command = solve
@@ -185,17 +185,6 @@ def test_forced_nonconvergence_exits_two(tmp_path):
     assert (out / "solution.csv").exists()  # field still reported
 
 
-def test_rate_synthetic_recovers_exactly(tmp_path):
-    cfg = write(tmp_path / "rate.cfg", RATE_CFG + "rate.synthetic = true\n")
-    out = tmp_path / "out"
-    assert main(["rate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    summary = dict(
-        line.split(" = ") for line in (out / "rate_summary.txt").read_text().strip().splitlines()
-    )
-    assert abs(float(summary["beta_hat"]) - 1.0) < 1e-9
-    assert abs(float(summary["K_hat"]) - math.sqrt(2.0)) < 1e-9
-
-
 def test_rate_window_outside_grid_is_config_error(tmp_path):
     cfg = write(
         tmp_path / "rate.cfg",
@@ -300,13 +289,25 @@ def test_default_exhaust_config_exhausts_schedule(tmp_path):
     assert "status = schedule-exhausted" in (out / "exhaust_report.txt").read_text()
 
 
-def test_exhaust_bound_injection_exits_three(tmp_path):
+def _shift_lower_bound(monkeypatch, shift):
+    """Make every command's lower bound its sub-solution plus shift: a fault
+    that the sandwich certificate or the slab's ordering check must catch."""
+    envelopes = cli._envelopes
+
+    def shifted(cfg, params):
+        sub, sup = envelopes(cfg, params)
+        return (lambda r: sub(r) + shift), sup
+
+    monkeypatch.setattr(cli, "_envelopes", shifted)
+
+
+def test_exhaust_bound_injection_exits_three(tmp_path, monkeypatch):
+    _shift_lower_bound(monkeypatch, 4.0)
     cfg = write(
         tmp_path / "ex.cfg",
         "run.command = exhaust\nproblem.epsilon = 0.1\ngrid.m = 401\n"
         "solver.tol = 1e-4\nsolver.max_iters = 80\n"
-        "exhaust.n0 = 4\nexhaust.n_max = 16\nexhaust.tol = 1e-2\n"
-        "exhaust.sub_shift = 4.0\n",
+        "exhaust.n0 = 4\nexhaust.n_max = 16\nexhaust.tol = 1e-2\n",
     )
     out = tmp_path / "out"
     assert main(["exhaust", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
@@ -316,12 +317,13 @@ def test_exhaust_bound_injection_exits_three(tmp_path):
     assert read_csv(out / "exhaust.csv")[1] == [["4", "0.75", "nan", "false"]]
 
 
-def test_misordered_slab_is_config_error(tmp_path, capsys):
+def test_misordered_slab_is_config_error(tmp_path, capsys, monkeypatch):
     # a lower bound shifted past the upper one fails the slab's ordering check
+    _shift_lower_bound(monkeypatch, 100.0)
     cfg = write(
         tmp_path / "ex.cfg",
         "run.command = exhaust\nproblem.epsilon = 0.1\ngrid.m = 401\n"
-        "exhaust.n0 = 4\nexhaust.n_max = 16\nexhaust.sub_shift = 100.0\n",
+        "exhaust.n0 = 4\nexhaust.n_max = 16\n",
     )
     out = tmp_path / "out"
     assert main(["exhaust", "--config", str(cfg), "--out", str(out)]) == 1
@@ -498,8 +500,18 @@ def test_b2_run_traced_peak_at_65536_nodes(tmp_path):
         ("verify-subsuper", "problem.p = 100", ": key 'verify.C_list' (default): activation radius not bracketed"),
         ("solve", "problem.A = -1", ":3: key 'problem.A': shift A must be positive"),
         ("exhaust", "problem.C = -1e20", ":3: key 'problem.C': activation radius not bracketed"),
+        ("verify-subsuper", "verify.samples = 1", ":3: key 'verify.samples': must be at least 2; got 1"),
+        ("b2", "b2.quad_nodes = 8", ":3: key 'b2.quad_nodes': quad_nodes must be at least 16; got 8"),
+        ("b2", "b2.margin = 0.6", ":3: key 'b2.margin': on an interval the margin must lie in (0, R/2)"),
+        # the default margin 0.1 leaves a ball of radius 0.1 no compact subset
+        ("b2", "b2.R = 0.1", ": key 'b2.margin' (default): margin must lie in (0, R)"),
+        ("rate", "problem.kind = linear", ":3: key 'problem.kind': must be 'blowup' for this command"),
+        ("solve", "problem.kind = bogus", ":3: key 'problem.kind': must be 'linear' or 'blowup'; got 'bogus'"),
     ],
-    ids=["A", "C", "C_list", "r_gap", "C_list-default", "solve-A", "exhaust-C"],
+    ids=[
+        "A", "C", "C_list", "r_gap", "C_list-default", "solve-A", "exhaust-C",
+        "samples", "quad_nodes", "margin", "margin-default", "rate-kind", "solve-kind",
+    ],
 )
 def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, where):
     cfg = write(tmp_path / "run.cfg", f"run.command = {command}\n# the value under test\n{body}\n")
@@ -610,6 +622,17 @@ def test_sweep_members_sharing_an_output_directory_are_refused(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_sweep_member_that_is_a_sweep_is_refused(tmp_path, capsys):
+    # refused while the members are read, before the first member runs
+    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    inner = write(tmp_path / "inner.cfg", "run.command = sweep\nsweep.configs = linear.cfg\n")
+    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, inner.cfg\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(sweep), "--out", str(out), "--quiet"]) == 1
+    assert f"{inner.resolve()}: run.command = 'sweep' is not runnable in a sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_config_naming_another_command_is_refused(tmp_path, capsys):
     write(tmp_path / "linear.cfg", LINEAR_CFG)
     sweep = write(tmp_path / "sweep.cfg", "run.command = solve\nsweep.configs = linear.cfg\n")
@@ -620,7 +643,13 @@ def test_sweep_config_naming_another_command_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, key, value", [("exhaust", "grid.eta", "0.5"), ("verify-subsuper", "problem.C", "-1000")]
+    "command, key, value",
+    [
+        ("exhaust", "grid.eta", "0.5"),
+        ("verify-subsuper", "problem.C", "-1000"),
+        ("rate", "rate.synthetic", "true"),
+        ("exhaust", "exhaust.sub_shift", "4.0"),
+    ],
 )
 def test_keys_a_command_never_reads_are_unknown(tmp_path, capsys, command, key, value):
     cfg = write(tmp_path / "c.cfg", f"run.command = {command}\n{key} = {value}\n")
@@ -630,11 +659,11 @@ def test_keys_a_command_never_reads_are_unknown(tmp_path, capsys, command, key, 
     assert not out.exists()
 
 
-class _RecordingConfig(dict):
-    """A resolved config that records every key read from it."""
+class _RecordingConfig(Config):
+    """A resolved config, its lines kept, that records every key read from it."""
 
-    def __init__(self, values, reads):
-        super().__init__(values)
+    def __init__(self, cfg, reads):
+        super().__init__(cfg, cfg.source, cfg.lines)
         self.reads = reads
 
     def __getitem__(self, key):
@@ -646,13 +675,12 @@ class _RecordingConfig(dict):
         return super().get(key, default)
 
 
-# every mode of every command (both problem kinds of solve, both of rate.synthetic and of
-# b2.family), on configs small enough to run in well under a second each
+# every mode of every command (both problem kinds of solve and both of b2.family), on
+# configs small enough to run in well under a second each
 _EVERY_MODE = [
     ("solve", LINEAR_CFG),
     ("solve", "run.command = solve\ngrid.m = 201\nsolver.max_iters = 2\n"),
     ("rate", "run.command = rate\ngrid.m = 301\nsolver.max_iters = 2\n"),
-    ("rate", "run.command = rate\ngrid.m = 301\nrate.synthetic = true\n"),
     ("verify-subsuper", VERIFY_CFG),
     ("exhaust", "run.command = exhaust\ngrid.m = 101\nsolver.max_iters = 2\nexhaust.n0 = 4\nexhaust.n_max = 8\n"),
     ("b2", "run.command = b2\nb2.quad_nodes = 64\n"),

@@ -85,10 +85,7 @@ def test_forced_datum_violation_fails_certification(setup):
     def shifted_lower(r):
         return sub(r) + 4.0
 
-    def honest_midpoint(r):
-        return 0.5 * (sub(r) + sup(r))
-
-    run = small_run(params, shifted_lower, sup, datum=honest_midpoint)
+    run = small_run(params, shifted_lower, sup)
     assert run.status == STATUS_CERTIFICATION_FAILED
     assert not run.sandwich_ok[-1]
     assert len(run.n_values) == 1
