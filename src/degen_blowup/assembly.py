@@ -184,17 +184,17 @@ def cell_volumes(grid: Grid, n_dim: int) -> np.ndarray:
 
 
 def edge_conductances(grid: Grid, problem: Problem, w_half: np.ndarray | None = None) -> np.ndarray:
-    """W_{j+1/2} / h_{j+1/2} with the weight taken at mid-edge gaps.
+    """W_{j+1/2} / h_{j+1/2} with the weight taken at mid-edge gaps, checked finite.
 
     ``w_half`` is the weight there when the caller has already evaluated it.
     """
     rh = grid.half_nodes
     w = eval_weight(problem.weight, grid.R - rh) if w_half is None else w_half
-    W = w * rh ** (problem.domain.N - 1)
-    if not np.all(np.isfinite(W)):
-        j = int(np.argmin(np.isfinite(W)))
-        raise AssemblyError(f"weight evaluation failed at half-node {j} (r = {rh[j]})")
-    return W / grid.spacings
+    cond = w * rh ** (problem.domain.N - 1) / grid.spacings
+    if not np.all(np.isfinite(cond)):
+        j = int(np.argmin(np.isfinite(cond)))
+        raise AssemblyError(f"non-finite edge conductance at half-node {j} (r = {rh[j]})")
+    return cond
 
 
 def assemble_stiffness(grid: Grid, problem: Problem, w_half: np.ndarray | None = None) -> Tridiagonal:
@@ -383,7 +383,8 @@ def assemble_jacobian(u: DiscreteField, terms: GridTerms) -> Tridiagonal:
     f's slope counts strictly inside the slab only (on a bound the clamp
     wins, keeping an M-matrix for monotone f); the penalty indicator is
     active strictly outside it.  Dirichlet rows become identity rows.
-    Only the diagonal is new; the off-diagonal bands are those of ``terms``.
+    Only the diagonal is new, so only it is checked: the off-diagonal bands
+    are those of ``terms``, whose conductances ``edge_conductances`` checked.
     """
     mu = terms.mu
     lower, upper = terms.lower, terms.upper
@@ -394,7 +395,6 @@ def assemble_jacobian(u: DiscreteField, terms: GridTerms) -> Tridiagonal:
         diag += terms.penalty * terms.w_nodes * mu * violated
     diag += terms.operator.diag
     diag[terms.mask] = 1.0
-    jac = Tridiagonal(lower=terms.operator.lower, diag=diag, upper=terms.operator.upper)
-    if not (np.all(np.isfinite(jac.diag)) and np.all(np.isfinite(jac.lower)) and np.all(np.isfinite(jac.upper))):
+    if not np.all(np.isfinite(diag)):
         raise AssemblyError("non-finite Jacobian entry")
-    return jac
+    return Tridiagonal(lower=terms.operator.lower, diag=diag, upper=terms.operator.upper)

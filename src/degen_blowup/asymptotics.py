@@ -32,9 +32,14 @@ class RateFit:
 
 @dataclass(frozen=True)
 class EpsilonBoundsReport:
+    """Envelope-ratio verdict, with the window's gaps d, values u and ratios."""
+
     ok: bool
     min_ratio: float
     max_ratio: float
+    d: np.ndarray
+    u: np.ndarray
+    ratios: np.ndarray
 
 
 def _window_mask(grid, window) -> np.ndarray:
@@ -89,11 +94,12 @@ def check_epsilon_bounds(
     if not np.any(mask):
         raise FitError(f"window {tuple(window)} contains no grid nodes")
     d = grid.boundary_gap[mask]
-    ratios = u.values[mask] / (K * d ** (-beta))
+    values = u.values[mask]
+    ratios = values / (K * d ** (-beta))
     min_ratio = float(np.min(ratios))
     max_ratio = float(np.max(ratios))
     ok = (min_ratio >= 1.0 - epsilon - slack) and (max_ratio <= 1.0 + epsilon + slack)
-    return EpsilonBoundsReport(ok=ok, min_ratio=min_ratio, max_ratio=max_ratio)
+    return EpsilonBoundsReport(ok=ok, min_ratio=min_ratio, max_ratio=max_ratio, d=d, u=values, ratios=ratios)
 
 
 def oracle_exact_1d(R: float = 1.0):

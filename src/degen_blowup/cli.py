@@ -20,9 +20,9 @@ solve and rate spend most of their time in the pure-Python tridiagonal
 loop, which holds it, so sweep members of those kinds gain less.
 
 A value of one key that a command refuses while it runs (problem.kind,
-problem.A, problem.C, verify.C, an entry of verify.C_list, verify.r_gap,
-verify.samples, b2.margin, b2.quad_nodes) is a config error naming the
-file, the line and the key, like the errors of the config module.
+problem.A, problem.C, verify.C, an entry of verify.C_list, verify.samples,
+exhaust.n0, b2.margin, b2.quad_nodes) is a config error naming the file,
+the line and the key, like the errors of the config module.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .errors import (
 from .exhaustion import (
     STATUS_CERTIFICATION_FAILED,
     STATUS_CONVERGED,
+    check_first_subdomain,
     residual_on_monitor,
     slab_problem,
     solve_large_solution,
@@ -120,8 +121,8 @@ _RUN_KEYS = {
     "run.command": ("str", None),
 }
 
+# the blow-up problem's data; solve alone also takes problem.kind
 _PROBLEM_KEYS = {
-    "problem.kind": ("str", "blowup"),
     "problem.p": ("float", 3.0),
     "problem.alpha": ("float", 0.0),
     "problem.gamma": ("float", 0.0),
@@ -140,7 +141,6 @@ _GRID_KEYS = {
 }
 
 _SOLVER_KEYS = {
-    "solver.penalty": ("float-or-auto", None),
     "solver.tol": ("float", 1e-7),
     "solver.max_iters": ("int", 60),
 }
@@ -152,7 +152,7 @@ def _without(keys: dict, name: str) -> dict:
 
 
 SCHEMAS = {
-    "solve": {**_RUN_KEYS, **_PROBLEM_KEYS, **_GRID_KEYS, **_SOLVER_KEYS},
+    "solve": {**_RUN_KEYS, "problem.kind": ("str", "blowup"), **_PROBLEM_KEYS, **_GRID_KEYS, **_SOLVER_KEYS},
     "rate": {
         **_RUN_KEYS,
         **_PROBLEM_KEYS,
@@ -167,7 +167,6 @@ SCHEMAS = {
         "verify.samples": ("int", 10001),
         "verify.C": ("float", -1.0),
         "verify.C_list": ("float-list", (-8.0, -4.0, -2.0, -1.0, -0.5, -0.1)),
-        "verify.r_gap": ("float", 1e-6),
     },
     "exhaust": {
         **_RUN_KEYS,
@@ -176,9 +175,7 @@ SCHEMAS = {
         **_SOLVER_KEYS,
         "exhaust.n0": ("int", 0),  # 0 = derive from the radius
         "exhaust.n_max": ("int", 64),
-        "exhaust.compact_radius": ("float", 0.5),
         "exhaust.tol": ("float", 1e-6),
-        "exhaust.monitor_m": ("int", 101),
     },
     "b2": {
         **_RUN_KEYS,
@@ -186,7 +183,6 @@ SCHEMAS = {
         "b2.R": ("float", 1.0),
         "b2.margin": ("float", 0.1),
         "b2.quad_nodes": ("int", 256),
-        "b2.include_failing": ("bool", True),
         "b2.family": ("str", "catalogue"),
         "b2.alpha": ("float", 0.0),
         "b2.beta_log": ("float", 1.0),
@@ -259,9 +255,6 @@ def _write_report(path: Path, items: list[tuple[str, object]]) -> None:
 # ---------------------------------------------------------------------------
 
 def _blowup_params(cfg) -> BlowupParams:
-    with _value_of(cfg, "problem.kind"):
-        if cfg["problem.kind"] != "blowup":
-            raise ParameterError(f"must be 'blowup' for this command; got {cfg['problem.kind']!r}")
     return BlowupParams(
         p=cfg["problem.p"],
         alpha=cfg["problem.alpha"],
@@ -281,7 +274,6 @@ def _grid(cfg):
 
 def _solve_options(cfg) -> SolveOptions:
     return SolveOptions(
-        penalty=cfg["solver.penalty"],
         max_iters=cfg["solver.max_iters"],
         abs_tol=cfg["solver.tol"],
     )
@@ -289,11 +281,11 @@ def _solve_options(cfg) -> SolveOptions:
 
 @contextmanager
 def _value_of(cfg, key: str):
-    """Report a ParameterError or ActivationRadiusError raised inside as a
-    config error naming the file, the line and the key."""
+    """Report a ParameterError, DomainError or ActivationRadiusError raised
+    inside as a config error naming the file, the line and the key."""
     try:
         yield
-    except (ParameterError, ActivationRadiusError) as exc:
+    except (ParameterError, DomainError, ActivationRadiusError) as exc:
         raise ConfigError(f"{cfg.where(key)}: {exc}") from exc
 
 
@@ -384,15 +376,12 @@ def cmd_solve(cfg, out: Path, say) -> int:
 def cmd_rate(cfg, out: Path, say) -> int:
     window = (cfg["rate.d_min"], cfg["rate.d_max"])
     params = _blowup_params(cfg)
-    grid, _, _, u, report = _run_blowup_solve(cfg)
+    _, _, _, u, report = _run_blowup_solve(cfg)
     fit = fit_blowup_rate(u, window)
     bounds = check_epsilon_bounds(u, params.K, params.beta, params.epsilon, window)
 
     out.mkdir(parents=True, exist_ok=True)
-    d = grid.boundary_gap
-    mask = (d >= window[0]) & (d <= window[1])
-    ratio = u.values / (params.K * d ** (-params.beta))
-    _write_csv(out / "rate.csv", ["d", "u", "ratio"], (d[mask], u.values[mask], ratio[mask]))
+    _write_csv(out / "rate.csv", ["d", "u", "ratio"], (bounds.d, bounds.u, bounds.ratios))
     _write_report(
         out / "rate_summary.txt",
         [
@@ -414,6 +403,10 @@ def cmd_rate(cfg, out: Path, say) -> int:
     return EXIT_OK if bounds.ok else EXIT_CERTIFICATION
 
 
+# the sub-solution's samples end this far below R, where the envelope blows up
+_SUB_SAMPLES_GAP = 1e-6
+
+
 def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     n_samples = cfg["verify.samples"]
     with _value_of(cfg, "verify.samples"):
@@ -423,10 +416,9 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
 
     C = cfg["verify.C"]
     with _value_of(cfg, "verify.C"):
+        # a C deep enough puts the activation radius past the last sample
         sub = build_subsolution(params, C)
-    r_hi = params.R - cfg["verify.r_gap"]
-    sub_samples = np.linspace(sub.activation_radius, r_hi, n_samples)
-    with _value_of(cfg, "verify.r_gap"):
+        sub_samples = np.linspace(sub.activation_radius, params.R - _SUB_SAMPLES_GAP, n_samples)
         sub_report = verify_sub_inequality(params, sub, sub_samples)
 
     with _value_of(cfg, "verify.C_list"):
@@ -476,20 +468,22 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
 
 def cmd_exhaust(cfg, out: Path, say) -> int:
     params = _blowup_params(cfg)
+    n0 = cfg["exhaust.n0"] or first_nested_index(params.R)  # a derived n0's subdomain holds [0, R/2]
+    compact_radius = params.R / 2
+    with _value_of(cfg, "exhaust.n0"):
+        check_first_subdomain(params.R, n0, compact_radius)
     sub, sup = _envelopes(cfg, params)
-    n0 = cfg["exhaust.n0"] or first_nested_index(params.R)
     run = solve_large_solution(
         params,
         sub,
         sup,
         n0=n0,
         n_max=cfg["exhaust.n_max"],
-        compact_radius=cfg["exhaust.compact_radius"],
+        compact_radius=compact_radius,
         tol=cfg["exhaust.tol"],
         m=cfg["grid.m"],
         grading=cfg["grid.grading"],
         opts=_solve_options(cfg),
-        monitor_m=cfg["exhaust.monitor_m"],
     )
 
     out.mkdir(parents=True, exist_ok=True)
@@ -561,10 +555,7 @@ def cmd_b2(cfg, out: Path, say) -> int:
     mode = cfg["b2.family"]
     if mode == "catalogue":
         entries += [(label, fam, domain) for label, fam in catalogue_families(n_dim)]
-        if cfg["b2.include_failing"]:
-            entries.append(
-                (f"interior-vanishing(|x-{R / 2:g}|)", InteriorVanishingWeight(R / 2), Domain.interval(R))
-            )
+        entries.append((f"interior-vanishing(|x-{R / 2:g}|)", InteriorVanishingWeight(R / 2), Domain.interval(R)))
     else:
         # each tag reads only its own parameters; an unknown tag raises ParameterError
         family = WeightFamily(mode, alpha=cfg["b2.alpha"], beta_log=cfg["b2.beta_log"], a_exp=cfg["b2.a_exp"])

@@ -35,6 +35,8 @@ STATUS_EXHAUSTED = "schedule-exhausted"
 STATUS_NONCONVERGED = "nonconverged"
 STATUS_CERTIFICATION_FAILED = "certification-failed"
 
+_MONITOR_M = 101  # nodes of the monitoring interval
+
 
 @dataclass
 class ExhaustionRun:
@@ -50,12 +52,6 @@ class ExhaustionRun:
     limit_on_monitor: DiscreteField | None = None
 
 
-def _monitor_grid(R: float, compact_radius: float, monitor_m: int) -> Grid:
-    # Uniform nodes on [0, compact_radius]; stored as a truncation of the
-    # full domain so weight evaluations keep the correct boundary gap.
-    return build_graded_grid(R=R, eta=R - compact_radius, m=monitor_m, grading=1.0)
-
-
 def _geometric_schedule(n0: int, n_max: int) -> list[int]:
     if n_max < n0:
         raise ParameterError(f"n_max={n_max} must be at least n0={n0}")
@@ -65,6 +61,16 @@ def _geometric_schedule(n0: int, n_max: int) -> list[int]:
         out.append(n)
         n *= 2
     return out
+
+
+def check_first_subdomain(R: float, n0: int, compact_radius: float) -> None:
+    """Refuse an n0 whose subdomain {r < R - 1/n0} does not hold [0, compact_radius]."""
+    first = nested_subdomain(R, n0)  # validates 1/n0 < R
+    if not compact_radius < first.outer_radius:
+        raise ParameterError(
+            f"compact_radius={compact_radius} must stay inside the first "
+            f"subdomain of radius {first.outer_radius}"
+        )
 
 
 def slab_problem(base: Problem, grid: Grid, lower, upper):
@@ -86,7 +92,6 @@ def solve_large_solution(
     m: int = 1201,
     grading: float = 2.0,
     opts: SolveOptions | None = None,
-    monitor_m: int = 101,
 ) -> ExhaustionRun:
     """Sweep the geometric schedule n0, 2*n0, ... up to n_max.
 
@@ -100,13 +105,10 @@ def solve_large_solution(
     record.
     """
     base = radial_blowup_problem(params)
-    first = nested_subdomain(params.R, n0)  # validates 1/n0 < R
-    if not compact_radius < first.outer_radius:
-        raise ParameterError(
-            f"compact_radius={compact_radius} must stay inside the first "
-            f"subdomain of radius {first.outer_radius}"
-        )
-    run = ExhaustionRun(monitor=_monitor_grid(params.R, compact_radius, monitor_m))
+    check_first_subdomain(params.R, n0, compact_radius)
+    # uniform nodes on [0, compact_radius], a truncation of the full domain
+    # so that weight evaluations keep the correct boundary gap
+    run = ExhaustionRun(monitor=build_graded_grid(R=params.R, eta=params.R - compact_radius, m=_MONITOR_M, grading=1.0))
     previous: DiscreteField | None = None
     for n in _geometric_schedule(n0, n_max):
         sub = nested_subdomain(params.R, n)

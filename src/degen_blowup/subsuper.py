@@ -111,6 +111,10 @@ class BlowupParams:
         # refuse only their shift
         if self.beta + 1.0 - self.alpha <= 0.0:
             raise ParameterError(f"beta + 1 - alpha must be positive; got {self.beta + 1.0 - self.alpha}")
+        try:  # the largest amplitude, the upper envelope's, is a power 1/(p-1): near p = 1 it overflows
+            _envelope_amplitude(self, 1.0 + self.epsilon)
+        except OverflowError:
+            raise ParameterError(f"envelope amplitude overflows the float range at p={self.p}") from None
 
     def a_at(self, r) -> np.ndarray:
         return as_function(self.a_coef, "a_coef")(r)
@@ -186,7 +190,10 @@ def build_subsolution(params: BlowupParams, C: float) -> Envelope:
     beta, R = params.beta, params.R
 
     def profile(r: float) -> float:
-        return C + B * (r / R) ** 2 * (R - r) ** (-beta)
+        try:
+            return C + B * (r / R) ** 2 * (R - r) ** (-beta)
+        except OverflowError:  # (R - r)**(-beta) past the float range, so the profile is positive
+            return float("inf")
 
     lo, hi = 0.0, R * (1.0 - 1e-13)
     if profile(hi) <= 0.0:

@@ -148,26 +148,19 @@ class WeightFamily:
 
 @dataclass(frozen=True)
 class InteriorVanishingWeight:
-    """Test weight |x - center|**power vanishing at an interior point.
+    """Test weight |x - center| vanishing at an interior point.
 
     Not a boundary-distance composition: it exists to give the
     local-integrability check a genuine failing case (1/w is not locally
-    integrable across the degeneracy point when power >= 1).  Only
-    ``check_b2`` consumes it.
+    integrable across the degeneracy point).  Only ``check_b2`` consumes it.
     """
 
     center: float
-    power: float = 1.0
-
-    def __post_init__(self):
-        if self.power <= 0.0:
-            raise ParameterError(f"vanishing order must be positive; got {self.power}")
 
     def value_in_place(self, x: np.ndarray) -> np.ndarray:
-        """Overwrite the float array x with |x - center|**power and return it."""
+        """Overwrite the float array x with |x - center| and return it."""
         x -= self.center
         np.abs(x, out=x)
-        x **= self.power
         return x
 
 
@@ -178,7 +171,6 @@ class Domain:
     kind: str
     R: float
     N: int = 1
-    center: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("interval", "ball"):
@@ -195,22 +187,21 @@ class Domain:
         return cls("interval", R=R, N=1)
 
     @classmethod
-    def ball(cls, R: float, N: int, center: float = 0.0) -> "Domain":
-        return cls("ball", R=R, N=N, center=center)
+    def ball(cls, R: float, N: int) -> "Domain":
+        return cls("ball", R=R, N=N)
 
 
 def distance_to_boundary(domain: Domain, x) -> float:
     """Distance from a point to the boundary, in the radial convention.
 
-    Ball: R - |x - center| with x a point in R^N (scalars are broadcast).
+    Ball, centred at the origin: R - |x| with x a point in R^N (a scalar is a radius).
     Interval: returns R - x, the gap to the blow-up end r = R.  The
     two-sided geometric distance would be min(x, R - x); the radial
     discretisation measures everything against the right endpoint, so the
     one-sided convention is used throughout.
     """
     if domain.kind == "ball":
-        offset = np.atleast_1d(np.asarray(x, dtype=float)) - domain.center
-        r = float(np.linalg.norm(offset))
+        r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
         if r > domain.R:
             raise DomainError(f"point at radius {r} lies outside the ball of radius {domain.R}")
         return domain.R - r

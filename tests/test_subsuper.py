@@ -204,6 +204,12 @@ class TestActivationRadius:
         with pytest.raises(ActivationRadiusError):
             build_subsolution(std_params(), -1e20)
 
+    def test_profile_past_the_float_range_counts_as_positive(self):
+        # p = 1.05: beta = 40, so (R - r)**(-beta) overflows near R while the
+        # amplitude (about 1e65) is still a float
+        params = BlowupParams(p=1.05, alpha=0.0, gamma=0.0, N=3, R=1.0)
+        assert 0.0 < build_subsolution(params, -1.0).activation_radius < 1e-11
+
 
 class TestInequalities:
     def test_super_holds_with_min_shift(self):
