@@ -9,20 +9,22 @@ CSV plus a small text report into the output directory.  Exit codes:
     2  solver did not converge / did not stabilize
     3  certification failure (bound certificate or inequality sweep)
 
-The sweep command runs its member configs concurrently, on up to
-min(4, members) threads, and prints their lines once all have finished,
-in the order its config lists them.  The b2 command checks its entries
-on two threads, which share one table of midpoint offsets and own one
-work array each (weights.QuadWork), and writes its rows and lines in
-entry order.  Threads pay off where the work is numpy ufuncs on large
-arrays, which run without the interpreter lock, as the quadratures do;
-solve and rate spend most of their time in the pure-Python tridiagonal
-loop, which holds it, so sweep members of those kinds gain less.
+The sweep command runs its member configs in up to min(4, members)
+worker processes (forked on Linux) and prints their lines once all have
+finished, in the order its config lists them.  solve and rate spend most
+of their time in the pure-Python tridiagonal loop, which holds the
+interpreter lock, so members on threads of one process took turns; in
+processes they do not.  The b2 command checks its entries on two
+threads, which share one table of midpoint offsets and own one work
+array each (weights.QuadWork), and writes its rows and lines in entry
+order: its quadratures are numpy ufuncs on large arrays, which run
+without the lock.
 
 A value of one key that a command refuses while it runs (problem.kind,
 problem.A, problem.C, verify.C, an entry of verify.C_list, verify.samples,
-exhaust.n0, b2.margin, b2.quad_nodes) is a config error naming the file,
-the line and the key, like the errors of the config module.
+exhaust.n0, b2.margin, b2.quad_nodes, solver.tol, solver.max_iters) is a
+config error naming the file, the line and the key, like the errors of
+the config module.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import queue
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -273,10 +276,10 @@ def _grid(cfg):
 
 
 def _solve_options(cfg) -> SolveOptions:
-    return SolveOptions(
-        max_iters=cfg["solver.max_iters"],
-        abs_tol=cfg["solver.tol"],
-    )
+    with _value_of(cfg, "solver.tol"):
+        opts = SolveOptions(abs_tol=cfg["solver.tol"])
+    with _value_of(cfg, "solver.max_iters"):
+        return replace(opts, max_iters=cfg["solver.max_iters"])
 
 
 @contextmanager
@@ -605,9 +608,26 @@ def cmd_b2(cfg, out: Path, say) -> int:
     return EXIT_OK
 
 
+def _run_member(job) -> tuple[int, list[str]]:
+    """Run one sweep member in a worker process: its exit code and the lines
+    it said.  A handled error becomes a line and its exit code; any other
+    exception propagates, through the pool, out of main."""
+    command, path, out = job
+    lines = []
+    try:
+        return _dispatch(command, path, out, lines.append), lines
+    except _HANDLED as exc:
+        lines.append(f"sweep member {path.name}: {exc}")
+        return _exit_row(exc)[0], lines
+
+
 def cmd_sweep(cfg, out: Path, say) -> int:
-    """Run the member configs on a thread pool, then pass each member's lines
-    to say, in the order sweep.configs lists the members."""
+    """Run the member configs in worker processes, then pass each member's
+    lines to say, in the order sweep.configs lists the members."""
+    # imported here: at module level they would add 12-16 ms to every command's start
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
     paths = [p.strip() for p in cfg["sweep.configs"].split(",") if p.strip()]
     if not paths:
         raise ConfigError(f"{cfg.source}: sweep.configs lists no config files")
@@ -628,21 +648,20 @@ def cmd_sweep(cfg, out: Path, say) -> int:
         sub_command = sub_raw["run.command"][0]
         if sub_command not in _HANDLERS or sub_command == "sweep":
             raise ConfigError(f"{sub_path}: run.command = {sub_command!r} is not runnable in a sweep")
-        jobs.append((sub_command, sub_path, job_out, []))
+        jobs.append((sub_command, sub_path, job_out))
 
-    def run_job(job):
-        command, path, job_out, lines = job
-        try:
-            return _dispatch(command, path, job_out, lines.append)
-        except Exception as exc:  # noqa: BLE001 - worker boundary
-            lines.append(f"sweep member {path.name}: {exc}")
-            return _exit_row(exc)[0]
-
-    with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-        codes = list(pool.map(run_job, jobs))
-    for *_, lines in jobs:
+    # forked, not spawned: a spawned member imports numpy and the package
+    # again, which costs more than sharing the interpreter lock did.  The
+    # sweep process runs no thread of its own when it forks, and
+    # multiprocessing flushes stdout and stderr before each fork, so no
+    # member writes the parent's buffered lines again when it exits.
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    with ProcessPoolExecutor(max_workers=min(4, len(jobs)), mp_context=context) as pool:
+        results = list(pool.map(_run_member, jobs))
+    for _, lines in results:
         for line in lines:
             say(line)
+    codes = [code for code, _ in results]
     say(f"sweep: {len(jobs)} runs, exit codes {codes}")
     return max(codes)
 
@@ -667,13 +686,16 @@ def _exit_row(exc: Exception) -> tuple[int, str]:
 
 def _dispatch(command: str, config_path: Path, out: Path, say) -> int:
     """Run one command on config_path resolved against its schema; say(line)
-    takes each progress line.  A run.command naming another command is refused."""
-    cfg = resolve(parse_config_file(config_path), SCHEMAS[command], source=str(config_path))
-    declared = cfg["run.command"]
-    if declared is not None and declared != command:
+    takes each progress line.  A run.command naming another command is refused
+    before the other keys are resolved, so the mismatch is what is reported,
+    not the first key that command lacks."""
+    raw = parse_config_file(config_path)
+    declared, _ = raw.get("run.command", (command, None))
+    if declared != command:
         raise ConfigError(
             f"{config_path}: run.command = {declared!r} does not match the invoked command {command!r}"
         )
+    cfg = resolve(raw, SCHEMAS[command], source=str(config_path))
     return _HANDLERS[command](cfg, out, say)
 
 

@@ -1,6 +1,7 @@
 """Command line interface: configs, outputs, exit codes, determinism."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -164,6 +165,17 @@ def test_command_mismatch_rejected(tmp_path, capsys):
     cfg = write(tmp_path / "mismatch.cfg", "run.command = solve\ngrid.m = 401\n")
     assert main(["rate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "run.command" in capsys.readouterr().err
+
+
+def test_command_mismatch_is_refused_before_keys_the_command_lacks(tmp_path, capsys):
+    # problem.kind is a solve key that rate lacks; the mismatch is what is reported
+    cfg = write(tmp_path / "linear.cfg", LINEAR_CFG)
+    out = tmp_path / "o"
+    assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: run.command = 'solve' does not match the invoked command 'rate'\n"
+    )
+    assert not out.exists()
 
 
 def test_forced_nonconvergence_exits_two(tmp_path):
@@ -517,10 +529,14 @@ def test_b2_run_traced_peak_at_65536_nodes(tmp_path):
         # the first subdomain, r < R - 1/n0, must hold the monitored [0, R/2]
         ("exhaust", "exhaust.n0 = 2", ":3: key 'exhaust.n0': compact_radius=0.5 must stay inside the first"),
         ("exhaust", "exhaust.n0 = 1", ":3: key 'exhaust.n0': margin 1/1 >= R = 1.0 leaves an empty subdomain"),
+        ("solve", "solver.tol = 0", ":3: key 'solver.tol': abs_tol must be positive; got 0.0"),
+        ("rate", "solver.max_iters = 0", ":3: key 'solver.max_iters': max_iters must be at least 1; got 0"),
+        ("exhaust", "solver.tol = -1e-9", ":3: key 'solver.tol': abs_tol must be positive; got -1e-09"),
     ],
     ids=[
         "A", "C", "C_list", "C-past-samples", "C_list-default", "solve-A", "exhaust-C",
         "samples", "quad_nodes", "margin", "margin-default", "solve-kind", "n0", "n0-empty",
+        "tol", "max_iters", "exhaust-tol",
     ],
 )
 def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, where):
@@ -588,12 +604,17 @@ def test_sweep_runs_members_in_own_directories(tmp_path):
     assert (out / "b2" / "b2.csv").exists()
 
 
+# members run in forked processes, which inherit the monkeypatched handlers
+needs_fork = pytest.mark.skipif(sys.platform != "linux", reason="sweep members fork only on Linux")
+
+
+@needs_fork
 def test_sweep_prints_member_lines_in_config_order(tmp_path, capsys, monkeypatch):
     # the first member waits until the second has finished, yet its lines come first
     write(tmp_path / "b2.cfg", "run.command = b2\nb2.quad_nodes = 16\n")
     write(tmp_path / "linear.cfg", LINEAR_CFG)
     sweep = write(tmp_path / "sweep.cfg", "sweep.configs = b2.cfg, linear.cfg\n")
-    second_done = threading.Event()
+    second_done = multiprocessing.get_context("fork").Event()  # shared by the forked members
     handlers = dict(cli._HANDLERS)
 
     def b2_after_solve(*args):
@@ -611,6 +632,73 @@ def test_sweep_prints_member_lines_in_config_order(tmp_path, capsys, monkeypatch
     assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "out")]) == 0
     heads = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     assert heads == ["b2"] * (len(heads) - 2) + ["solve", "sweep"] and len(heads) > 2
+
+
+@needs_fork
+def test_sweep_member_unhandled_exception_propagates(tmp_path, monkeypatch):
+    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg\n")
+
+    def broken(*args):
+        raise RuntimeError("member bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "solve", broken)
+    with pytest.raises(RuntimeError, match="member bug"):
+        main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "out"), "--quiet"])
+
+
+def _run_python(tmp_path, args, timeout=120):
+    """python args, run in tmp_path on this checkout's package; the process is killed after timeout s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+@needs_fork
+def test_sweep_member_whose_process_dies_ends_the_sweep(tmp_path):
+    # os._exit skips every handler: the pool reports the dead worker, it does not wait for it
+    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    write(tmp_path / "b2.cfg", "run.command = b2\nb2.quad_nodes = 16\n")
+    write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, b2.cfg\n")
+    script = (
+        "import os\n"
+        "from degen_blowup import cli\n"
+        "cli._HANDLERS['solve'] = lambda *args: os._exit(7)\n"
+        "cli.main(['sweep', '--config', 'sweep.cfg', '--out', 'out'])\n"
+    )
+    proc = _run_python(tmp_path, ["-c", script], timeout=60)
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr
+    assert "sweep:" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-m", "degen_blowup.cli", "sweep", "--config", "sweep.cfg", "--out", "out"],
+        # a line still buffered when the pool forks is written once, by the parent
+        ["-c", "print('before'); from degen_blowup.cli import main; main(['sweep', '--config', 'sweep.cfg'])"],
+    ],
+    ids=["module", "printed-before"],
+)
+def test_sweep_to_a_pipe_prints_each_line_once(tmp_path, args):
+    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    write(tmp_path / "b2.cfg", "run.command = b2\nb2.quad_nodes = 16\n")
+    write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, b2.cfg\n")
+    proc = _run_python(tmp_path, args)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    heads = [line.split(":")[0] for line in lines]
+    assert heads.count("solve") == 1 and heads.count("sweep") == 1 and heads.count("before") == ("-c" in args)
+    assert heads.count("b2") == len(lines) - 2 - heads.count("before") > 0
+    assert lines[-1] == "sweep: 2 runs, exit codes [0, 0]"
 
 
 def test_sweep_member_needs_command(tmp_path):
@@ -682,12 +770,8 @@ def test_keys_a_command_never_reads_are_unknown(tmp_path, capsys, command, key, 
     assert not out.exists()
 
 
-class _RecordingConfig(Config):
-    """A resolved config, its lines kept, that records every key read from it."""
-
-    def __init__(self, cfg, reads):
-        super().__init__(cfg, cfg.source, cfg.lines)
-        self.reads = reads
+class _Recording:
+    """Records in self.reads every key read through [] or get."""
 
     def __getitem__(self, key):
         self.reads.add(key)
@@ -696,6 +780,22 @@ class _RecordingConfig(Config):
     def get(self, key, default=None):
         self.reads.add(key)
         return super().get(key, default)
+
+
+class _RecordingConfig(_Recording, Config):
+    """A resolved config, its lines kept, that records every key read from it."""
+
+    def __init__(self, cfg, reads):
+        super().__init__(cfg, cfg.source, cfg.lines)
+        self.reads = reads
+
+
+class _RecordingRaw(_Recording, dict):
+    """A parsed config file that records every key read from it before it is resolved."""
+
+    def __init__(self, raw, reads):
+        super().__init__(raw)
+        self.reads = reads
 
 
 # every mode of every command (both problem kinds of solve and both of b2.family), on
@@ -719,9 +819,19 @@ def test_every_schema_key_is_read_by_its_command(tmp_path, monkeypatch):
 
     def recording(raw, schema, source="<config>"):
         command = next(c for c, keys in cli.SCHEMAS.items() if keys is schema)
-        return _RecordingConfig(resolve(raw, schema, source), reads[command])
+        # a plain copy: resolve's own reads of the parsed file are not the command's
+        return _RecordingConfig(resolve(dict(raw), schema, source), reads[command])
+
+    # _dispatch reads run.command from the parsed file, before it resolves the rest
+    parse = cli.parse_config_file
+    command_of = {tmp_path / f"{i}.cfg": command for i, (command, _) in enumerate(_EVERY_MODE)}
+
+    def recording_parse(path):
+        raw = parse(path)
+        return _RecordingRaw(raw, reads[command_of[path]]) if path in command_of else raw
 
     monkeypatch.setattr(cli, "resolve", recording)
+    monkeypatch.setattr(cli, "parse_config_file", recording_parse)
     write(tmp_path / "linear.cfg", LINEAR_CFG)
     for i, (command, text) in enumerate(_EVERY_MODE):
         cfg = write(tmp_path / f"{i}.cfg", text)
@@ -755,16 +865,7 @@ def test_package_never_loads_scipy(tmp_path):
         "    main([command, '--config', command + '.cfg', '--out', command, '--quiet'])\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _run_python(tmp_path, ["-c", script])
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "exhaust" / "exhaust.csv").exists()
 

@@ -1,6 +1,10 @@
-"""Every module of the package uses each name it imports."""
+"""The package's imports: every module uses each name it imports, and the CLI
+leaves the process pool to the one command that uses it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,23 @@ def test_allowed_imports_are_still_unused():
     for module, name in ALLOWED:
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         assert name in dict(imported_names(tree)) and name not in used_names(tree)
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # sweep alone imports it, and it costs 12-16 ms of every command's start
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "import degen_blowup.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures.process')))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
