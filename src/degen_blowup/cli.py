@@ -24,17 +24,16 @@ A value of one key that a command refuses while it runs (problem.kind,
 problem.A, problem.C, verify.C, an entry of verify.C_list, verify.samples,
 exhaust.n0, b2.margin, b2.quad_nodes, solver.tol, solver.max_iters) is a
 config error naming the file, the line and the key, like the errors of
-the config module.
+the config module.  A refused range of the problem, the grid or a b2
+weight (problem.p, ..., grid.m, b2.N, b2.alpha, ...) names each key its
+check read.
 """
 
 from __future__ import annotations
 
 import argparse
-import queue
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -214,39 +213,28 @@ def _fmt(value) -> str:
 _CSV_CHUNK_ROWS = 8192
 
 
-def _text_block(cells) -> np.ndarray:
-    """_fmt of each cell in a zero-padded row of bytes, one byte wider than the widest."""
-    text = np.array([_fmt(v).encode() for v in cells])
-    block = np.zeros((len(text), text.itemsize + 1), np.uint8)
-    block[:, :-1] = text.view(np.uint8).reshape(len(text), -1)
-    return block
-
-
 def _write_csv(path: Path, header: list[str], columns: tuple) -> None:
     """Write equal-length columns as CSV rows, one chunk of rows at a time.
 
-    Each column of a chunk becomes a block of fixed-width byte slots, one per
-    cell, 0 padded: the float64 array columns through format_g17, all of them
-    in one call, and the cells of any other column through _fmt.  Both give
-    the text _fmt gives for the same value.  The last byte of each slot holds
-    the separator, so the chunk's table without its 0 bytes is its CSV text.
+    When every column is a float64 array, format_g17 turns a chunk into its
+    (rows, columns, SLOT) table of 0-padded text; the last byte of each slot
+    takes the separator, so the table without its 0 bytes is the chunk's CSV
+    text.  Any other table (a few dozen rows of Python values) joins the _fmt
+    text of its cells, which format_g17 matches for every float.
     """
-    floats = [isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns]
-    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    floats = all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
     n_rows = len(columns[0]) if columns else 0
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            cells = [c[start : start + _CSV_CHUNK_ROWS] for c in columns]
-            values = np.empty((len(cells[0]), sum(floats)))
-            for j, c in enumerate(c for c, f in zip(cells, floats) if f):
-                values[:, j] = c
-            slots = iter(np.moveaxis(format_g17(values), 1, 0))
-            blocks = [next(slots) if f else _text_block(c) for c, f in zip(cells, floats)]
-            for block, sep in zip(blocks, seps):
-                block[:, -1] = sep
-            table = np.concatenate(blocks, axis=1)
-            fh.write(table[table != 0])
+            chunk = [c[start : start + _CSV_CHUNK_ROWS] for c in columns]
+            if floats:
+                table = format_g17(np.stack(chunk, axis=1))
+                table[:, :-1, -1] = ord(",")
+                table[:, -1, -1] = ord("\n")
+                fh.write(table[table != 0])
+            else:
+                fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in zip(*chunk)).encode())
 
 
 def _write_report(path: Path, items: list[tuple[str, object]]) -> None:
@@ -258,38 +246,45 @@ def _write_report(path: Path, items: list[tuple[str, object]]) -> None:
 # ---------------------------------------------------------------------------
 
 def _blowup_params(cfg) -> BlowupParams:
-    return BlowupParams(
-        p=cfg["problem.p"],
-        alpha=cfg["problem.alpha"],
-        gamma=cfg["problem.gamma"],
-        N=cfg["problem.N"],
-        R=cfg["problem.R"],
-        a_coef=cfg["problem.a"],
-        epsilon=cfg["problem.epsilon"],
-    )
+    keys = {
+        "p": "problem.p",
+        "alpha": "problem.alpha",
+        "gamma": "problem.gamma",
+        "N": "problem.N",
+        "R": "problem.R",
+        "a_coef": "problem.a",
+        "epsilon": "problem.epsilon",
+    }
+    with _value_of(cfg, keys):
+        return BlowupParams(**{name: cfg[key] for name, key in keys.items()})
 
 
 def _grid(cfg):
-    return build_graded_grid(
-        R=cfg["problem.R"], eta=cfg["grid.eta"], m=cfg["grid.m"], grading=cfg["grid.grading"]
-    )
+    keys = {"R": "problem.R", "eta": "grid.eta", "m": "grid.m", "grading": "grid.grading"}
+    with _value_of(cfg, keys):
+        return build_graded_grid(**{name: cfg[key] for name, key in keys.items()})
 
 
 def _solve_options(cfg) -> SolveOptions:
-    with _value_of(cfg, "solver.tol"):
-        opts = SolveOptions(abs_tol=cfg["solver.tol"])
-    with _value_of(cfg, "solver.max_iters"):
-        return replace(opts, max_iters=cfg["solver.max_iters"])
+    with _value_of(cfg, {"abs_tol": "solver.tol", "max_iters": "solver.max_iters"}):
+        return SolveOptions(abs_tol=cfg["solver.tol"], max_iters=cfg["solver.max_iters"])
 
 
 @contextmanager
-def _value_of(cfg, key: str):
+def _value_of(cfg, key):
     """Report a ParameterError, DomainError or ActivationRadiusError raised
-    inside as a config error naming the file, the line and the key."""
+    inside as a config error naming the file, the line and the key.
+
+    key is one config key, or a dict from parameter names to config keys:
+    an error then names the key of each parameter its check read, and one
+    that names none of them propagates as it is."""
     try:
         yield
     except (ParameterError, DomainError, ActivationRadiusError) as exc:
-        raise ConfigError(f"{cfg.where(key)}: {exc}") from exc
+        keys = [key] if isinstance(key, str) else [key[n] for n in getattr(exc, "names", ()) if n in key]
+        if not keys:
+            raise
+        raise ConfigError(", ".join(map(cfg.where, keys)) + f": {exc}") from exc
 
 
 def _envelopes(cfg, params: BlowupParams):
@@ -335,7 +330,8 @@ def _run_blowup_solve(cfg):
 def cmd_solve(cfg, out: Path, say) -> int:
     kind = cfg["problem.kind"]
     if kind == "linear":
-        problem = _linear_test_problem(cfg["problem.R"])
+        with _value_of(cfg, "problem.R"):
+            problem = _linear_test_problem(cfg["problem.R"])
         grid = _grid(cfg)
         lo = constant_field(grid, 0.0)
         hi = constant_field(grid, 1.0)
@@ -476,18 +472,19 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
     with _value_of(cfg, "exhaust.n0"):
         check_first_subdomain(params.R, n0, compact_radius)
     sub, sup = _envelopes(cfg, params)
-    run = solve_large_solution(
-        params,
-        sub,
-        sup,
-        n0=n0,
-        n_max=cfg["exhaust.n_max"],
-        compact_radius=compact_radius,
-        tol=cfg["exhaust.tol"],
-        m=cfg["grid.m"],
-        grading=cfg["grid.grading"],
-        opts=_solve_options(cfg),
-    )
+    with _value_of(cfg, {"m": "grid.m", "grading": "grid.grading"}):  # each truncation's grid
+        run = solve_large_solution(
+            params,
+            sub,
+            sup,
+            n0=n0,
+            n_max=cfg["exhaust.n_max"],
+            compact_radius=compact_radius,
+            tol=cfg["exhaust.tol"],
+            m=cfg["grid.m"],
+            grading=cfg["grid.grading"],
+            opts=_solve_options(cfg),
+        )
 
     out.mkdir(parents=True, exist_ok=True)
     # row i > 0 holds the change from solve i-1 to solve i, nan where none was taken
@@ -548,9 +545,14 @@ def _b2_row(entry, margin: float, quad: int, work: QuadWork) -> tuple:
 
 
 def cmd_b2(cfg, out: Path, say) -> int:
+    # imported here: at module level they would add 5-12 ms to every command's start
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
+
     n_dim = cfg["b2.N"]
     R = cfg["b2.R"]
-    domain = Domain.ball(R, n_dim)
+    with _value_of(cfg, {"R": "b2.R", "N": "b2.N"}):
+        domain = Domain.ball(R, n_dim)
     margin = cfg["b2.margin"]
     quad = cfg["b2.quad_nodes"]
 
@@ -561,8 +563,10 @@ def cmd_b2(cfg, out: Path, say) -> int:
         entries.append((f"interior-vanishing(|x-{R / 2:g}|)", InteriorVanishingWeight(R / 2), Domain.interval(R)))
     else:
         # each tag reads only its own parameters; an unknown tag raises ParameterError
-        family = WeightFamily(mode, alpha=cfg["b2.alpha"], beta_log=cfg["b2.beta_log"], a_exp=cfg["b2.a_exp"])
-        family.validate_for_dimension(n_dim)
+        keys = {"tag": "b2.family", "alpha": "b2.alpha", "beta_log": "b2.beta_log", "a_exp": "b2.a_exp", "n_dim": "b2.N"}
+        with _value_of(cfg, keys):
+            family = WeightFamily(mode, alpha=cfg["b2.alpha"], beta_log=cfg["b2.beta_log"], a_exp=cfg["b2.a_exp"])
+            family.validate_for_dimension(n_dim)
         entries.append((mode, family, domain))
     with _value_of(cfg, "b2.margin"):
         for _, _, dom in entries:  # before any quadrature or work array

@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
-
-
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, tuple[str, int]]:
     """Raw key -> (value, line number) mapping with duplicate detection."""
     out: dict[str, tuple[str, int]] = {}
@@ -69,13 +65,6 @@ def _convert(key: str, value: str, lineno: int, kind: str, source: str):
             return finite_float(value)
         if kind == "int":
             return int(value)
-        if kind == "bool":
-            lowered = value.lower()
-            if lowered in _TRUE:
-                return True
-            if lowered in _FALSE:
-                return False
-            raise ValueError(value)
         if kind == "float-or-auto":
             if value.lower() == "auto":
                 return None

@@ -1,11 +1,20 @@
 """Exception types shared across the package."""
 
 
-class ParameterError(ValueError):
+class _RefusedValue(ValueError):
+    """A refused value.  names lists the parameters the refusing check read,
+    by their names where it was raised, so a caller that set them can say where."""
+
+    def __init__(self, message: str, *names: str):
+        super().__init__(message)
+        self.names = names
+
+
+class ParameterError(_RefusedValue):
     """A numeric parameter violates its admissible range."""
 
 
-class DomainError(ValueError):
+class DomainError(_RefusedValue):
     """A point or geometric datum lies outside the domain it refers to."""
 
 

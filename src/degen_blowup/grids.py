@@ -74,11 +74,11 @@ def build_graded_grid(R: float, eta: float, m: int, grading: float = 2.0) -> Gri
     where the solution behaves like (R - r)**(-beta).
     """
     if not 0.0 < eta < R:
-        raise DomainError(f"eta must lie in (0, R); got eta={eta}, R={R}")
+        raise DomainError(f"eta must lie in (0, R); got eta={eta}, R={R}", "eta", "R")
     if m < 3:
-        raise ParameterError(f"node count m must be at least 3; got {m}")
+        raise ParameterError(f"node count m must be at least 3; got {m}", "m")
     if grading < 1.0:
-        raise ParameterError(f"grading must be >= 1; got {grading}")
+        raise ParameterError(f"grading must be >= 1; got {grading}", "grading")
     s = np.arange(m, dtype=float) / (m - 1)
     nodes = (R - eta) * (1.0 - (1.0 - s) ** grading)
     nodes[0] = 0.0

@@ -57,9 +57,9 @@ class SolveOptions:
 
     def __post_init__(self):
         if self.abs_tol <= 0.0:
-            raise ParameterError(f"abs_tol must be positive; got {self.abs_tol}")
+            raise ParameterError(f"abs_tol must be positive; got {self.abs_tol}", "abs_tol")
         if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be at least 1; got {self.max_iters}")
+            raise ParameterError(f"max_iters must be at least 1; got {self.max_iters}", "max_iters")
 
 
 @dataclass

@@ -46,9 +46,9 @@ _BISECT_TOL = 1e-12
 def blowup_exponent(p: float, alpha: float, gamma: float) -> float:
     """Boundary growth rate beta = (2 + gamma - alpha)/(p - 1)."""
     if p <= 1.0:
-        raise ParameterError(f"superlinear power p > 1 required; got p={p}")
+        raise ParameterError(f"superlinear power p > 1 required; got p={p}", "p")
     if gamma - alpha < 0.0:
-        raise ParameterError(f"gamma - alpha must be >= 0; got {gamma - alpha}")
+        raise ParameterError(f"gamma - alpha must be >= 0; got {gamma - alpha}", "gamma", "alpha")
     return (2.0 + gamma - alpha) / (p - 1.0)
 
 
@@ -99,22 +99,24 @@ class BlowupParams:
     def __post_init__(self):
         blowup_exponent(self.p, self.alpha, self.gamma)
         if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(f"epsilon must lie in (0, 1); got {self.epsilon}")
+            raise ParameterError(f"epsilon must lie in (0, 1); got {self.epsilon}", "epsilon")
         if self.R <= 0.0:
-            raise ParameterError(f"radius R must be positive; got {self.R}")
+            raise ParameterError(f"radius R must be positive; got {self.R}", "R")
         if int(self.N) != self.N or self.N < 1:
-            raise ParameterError(f"dimension N must be a positive integer; got {self.N}")
+            raise ParameterError(f"dimension N must be a positive integer; got {self.N}", "N")
         probe = self.a_at(np.linspace(0.0, self.R, 65))
         if not (np.all(np.isfinite(probe)) and np.all(probe > 0.0)):
-            raise ParameterError("a(r) must be finite and positive on [0, R]")
+            raise ParameterError("a(r) must be finite and positive on [0, R]", "a_coef", "R")
         # so that every envelope amplitude exists, and the envelope builders
         # refuse only their shift
         if self.beta + 1.0 - self.alpha <= 0.0:
-            raise ParameterError(f"beta + 1 - alpha must be positive; got {self.beta + 1.0 - self.alpha}")
+            raise ParameterError(
+                f"beta + 1 - alpha must be positive; got {self.beta + 1.0 - self.alpha}", "p", "alpha", "gamma"
+            )
         try:  # the largest amplitude, the upper envelope's, is a power 1/(p-1): near p = 1 it overflows
             _envelope_amplitude(self, 1.0 + self.epsilon)
         except OverflowError:
-            raise ParameterError(f"envelope amplitude overflows the float range at p={self.p}") from None
+            raise ParameterError(f"envelope amplitude overflows the float range at p={self.p}", "p") from None
 
     def a_at(self, r) -> np.ndarray:
         return as_function(self.a_coef, "a_coef")(r)

@@ -45,22 +45,22 @@ class WeightFamily:
 
     def __post_init__(self):
         if self.tag not in _FAMILY_TAGS:
-            raise ParameterError(f"unknown weight family tag {self.tag!r}")
+            raise ParameterError(f"unknown weight family tag {self.tag!r}", "tag")
         if self.tag in ("power", "power-log") and self.alpha <= -1.0:
             raise ParameterError(
-                f"power-type profile needs alpha > -1; got alpha={self.alpha}"
+                f"power-type profile needs alpha > -1; got alpha={self.alpha}", "alpha"
             )
         if self.tag == "power-log" and self.beta_log <= 0.0:
             raise ParameterError(
-                f"power-log profile needs beta_log > 0; got beta_log={self.beta_log}"
+                f"power-log profile needs beta_log > 0; got beta_log={self.beta_log}", "beta_log"
             )
         if self.tag == "log-negative" and self.alpha <= 0.0:
             raise ParameterError(
-                f"log-negative profile needs alpha > 0; got alpha={self.alpha}"
+                f"log-negative profile needs alpha > 0; got alpha={self.alpha}", "alpha"
             )
         if self.tag == "exp-deficit" and self.a_exp >= 0.0:
             raise ParameterError(
-                f"exp-deficit profile needs a_exp < 0; got a_exp={self.a_exp}"
+                f"exp-deficit profile needs a_exp < 0; got a_exp={self.a_exp}", "a_exp"
             )
 
     # -- constructors -------------------------------------------------
@@ -90,10 +90,12 @@ class WeightFamily:
         if self.tag in ("power", "power-log") and not self.alpha < n_dim - 1:
             raise ParameterError(
                 f"power-type profile needs alpha < N-1 = {n_dim - 1}; "
-                f"got alpha={self.alpha}"
+                f"got alpha={self.alpha}",
+                "alpha",
+                "n_dim",
             )
         if self.tag == "exp-deficit" and n_dim <= 2:
-            raise ParameterError("exp-deficit profile needs dimension N > 2")
+            raise ParameterError("exp-deficit profile needs dimension N > 2", "n_dim")
 
     def tau(self, t):
         """Raw profile evaluation; callers guard the t=0 endpoint."""
@@ -176,9 +178,9 @@ class Domain:
         if self.kind not in ("interval", "ball"):
             raise ParameterError(f"unknown domain kind {self.kind!r}")
         if not self.R > 0.0:
-            raise ParameterError(f"radius R must be positive; got R={self.R}")
+            raise ParameterError(f"radius R must be positive; got R={self.R}", "R")
         if int(self.N) != self.N or self.N < 1:
-            raise ParameterError(f"dimension N must be a positive integer; got {self.N}")
+            raise ParameterError(f"dimension N must be a positive integer; got {self.N}", "N")
         if self.kind == "interval" and self.N != 1:
             raise ParameterError("interval domains force N = 1")
 

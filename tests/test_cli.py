@@ -310,7 +310,8 @@ def test_power_near_one_is_config_error(tmp_path, capsys, command, p):
     cfg = write(tmp_path / "p.cfg", f"run.command = {command}\nproblem.p = {p}\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err.startswith(f"config error: envelope amplitude overflows the float range at p={p}")
+    message = f"config error: {cfg}:2: key 'problem.p': envelope amplitude overflows the float range at p={p}"
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 
@@ -545,6 +546,50 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {cfg}{where}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        ("solve", "problem.epsilon = 2", "run.cfg:3: key 'problem.epsilon': epsilon must lie in (0, 1); got 2.0"),
+        ("rate", "problem.R = -1", "run.cfg:3: key 'problem.R': radius R must be positive; got -1.0"),
+        ("exhaust", "problem.N = 0", "run.cfg:3: key 'problem.N': dimension N must be a positive integer; got 0"),
+        ("verify-subsuper", "problem.p = 0.5", "run.cfg:3: key 'problem.p': superlinear power p > 1 required; got p=0.5"),
+        (
+            "solve",
+            "problem.gamma = -1",
+            "run.cfg:3: key 'problem.gamma', run.cfg: key 'problem.alpha' (default): gamma - alpha must be >= 0; got -1.0",
+        ),
+        (
+            "solve",
+            "problem.a = -1",
+            "run.cfg:3: key 'problem.a', run.cfg: key 'problem.R' (default): a(r) must be finite and positive on [0, R]",
+        ),
+        ("solve", "grid.m = 1", "run.cfg:3: key 'grid.m': node count m must be at least 3; got 1"),
+        ("exhaust", "grid.m = 1", "run.cfg:3: key 'grid.m': node count m must be at least 3; got 1"),
+        (
+            "solve",
+            "grid.eta = 2",
+            "run.cfg:3: key 'grid.eta', run.cfg: key 'problem.R' (default): eta must lie in (0, R); got eta=2.0, R=1.0",
+        ),
+        ("rate", "grid.grading = 0.5", "run.cfg:3: key 'grid.grading': grading must be >= 1; got 0.5"),
+        ("solve", "problem.kind = linear\nproblem.R = -1", "run.cfg:4: key 'problem.R': radius R must be positive"),
+        ("b2", "b2.N = 0", "run.cfg:3: key 'b2.N': dimension N must be a positive integer; got 0"),
+        ("b2", "b2.family = power\nb2.alpha = -2", "run.cfg:4: key 'b2.alpha': power-type profile needs alpha > -1"),
+        ("b2", "b2.family = bogus", "run.cfg:3: key 'b2.family': unknown weight family tag 'bogus'"),
+    ],
+    ids=[
+        "epsilon", "R", "N", "p", "gamma-alpha", "a", "m", "exhaust-m", "eta-R", "grading",
+        "linear-R", "b2-N", "b2-alpha", "b2-family",
+    ],
+)
+def test_refused_range_names_file_line_and_keys(tmp_path, monkeypatch, capsys, command, body, message):
+    # a check that reads several parameters names the key of each
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "run.cfg", f"run.command = {command}\n# the value under test\n{body}\n")
+    assert main([command, "--config", "run.cfg", "--out", "o", "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -887,18 +932,20 @@ def _reference_write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0])
+_POWERS = np.array([10.0**q for q in range(-300, 301)]).view(np.int64)
+_POWERS = (_POWERS[:, None] + np.array([-1, 0, 1])).ravel().view(np.float64)  # +- 1 ulp
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1])
 def test_csv_writer_bit_identical_to_joined_rows(tmp_path, n_rows):
-    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0])
-    powers = np.array([10.0**q for q in range(-300, 301)]).view(np.int64)
-    powers = (powers[:, None] + np.array([-1, 0, 1])).ravel().view(np.float64)  # +- 1 ulp
     rng = np.random.default_rng(n_rows)
     columns = (
-        np.resize(special, n_rows),
+        np.resize(_SPECIAL, n_rows),
         rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
         np.zeros(n_rows),
-        np.resize(powers, n_rows),
-        [float(v) for v in np.resize(special, n_rows)],
+        np.resize(_POWERS, n_rows),
+        [float(v) for v in np.resize(_SPECIAL, n_rows)],
         list(range(n_rows)),
         np.arange(n_rows) - 3,
         [i % 3 == 0 for i in range(n_rows)],
@@ -906,6 +953,20 @@ def test_csv_writer_bit_identical_to_joined_rows(tmp_path, n_rows):
         [f"family({i})" for i in range(n_rows)],
     )
     header = ["f", "g", "zero", "pow10", "f_list", "i", "i_array", "b", "b_array", "s"]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    _reference_write_csv(tmp_path / "old.csv", header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_cols", range(1, 7))
+@pytest.mark.parametrize("n_rows", [0, 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1, 3 * _CSV_CHUNK_ROWS + 5])
+def test_csv_writer_float_table_bit_identical_to_joined_rows(tmp_path, n_rows, n_cols):
+    # every column a float64 array, so each chunk is one format_g17 table;
+    # the first column holds the special values and powers in order
+    rng = np.random.default_rng(10 * n_rows + n_cols)
+    pool = np.concatenate([_SPECIAL, _POWERS, rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)])
+    columns = tuple(np.resize(pool if j == 0 else rng.permutation(pool), n_rows) for j in range(n_cols))
+    header = [f"c{j}" for j in range(n_cols)]
     _write_csv(tmp_path / "new.csv", header, columns)
     _reference_write_csv(tmp_path / "old.csv", header, zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
