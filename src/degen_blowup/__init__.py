@@ -29,24 +29,13 @@ from .asymptotics import (
     fit_blowup_rate,
     oracle_exact_1d,
 )
-from .errors import (
-    ActivationRadiusError,
-    AssemblyError,
-    BoundaryEvaluationError,
-    CertificationError,
-    ConfigError,
-    DomainError,
-    FitError,
-    LinearSolveError,
-    OrderingError,
-    ParameterError,
-)
+from .errors import CertificationError, ConfigError, ParameterError, SolverError
 from .exhaustion import (
     ExhaustionRun,
     residual_on_monitor,
     solve_large_solution,
 )
-from .grids import Grid, NestedDomain, build_graded_grid, first_nested_index, nested_subdomain
+from .grids import Grid, build_graded_grid, first_nested_index, nested_margin
 from .penalty_solver import (
     SandwichReport,
     SolveOptions,

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssemblyError, OrderingError, ParameterError
+from .errors import ParameterError, SolverError
 from .grids import Grid
 from .subsuper import BlowupParams, as_function
 from .tridiag import Tridiagonal
@@ -193,7 +193,7 @@ def edge_conductances(grid: Grid, problem: Problem, w_half: np.ndarray | None = 
     cond = w * rh ** (problem.domain.N - 1) / grid.spacings
     if not np.all(np.isfinite(cond)):
         j = int(np.argmin(np.isfinite(cond)))
-        raise AssemblyError(f"non-finite edge conductance at half-node {j} (r = {rh[j]})")
+        raise SolverError(f"non-finite edge conductance at half-node {j} (r = {rh[j]})")
     return cond
 
 
@@ -267,10 +267,10 @@ def grid_terms(
     lower = np.full(grid.m, -np.inf) if lower is None else lower
     upper = np.full(grid.m, np.inf) if upper is None else upper
     if lower.shape != (grid.m,) or upper.shape != (grid.m,):
-        raise OrderingError(f"slab bounds need {grid.m} values each; got shapes {lower.shape}, {upper.shape}")
+        raise ParameterError(f"slab bounds need {grid.m} values each; got shapes {lower.shape}, {upper.shape}")
     if np.any(lower > upper):
         j = int(np.argmax(lower - upper))
-        raise OrderingError(
+        raise ParameterError(
             f"lower bound exceeds upper bound at node {j}: {lower[j]} > {upper[j]}"
         )
     rh = grid.half_nodes
@@ -340,7 +340,7 @@ def assemble_residual(u: DiscreteField, terms: GridTerms) -> DiscreteField:
     res = residual_rows(u.values, terms)
     if not np.all(np.isfinite(res)):
         j = int(np.argmin(np.isfinite(res)))
-        raise AssemblyError(f"non-finite residual entry at node {j} (r = {grid.nodes[j]})")
+        raise SolverError(f"non-finite residual entry at node {j} (r = {grid.nodes[j]})")
     return DiscreteField(grid, res)
 
 
@@ -396,5 +396,5 @@ def assemble_jacobian(u: DiscreteField, terms: GridTerms) -> Tridiagonal:
     diag += terms.operator.diag
     diag[terms.mask] = 1.0
     if not np.all(np.isfinite(diag)):
-        raise AssemblyError("non-finite Jacobian entry")
+        raise SolverError("non-finite Jacobian entry")
     return Tridiagonal(lower=terms.operator.lower, diag=diag, upper=terms.operator.upper)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DiscreteField, PowerNonlinearity, Problem
-from .errors import FitError
+from .errors import ParameterError
 from .weights import Domain, WeightFamily
 
 DEFAULT_SLACK = 0.05
@@ -45,7 +45,7 @@ class EpsilonBoundsReport:
 def _window_mask(grid, window) -> np.ndarray:
     d_min, d_max = window
     if not 0.0 < d_min < d_max:
-        raise FitError(f"window must satisfy 0 < d_min < d_max; got {window}")
+        raise ParameterError(f"window must satisfy 0 < d_min < d_max; got {window}", "d_min", "d_max")
     d = grid.boundary_gap
     return (d >= d_min) & (d <= d_max)
 
@@ -55,12 +55,12 @@ def fit_blowup_rate(u: DiscreteField, window) -> RateFit:
     grid = u.grid
     mask = _window_mask(grid, window)
     if int(np.sum(mask)) < 5:
-        raise FitError(
-            f"window {tuple(window)} covers only {int(np.sum(mask))} nodes; need at least 5"
+        raise ParameterError(
+            f"window {tuple(window)} covers only {int(np.sum(mask))} nodes; need at least 5", "d_min", "d_max"
         )
     vals = u.values[mask]
     if np.any(vals <= 0.0):
-        raise FitError("field must be strictly positive inside the fit window")
+        raise ParameterError("field must be strictly positive inside the fit window")
     x = np.log(grid.boundary_gap[mask])
     y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
@@ -92,7 +92,7 @@ def check_epsilon_bounds(
     grid = u.grid
     mask = _window_mask(grid, window)
     if not np.any(mask):
-        raise FitError(f"window {tuple(window)} contains no grid nodes")
+        raise ParameterError(f"window {tuple(window)} contains no grid nodes", "d_min", "d_max")
     d = grid.boundary_gap[mask]
     values = u.values[mask]
     ratios = values / (K * d ** (-beta))
@@ -115,7 +115,7 @@ def oracle_exact_1d(R: float = 1.0):
     Returns the problem together with the evaluator u*.
     """
     if R <= 0.0:
-        raise FitError(f"radius must be positive; got R={R}")
+        raise ParameterError(f"radius must be positive; got R={R}")
 
     def u_star(x):
         return math.sqrt(2.0) / (R - np.asarray(x, dtype=float))

@@ -2,12 +2,13 @@
 
 Subcommands: solve | rate | verify-subsuper | exhaust | b2 | sweep, each
 driven by a flat key-value config file (see the config module) and writing
-CSV plus a small text report into the output directory.  Exit codes:
+CSV plus a small text report into the output directory.  Exit codes, with
+the error type each one handles (_EXIT_TABLE):
 
     0  run completed and certified
-    1  config error or violated precondition (nothing written)
-    2  solver did not converge / did not stabilize
-    3  certification failure (bound certificate or inequality sweep)
+    1  config error or violated precondition, nothing written (ConfigError, ParameterError)
+    2  solver did not converge / did not stabilize (SolverError)
+    3  certification failure: bound certificate or inequality sweep (CertificationError)
 
 The sweep command runs its member configs in up to min(4, members)
 worker processes (forked on Linux) and prints their lines once all have
@@ -24,9 +25,10 @@ A value of one key that a command refuses while it runs (problem.kind,
 problem.A, problem.C, verify.C, an entry of verify.C_list, verify.samples,
 exhaust.n0, b2.margin, b2.quad_nodes, solver.tol, solver.max_iters) is a
 config error naming the file, the line and the key, like the errors of
-the config module.  A refused range of the problem, the grid or a b2
-weight (problem.p, ..., grid.m, b2.N, b2.alpha, ...) names each key its
-check read.
+the config module.  A refused range of the problem, the grid, a b2 weight,
+the exhaust schedule or the rate window (problem.p, ..., grid.m, b2.N,
+b2.alpha, ..., exhaust.n0 and exhaust.n_max, rate.d_min and rate.d_max)
+names each key its check read.
 """
 
 from __future__ import annotations
@@ -52,17 +54,7 @@ from .config import (
     parse_config_file,
     resolve,
 )
-from .errors import (
-    ActivationRadiusError,
-    AssemblyError,
-    CertificationError,
-    ConfigError,
-    DomainError,
-    FitError,
-    LinearSolveError,
-    OrderingError,
-    ParameterError,
-)
+from .errors import CertificationError, ConfigError, ParameterError, SolverError
 from .exhaustion import (
     STATUS_CERTIFICATION_FAILED,
     STATUS_CONVERGED,
@@ -104,12 +96,8 @@ EXIT_CERTIFICATION = 3
 # (exception types, exit code, stderr label); main and sweep members both
 # read this table, and anything outside it propagates.
 _EXIT_TABLE = (
-    (
-        (ConfigError, ParameterError, DomainError, OrderingError, FitError, ActivationRadiusError),
-        EXIT_CONFIG,
-        "config error",
-    ),
-    ((AssemblyError, LinearSolveError), EXIT_NONCONVERGED, "solver error"),
+    ((ConfigError, ParameterError), EXIT_CONFIG, "config error"),
+    ((SolverError,), EXIT_NONCONVERGED, "solver error"),
     ((CertificationError,), EXIT_CERTIFICATION, "certification failure"),
 )
 _HANDLED = tuple(t for types, _, _ in _EXIT_TABLE for t in types)
@@ -272,16 +260,16 @@ def _solve_options(cfg) -> SolveOptions:
 
 @contextmanager
 def _value_of(cfg, key):
-    """Report a ParameterError, DomainError or ActivationRadiusError raised
-    inside as a config error naming the file, the line and the key.
+    """Report a ParameterError raised inside as a config error naming the
+    file, the line and the key.
 
     key is one config key, or a dict from parameter names to config keys:
     an error then names the key of each parameter its check read, and one
     that names none of them propagates as it is."""
     try:
         yield
-    except (ParameterError, DomainError, ActivationRadiusError) as exc:
-        keys = [key] if isinstance(key, str) else [key[n] for n in getattr(exc, "names", ()) if n in key]
+    except ParameterError as exc:
+        keys = [key] if isinstance(key, str) else [key[n] for n in exc.names if n in key]
         if not keys:
             raise
         raise ConfigError(", ".join(map(cfg.where, keys)) + f": {exc}") from exc
@@ -376,8 +364,9 @@ def cmd_rate(cfg, out: Path, say) -> int:
     window = (cfg["rate.d_min"], cfg["rate.d_max"])
     params = _blowup_params(cfg)
     _, _, _, u, report = _run_blowup_solve(cfg)
-    fit = fit_blowup_rate(u, window)
-    bounds = check_epsilon_bounds(u, params.K, params.beta, params.epsilon, window)
+    with _value_of(cfg, {"d_min": "rate.d_min", "d_max": "rate.d_max"}):
+        fit = fit_blowup_rate(u, window)
+        bounds = check_epsilon_bounds(u, params.K, params.beta, params.epsilon, window)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "rate.csv", ["d", "u", "ratio"], (bounds.d, bounds.u, bounds.ratios))
@@ -472,7 +461,9 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
     with _value_of(cfg, "exhaust.n0"):
         check_first_subdomain(params.R, n0, compact_radius)
     sub, sup = _envelopes(cfg, params)
-    with _value_of(cfg, {"m": "grid.m", "grading": "grid.grading"}):  # each truncation's grid
+    # each truncation's grid, and the schedule n0, 2 n0, ... up to n_max
+    keys = {"m": "grid.m", "grading": "grid.grading", "n0": "exhaust.n0", "n_max": "exhaust.n_max"}
+    with _value_of(cfg, keys):
         run = solve_large_solution(
             params,
             sub,

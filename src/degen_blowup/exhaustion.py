@@ -26,7 +26,7 @@ from .assembly import (
     radial_blowup_problem,
 )
 from .errors import ParameterError
-from .grids import Grid, build_graded_grid, nested_subdomain
+from .grids import Grid, build_graded_grid, nested_margin
 from .penalty_solver import SolveOptions, solve_penalized
 from .subsuper import BlowupParams
 
@@ -54,7 +54,7 @@ class ExhaustionRun:
 
 def _geometric_schedule(n0: int, n_max: int) -> list[int]:
     if n_max < n0:
-        raise ParameterError(f"n_max={n_max} must be at least n0={n0}")
+        raise ParameterError(f"n_max={n_max} must be at least n0={n0}", "n_max", "n0")
     out = []
     n = n0
     while n <= n_max:
@@ -65,11 +65,11 @@ def _geometric_schedule(n0: int, n_max: int) -> list[int]:
 
 def check_first_subdomain(R: float, n0: int, compact_radius: float) -> None:
     """Refuse an n0 whose subdomain {r < R - 1/n0} does not hold [0, compact_radius]."""
-    first = nested_subdomain(R, n0)  # validates 1/n0 < R
-    if not compact_radius < first.outer_radius:
+    outer_radius = R - nested_margin(R, n0)
+    if not compact_radius < outer_radius:
         raise ParameterError(
             f"compact_radius={compact_radius} must stay inside the first "
-            f"subdomain of radius {first.outer_radius}"
+            f"subdomain of radius {outer_radius}"
         )
 
 
@@ -111,8 +111,8 @@ def solve_large_solution(
     run = ExhaustionRun(monitor=build_graded_grid(R=params.R, eta=params.R - compact_radius, m=_MONITOR_M, grading=1.0))
     previous: DiscreteField | None = None
     for n in _geometric_schedule(n0, n_max):
-        sub = nested_subdomain(params.R, n)
-        grid_n = build_graded_grid(R=params.R, eta=sub.margin, m=m, grading=grading)
+        margin = nested_margin(params.R, n)
+        grid_n = build_graded_grid(R=params.R, eta=margin, m=m, grading=grading)
         problem_n, lo, hi = slab_problem(base, grid_n, lower, upper)
 
         solve_opts = opts or SolveOptions()
@@ -122,7 +122,7 @@ def solve_large_solution(
 
         u_n, report = solve_penalized(problem_n, grid_n, lo, hi, solve_opts)
         run.n_values.append(n)
-        run.outer_radii.append(sub.outer_radius)
+        run.outer_radii.append(params.R - margin)
         run.sandwich_ok.append(report.sandwich.ok)
 
         if not report.converged:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Grid:
         if not np.all(np.diff(nodes) > 0.0):
             raise ParameterError("grid nodes must be strictly increasing")
         if not 0.0 < self.eta < self.R:
-            raise DomainError(f"eta must lie in (0, R); got eta={self.eta}, R={self.R}")
+            raise ParameterError(f"eta must lie in (0, R); got eta={self.eta}, R={self.R}")
         if not math.isclose(nodes[-1], self.R - self.eta, rel_tol=1e-12, abs_tol=1e-15):
             raise ParameterError("last node must sit at R - eta")
 
@@ -74,7 +74,7 @@ def build_graded_grid(R: float, eta: float, m: int, grading: float = 2.0) -> Gri
     where the solution behaves like (R - r)**(-beta).
     """
     if not 0.0 < eta < R:
-        raise DomainError(f"eta must lie in (0, R); got eta={eta}, R={R}", "eta", "R")
+        raise ParameterError(f"eta must lie in (0, R); got eta={eta}, R={R}", "eta", "R")
     if m < 3:
         raise ParameterError(f"node count m must be at least 3; got {m}", "m")
     if grading < 1.0:
@@ -86,29 +86,13 @@ def build_graded_grid(R: float, eta: float, m: int, grading: float = 2.0) -> Gri
     return Grid(nodes=nodes, R=R, eta=eta)
 
 
-@dataclass(frozen=True)
-class NestedDomain:
-    """The interior subdomain {x : dist(x, boundary) > 1/n}."""
-
-    n: int
-    R: float
-
-    @property
-    def margin(self) -> float:
-        return 1.0 / self.n
-
-    @property
-    def outer_radius(self) -> float:
-        return self.R - 1.0 / self.n
-
-
-def nested_subdomain(R: float, n: int) -> NestedDomain:
-    """Truncate the ball of radius R by the margin 1/n."""
+def nested_margin(R: float, n: int) -> float:
+    """The margin 1/n of the subdomain {r < R - 1/n} of the ball of radius R."""
     if n < 1:
         raise ParameterError(f"subdomain index n must be a positive integer; got {n}")
     if 1.0 / n >= R:
-        raise DomainError(f"margin 1/{n} >= R = {R} leaves an empty subdomain")
-    return NestedDomain(n=n, R=R)
+        raise ParameterError(f"margin 1/{n} >= R = {R} leaves an empty subdomain")
+    return 1.0 / n
 
 
 def first_nested_index(R: float) -> int:

@@ -38,9 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ActivationRadiusError, DomainError, ParameterError
-
-_BISECT_TOL = 1e-12
+from .errors import ParameterError
 
 
 def blowup_exponent(p: float, alpha: float, gamma: float) -> float:
@@ -165,7 +163,7 @@ class Envelope:
     def __call__(self, r):
         x = np.asarray(r, dtype=float)
         if np.any(x >= self.R) or np.any(x < 0.0):
-            raise DomainError("envelope evaluation needs 0 <= r < R (blow-up at r = R)")
+            raise ParameterError("envelope evaluation needs 0 <= r < R (blow-up at r = R)")
         out = np.maximum(0.0, self.shift + self.B * (x / self.R) ** 2 * (self.R - x) ** (-self.beta))
         return float(out) if np.ndim(r) == 0 else out
 
@@ -183,8 +181,9 @@ def build_subsolution(params: BlowupParams, C: float) -> Envelope:
 
     The activation radius is the unique root of C + B*(r/R)^2*(R-r)^(-beta)
     in (0, R); the profile is nondecreasing in r, so bisection converges
-    unconditionally.  As C -> 0- the root slides to 0, as C -> -inf it
-    approaches R.
+    unconditionally, and it runs until the bracket's ends are adjacent
+    floats, so a root of any size is resolved.  As C -> 0- the root slides
+    to 0, as C -> -inf it approaches R.
     """
     if C >= 0.0:
         raise ParameterError(f"shift C must be negative; got C={C}")
@@ -199,16 +198,16 @@ def build_subsolution(params: BlowupParams, C: float) -> Envelope:
 
     lo, hi = 0.0, R * (1.0 - 1e-13)
     if profile(hi) <= 0.0:
-        raise ActivationRadiusError(
+        raise ParameterError(
             f"activation radius not bracketed below r = {hi}: |C| = {abs(C)} too large"
         )
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if profile(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
     c_bar = 0.5 * (lo + hi)
+    while lo < c_bar < hi:
+        if profile(c_bar) < 0.0:
+            lo = c_bar
+        else:
+            hi = c_bar
+        c_bar = 0.5 * (lo + hi)
     return Envelope(shift=float(C), B=B, beta=beta, R=R, activation_radius=c_bar)
 
 

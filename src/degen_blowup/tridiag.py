@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LinearSolveError
+from .errors import SolverError
 
 
 @dataclass
@@ -50,7 +50,7 @@ class Tridiagonal:
 def thomas_solve(mat: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """Solve mat @ x = rhs by forward elimination and back substitution.
 
-    No pivoting; raises LinearSolveError on a zero or non-finite pivot.
+    No pivoting; raises SolverError on a zero or non-finite pivot.
     Row 0 is the general step with c = d = 0, since lower[0] is zero.  The
     loops index memoryviews, which yield Python floats without copying the
     bands into lists.  Row j keeps its c and d at index j + 1 behind a
@@ -89,7 +89,7 @@ def thomas_solve(mat: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     np.subtract(mat.diag[:swept], pivots, out=pivots)
     if not (np.all(pivots) and np.all(np.isfinite(pivots))):
         bad = (pivots == 0.0) | ~np.isfinite(pivots)
-        raise LinearSolveError(f"singular pivot at row {int(np.argmax(bad))}")
+        raise SolverError(f"singular pivot at row {int(np.argmax(bad))}")
     x_next = x[n - 1] = d_prev
     for c_j, d_j, j in zip(c[n - 1:0:-1], d[n - 1:0:-1], range(n - 2, -1, -1)):
         x_next = x[j] = d_j - c_j * x_next

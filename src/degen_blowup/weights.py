@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryEvaluationError, DomainError, ParameterError
+from .errors import ParameterError
 
 _FAMILY_TAGS = ("constant", "power", "power-log", "log-negative", "exp-deficit")
 
@@ -205,11 +205,11 @@ def distance_to_boundary(domain: Domain, x) -> float:
     if domain.kind == "ball":
         r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
         if r > domain.R:
-            raise DomainError(f"point at radius {r} lies outside the ball of radius {domain.R}")
+            raise ParameterError(f"point at radius {r} lies outside the ball of radius {domain.R}")
         return domain.R - r
     x = float(x)
     if x < 0.0 or x > domain.R:
-        raise DomainError(f"point {x} lies outside the interval (0, {domain.R})")
+        raise ParameterError(f"point {x} lies outside the interval (0, {domain.R})")
     return domain.R - x
 
 
@@ -224,9 +224,9 @@ def eval_weight(family: WeightFamily, d) -> np.ndarray | float:
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if np.any(arr < 0.0):
-        raise BoundaryEvaluationError("boundary gap d must be nonnegative")
+        raise ParameterError("boundary gap d must be nonnegative")
     if np.any(arr == 0.0) and not family.finite_positive_at_zero():
-        raise BoundaryEvaluationError(
+        raise ParameterError(
             f"{family.tag} weight cannot be evaluated at the boundary (d = 0)"
         )
     out = family.tau(arr)

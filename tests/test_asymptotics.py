@@ -9,7 +9,7 @@ import sympy
 from degen_blowup import (
     BlowupParams,
     DiscreteField,
-    FitError,
+    ParameterError,
     SolveOptions,
     blowup_constant,
     blowup_exponent,
@@ -41,12 +41,12 @@ class TestFit:
 
     def test_nonpositive_data_rejected(self):
         grid = build_graded_grid(R=1.0, eta=1e-3, m=100, grading=1.0)
-        with pytest.raises(FitError):
+        with pytest.raises(ParameterError, match="field must be strictly positive inside the fit window"):
             fit_blowup_rate(DiscreteField(grid, np.zeros(grid.m)), (1e-2, 0.5))
 
     def test_sparse_window_rejected(self):
         grid = build_graded_grid(R=1.0, eta=1e-3, m=100, grading=1.0)
-        with pytest.raises(FitError):
+        with pytest.raises(ParameterError, match=r"window \(1e-08, 2e-08\) covers only 0 nodes; need at least 5"):
             fit_blowup_rate(DiscreteField(grid, np.ones(grid.m)), (1e-8, 2e-8))
 
     def test_window_shrink_approaches_envelope_exponent(self):

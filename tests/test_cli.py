@@ -22,6 +22,7 @@ from degen_blowup import (
     check_a2,
     check_b2,
     cli,
+    errors,
 )
 from degen_blowup.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from degen_blowup.config import Config, parse_config_text, resolve
@@ -577,10 +578,34 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
         ("b2", "b2.N = 0", "run.cfg:3: key 'b2.N': dimension N must be a positive integer; got 0"),
         ("b2", "b2.family = power\nb2.alpha = -2", "run.cfg:4: key 'b2.alpha': power-type profile needs alpha > -1"),
         ("b2", "b2.family = bogus", "run.cfg:3: key 'b2.family': unknown weight family tag 'bogus'"),
+        (
+            "exhaust",
+            "exhaust.n0 = 8\nexhaust.n_max = 4",
+            "run.cfg:4: key 'exhaust.n_max', run.cfg:3: key 'exhaust.n0': n_max=4 must be at least n0=8",
+        ),
+        # the derived n0 at R = 1 is 3
+        (
+            "exhaust",
+            "exhaust.n_max = 2",
+            "run.cfg:3: key 'exhaust.n_max', run.cfg: key 'exhaust.n0' (default): n_max=2 must be at least n0=3",
+        ),
+        (
+            "rate",
+            "rate.d_min = 0.5\nrate.d_max = 0.1",
+            "run.cfg:3: key 'rate.d_min', run.cfg:4: key 'rate.d_max': "
+            "window must satisfy 0 < d_min < d_max; got (0.5, 0.1)",
+        ),
+        (
+            "rate",
+            "rate.d_min = 1e-9\nrate.d_max = 2e-9",
+            "run.cfg:3: key 'rate.d_min', run.cfg:4: key 'rate.d_max': "
+            "window (1e-09, 2e-09) covers only 0 nodes; need at least 5",
+        ),
     ],
     ids=[
         "epsilon", "R", "N", "p", "gamma-alpha", "a", "m", "exhaust-m", "eta-R", "grading",
-        "linear-R", "b2-N", "b2-alpha", "b2-family",
+        "linear-R", "b2-N", "b2-alpha", "b2-family", "n_max", "n_max-derived-n0", "window-order",
+        "window-empty",
     ],
 )
 def test_refused_range_names_file_line_and_keys(tmp_path, monkeypatch, capsys, command, body, message):
@@ -590,6 +615,32 @@ def test_refused_range_names_file_line_and_keys(tmp_path, monkeypatch, capsys, c
     assert main([command, "--config", "run.cfg", "--out", "o", "--quiet"]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "o").exists()
+
+
+def test_every_error_type_sits_in_one_exit_row():
+    # main and sweep members handle exactly the package's own error types
+    types = [t for t in vars(errors).values() if isinstance(t, type) and t.__module__ == errors.__name__]
+    rows = {t.__name__: sum(t in row_types for row_types, _, _ in cli._EXIT_TABLE) for t in types}
+    assert rows == {t.__name__: 1 for t in types}
+
+
+@pytest.mark.parametrize(
+    "error, code, label",
+    [
+        (errors.ConfigError, 1, "config error"),
+        (errors.ParameterError, 1, "config error"),
+        (errors.SolverError, 2, "solver error"),
+        (errors.CertificationError, 3, "certification failure"),
+    ],
+)
+def test_handled_error_exits_with_its_code_and_label(tmp_path, capsys, monkeypatch, error, code, label):
+    def raising(cfg, out, say):
+        raise error("what went wrong")
+
+    monkeypatch.setitem(cli._HANDLERS, "solve", raising)
+    cfg = write(tmp_path / "run.cfg", "run.command = solve\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"{label}: what went wrong\n"
 
 
 @pytest.mark.parametrize(

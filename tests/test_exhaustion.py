@@ -5,7 +5,6 @@ import pytest
 
 from degen_blowup import (
     BlowupParams,
-    DomainError,
     ParameterError,
     SolveOptions,
     build_subsolution,
@@ -93,7 +92,7 @@ def test_forced_datum_violation_fails_certification(setup):
 
 def test_empty_first_subdomain_propagates(setup):
     params, sub, sup = setup
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="margin 1/1 >= R = 1.0 leaves an empty subdomain"):
         solve_large_solution(params, sub, sup, n0=1, n_max=8, compact_radius=0.5, tol=1e-3)
 
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from degen_blowup import (
-    DomainError,
     ParameterError,
     build_graded_grid,
     first_nested_index,
-    nested_subdomain,
+    nested_margin,
 )
 
 
@@ -24,7 +23,7 @@ def test_grading_compresses_boundary_layer():
 
 
 def test_eta_must_stay_below_radius():
-    with pytest.raises(DomainError, match="eta"):
+    with pytest.raises(ParameterError, match="eta"):
         build_graded_grid(R=1.0, eta=1.5, m=9)
 
 
@@ -58,17 +57,17 @@ def test_cell_widths_partition_the_interval():
 
 
 def test_nested_examples():
-    assert nested_subdomain(1.0, 2).outer_radius == pytest.approx(0.5)
-    assert nested_subdomain(1.0, 1000).outer_radius == pytest.approx(0.999)
+    assert 1.0 - nested_margin(1.0, 2) == pytest.approx(0.5)
+    assert 1.0 - nested_margin(1.0, 1000) == pytest.approx(0.999)
 
 
 def test_nested_empty_domain():
-    with pytest.raises(DomainError):
-        nested_subdomain(0.5, 2)
+    with pytest.raises(ParameterError, match="margin 1/2 >= R = 0.5 leaves an empty subdomain"):
+        nested_margin(0.5, 2)
 
 
 def test_nested_radius_formula_and_monotonicity():
-    radii = [nested_subdomain(1.0, n).outer_radius for n in range(2, 40)]
+    radii = [1.0 - nested_margin(1.0, n) for n in range(2, 40)]
     for n, r in zip(range(2, 40), radii):
         assert r == 1.0 - 1.0 / n
     assert np.all(np.diff(radii) > 0.0)

@@ -1,7 +1,9 @@
-"""The package's imports: every module uses each name it imports, and the CLI
-leaves each pool to the one command that uses it."""
+"""The package's imports: every module uses each name it imports, the CLI
+leaves each pool to the one command that uses it, and exception types live in
+errors alone."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -47,6 +49,18 @@ def test_module_uses_every_import(module):
         if name not in used and (module, name) not in ALLOWED
     ]
     assert not unused, f"{module} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "errors"])
+def test_only_errors_defines_exception_types(module):
+    # the CLI maps each type in errors to one exit code, and no other
+    mod = importlib.import_module(f"degen_blowup.{module}")
+    own = [
+        name
+        for name, obj in vars(mod).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == mod.__name__
+    ]
+    assert not own, f"{module} defines exception types: {', '.join(own)}"
 
 
 def test_allowed_imports_are_still_unused():

@@ -7,7 +7,6 @@ from degen_blowup import (
     CallableNonlinearity,
     DiscreteField,
     Domain,
-    OrderingError,
     ParameterError,
     Problem,
     SolveOptions,
@@ -277,7 +276,7 @@ class TestSolverBehaviour:
         lo = constant_field(grid, 0.0)
         hi = constant_field(grid, 1.0)
         lo.values[37] = 1.25
-        with pytest.raises(OrderingError, match="at node 37: 1.25 > 1.0"):
+        with pytest.raises(ParameterError, match="at node 37: 1.25 > 1.0"):
             solve_penalized(linear_problem(), grid, lo, hi)
 
     @pytest.mark.parametrize("penalty, weights", [(None, 2), (3.0, 2), (0.0, 1)], ids=["auto", "given", "off"])

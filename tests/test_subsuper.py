@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from degen_blowup import (
-    ActivationRadiusError,
     BlowupParams,
-    DomainError,
     Envelope,
     ParameterError,
     blowup_constant,
@@ -124,7 +122,7 @@ class TestEnvelopeConstruction:
         sup = build_supersolution(std_params(), 1.0)
         sub = build_subsolution(std_params(), -1.0)
         for env in (sup, sub):
-            with pytest.raises(DomainError):
+            with pytest.raises(ParameterError, match=r"envelope evaluation needs 0 <= r < R \(blow-up at r = R\)"):
                 env(1.0)
 
     def test_reduced_endpoint_inequality(self):
@@ -201,7 +199,7 @@ class TestActivationRadius:
         assert all(a > b for a, b in zip(radii, radii[1:]))
 
     def test_unbracketable_shift_raises(self):
-        with pytest.raises(ActivationRadiusError):
+        with pytest.raises(ParameterError, match="activation radius not bracketed below r = .*: [|]C[|] = 1e[+]20 too large"):
             build_subsolution(std_params(), -1e20)
 
     def test_profile_past_the_float_range_counts_as_positive(self):
@@ -209,6 +207,17 @@ class TestActivationRadius:
         # amplitude (about 1e65) is still a float
         params = BlowupParams(p=1.05, alpha=0.0, gamma=0.0, N=3, R=1.0)
         assert 0.0 < build_subsolution(params, -1.0).activation_radius < 1e-11
+
+    def test_activation_radius_resolved_at_any_size(self):
+        # p = 1.02: beta = 100 and B is about 1e198, so each root lies near
+        # 1e-99, where R - r rounds to R and the root is sqrt(-C/B)
+        params = BlowupParams(p=1.02, alpha=0.0, gamma=0.0, N=3, R=1.0)
+        cs = [-8.0, -4.0, -2.0, -1.0, -0.5, -0.1]
+        subs = [build_subsolution(params, c) for c in cs]
+        radii = [sub.activation_radius for sub in subs]
+        assert all(a > b > 0.0 for a, b in zip(radii, radii[1:]))
+        for c, sub in zip(cs, subs):
+            assert sub.activation_radius == pytest.approx(math.sqrt(-c / sub.B), rel=1e-14)
 
 
 class TestInequalities:

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from degen_blowup import (
-    BoundaryEvaluationError,
     Domain,
-    DomainError,
     InteriorVanishingWeight,
     ParameterError,
     WeightFamily,
@@ -37,13 +35,13 @@ class TestDistance:
 
     def test_outside_rejected(self):
         dom = Domain.ball(1.0, 3)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match="point at radius 1.5 lies outside the ball of radius 1.0"):
             distance_to_boundary(dom, [1.5, 0.0, 0.0])
 
     def test_interval_uses_right_end_gap(self):
         dom = Domain.interval(1.0)
         assert distance_to_boundary(dom, 0.25) == pytest.approx(0.75)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match=r"point 1.25 lies outside the interval \(0, 1.0\)"):
             distance_to_boundary(dom, 1.25)
 
     def test_interval_forces_one_dimension(self):
@@ -64,7 +62,7 @@ class TestEvalWeight:
 
     @pytest.mark.parametrize("alpha", [0.5, -0.9])
     def test_boundary_evaluation_refused(self, alpha):
-        with pytest.raises(BoundaryEvaluationError):
+        with pytest.raises(ParameterError, match=r"power weight cannot be evaluated at the boundary \(d = 0\)"):
             eval_weight(WeightFamily.power(alpha), 0.0)
 
     def test_constant_allowed_at_boundary(self):
