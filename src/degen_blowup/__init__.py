@@ -35,7 +35,7 @@ from .exhaustion import (
     residual_on_monitor,
     solve_large_solution,
 )
-from .grids import Grid, build_graded_grid, first_nested_index, nested_margin
+from .grids import build_graded_grid, first_nested_index, nested_margin
 from .penalty_solver import (
     SandwichReport,
     SolveOptions,

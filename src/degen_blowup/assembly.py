@@ -280,13 +280,14 @@ def grid_terms(
         raise ParameterError("b/w is not finite at all half-nodes")
     nonlin = problem.nonlin
     lo, hi = float(np.min(lower)), float(np.max(upper))
-    if np.isfinite(lo) and np.isfinite(hi) and hi > lo:
-        samples = nonlin.value(np.linspace(lo, hi, 64))
-        if np.any(np.diff(samples) < -1e-12 * max(1.0, float(np.max(np.abs(samples))))):
-            raise ParameterError("nonlinearity is not monotone nondecreasing on the slab")
-    finite_bounds = [bound[np.isfinite(bound)] for bound in (lower, upper)]
-    if not all(np.all(np.isfinite(nonlin.value(bound))) for bound in finite_bounds):
-        raise ParameterError("nonlinearity overflows on the slab")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without warnings
+        if np.isfinite(lo) and np.isfinite(hi) and hi > lo:
+            samples = nonlin.value(np.linspace(lo, hi, 64))
+            if np.any(np.diff(samples) < -1e-12 * max(1.0, float(np.max(np.abs(samples))))):
+                raise ParameterError("nonlinearity is not monotone nondecreasing on the slab")
+        finite_bounds = [bound[np.isfinite(bound)] for bound in (lower, upper)]
+        if not all(np.all(np.isfinite(nonlin.value(bound))) for bound in finite_bounds):
+            raise ParameterError("nonlinearity overflows on the slab")
     if penalty is None:
         slope = max(float(np.max(np.abs(nonlin.slope(bound)), initial=0.0)) for bound in finite_bounds)
         penalty = 1.0 + float(np.max(b_over_w)) * slope

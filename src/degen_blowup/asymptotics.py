@@ -42,22 +42,24 @@ class EpsilonBoundsReport:
     ratios: np.ndarray
 
 
-def _window_mask(grid, window) -> np.ndarray:
+def window_mask(grid, window) -> np.ndarray:
+    """The grid's nodes whose gap d lies in window = (d_min, d_max); refuses a
+    window out of order or holding fewer than 5 nodes."""
     d_min, d_max = window
     if not 0.0 < d_min < d_max:
         raise ParameterError(f"window must satisfy 0 < d_min < d_max; got {window}", "d_min", "d_max")
     d = grid.boundary_gap
-    return (d >= d_min) & (d <= d_max)
+    mask = (d >= d_min) & (d <= d_max)
+    count = int(np.count_nonzero(mask))
+    if count < 5:
+        raise ParameterError(f"window {tuple(window)} covers only {count} nodes; need at least 5", "d_min", "d_max")
+    return mask
 
 
 def fit_blowup_rate(u: DiscreteField, window) -> RateFit:
     """Least-squares line of log u against log d over the window nodes."""
     grid = u.grid
-    mask = _window_mask(grid, window)
-    if int(np.sum(mask)) < 5:
-        raise ParameterError(
-            f"window {tuple(window)} covers only {int(np.sum(mask))} nodes; need at least 5", "d_min", "d_max"
-        )
+    mask = window_mask(grid, window)
     vals = u.values[mask]
     if np.any(vals <= 0.0):
         raise ParameterError("field must be strictly positive inside the fit window")
@@ -90,9 +92,7 @@ def check_epsilon_bounds(
     is added on both sides and reported alongside the raw ratios.
     """
     grid = u.grid
-    mask = _window_mask(grid, window)
-    if not np.any(mask):
-        raise ParameterError(f"window {tuple(window)} contains no grid nodes", "d_min", "d_max")
+    mask = window_mask(grid, window)
     d = grid.boundary_gap[mask]
     values = u.values[mask]
     ratios = values / (K * d ** (-beta))

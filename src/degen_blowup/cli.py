@@ -25,10 +25,12 @@ A value of one key that a command refuses while it runs (problem.kind,
 problem.A, problem.C, verify.C, an entry of verify.C_list, verify.samples,
 exhaust.n0, b2.margin, b2.quad_nodes, solver.tol, solver.max_iters) is a
 config error naming the file, the line and the key, like the errors of
-the config module.  A refused range of the problem, the grid, a b2 weight,
-the exhaust schedule or the rate window (problem.p, ..., grid.m, b2.N,
-b2.alpha, ..., exhaust.n0 and exhaust.n_max, rate.d_min and rate.d_max)
-names each key its check read.
+the config module.  A refused range of the problem, its weight, the grid,
+a b2 weight, the exhaust schedule or the rate window (problem.p, ...,
+problem.alpha and problem.N, grid.m and grid.grading, b2.N, b2.alpha, ...,
+exhaust.n0 and exhaust.n_max, rate.d_min and rate.d_max) names each key
+its check read.  Each such check runs before the first solve; exhaust
+checks its first subdomain, schedule, weight and grid after its envelopes.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .assembly import (
     constant_field,
     radial_blowup_problem,
 )
-from .asymptotics import check_epsilon_bounds, fit_blowup_rate
+from .asymptotics import check_epsilon_bounds, fit_blowup_rate, window_mask
 from .config import (
     REQUIRED,
     parse_config_file,
@@ -58,9 +60,8 @@ from .errors import CertificationError, ConfigError, ParameterError, SolverError
 from .exhaustion import (
     STATUS_CERTIFICATION_FAILED,
     STATUS_CONVERGED,
-    check_first_subdomain,
     residual_on_monitor,
-    slab_problem,
+    solve_in_slab,
     solve_large_solution,
 )
 from .floatfmt import format_g17
@@ -247,6 +248,12 @@ def _blowup_params(cfg) -> BlowupParams:
         return BlowupParams(**{name: cfg[key] for name, key in keys.items()})
 
 
+def _blowup_problem(cfg, params: BlowupParams) -> Problem:
+    # the weight (R - r)**alpha needs -1 < alpha < N - 1
+    with _value_of(cfg, {"alpha": "problem.alpha", "n_dim": "problem.N"}):
+        return radial_blowup_problem(params)
+
+
 def _grid(cfg):
     keys = {"R": "problem.R", "eta": "grid.eta", "m": "grid.m", "grading": "grid.grading"}
     with _value_of(cfg, keys):
@@ -306,15 +313,6 @@ def _linear_test_problem(R: float) -> Problem:
 # commands
 # ---------------------------------------------------------------------------
 
-def _run_blowup_solve(cfg):
-    params = _blowup_params(cfg)
-    grid = _grid(cfg)
-    sub, sup = _envelopes(cfg, params)
-    problem, lo, hi = slab_problem(radial_blowup_problem(params), grid, sub, sup)
-    u, report = solve_penalized(problem, grid, lo, hi, _solve_options(cfg))
-    return grid, lo, hi, u, report
-
-
 def cmd_solve(cfg, out: Path, say) -> int:
     kind = cfg["problem.kind"]
     if kind == "linear":
@@ -325,7 +323,10 @@ def cmd_solve(cfg, out: Path, say) -> int:
         hi = constant_field(grid, 1.0)
         u, report = solve_penalized(problem, grid, lo, hi, _solve_options(cfg))
     elif kind == "blowup":
-        grid, lo, hi, u, report = _run_blowup_solve(cfg)
+        params = _blowup_params(cfg)
+        base = _blowup_problem(cfg, params)
+        grid = _grid(cfg)
+        lo, hi, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
     else:
         with _value_of(cfg, "problem.kind"):
             raise ParameterError(f"must be 'linear' or 'blowup'; got {kind!r}")
@@ -363,10 +364,13 @@ def cmd_solve(cfg, out: Path, say) -> int:
 def cmd_rate(cfg, out: Path, say) -> int:
     window = (cfg["rate.d_min"], cfg["rate.d_max"])
     params = _blowup_params(cfg)
-    _, _, _, u, report = _run_blowup_solve(cfg)
+    base = _blowup_problem(cfg, params)
+    grid = _grid(cfg)
     with _value_of(cfg, {"d_min": "rate.d_min", "d_max": "rate.d_max"}):
-        fit = fit_blowup_rate(u, window)
-        bounds = check_epsilon_bounds(u, params.K, params.beta, params.epsilon, window)
+        window_mask(grid, window)  # before the solve
+    _, _, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
+    fit = fit_blowup_rate(u, window)
+    bounds = check_epsilon_bounds(u, params.K, params.beta, params.epsilon, window)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "rate.csv", ["d", "u", "ratio"], (bounds.d, bounds.u, bounds.ratios))
@@ -457,12 +461,10 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
 def cmd_exhaust(cfg, out: Path, say) -> int:
     params = _blowup_params(cfg)
     n0 = cfg["exhaust.n0"] or first_nested_index(params.R)  # a derived n0's subdomain holds [0, R/2]
-    compact_radius = params.R / 2
-    with _value_of(cfg, "exhaust.n0"):
-        check_first_subdomain(params.R, n0, compact_radius)
     sub, sup = _envelopes(cfg, params)
-    # each truncation's grid, and the schedule n0, 2 n0, ... up to n_max
-    keys = {"m": "grid.m", "grading": "grid.grading", "n0": "exhaust.n0", "n_max": "exhaust.n_max"}
+    # the weight, each truncation's grid, and the schedule n0, 2 n0, ... up to n_max
+    keys = {"alpha": "problem.alpha", "n_dim": "problem.N", "m": "grid.m", "grading": "grid.grading"}
+    keys |= {"n0": "exhaust.n0", "n": "exhaust.n0", "n_max": "exhaust.n_max"}
     with _value_of(cfg, keys):
         run = solve_large_solution(
             params,
@@ -470,7 +472,7 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
             sup,
             n0=n0,
             n_max=cfg["exhaust.n_max"],
-            compact_radius=compact_radius,
+            compact_radius=params.R / 2,
             tol=cfg["exhaust.tol"],
             m=cfg["grid.m"],
             grading=cfg["grid.grading"],

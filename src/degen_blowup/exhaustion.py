@@ -63,22 +63,19 @@ def _geometric_schedule(n0: int, n_max: int) -> list[int]:
     return out
 
 
-def check_first_subdomain(R: float, n0: int, compact_radius: float) -> None:
-    """Refuse an n0 whose subdomain {r < R - 1/n0} does not hold [0, compact_radius]."""
-    outer_radius = R - nested_margin(R, n0)
-    if not compact_radius < outer_radius:
-        raise ParameterError(
-            f"compact_radius={compact_radius} must stay inside the first "
-            f"subdomain of radius {outer_radius}"
-        )
-
-
-def slab_problem(base: Problem, grid: Grid, lower, upper):
-    """(problem, lo, hi): the bound callables' fields on grid, and base with
-    the Dirichlet datum (lo + hi)/2 at the last node."""
+def solve_in_slab(base: Problem, grid: Grid, lower, upper, opts: SolveOptions, previous: DiscreteField | None = None):
+    """(lo, hi, u, report): base solved on grid between the fields lo and hi of
+    the bound callables, with the Dirichlet datum (lo + hi)/2 at the last node.
+    The iteration starts from previous, interpolated and clipped to the slab,
+    when one is given."""
     lo = field_from_callable(grid, lower)
     hi = field_from_callable(grid, upper)
-    return replace(base, boundary_value=float(0.5 * (lo.values[-1] + hi.values[-1]))), lo, hi
+    problem = replace(base, boundary_value=float(0.5 * (lo.values[-1] + hi.values[-1])))
+    if previous is not None:
+        warm = np.clip(previous.interpolate_to(grid.nodes), lo.values, hi.values)
+        opts = replace(opts, initial_guess=DiscreteField(grid, warm))
+    u, report = solve_penalized(problem, grid, lo, hi, opts)
+    return lo, hi, u, report
 
 
 def solve_large_solution(
@@ -105,7 +102,11 @@ def solve_large_solution(
     record.
     """
     base = radial_blowup_problem(params)
-    check_first_subdomain(params.R, n0, compact_radius)
+    outer_radius = params.R - nested_margin(params.R, n0)
+    if not compact_radius < outer_radius:
+        raise ParameterError(
+            f"compact_radius={compact_radius} must stay inside the first subdomain of radius {outer_radius}", "n0"
+        )
     # uniform nodes on [0, compact_radius], a truncation of the full domain
     # so that weight evaluations keep the correct boundary gap
     run = ExhaustionRun(monitor=build_graded_grid(R=params.R, eta=params.R - compact_radius, m=_MONITOR_M, grading=1.0))
@@ -113,14 +114,7 @@ def solve_large_solution(
     for n in _geometric_schedule(n0, n_max):
         margin = nested_margin(params.R, n)
         grid_n = build_graded_grid(R=params.R, eta=margin, m=m, grading=grading)
-        problem_n, lo, hi = slab_problem(base, grid_n, lower, upper)
-
-        solve_opts = opts or SolveOptions()
-        if previous is not None:
-            warm = np.clip(previous.interpolate_to(grid_n.nodes), lo.values, hi.values)
-            solve_opts = replace(solve_opts, initial_guess=DiscreteField(grid_n, warm))
-
-        u_n, report = solve_penalized(problem_n, grid_n, lo, hi, solve_opts)
+        _, _, u_n, report = solve_in_slab(base, grid_n, lower, upper, opts or SolveOptions(), previous)
         run.n_values.append(n)
         run.outer_radii.append(params.R - margin)
         run.sandwich_ok.append(report.sandwich.ok)

@@ -18,25 +18,10 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing radial nodes on [0, R - eta]."""
+    """Strictly increasing radial nodes on [0, R - eta]; build_graded_grid alone makes them."""
 
     nodes: np.ndarray
     R: float
-    eta: float
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ParameterError("a grid needs at least 3 nodes")
-        if nodes[0] != 0.0:
-            raise ParameterError("grids start at r = 0")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ParameterError("grid nodes must be strictly increasing")
-        if not 0.0 < self.eta < self.R:
-            raise ParameterError(f"eta must lie in (0, R); got eta={self.eta}, R={self.R}")
-        if not math.isclose(nodes[-1], self.R - self.eta, rel_tol=1e-12, abs_tol=1e-15):
-            raise ParameterError("last node must sit at R - eta")
 
     @property
     def m(self) -> int:
@@ -83,15 +68,17 @@ def build_graded_grid(R: float, eta: float, m: int, grading: float = 2.0) -> Gri
     nodes = (R - eta) * (1.0 - (1.0 - s) ** grading)
     nodes[0] = 0.0
     nodes[-1] = R - eta
-    return Grid(nodes=nodes, R=R, eta=eta)
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ParameterError("grid nodes must be strictly increasing", "m", "grading")
+    return Grid(nodes=nodes, R=R)
 
 
 def nested_margin(R: float, n: int) -> float:
     """The margin 1/n of the subdomain {r < R - 1/n} of the ball of radius R."""
     if n < 1:
-        raise ParameterError(f"subdomain index n must be a positive integer; got {n}")
+        raise ParameterError(f"subdomain index n must be a positive integer; got {n}", "n")
     if 1.0 / n >= R:
-        raise ParameterError(f"margin 1/{n} >= R = {R} leaves an empty subdomain")
+        raise ParameterError(f"margin 1/{n} >= R = {R} leaves an empty subdomain", "n")
     return 1.0 / n
 
 

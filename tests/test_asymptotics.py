@@ -86,6 +86,12 @@ class TestEpsilonBounds:
         rep = check_epsilon_bounds(u, 1.0, 1.0, 0.1, (1e-3, 1e-2))
         assert not rep.ok
 
+    def test_window_of_four_nodes_rejected_like_the_fit(self):
+        grid = build_graded_grid(R=1.0, eta=1e-3, m=100, grading=1.0)
+        window = (float(grid.boundary_gap[-1]), float(grid.boundary_gap[-4]))
+        with pytest.raises(ParameterError, match="covers only 4 nodes; need at least 5"):
+            check_epsilon_bounds(DiscreteField(grid, np.ones(grid.m)), 1.0, 1.0, 0.1, window)
+
 
 class TestExactOracle:
     def test_symbolic_substitution(self):

@@ -23,6 +23,7 @@ from degen_blowup import (
     check_b2,
     cli,
     errors,
+    exhaustion,
 )
 from degen_blowup.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from degen_blowup.config import Config, parse_config_text, resolve
@@ -199,6 +200,26 @@ def test_rate_window_outside_grid_is_config_error(tmp_path):
     assert main(["rate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
 
 
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ("rate.d_min = 0.5\nrate.d_max = 0.1", "window must satisfy 0 < d_min < d_max; got (0.5, 0.1)"),
+        ("rate.d_min = 1e-9\nrate.d_max = 2e-9", "window (1e-09, 2e-09) covers only 0 nodes; need at least 5"),
+    ],
+    ids=["order", "sparse"],
+)
+def test_rate_refuses_its_window_before_any_solve(tmp_path, capsys, monkeypatch, window, message):
+    def no_solve(*args):
+        raise AssertionError("a refused window reached the solver")
+
+    for module in (cli, exhaustion):
+        monkeypatch.setattr(module, "solve_penalized", no_solve)
+    cfg = write(tmp_path / "rate.cfg", f"run.command = rate\n{window}\n")
+    assert main(["rate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    keys = f"{cfg}:2: key 'rate.d_min', {cfg}:3: key 'rate.d_max'"
+    assert capsys.readouterr().err == f"config error: {keys}: {message}\n"
+
+
 def test_rate_end_to_end_inside_bounds(tmp_path):
     cfg = write(tmp_path / "rate.cfg", RATE_CFG)
     out = tmp_path / "out"
@@ -356,6 +377,16 @@ def test_misordered_slab_is_config_error(tmp_path, capsys, monkeypatch):
     assert main(["exhaust", "--config", str(cfg), "--out", str(out)]) == 1
     assert "lower bound exceeds upper bound at node 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("body", ["problem.A = 1e300", "problem.A = 2\nproblem.p = 1e6"], ids=["A", "p"])
+def test_overflowing_slab_prints_only_its_refusal(tmp_path, body):
+    # f overflows at the upper bound: no numpy warning comes before the refusal
+    write(tmp_path / "run.cfg", f"run.command = solve\n{body}\n")
+    proc = _run_python(tmp_path, ["-m", "degen_blowup.cli", "solve", "--config", "run.cfg", "--out", "o"])
+    assert proc.returncode == 1
+    assert proc.stderr == "config error: nonlinearity overflows on the slab\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_b2_catalogue_table(tmp_path):
@@ -601,11 +632,36 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
             "run.cfg:3: key 'rate.d_min', run.cfg:4: key 'rate.d_max': "
             "window (1e-09, 2e-09) covers only 0 nodes; need at least 5",
         ),
+        # graded this steeply, the last spacing rounds to 0
+        (
+            "solve",
+            "grid.m = 20001\ngrid.grading = 4",
+            "run.cfg:3: key 'grid.m', run.cfg:4: key 'grid.grading': grid nodes must be strictly increasing",
+        ),
+        (
+            "exhaust",
+            "grid.grading = 8",
+            "run.cfg: key 'grid.m' (default), run.cfg:3: key 'grid.grading': grid nodes must be strictly increasing",
+        ),
+        *(
+            (
+                command,
+                "problem.N = 2\nproblem.alpha = 1.5\nproblem.gamma = 1.5",
+                "run.cfg:4: key 'problem.alpha', run.cfg:3: key 'problem.N': "
+                "power-type profile needs alpha < N-1 = 1; got alpha=1.5",
+            )
+            for command in ("solve", "rate", "exhaust")
+        ),
+        *(
+            (command, "problem.alpha = -1.5", "run.cfg:3: key 'problem.alpha': power-type profile needs alpha > -1")
+            for command in ("solve", "rate", "exhaust")
+        ),
     ],
     ids=[
         "epsilon", "R", "N", "p", "gamma-alpha", "a", "m", "exhaust-m", "eta-R", "grading",
         "linear-R", "b2-N", "b2-alpha", "b2-family", "n_max", "n_max-derived-n0", "window-order",
-        "window-empty",
+        "window-empty", "grid-collision", "exhaust-grid-collision",
+        "solve-alpha-N", "rate-alpha-N", "exhaust-alpha-N", "solve-alpha", "rate-alpha", "exhaust-alpha",
     ],
 )
 def test_refused_range_names_file_line_and_keys(tmp_path, monkeypatch, capsys, command, body, message):
@@ -1073,7 +1129,7 @@ def test_solve_memory_holds_no_per_residual_rebuilds(monkeypatch):
     # nodal array (f at the bounds) alive through the Newton loop; checking
     # the inputs inside grid_terms, whose temporaries end with it, peaks at 27.4 MB
     peaks = []
-    solve_penalized = cli.solve_penalized
+    solve_penalized = exhaustion.solve_penalized
 
     def traced(*args):
         tracemalloc.start()
@@ -1084,7 +1140,10 @@ def test_solve_memory_holds_no_per_residual_rebuilds(monkeypatch):
             tracemalloc.stop()
         return result
 
-    monkeypatch.setattr(cli, "solve_penalized", traced)
-    cli._run_blowup_solve(resolve(parse_config_text(SOLVE_FINE_CFG), cli.SCHEMAS["solve"]))
+    monkeypatch.setattr(exhaustion, "solve_penalized", traced)
+    cfg = resolve(parse_config_text(SOLVE_FINE_CFG), cli.SCHEMAS["solve"])
+    params = cli._blowup_params(cfg)
+    base = cli._blowup_problem(cfg, params)
+    exhaustion.solve_in_slab(base, cli._grid(cfg), *cli._envelopes(cfg, params), cli._solve_options(cfg))
     assert len(peaks) == 1
     assert peaks[0] < 28.2e6, f"traced peak {peaks[0] / 1e6:.1f} MB"

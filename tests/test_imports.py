@@ -1,6 +1,6 @@
 """The package's imports: every module uses each name it imports, the CLI
-leaves each pool to the one command that uses it, and exception types live in
-errors alone."""
+leaves each pool to the one command that uses it, exception types live in
+errors alone, and grids alone constructs a Grid."""
 
 import ast
 import importlib
@@ -61,6 +61,18 @@ def test_only_errors_defines_exception_types(module):
         if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == mod.__name__
     ]
     assert not own, f"{module} defines exception types: {', '.join(own)}"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "grids"])
+def test_only_grids_constructs_a_grid(module):
+    # a Grid does not check its nodes: build_graded_grid checks them before it makes one
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Grid"
+    ]
+    assert not calls, f"{module} calls Grid( on lines {calls}"
 
 
 def test_allowed_imports_are_still_unused():

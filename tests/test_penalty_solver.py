@@ -23,7 +23,7 @@ from degen_blowup import (
     solve_penalized,
     verify_subsupersolution,
 )
-from degen_blowup import assembly, cli, penalty_solver
+from degen_blowup import assembly, cli, exhaustion, penalty_solver
 from degen_blowup.assembly import assemble_stiffness
 from degen_blowup.config import parse_config_text, resolve
 from degen_blowup.penalty_solver import sandwich_tol
@@ -105,7 +105,10 @@ def _solve_counting_stalled_trials(cfg, monkeypatch):
     with monkeypatch.context() as patch:
         for name in ("assemble_residual", "residual_rows", "assemble_jacobian"):
             patch.setattr(penalty_solver, name, _logged(getattr(penalty_solver, name), name, events))
-        _, _, _, u, report = cli._run_blowup_solve(cfg)
+        params = cli._blowup_params(cfg)
+        base = cli._blowup_problem(cfg, params)
+        grid = cli._grid(cfg)
+        _, _, u, report = exhaustion.solve_in_slab(base, grid, *cli._envelopes(cfg, params), cli._solve_options(cfg))
     # every Newton step assembles its step-1 trial in full before it probes any shorter one
     steps = [i for i, name in enumerate(events) if name == "assemble_jacobian"]
     assert steps and all(events[i + 1] == "assemble_residual" for i in steps)
