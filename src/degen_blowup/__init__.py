@@ -9,15 +9,12 @@ __version__ = "0.1.0"
 
 from .assembly import (
     CallableNonlinearity,
-    DiscreteField,
     PowerNonlinearity,
     Problem,
     assemble_jacobian,
     assemble_residual,
     assemble_stiffness,
     cell_volumes,
-    constant_field,
-    field_from_callable,
     grid_terms,
     radial_blowup_problem,
     volume_weights,
@@ -33,6 +30,7 @@ from .errors import CertificationError, ConfigError, ParameterError, SolverError
 from .exhaustion import (
     ExhaustionRun,
     residual_on_monitor,
+    solve_in_slab,
     solve_large_solution,
 )
 from .grids import build_graded_grid, first_nested_index, nested_margin

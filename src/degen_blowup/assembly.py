@@ -68,40 +68,8 @@ class CallableNonlinearity:
 
 
 # ---------------------------------------------------------------------------
-# fields and problems
+# problems
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DiscreteField:
-    """Nodal values of a scalar function on a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.m,):
-            raise ParameterError(
-                f"field length {self.values.size} does not match grid size {self.grid.m}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ParameterError("field values must all be finite")
-
-    def copy(self) -> "DiscreteField":
-        return DiscreteField(self.grid, self.values.copy())
-
-    def interpolate_to(self, nodes: np.ndarray) -> np.ndarray:
-        """Piecewise-linear interpolation onto arbitrary radii."""
-        return np.interp(np.asarray(nodes, dtype=float), self.grid.nodes, self.values)
-
-
-def constant_field(grid: Grid, value: float) -> DiscreteField:
-    return DiscreteField(grid, np.full(grid.m, float(value)))
-
-
-def field_from_callable(grid: Grid, func) -> DiscreteField:
-    return DiscreteField(grid, np.asarray(func(grid.nodes), dtype=float))
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -250,7 +218,8 @@ def grid_terms(
     upper: np.ndarray | None = None,
     penalty: float | None = 0.0,
 ) -> GridTerms:
-    """Check a solve's inputs and build its u-independent terms, once; nothing else checks them.
+    """Check a solve's inputs and build its u-independent terms, once; solve_penalized
+    adds only that its bounds and initial guess are finite.
 
     ``lower``/``upper`` (shared, not copied) bound the slab nodewise; a missing one is -inf/+inf.
     The checks are the hypotheses of the comparison argument on the grid:
@@ -314,7 +283,7 @@ def grid_terms(
     )
 
 
-def assemble_residual(u: DiscreteField, terms: GridTerms) -> DiscreteField:
+def assemble_residual(u: np.ndarray, terms: GridTerms) -> np.ndarray:
     """Integrated nodal residual of the (optionally penalized) problem.
 
     Interior entry j:
@@ -335,14 +304,13 @@ def assemble_residual(u: DiscreteField, terms: GridTerms) -> DiscreteField:
     Products keep the order (b*f)*mu and ((penalty*s)*w)*mu, and only
     arrays this function allocated are updated in place, since f may
     return its argument.  The entries come from ``residual_rows`` over
-    every row.
+    every row.  u holds the nodal values on ``terms.grid``.
     """
-    grid = terms.grid
-    res = residual_rows(u.values, terms)
+    res = residual_rows(u, terms)
     if not np.all(np.isfinite(res)):
         j = int(np.argmin(np.isfinite(res)))
-        raise SolverError(f"non-finite residual entry at node {j} (r = {grid.nodes[j]})")
-    return DiscreteField(grid, res)
+        raise SolverError(f"non-finite residual entry at node {j} (r = {terms.grid.nodes[j]})")
+    return res
 
 
 def residual_rows(values: np.ndarray, terms: GridTerms, lo: int = 0) -> np.ndarray:
@@ -378,7 +346,7 @@ def residual_rows(values: np.ndarray, terms: GridTerms, lo: int = 0) -> np.ndarr
     return res
 
 
-def assemble_jacobian(u: DiscreteField, terms: GridTerms) -> Tridiagonal:
+def assemble_jacobian(u: np.ndarray, terms: GridTerms) -> Tridiagonal:
     """Newton matrix: stiffness plus the diagonal reaction and penalty slopes.
 
     f's slope counts strictly inside the slab only (on a bound the clamp
@@ -389,10 +357,10 @@ def assemble_jacobian(u: DiscreteField, terms: GridTerms) -> Tridiagonal:
     """
     mu = terms.mu
     lower, upper = terms.lower, terms.upper
-    inside = (u.values > lower) & (u.values < upper)
-    diag = terms.b * np.where(inside, terms.nonlin.slope(u.values), 0.0) * mu
+    inside = (u > lower) & (u < upper)
+    diag = terms.b * np.where(inside, terms.nonlin.slope(u), 0.0) * mu
     if terms.penalty > 0.0:
-        violated = (u.values < lower) | (u.values > upper)
+        violated = (u < lower) | (u > upper)
         diag += terms.penalty * terms.w_nodes * mu * violated
     diag += terms.operator.diag
     diag[terms.mask] = 1.0

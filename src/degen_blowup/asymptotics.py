@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteField, PowerNonlinearity, Problem
+from .assembly import PowerNonlinearity, Problem
 from .errors import ParameterError
 from .weights import Domain, WeightFamily
 
@@ -56,11 +56,10 @@ def window_mask(grid, window) -> np.ndarray:
     return mask
 
 
-def fit_blowup_rate(u: DiscreteField, window) -> RateFit:
-    """Least-squares line of log u against log d over the window nodes."""
-    grid = u.grid
+def fit_blowup_rate(grid, u: np.ndarray, window) -> RateFit:
+    """Least-squares line of log u against log d over the window nodes of grid."""
     mask = window_mask(grid, window)
-    vals = u.values[mask]
+    vals = u[mask]
     if np.any(vals <= 0.0):
         raise ParameterError("field must be strictly positive inside the fit window")
     x = np.log(grid.boundary_gap[mask])
@@ -79,22 +78,22 @@ def fit_blowup_rate(u: DiscreteField, window) -> RateFit:
 
 
 def check_epsilon_bounds(
-    u: DiscreteField,
+    grid,
+    u: np.ndarray,
     K: float,
     beta: float,
     epsilon: float,
     window,
     slack: float = DEFAULT_SLACK,
 ) -> EpsilonBoundsReport:
-    """Ratios u / (K * d**(-beta)) over the window against 1 -+ epsilon.
+    """Ratios u / (K * d**(-beta)) over the window nodes of grid against 1 -+ epsilon.
 
     The continuum statement is a limit; on a finite grid the stated slack
     is added on both sides and reported alongside the raw ratios.
     """
-    grid = u.grid
     mask = window_mask(grid, window)
     d = grid.boundary_gap[mask]
-    values = u.values[mask]
+    values = u[mask]
     ratios = values / (K * d ** (-beta))
     min_ratio = float(np.min(ratios))
     max_ratio = float(np.max(ratios))

@@ -29,7 +29,9 @@ the config module.  A refused range of the problem, its weight, the grid,
 a b2 weight, the exhaust schedule or the rate window (problem.p, ...,
 problem.alpha and problem.N, grid.m and grid.grading, b2.N, b2.alpha, ...,
 exhaust.n0 and exhaust.n_max, rate.d_min and rate.d_max) names each key
-its check read.  Each such check runs before the first solve; exhaust
+its check read, and so do envelopes past the float range on a solve grid
+(problem.p and grid.eta; in exhaust, problem.p and its schedule keys, at
+the last truncation).  Each such check runs before the first solve; exhaust
 checks its first subdomain, schedule, weight and grid after its envelopes.
 """
 
@@ -47,7 +49,6 @@ from .assembly import (
     CallableNonlinearity,
     Problem,
     assemble_residual,  # not called here; bench/tracing.py wraps cli.assemble_residual
-    constant_field,
     radial_blowup_problem,
 )
 from .asymptotics import check_epsilon_bounds, fit_blowup_rate, window_mask
@@ -319,14 +320,15 @@ def cmd_solve(cfg, out: Path, say) -> int:
         with _value_of(cfg, "problem.R"):
             problem = _linear_test_problem(cfg["problem.R"])
         grid = _grid(cfg)
-        lo = constant_field(grid, 0.0)
-        hi = constant_field(grid, 1.0)
+        lo = np.zeros(grid.m)
+        hi = np.ones(grid.m)
         u, report = solve_penalized(problem, grid, lo, hi, _solve_options(cfg))
     elif kind == "blowup":
         params = _blowup_params(cfg)
         base = _blowup_problem(cfg, params)
         grid = _grid(cfg)
-        lo, hi, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
+        with _value_of(cfg, {"p": "problem.p", "eta": "grid.eta"}):  # envelopes past the float range on grid
+            lo, hi, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
     else:
         with _value_of(cfg, "problem.kind"):
             raise ParameterError(f"must be 'linear' or 'blowup'; got {kind!r}")
@@ -337,7 +339,7 @@ def cmd_solve(cfg, out: Path, say) -> int:
     _write_csv(
         out / "solution.csv",
         ["r", "d", "u", "sub", "super", "residual"],
-        (grid.nodes, grid.boundary_gap, u.values, lo.values, hi.values, report.residual.values),
+        (grid.nodes, grid.boundary_gap, u, lo, hi, report.residual),
     )
     _write_report(
         out / "report.txt",
@@ -368,9 +370,10 @@ def cmd_rate(cfg, out: Path, say) -> int:
     grid = _grid(cfg)
     with _value_of(cfg, {"d_min": "rate.d_min", "d_max": "rate.d_max"}):
         window_mask(grid, window)  # before the solve
-    _, _, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
-    fit = fit_blowup_rate(u, window)
-    bounds = check_epsilon_bounds(u, params.K, params.beta, params.epsilon, window)
+    with _value_of(cfg, {"p": "problem.p", "eta": "grid.eta"}):  # envelopes past the float range on grid
+        _, _, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
+    fit = fit_blowup_rate(grid, u, window)
+    bounds = check_epsilon_bounds(grid, u, params.K, params.beta, params.epsilon, window)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "rate.csv", ["d", "u", "ratio"], (bounds.d, bounds.u, bounds.ratios))
@@ -462,9 +465,10 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
     params = _blowup_params(cfg)
     n0 = cfg["exhaust.n0"] or first_nested_index(params.R)  # a derived n0's subdomain holds [0, R/2]
     sub, sup = _envelopes(cfg, params)
-    # the weight, each truncation's grid, and the schedule n0, 2 n0, ... up to n_max
+    # the weight, each truncation's grid, the schedule n0, 2 n0, ... up to n_max,
+    # and the envelopes, which must stay finite up to its last truncation
     keys = {"alpha": "problem.alpha", "n_dim": "problem.N", "m": "grid.m", "grading": "grid.grading"}
-    keys |= {"n0": "exhaust.n0", "n": "exhaust.n0", "n_max": "exhaust.n_max"}
+    keys |= {"n0": "exhaust.n0", "n": "exhaust.n0", "n_max": "exhaust.n_max", "p": "problem.p"}
     with _value_of(cfg, keys):
         run = solve_large_solution(
             params,
@@ -489,9 +493,8 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
         (run.n_values, run.outer_radii, deltas, run.sandwich_ok),
     )
     if run.limit_on_monitor is not None:
-        limit = run.limit_on_monitor
-        _write_csv(out / "limit.csv", ["r", "u"], (limit.grid.nodes, limit.values))
-        limit_residual = residual_on_monitor(params, limit)
+        _write_csv(out / "limit.csv", ["r", "u"], (run.monitor.nodes, run.limit_on_monitor))
+        limit_residual = residual_on_monitor(params, run.monitor, run.limit_on_monitor)
     else:
         limit_residual = float("nan")
     _write_report(

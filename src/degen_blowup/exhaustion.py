@@ -17,17 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import (
-    DiscreteField,
-    Problem,
-    assemble_residual,
-    field_from_callable,
-    grid_terms,
-    radial_blowup_problem,
-)
+from .assembly import Problem, assemble_residual, grid_terms, radial_blowup_problem
 from .errors import ParameterError
 from .grids import Grid, build_graded_grid, nested_margin
-from .penalty_solver import SolveOptions, solve_penalized
+from .penalty_solver import SolveOptions, check_finite, solve_penalized
 from .subsuper import BlowupParams
 
 STATUS_CONVERGED = "converged"
@@ -49,7 +42,7 @@ class ExhaustionRun:
     deltas: list[float] = field(default_factory=list)
     sandwich_ok: list[bool] = field(default_factory=list)
     status: str = STATUS_EXHAUSTED
-    limit_on_monitor: DiscreteField | None = None
+    limit_on_monitor: np.ndarray | None = None  # nodal values on monitor
 
 
 def _geometric_schedule(n0: int, n_max: int) -> list[int]:
@@ -63,17 +56,26 @@ def _geometric_schedule(n0: int, n_max: int) -> list[int]:
     return out
 
 
-def solve_in_slab(base: Problem, grid: Grid, lower, upper, opts: SolveOptions, previous: DiscreteField | None = None):
-    """(lo, hi, u, report): base solved on grid between the fields lo and hi of
-    the bound callables, with the Dirichlet datum (lo + hi)/2 at the last node.
-    The iteration starts from previous, interpolated and clipped to the slab,
-    when one is given."""
-    lo = field_from_callable(grid, lower)
-    hi = field_from_callable(grid, upper)
-    problem = replace(base, boundary_value=float(0.5 * (lo.values[-1] + hi.values[-1])))
-    if previous is not None:
-        warm = np.clip(previous.interpolate_to(grid.nodes), lo.values, hi.values)
-        opts = replace(opts, initial_guess=DiscreteField(grid, warm))
+def _bound_values(lower, upper, r: np.ndarray, *names: str) -> tuple[np.ndarray, np.ndarray]:
+    """The bound callables at the radii r, refused naming names unless finite:
+    an envelope past the float range would read as a missing bound."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without warnings
+        lo, hi = (np.asarray(bound(r), dtype=float) for bound in (lower, upper))
+    check_finite("lower bound", lo, r, *names)
+    check_finite("upper bound", hi, r, *names)
+    return lo, hi
+
+
+def solve_in_slab(base: Problem, grid: Grid, lower, upper, opts: SolveOptions, guess: np.ndarray | None = None):
+    """(lo, hi, u, report): base solved on grid between lo and hi, the bound
+    callables at its nodes, with the Dirichlet datum (lo + hi)/2 at the last
+    node.  The iteration starts from guess, nodal values on grid clipped to
+    the slab, when one is given.  A bound that is not finite on grid is
+    refused naming p and eta: the envelopes outgrow the float range there."""
+    lo, hi = _bound_values(lower, upper, grid.nodes, "p", "eta")
+    problem = replace(base, boundary_value=float(0.5 * (lo[-1] + hi[-1])))
+    if guess is not None:
+        opts = replace(opts, initial_guess=np.clip(guess, lo, hi))
     u, report = solve_penalized(problem, grid, lo, hi, opts)
     return lo, hi, u, report
 
@@ -99,7 +101,8 @@ def solve_large_solution(
     sandwich certificate at ``sandwich_tol(upper)`` on its own domain.  The
     sweep stops early once the monitor delta drops below tol; a failed
     certificate or a nonconverged inner solve aborts it with the partial
-    record.
+    record.  Before the first solve, the bounds are checked finite at the
+    outer radius of the schedule's last truncation, where they are largest.
     """
     base = radial_blowup_problem(params)
     outer_radius = params.R - nested_margin(params.R, n0)
@@ -110,11 +113,14 @@ def solve_large_solution(
     # uniform nodes on [0, compact_radius], a truncation of the full domain
     # so that weight evaluations keep the correct boundary gap
     run = ExhaustionRun(monitor=build_graded_grid(R=params.R, eta=params.R - compact_radius, m=_MONITOR_M, grading=1.0))
-    previous: DiscreteField | None = None
-    for n in _geometric_schedule(n0, n_max):
+    schedule = _geometric_schedule(n0, n_max)
+    _bound_values(lower, upper, np.array([params.R - nested_margin(params.R, schedule[-1])]), "p", "n0", "n_max")
+    previous = None  # (nodes, values) of the last solve
+    for n in schedule:
         margin = nested_margin(params.R, n)
         grid_n = build_graded_grid(R=params.R, eta=margin, m=m, grading=grading)
-        _, _, u_n, report = solve_in_slab(base, grid_n, lower, upper, opts or SolveOptions(), previous)
+        guess = None if previous is None else np.interp(grid_n.nodes, *previous)
+        _, _, u_n, report = solve_in_slab(base, grid_n, lower, upper, opts or SolveOptions(), guess)
         run.n_values.append(n)
         run.outer_radii.append(params.R - margin)
         run.sandwich_ok.append(report.sandwich.ok)
@@ -126,7 +132,7 @@ def solve_large_solution(
             run.status = STATUS_CERTIFICATION_FAILED
             break
 
-        on_monitor = u_n.interpolate_to(run.monitor.nodes)
+        on_monitor = np.interp(run.monitor.nodes, grid_n.nodes, u_n)
         run.monitor_values.append(on_monitor)
         if len(run.monitor_values) > 1:
             delta = float(np.max(np.abs(on_monitor - run.monitor_values[-2])))
@@ -134,19 +140,19 @@ def solve_large_solution(
             if delta < tol:
                 run.status = STATUS_CONVERGED
                 break
-        previous = u_n
+        previous = grid_n.nodes, u_n
 
     if run.monitor_values:
-        run.limit_on_monitor = DiscreteField(run.monitor, run.monitor_values[-1])
+        run.limit_on_monitor = run.monitor_values[-1]
     return run
 
 
-def residual_on_monitor(params: BlowupParams, limit: DiscreteField) -> float:
-    """Max-norm of the integrated residual of the limit field on its grid.
+def residual_on_monitor(params: BlowupParams, monitor: Grid, limit: np.ndarray) -> float:
+    """Max-norm of the integrated residual of the limit's nodal values on monitor.
 
     Dirichlet rows take the field's own values, so only the interior
     consistency of the limit is measured.
     """
-    problem = radial_blowup_problem(params, boundary_value=limit.interpolate_to)
-    res = assemble_residual(limit, grid_terms(limit.grid, problem))
-    return float(np.max(np.abs(res.values)))
+    problem = radial_blowup_problem(params, boundary_value=lambda r: np.interp(r, monitor.nodes, limit))
+    res = assemble_residual(limit, grid_terms(monitor, problem))
+    return float(np.max(np.abs(res)))

@@ -14,7 +14,8 @@ as stalled.  The step-1 trial is always assembled in full; a shorter one
 is first evaluated on the one row where the current residual peaks
 (``assembly.residual_rows``), and fails there without an assembly when
 that row alone keeps the max-norm from decreasing.  A solve's inputs are
-checked, and its default penalty picked, once, by ``assembly.grid_terms``.
+checked, and its default penalty picked, once, by ``assembly.grid_terms``;
+``solve_penalized`` adds only that the bounds and the initial guess are finite.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    DiscreteField,
     Problem,
     assemble_jacobian,
     assemble_residual,
@@ -53,7 +53,7 @@ class SolveOptions:
     penalty: float | None = None
     max_iters: int = 60
     abs_tol: float = 1e-10
-    initial_guess: DiscreteField | None = None
+    initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
         if self.abs_tol <= 0.0:
@@ -73,7 +73,7 @@ class SandwichReport:
 class SolveReport:
     converged: bool
     iters: int
-    residual: DiscreteField  # of the returned field
+    residual: np.ndarray  # of the returned field
     sandwich: SandwichReport  # of the returned field, at sandwich_tol(upper)
     residual_history: list = field(default_factory=list)
     penalty: float = 0.0
@@ -85,15 +85,15 @@ class VerificationReport:
     worst_residual: float
 
 
-def sandwich_tol(upper: DiscreteField) -> float:
+def sandwich_tol(upper: np.ndarray) -> float:
     """Certificate tolerance 1e-8 * (1 + sup|upper|), relative to the envelope's size."""
-    return 1e-8 * (1.0 + float(np.max(np.abs(upper.values))))
+    return 1e-8 * (1.0 + float(np.max(np.abs(upper))))
 
 
-def check_sandwich(u: DiscreteField, lower: DiscreteField, upper: DiscreteField, tol: float) -> SandwichReport:
+def check_sandwich(u: np.ndarray, lower: np.ndarray, upper: np.ndarray, tol: float) -> SandwichReport:
     """Certify lower - tol <= u <= upper + tol nodewise."""
-    below = np.maximum(lower.values - u.values, 0.0)
-    above = np.maximum(u.values - upper.values, 0.0)
+    below = np.maximum(lower - u, 0.0)
+    above = np.maximum(u - upper, 0.0)
     max_below = float(np.max(below))
     max_above = float(np.max(above))
     return SandwichReport(
@@ -103,13 +103,20 @@ def check_sandwich(u: DiscreteField, lower: DiscreteField, upper: DiscreteField,
     )
 
 
+def check_finite(name: str, values: np.ndarray, r: np.ndarray, *names: str) -> None:
+    """Refuse nodal values at the radii r unless all are finite, naming names."""
+    if not np.all(np.isfinite(values)):
+        j = int(np.argmin(np.isfinite(values)))
+        raise ParameterError(f"{name} is not finite at r = {r[j]}: {values[j]}", *names)
+
+
 def solve_penalized(
     problem: Problem,
     grid: Grid,
-    lower: DiscreteField,
-    upper: DiscreteField,
+    lower: np.ndarray,
+    upper: np.ndarray,
     opts: SolveOptions | None = None,
-) -> tuple[DiscreteField, SolveReport]:
+) -> tuple[np.ndarray, SolveReport]:
     """Newton iteration on the clamped, penalized residual.
 
     Each step solves Jacobian * delta = -residual by tridiagonal
@@ -124,19 +131,22 @@ def solve_penalized(
     assembled.  Rejecting on the probe changes nothing but the work done.
     Exhausting max_iters or that budget returns the current field with
     converged = False.  The report carries the field's sandwich
-    certificate.
+    certificate.  lower, upper and an initial guess are float arrays of
+    finite values at the nodes of grid (grid_terms reads +-inf as no bound).
     """
     opts = opts or SolveOptions()
-    terms = grid_terms(grid, problem, lower.values, upper.values, opts.penalty)
-    if opts.initial_guess is not None:
-        u = opts.initial_guess.copy()
-    else:
-        u = DiscreteField(grid, 0.5 * (lower.values + upper.values))
+    terms = grid_terms(grid, problem, lower, upper, opts.penalty)
+    check_finite("lower bound", lower, grid.nodes)
+    check_finite("upper bound", upper, grid.nodes)
+    u = 0.5 * (lower + upper) if opts.initial_guess is None else np.array(opts.initial_guess, dtype=float)
+    if u.shape != (grid.m,):
+        raise ParameterError(f"initial guess needs {grid.m} values; got shape {u.shape}")
+    check_finite("initial guess", u, grid.nodes)
 
-    def residual_norm(candidate: DiscreteField) -> tuple[float, int, DiscreteField]:
+    def residual_norm(candidate: np.ndarray) -> tuple[float, int, np.ndarray]:
         """The residual's max-norm, the first row that attains it, and the residual."""
         res = assemble_residual(candidate, terms)
-        magnitudes = np.abs(res.values)
+        magnitudes = np.abs(res)
         row = int(np.argmax(magnitudes))
         return float(magnitudes[row]), row, res
 
@@ -146,7 +156,7 @@ def solve_penalized(
     iters = 0
     while not converged and iters < opts.max_iters:
         jac = assemble_jacobian(u, terms)
-        delta = thomas_solve(jac, -res.values)
+        delta = thomas_solve(jac, -res)
         del jac  # the line search needs only delta
         lo, hi = max(row - 1, 0), min(row + 2, grid.m)  # row and its neighbours
         step = 1.0
@@ -157,13 +167,12 @@ def solve_penalized(
                 # that alone reaches norm, the trial fails without assembly.
                 # A non-finite probe goes on to the assembly, which raises.
                 window = delta[lo:hi] * step
-                window += u.values[lo:hi]
+                window += u[lo:hi]
                 if norm <= abs(residual_rows(window, terms, lo)[row - lo]) < np.inf:
                     step *= _DAMPING
                     continue
-            trial_values = delta * step
-            trial_values += u.values
-            trial = DiscreteField(grid, trial_values)
+            trial = delta * step
+            trial += u
             trial_norm, trial_row, trial_res = residual_norm(trial)
             if trial_norm < norm:
                 u, norm, row, res = trial, trial_norm, trial_row, trial_res
@@ -188,12 +197,14 @@ def solve_penalized(
 
 
 def verify_subsupersolution(
-    candidate: DiscreteField,
     problem: Problem,
+    grid: Grid,
+    candidate: np.ndarray,
     kind: str,
     tol: float = 1e-8,
 ) -> VerificationReport:
-    """Check the one-sided sign of the raw discrete weak residual.
+    """Check the one-sided sign of the raw discrete weak residual of the
+    candidate's nodal values on grid.
 
     Pairs the candidate against the nonnegative hat functions: midpoint
     fluxes plus reaction and source weighted by the exact radial cell
@@ -207,10 +218,9 @@ def verify_subsupersolution(
     """
     if kind not in ("sub", "super"):
         raise ParameterError(f"kind must be 'sub' or 'super'; got {kind!r}")
-    grid = candidate.grid
     volumes = cell_volumes(grid, problem.domain.N)
-    raw = assemble_stiffness(grid, problem).matvec(candidate.values)
-    raw += problem.b_at(grid.nodes) * problem.nonlin.value(candidate.values) * volumes
+    raw = assemble_stiffness(grid, problem).matvec(candidate)
+    raw += problem.b_at(grid.nodes) * problem.nonlin.value(candidate) * volumes
     raw -= problem.h_at(grid.nodes) * volumes
     pointwise = raw / volumes
     interior = ~problem.dirichlet_mask(grid)

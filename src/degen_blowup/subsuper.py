@@ -247,10 +247,12 @@ def _barrier_rhs(params: BlowupParams, shift: float, B: float, r: np.ndarray) ->
     """Reaction side a(r)*(shift*(R-r)^beta + B*(r/R)^2)^p, clamped at 0.
 
     The clamp only matters below the activation radius of a lower barrier,
-    where the profile itself is cut off at zero.
+    where the profile itself is cut off at zero.  A power past the float
+    range is inf, a correct verdict for the margins, so it does not warn.
     """
     base = shift * (params.R - r) ** params.beta + B * (r / params.R) ** 2
-    return params.a_at(r) * np.maximum(base, 0.0) ** params.p
+    with np.errstate(over="ignore"):
+        return params.a_at(r) * np.maximum(base, 0.0) ** params.p
 
 
 def super_inequality_margins(params: BlowupParams, sup: Envelope, samples: np.ndarray) -> np.ndarray:

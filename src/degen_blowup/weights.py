@@ -477,12 +477,13 @@ def check_a2(
 
 
 def catalogue_families(n_dim: int = 3) -> list[tuple[str, WeightFamily]]:
-    """Representative admissible profiles for each family, for sweeps.
+    """Representative admissible profiles for each family, for sweeps: those
+    of the list below that ``validate_for_dimension(n_dim)`` accepts.
 
     Labels stay comma-free so they can sit in CSV cells unquoted.
     """
     upper = n_dim - 1
-    return [
+    catalogue = [
         ("constant", WeightFamily.constant()),
         ("power(-0.9)", WeightFamily.power(-0.9)),
         ("power(0.5)", WeightFamily.power(0.5)),
@@ -492,3 +493,11 @@ def catalogue_families(n_dim: int = 3) -> list[tuple[str, WeightFamily]]:
         ("log-negative(1)", WeightFamily.log_negative(1.0)),
         ("exp-deficit(-1)", WeightFamily.exp_deficit(-1.0)),
     ]
+    admissible = []
+    for label, family in catalogue:
+        try:
+            family.validate_for_dimension(n_dim)
+        except ParameterError:
+            continue
+        admissible.append((label, family))
+    return admissible

@@ -26,8 +26,6 @@ from degen_blowup import (
     check_b2,
     check_epsilon_bounds,
     check_sandwich,
-    constant_field,
-    field_from_callable,
     find_min_A,
     fit_blowup_rate,
     leading_balance_residual,
@@ -58,9 +56,9 @@ def blowup_solve():
     sup = find_min_A(params, np.linspace(0.0, 1.0, 10001)).envelope
     sub = build_subsolution(params, -1.0)
     grid = build_graded_grid(R=1.0, eta=1e-4, m=2001, grading=2.0)
-    lo = field_from_callable(grid, sub)
-    hi = field_from_callable(grid, sup)
-    datum = float(0.5 * (lo.values[-1] + hi.values[-1]))
+    lo = sub(grid.nodes)
+    hi = sup(grid.nodes)
+    datum = float(0.5 * (lo[-1] + hi[-1]))
     problem = radial_blowup_problem(params, boundary_value=datum)
     opts = SolveOptions(abs_tol=1e-5, max_iters=100)
     u, rep = solve_penalized(problem, grid, lo, hi, opts)
@@ -74,10 +72,10 @@ def oracle_solves():
     results = {}
     for m in (200, 400, 800):
         grid = build_graded_grid(R=1.0, eta=0.1, m=m, grading=2.0)
-        lo = field_from_callable(grid, lambda r: 0.9 * u_star(r))
-        hi = field_from_callable(grid, lambda r: 1.1 * u_star(r))
+        lo = 0.9 * u_star(grid.nodes)
+        hi = 1.1 * u_star(grid.nodes)
         u, rep = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9))
-        results[m] = (grid, lo, hi, u, rep, np.max(np.abs(u.values - u_star(grid.nodes))))
+        results[m] = (grid, lo, hi, u, rep, np.max(np.abs(u - u_star(grid.nodes))))
     return results
 
 
@@ -92,15 +90,15 @@ def linear_solve():
         boundary_value=0.0,
     )
     grid = build_graded_grid(R=1.0, eta=1e-9, m=401, grading=1.0)
-    lo = constant_field(grid, 0.0)
-    hi = constant_field(grid, 1.0)
+    lo = np.full(grid.m, 0.0)
+    hi = np.full(grid.m, 1.0)
     u, rep = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-10))
     return grid, lo, hi, u, rep
 
 
 def test_criterion_1_blowup_rate_reproduction(blowup_solve):
-    params, _, _, _, _, u, rep, _, elapsed = blowup_solve
-    fit = fit_blowup_rate(u, (1e-3, 1e-2))
+    params, _, grid, _, _, u, rep, _, elapsed = blowup_solve
+    fit = fit_blowup_rate(grid, u, (1e-3, 1e-2))
     K = math.sqrt(2.0)
     ratio = fit.K_hat / K
     lo_bound = 1.0 - 2.0 * params.epsilon - 0.05
@@ -118,7 +116,7 @@ def test_criterion_1_blowup_rate_reproduction(blowup_solve):
     assert lo_bound <= ratio <= hi_bound
     assert elapsed <= 10.0
     # the same run stays inside the stated envelope ratio band
-    assert check_epsilon_bounds(u, params.K, params.beta, params.epsilon, (1e-3, 1e-2)).ok
+    assert check_epsilon_bounds(grid, u, params.K, params.beta, params.epsilon, (1e-3, 1e-2)).ok
 
 
 def test_criterion_2_exact_oracle_convergence(oracle_solves):
@@ -146,7 +144,7 @@ def test_criterion_3_sandwich_certificates(blowup_solve, oracle_solves, linear_s
     ]
     certificates = []
     for name, lo, hi, u in runs:
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(hi.values))))
+        tol = 1e-8 * (1.0 + float(np.max(np.abs(hi))))
         certificates.append((name, check_sandwich(u, lo, hi, tol)))
     ok = all(cert.ok for _, cert in certificates)
     detail = "; ".join(
@@ -224,7 +222,7 @@ def test_criterion_6_exhaustion_stabilization():
     )
     elapsed = time.perf_counter() - t0
     sandwich_ok = bool(run.sandwich_ok) and all(run.sandwich_ok)
-    limit_res = residual_on_monitor(params, run.limit_on_monitor)
+    limit_res = residual_on_monitor(params, run.monitor, run.limit_on_monitor)
     best_delta = min(run.deltas) if run.deltas else math.inf
     delta_ok = best_delta < 1e-5
     residual_ok = limit_res <= 1e-4
@@ -278,7 +276,7 @@ def test_criterion_7_penalty_inactivity(blowup_solve):
         abs_tol=opts.abs_tol,
     )
     u2, rep2 = solve_penalized(problem, grid, lo, hi, doubled)
-    diff = float(np.max(np.abs(u1.values - u2.values)))
+    diff = float(np.max(np.abs(u1 - u2)))
     bound = 10.0 * opts.abs_tol
     ok = rep2.converged and diff <= bound
     report(7, "penalty inactivity", ok, f"max diff {diff:.2e} vs bound {bound:.0e}")

@@ -5,7 +5,6 @@ import pytest
 
 from degen_blowup import (
     CallableNonlinearity,
-    DiscreteField,
     Domain,
     ParameterError,
     PowerNonlinearity,
@@ -17,9 +16,7 @@ from degen_blowup import (
     assemble_residual,
     assemble_stiffness,
     build_graded_grid,
-    constant_field,
     eval_weight,
-    field_from_callable,
     grid_terms,
     thomas_solve,
     volume_weights,
@@ -114,7 +111,7 @@ class TestStiffness:
         rng = np.random.default_rng(2)
         grid = uniform_grid(m=25)
         problem = interval_problem(b_coef=0.0)
-        jac = assemble_jacobian(constant_field(grid, 0.0), grid_terms(grid, problem))
+        jac = assemble_jacobian(np.full(grid.m, 0.0), grid_terms(grid, problem))
         for _ in range(20):
             v = rng.standard_normal(grid.m)
             v[0] = v[-1] = 0.0  # interior support
@@ -145,10 +142,10 @@ class TestTruncation:
         stiff = terms.operator
         mu = volume_weights(grid, 1)
         for t, clamped in ((-5.0, -1.0), (1.0, 1.0), (3.0, 2.0)):
-            u = constant_field(grid, t)
+            u = np.full(grid.m, t)
             res = assemble_residual(u, terms)
             np.testing.assert_array_equal(seen.pop(), np.full(grid.m, clamped))
-            reaction = res.values[1:-1] - stiff.matvec(u.values)[1:-1]
+            reaction = res[1:-1] - stiff.matvec(u)[1:-1]
             np.testing.assert_allclose(reaction, clamped**3 * mu[1:-1], rtol=1e-12)
 
     def test_ordering_error(self):
@@ -161,16 +158,16 @@ class TestTruncation:
     def test_idempotent_under_reclamping(self):
         grid = uniform_grid(m=16)
         nonlin, seen = _sampling(PowerNonlinearity(3.0))
-        lo = field_from_callable(grid, lambda r: -1.0 - r)
-        hi = field_from_callable(grid, lambda r: 1.0 + r)
-        terms = grid_terms(grid, interval_problem(nonlin=nonlin), lo.values, hi.values)
+        lo = -1.0 - grid.nodes
+        hi = 1.0 + grid.nodes
+        terms = grid_terms(grid, interval_problem(nonlin=nonlin), lo, hi)
         seen.clear()  # set-up evaluates f at the bounds and on monotonicity samples
         t = np.linspace(-4.0, 4.0, grid.m)
-        assemble_residual(DiscreteField(grid, t), terms)
-        assemble_residual(DiscreteField(grid, np.clip(t, lo.values, hi.values)), terms)
+        assemble_residual(t, terms)
+        assemble_residual(np.clip(t, lo, hi), terms)
         once, again = seen
         np.testing.assert_array_equal(once, again)
-        np.testing.assert_array_equal(once, np.clip(t, lo.values, hi.values))
+        np.testing.assert_array_equal(once, np.clip(t, lo, hi))
 
     def test_monotone_when_base_is(self):
         grid = uniform_grid(m=8)
@@ -180,7 +177,7 @@ class TestTruncation:
         for t_grid in (np.linspace(-5, 5, 101), np.linspace(-1, 1, 41)):
             seen.clear()
             for t in t_grid:
-                assemble_residual(constant_field(grid, t), terms)
+                assemble_residual(np.full(grid.m, t), terms)
             vals = base.value(np.stack(seen))
             assert np.all(np.diff(vals, axis=0) >= 0.0)
 
@@ -190,31 +187,31 @@ class TestTruncation:
         terms = grid_terms(grid, problem, np.full(grid.m, -1.0), np.full(grid.m, 2.0))
         stiff = terms.operator.diag[1:-1]
         for t in (-1.0, 2.0, -3.0):
-            assert np.array_equal(assemble_jacobian(constant_field(grid, t), terms).diag[1:-1], stiff), t
-        assert np.all(assemble_jacobian(constant_field(grid, 0.5), terms).diag[1:-1] > stiff)
+            assert np.array_equal(assemble_jacobian(np.full(grid.m, t), terms).diag[1:-1], stiff), t
+        assert np.all(assemble_jacobian(np.full(grid.m, 0.5), terms).diag[1:-1] > stiff)
 
 
 class TestResidual:
     def test_penalty_vanishes_inside_slab(self):
         grid = uniform_grid(m=20)
         problem = interval_problem(source=1.0)
-        lo = constant_field(grid, 0.0)
-        hi = constant_field(grid, 1.0)
-        u = constant_field(grid, 0.5)
-        with_pen = assemble_residual(u, grid_terms(grid, problem, lo.values, hi.values, 1e6))
-        without = assemble_residual(u, grid_terms(grid, problem, lo.values, hi.values, 0.0))
-        np.testing.assert_array_equal(with_pen.values, without.values)
+        lo = np.full(grid.m, 0.0)
+        hi = np.full(grid.m, 1.0)
+        u = np.full(grid.m, 0.5)
+        with_pen = assemble_residual(u, grid_terms(grid, problem, lo, hi, 1e6))
+        without = assemble_residual(u, grid_terms(grid, problem, lo, hi, 0.0))
+        np.testing.assert_array_equal(with_pen, without)
 
     def test_penalty_entry_below_slab(self):
         # b = 0 and h = 0 isolate the penalty contribution.
         grid = uniform_grid(m=20)
         problem = interval_problem(b_coef=0.0)
-        lo = constant_field(grid, 0.0)
-        hi = constant_field(grid, 1.0)
-        u = constant_field(grid, -1.0)
-        res = assemble_residual(u, grid_terms(grid, problem, lo.values, hi.values, 10.0))
+        lo = np.full(grid.m, 0.0)
+        hi = np.full(grid.m, 1.0)
+        u = np.full(grid.m, -1.0)
+        res = assemble_residual(u, grid_terms(grid, problem, lo, hi, 10.0))
         mu = volume_weights(grid, 1)
-        np.testing.assert_allclose(res.values[1:-1], -10.0 * mu[1:-1], rtol=1e-14)
+        np.testing.assert_allclose(res[1:-1], -10.0 * mu[1:-1], rtol=1e-14)
 
     def test_definition_of_discrete_solution(self):
         # Solving the eliminated linear system and feeding the result back
@@ -223,29 +220,29 @@ class TestResidual:
         problem = interval_problem(source=1.0)
         mu = volume_weights(grid, 1)
         terms = grid_terms(grid, problem)
-        jac = assemble_jacobian(constant_field(grid, 0.0), terms)
+        jac = assemble_jacobian(np.full(grid.m, 0.0), terms)
         rhs = mu.copy()
         rhs[0] = rhs[-1] = 0.0
-        u = DiscreteField(grid, thomas_solve(jac, rhs))
+        u = thomas_solve(jac, rhs)
         res = assemble_residual(u, terms)
-        assert np.max(np.abs(res.values)) < 1e-11
+        assert np.max(np.abs(res)) < 1e-11
 
     def test_nonfinite_coefficient_names_node(self):
         # a non-finite b is refused by grid_terms already (b/w); a source is not checked there
         grid = uniform_grid(m=10)
         problem = interval_problem(source=lambda r: np.where(r > 0.5, np.inf, 0.0))
         with pytest.raises(SolverError, match="node"):
-            assemble_residual(constant_field(grid, 1.0), grid_terms(grid, problem))
+            assemble_residual(np.full(grid.m, 1.0), grid_terms(grid, problem))
 
 
 class TestJacobian:
     def test_identity_nonlinearity_inside_slab(self):
         grid = uniform_grid(m=15)
         problem = interval_problem()
-        lo = constant_field(grid, -1.0)
-        hi = constant_field(grid, 1.0)
-        u = constant_field(grid, 0.0)
-        jac = assemble_jacobian(u, grid_terms(grid, problem, lo.values, hi.values, 5.0))
+        lo = np.full(grid.m, -1.0)
+        hi = np.full(grid.m, 1.0)
+        u = np.full(grid.m, 0.0)
+        jac = assemble_jacobian(u, grid_terms(grid, problem, lo, hi, 5.0))
         stiff = assemble_stiffness(grid, problem)
         mu = volume_weights(grid, 1)
         expected = stiff.diag + mu
@@ -255,10 +252,10 @@ class TestJacobian:
     def test_clamped_branch_keeps_only_penalty(self):
         grid = uniform_grid(m=15)
         problem = interval_problem(nonlin=PowerNonlinearity(3.0))
-        lo = constant_field(grid, 0.0)
-        hi = constant_field(grid, 1.0)
-        u = constant_field(grid, -10.0)
-        jac = assemble_jacobian(u, grid_terms(grid, problem, lo.values, hi.values, 7.0))
+        lo = np.full(grid.m, 0.0)
+        hi = np.full(grid.m, 1.0)
+        u = np.full(grid.m, -10.0)
+        jac = assemble_jacobian(u, grid_terms(grid, problem, lo, hi, 7.0))
         stiff = assemble_stiffness(grid, problem)
         mu = volume_weights(grid, 1)
         expected = stiff.diag + 7.0 * mu  # w = 1; reaction slope clamps to zero
@@ -275,16 +272,16 @@ class TestJacobian:
             source=lambda r: np.sin(3.0 * r),
             boundary_value=0.3,
         )
-        lo = constant_field(grid, -2.0)
-        hi = constant_field(grid, 3.0)
-        u = DiscreteField(grid, 0.3 + 0.2 * np.sin(5.0 * grid.nodes))
+        lo = np.full(grid.m, -2.0)
+        hi = np.full(grid.m, 3.0)
+        u = 0.3 + 0.2 * np.sin(5.0 * grid.nodes)
         direction = np.cos(4.0 * grid.nodes)
-        terms = grid_terms(grid, problem, lo.values, hi.values, 3.0)
+        terms = grid_terms(grid, problem, lo, hi, 3.0)
         jac = assemble_jacobian(u, terms)
         step = 1e-6
-        plus = assemble_residual(DiscreteField(grid, u.values + step * direction), terms)
-        minus = assemble_residual(DiscreteField(grid, u.values - step * direction), terms)
-        fd = (plus.values - minus.values) / (2.0 * step)
+        plus = assemble_residual(u + step * direction, terms)
+        minus = assemble_residual(u - step * direction, terms)
+        fd = (plus - minus) / (2.0 * step)
         jd = jac.matvec(direction)
         denom = np.max(np.abs(jd))
         assert np.max(np.abs(fd - jd)) / denom < 1e-6
@@ -336,36 +333,34 @@ class TestThomas:
         assert np.array_equal(thomas_solve(mat, rhs), _indexed_thomas(mat, rhs))
 
 
-def _reference_residual(u, problem, penalty, lower, upper):
+def _reference_residual(grid, u, problem, penalty, lower, upper):
     """The residual with every term rebuilt from the problem, in the solver's operation order.
 
     ``lower`` and ``upper`` are the slab's bound arrays, +-inf where unbounded.
     """
-    grid = u.grid
     r = grid.nodes
     mu = volume_weights(grid, problem.domain.N)
-    res = assemble_stiffness(grid, problem).matvec(u.values)
-    res += problem.b_at(r) * problem.nonlin.value(np.clip(u.values, lower, upper)) * mu
+    res = assemble_stiffness(grid, problem).matvec(u)
+    res += problem.b_at(r) * problem.nonlin.value(np.clip(u, lower, upper)) * mu
     if penalty > 0.0:
         w_nodes = eval_weight(problem.weight, grid.boundary_gap)
-        below = np.minimum(u.values - lower, 0.0)
-        above = np.maximum(u.values - upper, 0.0)
+        below = np.minimum(u - lower, 0.0)
+        above = np.maximum(u - upper, 0.0)
         res += penalty * (below + above) * w_nodes * mu
     res -= problem.h_at(r) * mu
     mask = problem.dirichlet_mask(grid)
-    res[mask] = u.values[mask] - problem.g_at(r[mask])
+    res[mask] = u[mask] - problem.g_at(r[mask])
     return res
 
 
-def _reference_jacobian(u, problem, penalty, lower, upper):
-    grid = u.grid
+def _reference_jacobian(grid, u, problem, penalty, lower, upper):
     mu = volume_weights(grid, problem.domain.N)
     jac = assemble_stiffness(grid, problem)
-    slope = np.where((u.values > lower) & (u.values < upper), problem.nonlin.slope(u.values), 0.0)
+    slope = np.where((u > lower) & (u < upper), problem.nonlin.slope(u), 0.0)
     diag_extra = problem.b_at(grid.nodes) * slope * mu
     if penalty > 0.0:
         w_nodes = eval_weight(problem.weight, grid.boundary_gap)
-        violated = (u.values < lower) | (u.values > upper)
+        violated = (u < lower) | (u > upper)
         diag_extra += penalty * w_nodes * mu * violated
     jac.diag += diag_extra
     mask = problem.dirichlet_mask(grid)
@@ -392,27 +387,26 @@ class TestGridTerms:
             source=lambda r: np.sin(3.0 * r),
             boundary_value=lambda r: 0.2 + r,
         )
-        lo = field_from_callable(grid, lambda r: -0.5 - r)
-        hi = field_from_callable(grid, lambda r: 0.5 + r)
+        lo = -0.5 - grid.nodes
+        hi = 0.5 + grid.nodes
         values = 1.5 * np.sin(7.0 * grid.nodes) + 0.2  # leaves the slab on both sides
-        values[3], values[5] = lo.values[3], hi.values[5]  # exactly on the clamp
+        values[3], values[5] = lo[3], hi[5]  # exactly on the clamp
         values[8] = -0.0
-        u = DiscreteField(grid, values)
-        assert np.any(values < lo.values) and np.any(values > hi.values)
+        assert np.any(values < lo) and np.any(values > hi)
         # clipping against +-inf keeps every bit, so the unbounded slab is the plain problem
         unbounded = (np.full(grid.m, -np.inf), np.full(grid.m, np.inf))
         clipped = np.clip(values, *unbounded)
         assert np.all(clipped == values) and np.array_equal(np.signbit(clipped), np.signbit(values))
         for terms, (lower, upper) in (
-            (grid_terms(grid, problem, lo.values, hi.values, penalty), (lo.values, hi.values)),
+            (grid_terms(grid, problem, lo, hi, penalty), (lo, hi)),
             (grid_terms(grid, problem, penalty=penalty), unbounded),
         ):
-            args = (u, problem, penalty, lower, upper)
-            res = assemble_residual(u, terms).values
+            args = (grid, values, problem, penalty, lower, upper)
+            res = assemble_residual(values, terms)
             expected = _reference_residual(*args)
             assert np.all(res == expected) and np.array_equal(np.signbit(res), np.signbit(expected))
 
-            jac = assemble_jacobian(u, terms)
+            jac = assemble_jacobian(values, terms)
             expected = _reference_jacobian(*args)
             for band in ("lower", "diag", "upper"):
                 assert np.array_equal(getattr(jac, band), getattr(expected, band)), band
@@ -428,19 +422,17 @@ class TestGridTerms:
         upper = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
         values = np.array([0.5, 0.0, -0.0, 0.0, -2.0, 0.3, 3.0, 1.0, -1.0, -0.0, 0.0])
         # below, inside and above the slab, and on both bounds with either zero
-        u = DiscreteField(grid, values)
-        lo, hi = DiscreteField(grid, lower), DiscreteField(grid, upper)
-        before = [a.tobytes() for a in (u.values, lo.values, hi.values)]
+        before = [a.tobytes() for a in (values, lower, upper)]
 
-        terms = grid_terms(grid, problem, lo.values, hi.values, 1e6)
-        res = assemble_residual(u, terms)
-        expected = _reference_residual(u, problem, 1e6, lower, upper)
-        assert np.array_equal(res.values, expected)
-        assert np.array_equal(np.signbit(res.values), np.signbit(expected))
+        terms = grid_terms(grid, problem, lower, upper, 1e6)
+        res = assemble_residual(values, terms)
+        expected = _reference_residual(grid, values, problem, 1e6, lower, upper)
+        assert np.array_equal(res, expected)
+        assert np.array_equal(np.signbit(res), np.signbit(expected))
         for j in range(1, grid.m - 1):
             entry = residual_rows(values[j - 1:j + 2], terms, j - 1)[1]
             assert entry == expected[j] and np.signbit(entry) == np.signbit(expected[j]), j
-        assert [a.tobytes() for a in (u.values, lo.values, hi.values)] == before
+        assert [a.tobytes() for a in (values, lower, upper)] == before
 
     @pytest.mark.parametrize("with_trunc", [False, True], ids=["untruncated", "truncated"])
     def test_negative_penalty_is_refused(self, with_trunc):
@@ -509,11 +501,10 @@ class TestResidualRows:
         lower[8], values[8] = 0.0, -0.0  # -0.0 on a zero bound
         upper[9], values[9] = 0.0, -0.0
         lower[10], values[10] = 0.0, 0.0
-        u = DiscreteField(grid, values)
         assert np.any(values < lower) and np.any(values > upper)
         slab = (lower, upper) if truncated else (None, None)
         terms = grid_terms(grid, problem, *slab, penalty)
-        full = assemble_residual(u, terms).values
+        full = assemble_residual(values, terms)
         assert np.array_equal(residual_rows(values, terms), full)
 
         for j in range(grid.m):

@@ -379,14 +379,38 @@ def test_misordered_slab_is_config_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("body", ["problem.A = 1e300", "problem.A = 2\nproblem.p = 1e6"], ids=["A", "p"])
-def test_overflowing_slab_prints_only_its_refusal(tmp_path, body):
-    # f overflows at the upper bound: no numpy warning comes before the refusal
-    write(tmp_path / "run.cfg", f"run.command = solve\n{body}\n")
-    proc = _run_python(tmp_path, ["-m", "degen_blowup.cli", "solve", "--config", "run.cfg", "--out", "o"])
-    assert proc.returncode == 1
-    assert proc.stderr == "config error: nonlinearity overflows on the slab\n"
-    assert not (tmp_path / "o").exists()
+@pytest.mark.parametrize(
+    "command, body, code, err",
+    [
+        ("solve", "problem.A = 1e300", 1, "config error: nonlinearity overflows on the slab\n"),
+        ("solve", "problem.A = 2\nproblem.p = 1e6", 1, "config error: nonlinearity overflows on the slab\n"),
+        # find_min_A's margins overflow to +inf, a passing verdict, before the slab's refusal
+        ("solve", "problem.p = 1e6", 1, "config error: nonlinearity overflows on the slab\n"),
+        # the upper barrier's margins overflow to +inf: it holds, and nothing is refused
+        ("verify-subsuper", "problem.A = 1e300", 0, ""),
+    ],
+    ids=["A", "p", "p-auto-A", "verify-A"],
+)
+def test_overflowing_slab_prints_only_its_refusal(tmp_path, command, body, code, err):
+    # a float overflow prints no numpy warning: stderr holds the refusal, if any, alone
+    write(tmp_path / "run.cfg", f"run.command = {command}\n{body}\n")
+    proc = _run_python(tmp_path, ["-m", "degen_blowup.cli", command, "--config", "run.cfg", "--out", "o"])
+    assert proc.returncode == code
+    assert proc.stderr == err
+    assert (tmp_path / "o").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("n_dim", [1, 2])
+def test_b2_catalogue_below_three_dimensions(tmp_path, n_dim):
+    # the catalogue lists only the profiles admissible at b2.N, and b2 checks each of them
+    cfg = write(tmp_path / "b2.cfg", f"run.command = b2\nb2.N = {n_dim}\n")
+    out = tmp_path / "out"
+    assert main(["b2", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    families = catalogue_families(n_dim)
+    for _, family in families:
+        family.validate_for_dimension(n_dim)
+    rows = read_csv(out / "b2.csv")[1]
+    assert [row[0] for row in rows] == [label for label, _ in families] + ["interior-vanishing(|x-0.5|)"]
 
 
 def test_b2_catalogue_table(tmp_path):
@@ -656,12 +680,42 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
             (command, "problem.alpha = -1.5", "run.cfg:3: key 'problem.alpha': power-type profile needs alpha > -1")
             for command in ("solve", "rate", "exhaust")
         ),
+        # the lower envelope reaches about 1e400 at r = R - eta
+        *(
+            (
+                command,
+                "problem.p = 1.02\nproblem.A = 2",
+                "run.cfg:3: key 'problem.p', run.cfg: key 'grid.eta' (default): "
+                "lower bound is not finite at r = 0.92150784: inf",
+            )
+            for command in ("solve", "rate")
+        ),
+        (
+            "solve",
+            "problem.p = 1.02\nproblem.A = 2\ngrid.eta = 0.01",
+            "run.cfg:3: key 'problem.p', run.cfg:5: key 'grid.eta': lower bound is not finite at r = 0.92152269: inf",
+        ),
+        # checked at the outer radius 1 - 1/48 of the last truncation, before the first solve
+        (
+            "exhaust",
+            "problem.p = 1.02\nproblem.A = 2",
+            "run.cfg:3: key 'problem.p', run.cfg: key 'exhaust.n0' (default), run.cfg: key 'exhaust.n_max' "
+            "(default): lower bound is not finite at r = 0.9791666666666666: inf",
+        ),
+        (
+            "exhaust",
+            "problem.p = 1.02\nproblem.A = 2\nexhaust.n0 = 4\nexhaust.n_max = 40",
+            "run.cfg:3: key 'problem.p', run.cfg:5: key 'exhaust.n0', run.cfg:6: key 'exhaust.n_max': "
+            "lower bound is not finite at r = 0.96875: inf",
+        ),
     ],
     ids=[
         "epsilon", "R", "N", "p", "gamma-alpha", "a", "m", "exhaust-m", "eta-R", "grading",
         "linear-R", "b2-N", "b2-alpha", "b2-family", "n_max", "n_max-derived-n0", "window-order",
         "window-empty", "grid-collision", "exhaust-grid-collision",
         "solve-alpha-N", "rate-alpha-N", "exhaust-alpha-N", "solve-alpha", "rate-alpha", "exhaust-alpha",
+        "solve-envelope-overflow", "rate-envelope-overflow", "solve-envelope-overflow-eta",
+        "exhaust-envelope-overflow", "exhaust-envelope-overflow-schedule",
     ],
 )
 def test_refused_range_names_file_line_and_keys(tmp_path, monkeypatch, capsys, command, body, message):

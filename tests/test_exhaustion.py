@@ -63,10 +63,10 @@ def test_limit_field_lives_on_the_monitor(setup):
     run = small_run(params, sub, sup)
     limit = run.limit_on_monitor
     assert limit is not None
-    assert limit.grid.nodes[-1] == pytest.approx(0.5)
-    assert limit.grid.m == 101
+    assert run.monitor.nodes[-1] == pytest.approx(0.5)
+    assert run.monitor.m == 101 and limit.shape == (101,)
     # interior consistency of the limit candidate
-    assert residual_on_monitor(params, limit) < 1e-2
+    assert residual_on_monitor(params, run.monitor, limit) < 1e-2
 
 
 def test_warm_start_does_not_change_fixed_points(setup):
@@ -114,5 +114,5 @@ def test_limit_grows_toward_the_boundary(setup):
             m=801, grading=2.0, opts=SolveOptions(abs_tol=1e-4, max_iters=80),
         )
         assert all(run.sandwich_ok)
-        rim_values.append(run.limit_on_monitor.values[-1])
+        rim_values.append(run.limit_on_monitor[-1])
     assert rim_values[0] < rim_values[1] < rim_values[2]

@@ -5,18 +5,16 @@ import pytest
 
 from degen_blowup import (
     CallableNonlinearity,
-    DiscreteField,
     Domain,
     ParameterError,
     Problem,
     SolveOptions,
+    SolverError,
     WeightFamily,
     build_graded_grid,
     build_subsolution,
     BlowupParams,
     check_sandwich,
-    constant_field,
-    field_from_callable,
     find_min_A,
     oracle_exact_1d,
     radial_blowup_problem,
@@ -49,8 +47,8 @@ def closed_form(r, R=1.0):
 
 def solve_linear(m):
     grid = build_graded_grid(R=1.0, eta=1e-9, m=m, grading=1.0)
-    lo = constant_field(grid, 0.0)
-    hi = constant_field(grid, 1.0)
+    lo = np.full(grid.m, 0.0)
+    hi = np.full(grid.m, 1.0)
     u, report = solve_penalized(linear_problem(), grid, lo, hi, SolveOptions(abs_tol=1e-10))
     return grid, lo, hi, u, report
 
@@ -59,13 +57,13 @@ class TestLinearClosedForm:
     def test_matches_closed_form(self):
         grid, _, _, u, report = solve_linear(201)
         assert report.converged
-        assert np.max(np.abs(u.values - closed_form(grid.nodes))) < 1e-6
+        assert np.max(np.abs(u - closed_form(grid.nodes))) < 1e-6
 
     def test_second_order_convergence(self):
         errs = []
         for m in (51, 101, 201):
             grid, _, _, u, _ = solve_linear(m)
-            errs.append(np.max(np.abs(u.values - closed_form(grid.nodes))))
+            errs.append(np.max(np.abs(u - closed_form(grid.nodes))))
         h = [1.0 / (m - 1) for m in (51, 101, 201)]
         orders = [np.log(errs[i] / errs[i + 1]) / np.log(h[i] / h[i + 1]) for i in range(2)]
         assert all(order >= 1.8 for order in orders)
@@ -83,7 +81,7 @@ class TestLinearClosedForm:
             linear_problem(), grid, lo, hi,
             SolveOptions(abs_tol=1e-10, penalty=2.0 * rep1.penalty),
         )
-        assert np.max(np.abs(u1.values - u2.values)) <= 10.0 * 1e-10
+        assert np.max(np.abs(u1 - u2)) <= 10.0 * 1e-10
 
 
 STALLING_CFG = """
@@ -136,11 +134,11 @@ class TestSolverBehaviour:
             source=0.0,
             boundary_value=0.0,
         )
-        zero = constant_field(grid, 0.0)
+        zero = np.full(grid.m, 0.0)
         u, report = solve_penalized(problem, grid, zero, zero)
         assert report.converged
         assert report.iters <= 1
-        assert np.max(np.abs(u.values)) == 0.0
+        assert np.max(np.abs(u)) == 0.0
 
     def test_degenerate_sandwich_pins_the_solution(self):
         # With lower = upper = the discrete solution, the solve has nothing
@@ -149,13 +147,13 @@ class TestSolverBehaviour:
         pin = u.copy()
         got, report = solve_penalized(linear_problem(), grid, pin, pin, SolveOptions(abs_tol=1e-8))
         assert report.converged
-        assert np.max(np.abs(got.values - pin.values)) < 1e-8
+        assert np.max(np.abs(got - pin)) < 1e-8
 
     def test_residual_history_strictly_decreasing(self):
         problem, u_star = oracle_exact_1d(R=1.0)
         grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
-        lo = field_from_callable(grid, lambda r: 0.9 * u_star(r))
-        hi = field_from_callable(grid, lambda r: 1.1 * u_star(r))
+        lo = 0.9 * u_star(grid.nodes)
+        hi = 1.1 * u_star(grid.nodes)
         _, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9))
         assert report.converged
         hist = np.asarray(report.residual_history)
@@ -165,20 +163,20 @@ class TestSolverBehaviour:
     def test_report_carries_the_returned_fields_residual(self, max_iters):
         problem, u_star = oracle_exact_1d(R=1.0)
         grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
-        lo = field_from_callable(grid, lambda r: 0.9 * u_star(r))
-        hi = field_from_callable(grid, lambda r: 1.1 * u_star(r))
+        lo = 0.9 * u_star(grid.nodes)
+        hi = 1.1 * u_star(grid.nodes)
         u, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9, max_iters=max_iters))
-        again = assembly.assemble_residual(u, assembly.grid_terms(grid, problem, lo.values, hi.values, report.penalty))
-        assert np.array_equal(report.residual.values, again.values)
-        assert np.max(np.abs(report.residual.values)) == report.residual_history[-1]
+        again = assembly.assemble_residual(u, assembly.grid_terms(grid, problem, lo, hi, report.penalty))
+        assert np.array_equal(report.residual, again)
+        assert np.max(np.abs(report.residual)) == report.residual_history[-1]
 
     @pytest.mark.parametrize("scale", [1.1, 1.0001], ids=["inside", "violated"])
     def test_report_carries_the_returned_fields_sandwich(self, scale):
         problem, u_star = oracle_exact_1d(R=1.0)
         grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
         # the tight upper bound cuts below the solution, so the certificate fails there
-        lo = field_from_callable(grid, lambda r: 0.9 * u_star(r))
-        hi = field_from_callable(grid, lambda r: scale * u_star(r) - 0.01)
+        lo = 0.9 * u_star(grid.nodes)
+        hi = scale * u_star(grid.nodes) - 0.01
         u, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9))
         expected = check_sandwich(u, lo, hi, sandwich_tol(hi))
         assert report.sandwich == expected
@@ -187,14 +185,14 @@ class TestSolverBehaviour:
     def test_max_iters_exhaustion_returns_field(self):
         problem, u_star = oracle_exact_1d(R=1.0)
         grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
-        lo = field_from_callable(grid, lambda r: 0.9 * u_star(r))
-        hi = field_from_callable(grid, lambda r: 1.1 * u_star(r))
+        lo = 0.9 * u_star(grid.nodes)
+        hi = 1.1 * u_star(grid.nodes)
         u, report = solve_penalized(
             problem, grid, lo, hi, SolveOptions(abs_tol=1e-12, max_iters=1)
         )
         assert not report.converged
         assert report.iters == 1
-        assert u.values.shape == (grid.m,)
+        assert u.shape == (grid.m,)
 
     def test_one_stiffness_build_per_solve(self, monkeypatch):
         # grid-only terms are built once, not on every residual and Jacobian
@@ -207,8 +205,8 @@ class TestSolverBehaviour:
         monkeypatch.setattr(assembly, "assemble_stiffness", counted)
         problem, u_star = oracle_exact_1d(R=1.0)
         grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
-        lo = field_from_callable(grid, lambda r: 0.9 * u_star(r))
-        hi = field_from_callable(grid, lambda r: 1.1 * u_star(r))
+        lo = 0.9 * u_star(grid.nodes)
+        hi = 1.1 * u_star(grid.nodes)
         _, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9))
         assert report.iters >= 2
         assert len(builds) == 1
@@ -230,13 +228,13 @@ class TestSolverBehaviour:
         u_old, report_old, trials_old, assembled_old = _solve_counting_stalled_trials(cfg, monkeypatch)
         assert trials_old == 40
         assert assembled_old == 1
-        assert np.array_equal(u.values, u_old.values)
+        assert np.array_equal(u, u_old)
         assert report.iters == report_old.iters
         assert np.array_equal(report.residual_history, report_old.residual_history)
 
     def test_nonfinite_step_raises_before_any_probe(self, monkeypatch):
         # the step-1 trial is always built in full, so a non-finite Newton
-        # step still fails in DiscreteField, and no shorter step is probed
+        # step fails in its residual assembly, and no shorter step is probed
         events = []
         solve = penalty_solver.thomas_solve
 
@@ -249,11 +247,34 @@ class TestSolverBehaviour:
         for name in ("assemble_residual", "residual_rows"):
             monkeypatch.setattr(penalty_solver, name, _logged(getattr(penalty_solver, name), name, events))
         grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
-        lo = constant_field(grid, 0.0)
-        hi = constant_field(grid, 1.0)
-        with pytest.raises(ParameterError, match="field values must all be finite"):
+        lo = np.full(grid.m, 0.0)
+        hi = np.full(grid.m, 1.0)
+        # node 50 holds the infinite value; its flux already reaches row 49
+        with pytest.raises(SolverError, match="non-finite residual entry at node 49 "):
             solve_penalized(linear_problem(), grid, lo, hi)
-        assert events == ["assemble_residual", "thomas_solve"]
+        assert events == ["assemble_residual", "thomas_solve", "assemble_residual"]
+
+    @pytest.mark.parametrize(
+        "which, value, name",
+        [("lower", -np.inf, "lower bound"), ("upper", np.inf, "upper bound"), ("guess", np.nan, "initial guess")],
+    )
+    def test_nonfinite_input_is_refused(self, which, value, name):
+        # grid_terms reads an infinite bound as no bound, so the solve refuses it
+        grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
+        inputs = {"lower": np.full(grid.m, 0.0), "upper": np.full(grid.m, 1.0), "guess": np.full(grid.m, 0.5)}
+        inputs[which][7] = value
+        with pytest.raises(ParameterError, match=f"{name} is not finite at r = {grid.nodes[7]}: {value}"):
+            solve_penalized(
+                linear_problem(), grid, inputs["lower"], inputs["upper"], SolveOptions(initial_guess=inputs["guess"])
+            )
+
+    def test_initial_guess_of_the_wrong_length_is_refused(self):
+        grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
+        with pytest.raises(ParameterError, match=r"initial guess needs 101 values; got shape \(100,\)"):
+            solve_penalized(
+                linear_problem(), grid, np.full(grid.m, 0.0), np.full(grid.m, 1.0),
+                SolveOptions(initial_guess=np.full(100, 0.5)),
+            )
 
     def test_options_validation(self):
         with pytest.raises(ParameterError):
@@ -269,16 +290,16 @@ class TestSolverBehaviour:
             source=0.0,
             boundary_value=0.0,
         )
-        lo = constant_field(grid, -1.0)
-        hi = constant_field(grid, 1.0)
+        lo = np.full(grid.m, -1.0)
+        hi = np.full(grid.m, 1.0)
         with pytest.raises(ParameterError, match="monotone"):
             solve_penalized(problem, grid, lo, hi)
 
     def test_misordered_slab_names_its_node(self):
         grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
-        lo = constant_field(grid, 0.0)
-        hi = constant_field(grid, 1.0)
-        lo.values[37] = 1.25
+        lo = np.full(grid.m, 0.0)
+        hi = np.full(grid.m, 1.0)
+        lo[37] = 1.25
         with pytest.raises(ParameterError, match="at node 37: 1.25 > 1.0"):
             solve_penalized(linear_problem(), grid, lo, hi)
 
@@ -296,7 +317,7 @@ class TestSolverBehaviour:
         monkeypatch.setattr(assembly, "eval_weight", counted)
         grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
         _, report = solve_penalized(
-            linear_problem(), grid, constant_field(grid, 0.0), constant_field(grid, 1.0), SolveOptions(penalty=penalty)
+            linear_problem(), grid, np.full(grid.m, 0.0), np.full(grid.m, 1.0), SolveOptions(penalty=penalty)
         )
         assert len(calls) == weights
         assert report.penalty == (2.0 if penalty is None else penalty)  # 1 + sup|b/w| * f' = 1 + 1 * 1
@@ -305,19 +326,19 @@ class TestSolverBehaviour:
 class TestCheckSandwich:
     def test_midpoint_is_inside(self):
         grid = build_graded_grid(R=1.0, eta=1e-6, m=21, grading=1.0)
-        lo = constant_field(grid, -1.0)
-        hi = constant_field(grid, 3.0)
-        mid = DiscreteField(grid, 0.5 * (lo.values + hi.values))
+        lo = np.full(grid.m, -1.0)
+        hi = np.full(grid.m, 3.0)
+        mid = 0.5 * (lo + hi)
         cert = check_sandwich(mid, lo, hi, tol=0.0)
         assert cert.ok and cert.max_below == 0.0 and cert.max_above == 0.0
 
     def test_single_node_violation_located(self):
         grid = build_graded_grid(R=1.0, eta=1e-6, m=21, grading=1.0)
-        lo = constant_field(grid, 0.0)
-        hi = constant_field(grid, 1.0)
+        lo = np.full(grid.m, 0.0)
+        hi = np.full(grid.m, 1.0)
         values = np.full(grid.m, 0.5)
         values[7] = 2.0
-        cert = check_sandwich(DiscreteField(grid, values), lo, hi, tol=1e-12)
+        cert = check_sandwich(values, lo, hi, tol=1e-12)
         assert not cert.ok
         assert cert.max_above == pytest.approx(1.0)
 
@@ -325,13 +346,13 @@ class TestCheckSandwich:
 class TestVerifySubSuper:
     def test_constant_one_is_supersolution_with_equality(self):
         grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
-        rep = verify_subsupersolution(constant_field(grid, 1.0), linear_problem(), "super")
+        rep = verify_subsupersolution(linear_problem(), grid, np.full(grid.m, 1.0), "super")
         assert rep.ok
         assert abs(rep.worst_residual) < 1e-9
 
     def test_constant_zero_is_subsolution_with_pointwise_minus_one(self):
         grid = build_graded_grid(R=1.0, eta=1e-9, m=101, grading=1.0)
-        rep = verify_subsupersolution(constant_field(grid, 0.0), linear_problem(), "sub")
+        rep = verify_subsupersolution(linear_problem(), grid, np.full(grid.m, 0.0), "sub")
         assert rep.ok
         assert rep.worst_residual == pytest.approx(-1.0)
 
@@ -341,16 +362,12 @@ class TestVerifySubSuper:
         sub = build_subsolution(params, -1.0)
         problem = radial_blowup_problem(params)
         grid = build_graded_grid(R=1.0, eta=1e-3, m=800, grading=2.0)
-        rep_super = verify_subsupersolution(
-            field_from_callable(grid, sup), problem, "super", tol=1e-6
-        )
-        rep_sub = verify_subsupersolution(
-            field_from_callable(grid, sub), problem, "sub", tol=1e-6
-        )
+        rep_super = verify_subsupersolution(problem, grid, sup(grid.nodes), "super", tol=1e-6)
+        rep_sub = verify_subsupersolution(problem, grid, sub(grid.nodes), "sub", tol=1e-6)
         assert rep_super.ok, rep_super
         assert rep_sub.ok, rep_sub
 
     def test_kind_validated(self):
         grid = build_graded_grid(R=1.0, eta=1e-9, m=21, grading=1.0)
         with pytest.raises(ParameterError):
-            verify_subsupersolution(constant_field(grid, 0.0), linear_problem(), "both")
+            verify_subsupersolution(linear_problem(), grid, np.full(grid.m, 0.0), "both")
