@@ -8,22 +8,24 @@ the error type each one handles (_EXIT_TABLE):
     0  run completed and certified
     1  config error or violated precondition, nothing written (ConfigError, ParameterError)
     2  solver did not converge / did not stabilize (SolverError)
-    3  certification failure: bound certificate or inequality sweep (CertificationError)
+    3  certification failure: bound certificate, inequality sweep, or a barrier
+       refused before a solve, nothing written (CertificationError)
 
 The sweep command runs its member configs in up to min(4, members)
-worker processes (forked on Linux) and prints their lines once all have
-finished, in the order its config lists them.  solve and rate spend most
-of their time in the pure-Python tridiagonal loop, which holds the
-interpreter lock, so members on threads of one process took turns; in
-processes they do not.  The b2 command checks its entries on two
+worker processes (forked on Linux), since solve and rate spend most of
+their time in the pure-Python tridiagonal loop, which holds the
+interpreter lock, and prints their lines once all have finished, in the
+order its config lists them.  The b2 command checks its entries on two
 threads, which share one table of midpoint offsets and own one work
 array each (weights.QuadWork), and writes its rows and lines in entry
 order: its quadratures are numpy ufuncs on large arrays, which run
 without the lock.
 
-A value of one key that a command refuses while it runs (problem.kind,
-problem.A, problem.C, verify.C, an entry of verify.C_list, verify.samples,
-exhaust.n0, b2.margin, b2.quad_nodes, solver.tol, solver.max_iters) is a
+solve, rate and exhaust verify their barriers as verify-subsuper does
+(_barriers) and refuse them unless both hold at 4097 samples.  A value of
+one key that a command refuses while it runs (problem.kind, problem.A,
+problem.C, verify.C, an entry of verify.C_list, verify.samples, exhaust.n0,
+exhaust.tol, b2.margin, b2.quad_nodes, solver.tol, solver.max_iters) is a
 config error naming the file, the line and the key, like the errors of
 the config module.  A refused range of the problem, its weight, the grid,
 a b2 weight, the exhaust schedule or the rate window (problem.p, ...,
@@ -283,19 +285,40 @@ def _value_of(cfg, key):
         raise ConfigError(", ".join(map(cfg.where, keys)) + f": {exc}") from exc
 
 
-def _envelopes(cfg, params: BlowupParams):
-    A = cfg["problem.A"]
-    if A is None:
-        report = find_min_A(params, np.linspace(0.0, params.R, 4097))
-        if report is None:
-            raise CertificationError("no shift in the default grid makes the upper barrier hold")
-        sup = report.envelope
+# the lower barrier's samples end this far below R, where the envelope blows up
+_SUB_SAMPLES_GAP = 1e-6
+
+
+def _barriers(cfg, params: BlowupParams, samples: int, c_key: str):
+    """The lower barrier of the shift under c_key and the upper one of problem.A
+    (find_min_A's when auto), each verified as built at samples points: (sub,
+    its samples, its report, the upper samples, the upper report or None)."""
+    with _value_of(cfg, c_key):
+        # a shift deep enough puts the activation radius past the last sample
+        sub = build_subsolution(params, cfg[c_key])
+        sub_samples = np.linspace(sub.activation_radius, params.R - _SUB_SAMPLES_GAP, samples)
+        sub_report = verify_sub_inequality(params, sub, sub_samples)
+    sup_samples = np.linspace(0.0, params.R, samples)
+    if cfg["problem.A"] is None:
+        sup_report = find_min_A(params, sup_samples)
     else:
         with _value_of(cfg, "problem.A"):
-            sup = build_supersolution(params, A)
-    with _value_of(cfg, "problem.C"):
-        sub = build_subsolution(params, cfg["problem.C"])
-    return sub, sup
+            sup = build_supersolution(params, cfg["problem.A"])
+        sup_report = verify_super_inequality(params, sup, sup_samples)
+    return sub, sub_samples, sub_report, sup_samples, sup_report
+
+
+def _envelopes(cfg, params: BlowupParams):
+    """(sub, sup) of problem.C and problem.A, refused unless both hold where
+    verify-subsuper checks them at 4097 samples."""
+    sub, _, sub_report, _, sup_report = _barriers(cfg, params, 4097, "problem.C")
+    if sup_report is None:
+        raise CertificationError("no shift in the default grid makes the upper barrier hold")
+    checks = (("problem.C", "lower", sub, sub_report), ("problem.A", "upper", sup_report.envelope, sup_report))
+    for key, name, envelope, report in checks:
+        if not report.ok:
+            raise CertificationError(f"{cfg.where(key)}: the {name} barrier of shift {envelope.shift:g} does not hold")
+    return sub, sup_report.envelope
 
 
 def _linear_test_problem(R: float) -> Problem:
@@ -330,8 +353,7 @@ def cmd_solve(cfg, out: Path, say) -> int:
         with _value_of(cfg, {"p": "problem.p", "eta": "grid.eta"}):  # envelopes past the float range on grid
             lo, hi, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
     else:
-        with _value_of(cfg, "problem.kind"):
-            raise ParameterError(f"must be 'linear' or 'blowup'; got {kind!r}")
+        raise ConfigError(f"{cfg.where('problem.kind')}: must be 'linear' or 'blowup'; got {kind!r}")
 
     cert = report.sandwich
 
@@ -398,38 +420,16 @@ def cmd_rate(cfg, out: Path, say) -> int:
     return EXIT_OK if bounds.ok else EXIT_CERTIFICATION
 
 
-# the sub-solution's samples end this far below R, where the envelope blows up
-_SUB_SAMPLES_GAP = 1e-6
-
-
 def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     n_samples = cfg["verify.samples"]
-    with _value_of(cfg, "verify.samples"):
-        if n_samples < 2:
-            raise ParameterError(f"must be at least 2; got {n_samples}")
+    if n_samples < 2:
+        raise ConfigError(f"{cfg.where('verify.samples')}: must be at least 2; got {n_samples}")
     params = _blowup_params(cfg)
-
-    C = cfg["verify.C"]
-    with _value_of(cfg, "verify.C"):
-        # a C deep enough puts the activation radius past the last sample
-        sub = build_subsolution(params, C)
-        sub_samples = np.linspace(sub.activation_radius, params.R - _SUB_SAMPLES_GAP, n_samples)
-        sub_report = verify_sub_inequality(params, sub, sub_samples)
-
+    sub, sub_samples, sub_report, samples, sup_report = _barriers(cfg, params, n_samples, "verify.C")
     with _value_of(cfg, "verify.C_list"):
         # verify.C is bisected once, also when the list repeats it
-        c_table = [
-            (c, (sub if c == C else build_subsolution(params, c)).activation_radius) for c in cfg["verify.C_list"]
-        ]
+        c_table = [(c, sub if c == sub.shift else build_subsolution(params, c)) for c in cfg["verify.C_list"]]
 
-    samples = np.linspace(0.0, params.R, n_samples)
-    A = cfg["problem.A"]
-    if A is None:
-        sup_report = find_min_A(params, samples)
-    else:
-        with _value_of(cfg, "problem.A"):
-            sup = build_supersolution(params, A)
-        sup_report = verify_super_inequality(params, sup, samples)
     min_A = None if sup_report is None else sup_report.envelope.shift
     super_ok = sup_report is not None and sup_report.ok
     B = (build_supersolution(params, 1.0) if sup_report is None else sup_report.envelope).B
@@ -439,9 +439,7 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if sup_report is not None:
         _write_csv(out / "super_margins.csv", ["r", "margin"], (samples, sup_report.margins))
-    _write_csv(
-        out / "sub_margins.csv", ["r", "sufficient_margin"], (sub_samples, sub_report.sufficient_margins)
-    )
+    _write_csv(out / "sub_margins.csv", ["r", "sufficient_margin"], (sub_samples, sub_report.sufficient_margins))
     items = [
         ("min_A", "not-found" if min_A is None else min_A),
         ("super_ok", super_ok),
@@ -451,14 +449,13 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
         ("sub_ok_sufficient", sub_report.ok_sufficient),
         ("activation_radius", sub.activation_radius),
     ]
-    items += [(f"c_bar({c:g})", c_bar) for c, c_bar in c_table]
+    items += [(f"c_bar({c:g})", envelope.activation_radius) for c, envelope in c_table]
     _write_report(out / "subsuper_report.txt", items)
     say(
         f"verify-subsuper: min_A={min_A} super_ok={super_ok} "
-        f"sub_ok={sub_report.ok} c_bar({C:g})={sub.activation_radius:.6f}"
+        f"sub_ok={sub_report.ok} c_bar({sub.shift:g})={sub.activation_radius:.6f}"
     )
-    all_ok = super_ok and sub_report.ok
-    return EXIT_OK if all_ok else EXIT_CERTIFICATION
+    return EXIT_OK if super_ok and sub_report.ok else EXIT_CERTIFICATION
 
 
 def cmd_exhaust(cfg, out: Path, say) -> int:
@@ -466,9 +463,9 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
     n0 = cfg["exhaust.n0"] or first_nested_index(params.R)  # a derived n0's subdomain holds [0, R/2]
     sub, sup = _envelopes(cfg, params)
     # the weight, each truncation's grid, the schedule n0, 2 n0, ... up to n_max,
-    # and the envelopes, which must stay finite up to its last truncation
+    # its tol, and the envelopes, which must stay finite up to its last truncation
     keys = {"alpha": "problem.alpha", "n_dim": "problem.N", "m": "grid.m", "grading": "grid.grading"}
-    keys |= {"n0": "exhaust.n0", "n": "exhaust.n0", "n_max": "exhaust.n_max", "p": "problem.p"}
+    keys |= {"n0": "exhaust.n0", "n": "exhaust.n0", "n_max": "exhaust.n_max", "tol": "exhaust.tol", "p": "problem.p"}
     with _value_of(cfg, keys):
         run = solve_large_solution(
             params,

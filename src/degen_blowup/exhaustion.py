@@ -99,11 +99,13 @@ def solve_large_solution(
     Each solve warm-starts from the previous field, takes its Dirichlet
     datum at r = R - 1/n from the midpoint of the bounds, and must pass the
     sandwich certificate at ``sandwich_tol(upper)`` on its own domain.  The
-    sweep stops early once the monitor delta drops below tol; a failed
+    sweep stops early once the monitor delta drops below tol > 0; a failed
     certificate or a nonconverged inner solve aborts it with the partial
     record.  Before the first solve, the bounds are checked finite at the
     outer radius of the schedule's last truncation, where they are largest.
     """
+    if tol <= 0.0:  # the sweep could never stop early
+        raise ParameterError(f"tol must be positive; got {tol}", "tol")
     base = radial_blowup_problem(params)
     outer_radius = params.R - nested_margin(params.R, n0)
     if not compact_radius < outer_radius:

@@ -282,19 +282,14 @@ def verify_super_inequality(params: BlowupParams, sup: Envelope, samples: np.nda
     return InequalityReport(ok=worst >= 0.0, envelope=sup, margins=margins)
 
 
-def find_min_A(params: BlowupParams, samples: np.ndarray, A_grid=None) -> InequalityReport | None:
-    """The report of the smallest shift in an increasing grid making the upper barrier hold.
+def find_min_A(params: BlowupParams, samples: np.ndarray) -> InequalityReport | None:
+    """The report of the smallest shift 2**k, k = 0..15, making the upper barrier hold.
 
     Near the boundary the 1+eps amplitude alone carries the condition; a
-    large enough shift extends it to the whole interval.  Every grid entry
-    must be a valid shift (A > 0).  Returns None when no grid entry passes.
+    large enough shift extends it to the whole interval.  Returns None when
+    no shift passes.
     """
-    if A_grid is None:
-        A_grid = 2.0 ** np.arange(0, 16)
-    A_grid = np.asarray(A_grid, dtype=float)
-    if np.any(np.diff(A_grid) <= 0.0):
-        raise ParameterError("A_grid must be strictly increasing")
-    for A in A_grid:
+    for A in 2.0 ** np.arange(0, 16):
         report = verify_super_inequality(params, build_supersolution(params, float(A)), samples)
         if report.ok:
             return report

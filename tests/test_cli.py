@@ -400,6 +400,91 @@ def test_overflowing_slab_prints_only_its_refusal(tmp_path, command, body, code,
     assert (tmp_path / "o").exists() == (code == 0)
 
 
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        *(
+            (command, "problem.A = 1", "run.cfg:3: key 'problem.A': the upper barrier of shift 1 does not hold")
+            for command in ("solve", "rate", "exhaust")
+        ),
+        # p = 1.02 needs a far larger shift than 2 for the upper barrier to hold
+        *(
+            (
+                command,
+                "problem.p = 1.02\nproblem.A = 2",
+                "run.cfg:4: key 'problem.A': the upper barrier of shift 2 does not hold",
+            )
+            for command in ("solve", "rate", "exhaust")
+        ),
+        # a(r) = 3 - 2r is larger inside than at R: the sufficient lower-barrier form fails
+        (
+            "solve",
+            "problem.a = poly:3,-2\nproblem.p = 1.5",
+            "run.cfg: key 'problem.C' (default): the lower barrier of shift -1 does not hold",
+        ),
+        ("solve", "problem.p = 1.05", "no shift in the default grid makes the upper barrier hold"),
+    ],
+    ids=["solve-A", "rate-A", "exhaust-A", "solve-p-A", "rate-p-A", "exhaust-p-A", "solve-a", "solve-auto"],
+)
+def test_failing_barrier_exits_three_before_any_solve(tmp_path, monkeypatch, capsys, command, body, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved between barriers that do not hold")
+
+    monkeypatch.setattr(cli, "solve_in_slab", no_solve)
+    monkeypatch.setattr(cli, "solve_large_solution", no_solve)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "run.cfg", f"run.command = {command}\n# the value under test\n{body}\n")
+    assert main([command, "--config", "run.cfg", "--out", "o", "--quiet"]) == 3
+    assert capsys.readouterr().err == f"certification failure: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+class _Solved(Exception):
+    """Raised in place of the first solve: the barriers were accepted."""
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "",
+        "problem.A = 1",
+        "problem.A = 4",
+        "problem.C = -8",
+        "problem.epsilon = 0.5\nproblem.A = 2",
+        "problem.a = poly:3,-2\nproblem.p = 1.5",
+        "problem.a = poly:3,-2\nproblem.p = 1.5\nproblem.A = 1e250",
+        "problem.p = 1.02\nproblem.A = 2",
+        "problem.p = 1.02\nproblem.A = 1e250",
+        "problem.p = 1.05",
+        "problem.alpha = 0.5\nproblem.gamma = 0.5\nproblem.A = 2",
+    ],
+    ids=["default", "A1", "A4", "C-8", "eps-A2", "poly-a", "poly-a-A", "p102-A2", "p102-A", "p105", "alpha-gamma"],
+)
+def test_blowup_commands_refuse_barriers_exactly_when_verify_subsuper_does(tmp_path, monkeypatch, body):
+    # verify-subsuper on the same problem keys, with verify.C = problem.C and
+    # 4097 samples, exits 3 exactly when solve, rate and exhaust refuse their
+    # barriers (exit 3, nothing written) before a solve
+    def solved(*args, **kwargs):
+        raise _Solved
+
+    raw = parse_config_text(body)
+    c = raw.pop("problem.C", ("-1.0", 0))[0]
+    problem = "".join(f"{key} = {value}\n" for key, (value, _) in raw.items())
+    verify = write(tmp_path / "v.cfg", f"run.command = verify-subsuper\nverify.C = {c}\nverify.samples = 4097\n{problem}")
+    refused = main(["verify-subsuper", "--config", str(verify), "--out", str(tmp_path / "v"), "--quiet"]) == 3
+    monkeypatch.setattr(cli, "solve_in_slab", solved)
+    monkeypatch.setattr(cli, "solve_large_solution", solved)
+    for command in ("solve", "rate", "exhaust"):
+        cfg = write(tmp_path / f"{command}.cfg", f"run.command = {command}\nproblem.C = {c}\n{problem}")
+        out = tmp_path / command
+        if refused:
+            assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+            assert not out.exists()
+        else:
+            with pytest.raises(_Solved):
+                main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+
+
 @pytest.mark.parametrize("n_dim", [1, 2])
 def test_b2_catalogue_below_three_dimensions(tmp_path, n_dim):
     # the catalogue lists only the profiles admissible at b2.N, and b2 checks each of them
@@ -589,11 +674,14 @@ def test_b2_run_traced_peak_at_65536_nodes(tmp_path):
         ("solve", "solver.tol = 0", ":3: key 'solver.tol': abs_tol must be positive; got 0.0"),
         ("rate", "solver.max_iters = 0", ":3: key 'solver.max_iters': max_iters must be at least 1; got 0"),
         ("exhaust", "solver.tol = -1e-9", ":3: key 'solver.tol': abs_tol must be positive; got -1e-09"),
+        # the sweep could never stop early, so it would run the whole schedule
+        ("exhaust", "exhaust.tol = 0", ":3: key 'exhaust.tol': tol must be positive; got 0.0"),
+        ("exhaust", "exhaust.tol = -1", ":3: key 'exhaust.tol': tol must be positive; got -1.0"),
     ],
     ids=[
         "A", "C", "C_list", "C-past-samples", "C_list-default", "solve-A", "exhaust-C",
         "samples", "quad_nodes", "margin", "margin-default", "solve-kind", "n0", "n0-empty",
-        "tol", "max_iters", "exhaust-tol",
+        "tol", "max_iters", "exhaust-tol", "exhaust.tol-0", "exhaust.tol-negative",
     ],
 )
 def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, where):
@@ -680,11 +768,11 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
             (command, "problem.alpha = -1.5", "run.cfg:3: key 'problem.alpha': power-type profile needs alpha > -1")
             for command in ("solve", "rate", "exhaust")
         ),
-        # the lower envelope reaches about 1e400 at r = R - eta
+        # the lower envelope reaches about 1e400 at r = R - eta; A = 1e250 is an upper barrier there
         *(
             (
                 command,
-                "problem.p = 1.02\nproblem.A = 2",
+                "problem.p = 1.02\nproblem.A = 1e250",
                 "run.cfg:3: key 'problem.p', run.cfg: key 'grid.eta' (default): "
                 "lower bound is not finite at r = 0.92150784: inf",
             )
@@ -692,19 +780,19 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
         ),
         (
             "solve",
-            "problem.p = 1.02\nproblem.A = 2\ngrid.eta = 0.01",
+            "problem.p = 1.02\nproblem.A = 1e250\ngrid.eta = 0.01",
             "run.cfg:3: key 'problem.p', run.cfg:5: key 'grid.eta': lower bound is not finite at r = 0.92152269: inf",
         ),
         # checked at the outer radius 1 - 1/48 of the last truncation, before the first solve
         (
             "exhaust",
-            "problem.p = 1.02\nproblem.A = 2",
+            "problem.p = 1.02\nproblem.A = 1e250",
             "run.cfg:3: key 'problem.p', run.cfg: key 'exhaust.n0' (default), run.cfg: key 'exhaust.n_max' "
             "(default): lower bound is not finite at r = 0.9791666666666666: inf",
         ),
         (
             "exhaust",
-            "problem.p = 1.02\nproblem.A = 2\nexhaust.n0 = 4\nexhaust.n_max = 40",
+            "problem.p = 1.02\nproblem.A = 1e250\nexhaust.n0 = 4\nexhaust.n_max = 40",
             "run.cfg:3: key 'problem.p', run.cfg:5: key 'exhaust.n0', run.cfg:6: key 'exhaust.n_max': "
             "lower bound is not finite at r = 0.96875: inf",
         ),

@@ -1,6 +1,7 @@
 """The package's imports: every module uses each name it imports, the CLI
 leaves each pool to the one command that uses it, exception types live in
-errors alone, and grids alone constructs a Grid."""
+errors alone, grids alone constructs a Grid, and the CLI verifies
+barriers in one function."""
 
 import ast
 import importlib
@@ -73,6 +74,31 @@ def test_only_grids_constructs_a_grid(module):
         if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Grid"
     ]
     assert not calls, f"{module} calls Grid( on lines {calls}"
+
+
+def _callers(tree, names):
+    """{name: the top-level functions of tree that call name} for each of names."""
+    found = {name: set() for name in names}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in found:
+                    found[name].add(getattr(top, "name", None))
+    return found
+
+
+def test_only_barriers_verifies_a_barrier():
+    # solve, rate and exhaust take their envelopes from the one path
+    # verify-subsuper uses; verify-subsuper alone also builds its C_list
+    # radii and the amplitude B of its reduced-endpoint line
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    verifiers = ("find_min_A", "verify_super_inequality", "verify_sub_inequality")
+    builders = ("build_subsolution", "build_supersolution")
+    assert _callers(tree, verifiers + builders) == {
+        **{name: {"_barriers"} for name in verifiers},
+        **{name: {"_barriers", "cmd_verify_subsuper"} for name in builders},
+    }
 
 
 def test_allowed_imports_are_still_unused():

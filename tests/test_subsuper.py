@@ -268,16 +268,9 @@ class TestInequalities:
         assert verify_sub_inequality(params, sub, samples).ok
 
     def test_min_shift_not_found_is_none(self):
-        # the standard parameters need A = 4
-        assert find_min_A(std_params(), np.linspace(0.0, 1.0, 1001), A_grid=[1.0, 2.0]) is None
-
-    def test_a_grid_entries_must_be_shifts(self):
-        with pytest.raises(ParameterError):
-            find_min_A(std_params(), np.linspace(0.0, 1.0, 101), A_grid=[0.0, 4.0])
-
-    def test_a_grid_must_increase(self):
-        with pytest.raises(ParameterError):
-            find_min_A(std_params(), np.linspace(0.0, 1.0, 101), A_grid=[4.0, 2.0])
+        # at p = 1.05 no shift 2**k, k = 0..15, makes the upper barrier hold
+        params = BlowupParams(p=1.05, alpha=0.0, gamma=0.0, N=3, R=1.0, a_coef=1.0, epsilon=0.5)
+        assert find_min_A(params, np.linspace(0.0, 1.0, 1001)) is None
 
     def test_sufficient_form_pointwise_value(self):
         # amplitude 1: margin(0.9) = 2 - 0.9**4
