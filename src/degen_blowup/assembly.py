@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .grids import Grid
-from .subsuper import BlowupParams, as_function
+from .subsuper import BlowupParams
 from .tridiag import Tridiagonal
 from .weights import Domain, WeightFamily, eval_weight
 
@@ -70,6 +70,17 @@ class CallableNonlinearity:
 # ---------------------------------------------------------------------------
 # problems
 # ---------------------------------------------------------------------------
+
+def as_function(spec, name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """A number or a callable of r as a callable of r returning float arrays."""
+    if callable(spec):
+        return lambda r: np.asarray(spec(np.asarray(r, dtype=float)), dtype=float)
+    try:
+        value = float(spec)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a number or a callable of r") from None
+    return lambda r: np.full_like(np.asarray(r, dtype=float), value)
+
 
 @dataclass(frozen=True)
 class Problem:

@@ -22,18 +22,18 @@ order: its quadratures are numpy ufuncs on large arrays, which run
 without the lock.
 
 solve, rate and exhaust verify their barriers as verify-subsuper does
-(_barriers) and refuse them unless both hold at 4097 samples.  A value of
-one key that a command refuses while it runs (problem.kind, problem.A,
-problem.C, verify.C, an entry of verify.C_list, verify.samples, exhaust.n0,
-exhaust.tol, b2.margin, b2.quad_nodes, solver.tol, solver.max_iters) is a
-config error naming the file, the line and the key, like the errors of
-the config module.  A refused range of the problem, its weight, the grid,
-a b2 weight, the exhaust schedule or the rate window (problem.p, ...,
+(_barriers) and refuse them unless both hold at 4097 samples.  A value of one
+key that a command refuses while it runs (problem.kind, problem.A, problem.C,
+verify.C, an entry of verify.C_list, verify.samples, exhaust.n0, exhaust.tol,
+b2.margin, b2.quad_nodes, solver.tol, solver.max_iters) is a config error
+naming the file, the line and the key, like the errors of the config module.
+A refused range of the problem, its weight, the grid, a b2 weight, the
+exhaust schedule or the rate window (problem.p, ..., problem.a and problem.R,
 problem.alpha and problem.N, grid.m and grid.grading, b2.N, b2.alpha, ...,
-exhaust.n0 and exhaust.n_max, rate.d_min and rate.d_max) names each key
-its check read, and so do envelopes past the float range on a solve grid
-(problem.p and grid.eta; in exhaust, problem.p and its schedule keys, at
-the last truncation).  Each such check runs before the first solve; exhaust
+exhaust.n0 and exhaust.n_max, rate.d_min and rate.d_max) names each key its
+check read, and so do envelopes past the float range on a solve grid
+(problem.p and grid.eta; in exhaust, problem.p and its schedule keys, at the
+last truncation).  Each such check runs before the first solve; exhaust
 checks its first subdomain, schedule, weight and grid after its envelopes.
 """
 
@@ -122,7 +122,7 @@ _PROBLEM_KEYS = {
     "problem.gamma": ("float", 0.0),
     "problem.N": ("int", 3),
     "problem.R": ("float", 1.0),
-    "problem.a": ("coefficient", 1.0),
+    "problem.a": ("coefficient", (1.0,)),
     "problem.epsilon": ("float", 0.1),
     "problem.A": ("float-or-auto", None),
     "problem.C": ("float", -1.0),
@@ -290,9 +290,8 @@ _SUB_SAMPLES_GAP = 1e-6
 
 
 def _barriers(cfg, params: BlowupParams, samples: int, c_key: str):
-    """The lower barrier of the shift under c_key and the upper one of problem.A
-    (find_min_A's when auto), each verified as built at samples points: (sub,
-    its samples, its report, the upper samples, the upper report or None)."""
+    """The reports of the lower barrier of c_key's shift and the upper one of
+    problem.A (find_min_A's when auto), each verified as built at samples points."""
     with _value_of(cfg, c_key):
         # a shift deep enough puts the activation radius past the last sample
         sub = build_subsolution(params, cfg[c_key])
@@ -300,25 +299,21 @@ def _barriers(cfg, params: BlowupParams, samples: int, c_key: str):
         sub_report = verify_sub_inequality(params, sub, sub_samples)
     sup_samples = np.linspace(0.0, params.R, samples)
     if cfg["problem.A"] is None:
-        sup_report = find_min_A(params, sup_samples)
-    else:
-        with _value_of(cfg, "problem.A"):
-            sup = build_supersolution(params, cfg["problem.A"])
-        sup_report = verify_super_inequality(params, sup, sup_samples)
-    return sub, sub_samples, sub_report, sup_samples, sup_report
+        return sub_report, find_min_A(params, sup_samples)
+    with _value_of(cfg, "problem.A"):
+        sup = build_supersolution(params, cfg["problem.A"])
+    return sub_report, verify_super_inequality(params, sup, sup_samples)
 
 
 def _envelopes(cfg, params: BlowupParams):
     """(sub, sup) of problem.C and problem.A, refused unless both hold where
     verify-subsuper checks them at 4097 samples."""
-    sub, _, sub_report, _, sup_report = _barriers(cfg, params, 4097, "problem.C")
-    if sup_report is None:
-        raise CertificationError("no shift in the default grid makes the upper barrier hold")
-    checks = (("problem.C", "lower", sub, sub_report), ("problem.A", "upper", sup_report.envelope, sup_report))
-    for key, name, envelope, report in checks:
+    reports = _barriers(cfg, params, 4097, "problem.C")
+    for key, name, report in zip(("problem.C", "problem.A"), ("lower", "upper"), reports):
         if not report.ok:
-            raise CertificationError(f"{cfg.where(key)}: the {name} barrier of shift {envelope.shift:g} does not hold")
-    return sub, sup_report.envelope
+            shift = report.envelope.shift
+            raise CertificationError(f"{cfg.where(key)}: the {name} barrier of shift {shift:g} does not hold")
+    return tuple(report.envelope for report in reports)
 
 
 def _linear_test_problem(R: float) -> Problem:
@@ -425,24 +420,23 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     if n_samples < 2:
         raise ConfigError(f"{cfg.where('verify.samples')}: must be at least 2; got {n_samples}")
     params = _blowup_params(cfg)
-    sub, sub_samples, sub_report, samples, sup_report = _barriers(cfg, params, n_samples, "verify.C")
+    sub_report, sup_report = _barriers(cfg, params, n_samples, "verify.C")
+    sub, sup = sub_report.envelope, sup_report.envelope
     with _value_of(cfg, "verify.C_list"):
         # verify.C is bisected once, also when the list repeats it
         c_table = [(c, sub if c == sub.shift else build_subsolution(params, c)) for c in cfg["verify.C_list"]]
 
-    min_A = None if sup_report is None else sup_report.envelope.shift
-    super_ok = sup_report is not None and sup_report.ok
-    B = (build_supersolution(params, 1.0) if sup_report is None else sup_report.envelope).B
-    reduced_lhs = params.a_R * B**params.p
-    reduced_rhs = B * params.beta * (params.beta + 1.0 - params.alpha)
+    A_key = "min_A" if cfg["problem.A"] is None else "A"
+    A = sup.shift if sup_report.ok or A_key == "A" else "not-found"
+    reduced_lhs = params.a_R * sup.B**params.p
+    reduced_rhs = sup.B * params.beta * (params.beta + 1.0 - params.alpha)
 
     out.mkdir(parents=True, exist_ok=True)
-    if sup_report is not None:
-        _write_csv(out / "super_margins.csv", ["r", "margin"], (samples, sup_report.margins))
-    _write_csv(out / "sub_margins.csv", ["r", "sufficient_margin"], (sub_samples, sub_report.sufficient_margins))
+    _write_csv(out / "super_margins.csv", ["r", "margin"], (sup_report.samples, sup_report.margins))
+    _write_csv(out / "sub_margins.csv", ["r", "sufficient_margin"], (sub_report.samples, sub_report.sufficient_margins))
     items = [
-        ("min_A", "not-found" if min_A is None else min_A),
-        ("super_ok", super_ok),
+        (A_key, A),
+        ("super_ok", sup_report.ok),
         ("reduced_endpoint_ok", reduced_lhs >= reduced_rhs),
         ("balance_residual_at_K", leading_balance_residual(params.p, params.alpha, params.gamma, params.K, params.a_R)),
         ("sub_ok_full", sub_report.ok_full),
@@ -452,10 +446,10 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     items += [(f"c_bar({c:g})", envelope.activation_radius) for c, envelope in c_table]
     _write_report(out / "subsuper_report.txt", items)
     say(
-        f"verify-subsuper: min_A={min_A} super_ok={super_ok} "
+        f"verify-subsuper: {A_key}={A} super_ok={sup_report.ok} "
         f"sub_ok={sub_report.ok} c_bar({sub.shift:g})={sub.activation_radius:.6f}"
     )
-    return EXIT_OK if super_ok and sub_report.ok else EXIT_CERTIFICATION
+    return EXIT_OK if sup_report.ok and sub_report.ok else EXIT_CERTIFICATION
 
 
 def cmd_exhaust(cfg, out: Path, say) -> int:

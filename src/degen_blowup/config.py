@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ConfigError
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, tuple[str, int]]:
@@ -120,17 +118,13 @@ def resolve(
 REQUIRED = object()
 
 
-def parse_coefficient(spec: str):
-    """Coefficient spec: a plain finite number, or ``poly:c0,c1,...`` in r with finite c_i.
+def parse_coefficient(spec: str) -> tuple[float, ...]:
+    """Coefficients c0, c1, ... in r of a spec: a plain finite number, or
+    ``poly:c0,c1,...`` with finite c_i.
 
     Raises ValueError on anything else.
     """
     spec = spec.strip()
     if not spec.lower().startswith("poly:"):
-        return finite_float(spec)
-    coeffs = [finite_float(c) for c in spec[5:].split(",")]
-
-    def poly(r):
-        return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), coeffs)
-
-    return poly
+        return (finite_float(spec),)
+    return tuple(finite_float(c) for c in spec[5:].split(","))

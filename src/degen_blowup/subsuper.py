@@ -34,7 +34,6 @@ the closed interval [0, R] and is what the verifiers evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,30 +70,21 @@ def leading_balance_residual(p: float, alpha: float, gamma: float, B: float, a_R
     return beta * (beta + 1.0 - alpha) - a_R * B ** (p - 1.0)
 
 
-def as_function(spec, name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """A number or a callable of r as a callable of r returning float arrays."""
-    if callable(spec):
-        return lambda r: np.asarray(spec(np.asarray(r, dtype=float)), dtype=float)
-    try:
-        value = float(spec)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a number or a callable of r") from None
-    return lambda r: np.full_like(np.asarray(r, dtype=float), value)
-
-
 @dataclass(frozen=True)
 class BlowupParams:
-    """Data of the singular radial problem with power reaction."""
+    """Data of the singular radial problem with power reaction; ``a_coef`` holds
+    the coefficients c0, c1, ... in r of a(r) (a number: its constant one)."""
 
     p: float
     alpha: float
     gamma: float
     N: int
     R: float
-    a_coef: object = 1.0
+    a_coef: tuple[float, ...] = (1.0,)
     epsilon: float = 0.1
 
     def __post_init__(self):
+        object.__setattr__(self, "a_coef", tuple(map(float, np.atleast_1d(self.a_coef))))
         blowup_exponent(self.p, self.alpha, self.gamma)
         if not 0.0 < self.epsilon < 1.0:
             raise ParameterError(f"epsilon must lie in (0, 1); got {self.epsilon}", "epsilon")
@@ -102,7 +92,13 @@ class BlowupParams:
             raise ParameterError(f"radius R must be positive; got {self.R}", "R")
         if int(self.N) != self.N or self.N < 1:
             raise ParameterError(f"dimension N must be a positive integer; got {self.N}", "N")
-        probe = self.a_at(np.linspace(0.0, self.R, 65))
+        # a's extremes on [0, R] lie at 0, R and real roots of a' between them; each
+        # root's real part is probed (a double root may carry a rounding imaginary
+        # part).  a' is taken of a scaled to coefficients in [-1, 1], so it cannot overflow.
+        scale = np.max(np.abs(self.a_coef))
+        crit = np.roots(np.polyder(np.divide(self.a_coef[::-1], scale))).real if 0.0 < scale < np.inf else np.nan
+        with np.errstate(over="ignore"):  # an a past the float range probes inf
+            probe = self.a_at(np.append([0.0, self.R], np.clip(crit, 0.0, self.R)))
         if not (np.all(np.isfinite(probe)) and np.all(probe > 0.0)):
             raise ParameterError("a(r) must be finite and positive on [0, R]", "a_coef", "R")
         # so that every envelope amplitude exists, and the envelope builders
@@ -117,7 +113,8 @@ class BlowupParams:
             raise ParameterError(f"envelope amplitude overflows the float range at p={self.p}", "p") from None
 
     def a_at(self, r) -> np.ndarray:
-        return as_function(self.a_coef, "a_coef")(r)
+        """a(r) by Horner's rule."""
+        return np.polyval(self.a_coef[::-1], np.asarray(r, dtype=float))
 
     @property
     def a_R(self) -> float:
@@ -217,6 +214,7 @@ class InequalityReport:
 
     ok: bool
     envelope: Envelope
+    samples: np.ndarray
     margins: np.ndarray
 
 
@@ -230,6 +228,8 @@ class SubInequalityReport:
     ok: bool
     ok_full: bool
     ok_sufficient: bool
+    envelope: Envelope
+    samples: np.ndarray
     sufficient_margins: np.ndarray
 
 
@@ -276,24 +276,23 @@ def _refine_worst(margins_of, samples: np.ndarray, refine: int = 64) -> tuple[fl
 
 def verify_super_inequality(params: BlowupParams, sup: Envelope, samples: np.ndarray) -> InequalityReport:
     """Check the upper-barrier condition for sup at all samples, refining the worst spot."""
-    worst, margins = _refine_worst(
-        lambda r: super_inequality_margins(params, sup, r), np.asarray(samples, dtype=float)
-    )
-    return InequalityReport(ok=worst >= 0.0, envelope=sup, margins=margins)
+    samples = np.asarray(samples, dtype=float)
+    worst, margins = _refine_worst(lambda r: super_inequality_margins(params, sup, r), samples)
+    return InequalityReport(ok=worst >= 0.0, envelope=sup, samples=samples, margins=margins)
 
 
-def find_min_A(params: BlowupParams, samples: np.ndarray) -> InequalityReport | None:
-    """The report of the smallest shift 2**k, k = 0..15, making the upper barrier hold.
+def find_min_A(params: BlowupParams, samples: np.ndarray) -> InequalityReport:
+    """The report of the smallest shift 2**k, k >= 0, making the upper barrier hold.
 
     Near the boundary the 1+eps amplitude alone carries the condition; a
-    large enough shift extends it to the whole interval.  Returns None when
-    no shift passes.
+    large enough shift extends it to the whole interval.  If none does, this
+    is the failing report of 2**1023, the last power of 2 in the float range.
     """
-    for A in 2.0 ** np.arange(0, 16):
-        report = verify_super_inequality(params, build_supersolution(params, float(A)), samples)
+    for k in range(1024):
+        report = verify_super_inequality(params, build_supersolution(params, 2.0**k), samples)
         if report.ok:
-            return report
-    return None
+            break
+    return report
 
 
 def sub_sufficient_margins(params: BlowupParams, sub: Envelope, r: np.ndarray) -> np.ndarray:
@@ -332,5 +331,7 @@ def verify_sub_inequality(params: BlowupParams, sub: Envelope, samples: np.ndarr
         ok=ok_full and ok_suff,
         ok_full=ok_full,
         ok_sufficient=ok_suff,
+        envelope=sub,
+        samples=samples,
         sufficient_margins=sufficient,
     )

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -24,6 +25,7 @@ from degen_blowup import (
     cli,
     errors,
     exhaustion,
+    subsuper,
 )
 from degen_blowup.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from degen_blowup.config import Config, parse_config_text, resolve
@@ -422,9 +424,8 @@ def test_overflowing_slab_prints_only_its_refusal(tmp_path, command, body, code,
             "problem.a = poly:3,-2\nproblem.p = 1.5",
             "run.cfg: key 'problem.C' (default): the lower barrier of shift -1 does not hold",
         ),
-        ("solve", "problem.p = 1.05", "no shift in the default grid makes the upper barrier hold"),
     ],
-    ids=["solve-A", "rate-A", "exhaust-A", "solve-p-A", "rate-p-A", "exhaust-p-A", "solve-a", "solve-auto"],
+    ids=["solve-A", "rate-A", "exhaust-A", "solve-p-A", "rate-p-A", "exhaust-p-A", "solve-a"],
 )
 def test_failing_barrier_exits_three_before_any_solve(tmp_path, monkeypatch, capsys, command, body, message):
     def no_solve(*args, **kwargs):
@@ -439,8 +440,71 @@ def test_failing_barrier_exits_three_before_any_solve(tmp_path, monkeypatch, cap
     assert not (tmp_path / "o").exists()
 
 
+def _fail_every_upper_barrier(monkeypatch):
+    """Make find_min_A's probe fail at every shift, up to 2**1023."""
+    def failing(params, sup, samples):
+        return subsuper.InequalityReport(ok=False, envelope=sup, samples=samples, margins=-np.ones_like(samples))
+
+    monkeypatch.setattr(subsuper, "verify_super_inequality", failing)
+
+
+@pytest.mark.parametrize("command", ["solve", "rate", "exhaust"])
+def test_auto_shift_that_never_holds_is_refused_at_problem_A(tmp_path, monkeypatch, capsys, command):
+    # the search stops at the last power of 2 in the float range, and _envelopes
+    # refuses its report like any other failing barrier
+    _fail_every_upper_barrier(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "run.cfg", f"run.command = {command}\n")
+    assert main([command, "--config", "run.cfg", "--out", "o", "--quiet"]) == 3
+    message = "run.cfg: key 'problem.A' (default): the upper barrier of shift 8.98847e+307 does not hold"
+    assert capsys.readouterr().err == f"certification failure: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_subsuper_reports_an_auto_shift_that_never_holds(tmp_path, monkeypatch, capsys):
+    _fail_every_upper_barrier(monkeypatch)
+    cfg = write(tmp_path / "vs.cfg", "run.command = verify-subsuper\nverify.samples = 101\n")
+    out = tmp_path / "out"
+    assert main(["verify-subsuper", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().out.startswith("verify-subsuper: min_A=not-found super_ok=False ")
+    report = (out / "subsuper_report.txt").read_text()
+    assert "min_A = not-found\nsuper_ok = false\n" in report
+    # the search's last report is written like any other
+    assert len(read_csv(out / "super_margins.csv")[1]) == 101
+
+
+def test_verify_subsuper_reports_an_explicit_shift_as_A(tmp_path, capsys):
+    cfg = write(tmp_path / "vs.cfg", "run.command = verify-subsuper\nproblem.A = 8\n")
+    out = tmp_path / "out"
+    assert main(["verify-subsuper", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("verify-subsuper: A=8.0 super_ok=True ")
+    report = (out / "subsuper_report.txt").read_text()
+    assert report.startswith("A = 8\nsuper_ok = true\n") and "min_A" not in report
+
+
 class _Solved(Exception):
     """Raised in place of the first solve: the barriers were accepted."""
+
+
+def test_solve_at_p_one_and_a_half_reaches_its_solve(tmp_path, monkeypatch):
+    # the smallest passing shift there is 2**20, far past 2**15
+    def solved(params, grid, lower, upper, *args):
+        assert upper.shift == 2.0**20
+        raise _Solved
+
+    monkeypatch.setattr(cli, "solve_in_slab", solved)
+    cfg = write(tmp_path / "run.cfg", "run.command = solve\nproblem.p = 1.5\n")
+    with pytest.raises(_Solved):
+        main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+
+
+def test_blowup_params_from_a_polynomial_spec_are_plain_values():
+    # two parses of one spec give equal, hashable parameters that pickle
+    cfgs = [resolve(parse_config_text("problem.a = poly:3,-2"), cli.SCHEMAS["solve"]) for _ in range(2)]
+    first, second = (cli._blowup_params(cfg) for cfg in cfgs)
+    assert first.a_coef == (3.0, -2.0)
+    assert first == second and hash(first) == hash(second)
+    assert pickle.loads(pickle.dumps(first)) == second
 
 
 @pytest.mark.parametrize(
@@ -456,9 +520,12 @@ class _Solved(Exception):
         "problem.p = 1.02\nproblem.A = 2",
         "problem.p = 1.02\nproblem.A = 1e250",
         "problem.p = 1.05",
+        "problem.p = 1.5",
         "problem.alpha = 0.5\nproblem.gamma = 0.5\nproblem.A = 2",
     ],
-    ids=["default", "A1", "A4", "C-8", "eps-A2", "poly-a", "poly-a-A", "p102-A2", "p102-A", "p105", "alpha-gamma"],
+    ids=[
+        "default", "A1", "A4", "C-8", "eps-A2", "poly-a", "poly-a-A", "p102-A2", "p102-A", "p105", "p15", "alpha-gamma"
+    ],
 )
 def test_blowup_commands_refuse_barriers_exactly_when_verify_subsuper_does(tmp_path, monkeypatch, body):
     # verify-subsuper on the same problem keys, with verify.C = problem.C and
@@ -709,6 +776,16 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
             "problem.a = -1",
             "run.cfg:3: key 'problem.a', run.cfg: key 'problem.R' (default): a(r) must be finite and positive on [0, R]",
         ),
+        # a(r) = 5.0035e-05 - r/64 + r**2 dips below 0 on (0.0045, 0.0111), between any 65 uniform samples
+        *(
+            (
+                command,
+                "problem.a = poly:5.0035e-05,-0.015625,1",
+                "run.cfg:3: key 'problem.a', run.cfg: key 'problem.R' (default): "
+                "a(r) must be finite and positive on [0, R]",
+            )
+            for command in ("solve", "rate", "exhaust", "verify-subsuper")
+        ),
         ("solve", "grid.m = 1", "run.cfg:3: key 'grid.m': node count m must be at least 3; got 1"),
         ("exhaust", "grid.m = 1", "run.cfg:3: key 'grid.m': node count m must be at least 3; got 1"),
         (
@@ -798,7 +875,8 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
         ),
     ],
     ids=[
-        "epsilon", "R", "N", "p", "gamma-alpha", "a", "m", "exhaust-m", "eta-R", "grading",
+        "epsilon", "R", "N", "p", "gamma-alpha", "a", "solve-a-dip", "rate-a-dip", "exhaust-a-dip",
+        "verify-a-dip", "m", "exhaust-m", "eta-R", "grading",
         "linear-R", "b2-N", "b2-alpha", "b2-family", "n_max", "n_max-derived-n0", "window-order",
         "window-empty", "grid-collision", "exhaust-grid-collision",
         "solve-alpha-N", "rate-alpha-N", "exhaust-alpha-N", "solve-alpha", "rate-alpha", "exhaust-alpha",

@@ -90,14 +90,12 @@ def _callers(tree, names):
 
 def test_only_barriers_verifies_a_barrier():
     # solve, rate and exhaust take their envelopes from the one path
-    # verify-subsuper uses; verify-subsuper alone also builds its C_list
-    # radii and the amplitude B of its reduced-endpoint line
+    # verify-subsuper uses; verify-subsuper alone also builds its C_list radii
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    verifiers = ("find_min_A", "verify_super_inequality", "verify_sub_inequality")
-    builders = ("build_subsolution", "build_supersolution")
-    assert _callers(tree, verifiers + builders) == {
-        **{name: {"_barriers"} for name in verifiers},
-        **{name: {"_barriers", "cmd_verify_subsuper"} for name in builders},
+    once = ("find_min_A", "verify_super_inequality", "verify_sub_inequality", "build_supersolution")
+    assert _callers(tree, once + ("build_subsolution",)) == {
+        **{name: {"_barriers"} for name in once},
+        "build_subsolution": {"_barriers", "cmd_verify_subsuper"},
     }
 
 
@@ -110,13 +108,17 @@ def test_allowed_imports_are_still_unused():
 
 def test_cli_import_leaves_the_process_pool_out():
     # sweep alone imports the process pool, at 12-16 ms of every command's
-    # start, and b2 alone the thread pool and its queue, at 5-12 ms
+    # start, and b2 alone the thread pool and its queue, at 5-12 ms; numpy
+    # loads numpy.polynomial lazily (4.5-7 ms and 0.9 MB), and a(r) does not
+    # need it
     src = str(PACKAGE.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import sys\n"
         "import degen_blowup.cli\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent', 'queue'))\n"
+        "degen_blowup.cli.BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=1.0, a_coef=1.5).a_R\n"
+        "pools = ('multiprocessing', 'concurrent', 'queue')\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in pools or m.startswith('numpy.polynomial'))\n"
         "assert not loaded, loaded\n"
     )
     proc = subprocess.run(

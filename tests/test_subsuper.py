@@ -61,6 +61,33 @@ class TestConstants:
         with pytest.raises(ParameterError, match="beta \\+ 1 - alpha must be positive"):
             BlowupParams(p=3.0, alpha=3.0, gamma=3.0, N=3, R=1.0)
 
+    @pytest.mark.parametrize(
+        "a_coef, R, ok",
+        [
+            # minimum 5.0035e-05 - 2**-14 < 0 at r = 2**-7, between 65 uniform samples
+            ((5.0035e-05, -0.015625, 1.0), 1.0, False),
+            ((6.2e-05, -0.015625, 1.0), 1.0, True),
+            # the same minimum lies past R = 2**-8, and a is decreasing and positive on [0, R]
+            ((5.0035e-05, -0.015625, 1.0), 2.0**-8, True),
+            ((1.0, -2.0), 1.0, False),  # a(R) = -1
+            ((1.0, -2.0, 1.0), 1.0, False),  # a double root at r = 1 = R: a(R) = 0
+            ((1.0, 0.0, -3.0, 2.0), 1.0, False),  # (1 - r)**2 (1 + 2r): zero at its interior minimum
+            ((1.0, 0.0, -2.999, 2.0), 1.0, True),
+            ((1.0, 1e308, 1e308), 1.0, False),  # a(R) overflows
+            # a' = 1e308 - 2e308 r overflows, a = 1 + 1e308 r (1 - r) does not
+            ((1.0, 1e308, -1e308), 1.0, True),
+            ((1.0, float("nan")), 1.0, False),
+            ((0.0,), 1.0, False),
+        ],
+    )
+    def test_positivity_of_a_is_decided_at_its_extremes(self, a_coef, R, ok):
+        make = lambda: BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=R, a_coef=a_coef)
+        if ok:
+            assert make().a_coef == a_coef
+        else:
+            with pytest.raises(ParameterError, match=r"a\(r\) must be finite and positive on \[0, R\]"):
+                make()
+
     def test_balance_residual_signs(self):
         K = blowup_constant(3.0, 0.0, 1.0, 1.0)
         assert leading_balance_residual(3.0, 0.0, 0.0, K, 1.0) == pytest.approx(0.0, abs=1e-14)
@@ -249,11 +276,12 @@ class TestInequalities:
         samples = np.linspace(0.0, 1.0, 1001)
         sup = build_supersolution(params, 2.0)
         rep = verify_super_inequality(params, sup, samples)
-        assert rep.envelope is sup
+        assert rep.envelope is sup and np.array_equal(rep.samples, samples)
         assert np.array_equal(rep.margins, super_inequality_margins(params, sup, samples))
         sub = build_subsolution(params, -1.0)
         sub_samples = np.linspace(sub.activation_radius, 1.0 - 1e-6, 1001)
         sub_rep = verify_sub_inequality(params, sub, sub_samples)
+        assert sub_rep.envelope is sub and np.array_equal(sub_rep.samples, sub_samples)
         assert np.array_equal(sub_rep.sufficient_margins, sub_sufficient_margins(params, sub, sub_samples))
 
     def test_sub_verifier_uses_the_envelope_as_built(self, monkeypatch):
@@ -267,10 +295,13 @@ class TestInequalities:
         samples = np.linspace(sub.activation_radius, 1.0 - 1e-6, 101)
         assert verify_sub_inequality(params, sub, samples).ok
 
-    def test_min_shift_not_found_is_none(self):
-        # at p = 1.05 no shift 2**k, k = 0..15, makes the upper barrier hold
-        params = BlowupParams(p=1.05, alpha=0.0, gamma=0.0, N=3, R=1.0, a_coef=1.0, epsilon=0.5)
-        assert find_min_A(params, np.linspace(0.0, 1.0, 1001)) is None
+    def test_min_shift_doubles_past_two_to_the_fifteen(self):
+        # at p = 1.5 the smallest passing power of 2 is 2**20
+        params = BlowupParams(p=1.5, alpha=0.0, gamma=0.0, N=3, R=1.0)
+        samples = np.linspace(0.0, 1.0, 4097)
+        found = find_min_A(params, samples)
+        assert found.ok and found.envelope.shift == 2.0**20
+        assert not verify_super_inequality(params, build_supersolution(params, 2.0**19), samples).ok
 
     def test_sufficient_form_pointwise_value(self):
         # amplitude 1: margin(0.9) = 2 - 0.9**4
