@@ -12,14 +12,13 @@ the error type each one handles (_EXIT_TABLE):
        refused before a solve, nothing written (CertificationError)
 
 The sweep command runs its member configs in up to min(4, members)
-worker processes (forked on Linux), since solve and rate spend most of
-their time in the pure-Python tridiagonal loop, which holds the
-interpreter lock, and prints their lines once all have finished, in the
-order its config lists them.  The b2 command checks its entries on two
-threads, which share one table of midpoint offsets and own one work
-array each (weights.QuadWork), and writes its rows and lines in entry
-order: its quadratures are numpy ufuncs on large arrays, which run
-without the lock.
+worker processes (forked on Linux), chosen while the tridiagonal solve
+was a Python loop that held the interpreter lock, and prints their lines
+once all have finished, in the order its config lists them.  The b2
+command checks its entries on two threads, which share one table of
+midpoint offsets and own one work array each (weights.QuadWork), and
+writes its rows and lines in entry order: its quadratures are numpy
+ufuncs on large arrays, which run without the lock.
 
 solve, rate and exhaust verify their barriers as verify-subsuper does
 (_barriers) and refuse them unless both hold at 4097 samples.  A value of one
@@ -642,10 +641,11 @@ def cmd_sweep(cfg, out: Path, say) -> int:
         jobs.append((sub_command, sub_path, job_out))
 
     # forked, not spawned: a spawned member imports numpy and the package
-    # again, which costs more than sharing the interpreter lock did.  The
-    # sweep process runs no thread of its own when it forks, and
-    # multiprocessing flushes stdout and stderr before each fork, so no
-    # member writes the parent's buffered lines again when it exits.
+    # again, which cost more than sharing the interpreter lock did while the
+    # tridiagonal solve was a Python loop.  The sweep process runs no thread
+    # of its own when it forks, and multiprocessing flushes stdout and
+    # stderr before each fork, so no member writes the parent's buffered
+    # lines again when it exits.
     context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
     with ProcessPoolExecutor(max_workers=min(4, len(jobs)), mp_context=context) as pool:
         results = list(pool.map(_run_member, jobs))

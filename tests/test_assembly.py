@@ -1,5 +1,10 @@
 """Discrete operator assembly: stiffness, the truncating slab, residual, Jacobian."""
 
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,7 @@ from degen_blowup import (
     thomas_solve,
     volume_weights,
 )
+from degen_blowup import tridiag
 from degen_blowup.assembly import residual_rows
 
 IDENTITY = CallableNonlinearity(lambda t: t, lambda t: np.ones_like(t))
@@ -287,7 +293,35 @@ class TestJacobian:
         assert np.max(np.abs(fd - jd)) / denom < 1e-6
 
 
+def _random_bands(n, seed):
+    rng = np.random.default_rng(seed)
+    lower = np.concatenate(([0.0], rng.uniform(-1.0, 0.0, n - 1)))
+    upper = np.concatenate((rng.uniform(-1.0, 0.0, n - 1), [0.0]))
+    diag = 2.0 + rng.uniform(0.0, 1.0, n)
+    return rng, Tridiagonal(lower, diag, upper)
+
+
+def _solves_like_the_loop(n, seed):
+    rng, mat = _random_bands(n, seed)
+    rhs = rng.standard_normal(n)
+    return np.array_equal(thomas_solve(mat, rhs), tridiag._thomas_loop(mat.lower, mat.diag, mat.upper, rhs))
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """_kernel() uncached, with its cache under tmp_path; later tests load the usual one again."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    tridiag._kernel.cache_clear()
+    yield tmp_path / "cache" / "degen-blowup"
+    tridiag._kernel.cache_clear()
+
+
 class TestThomas:
+    """thomas_solve's cases, on the C kernel wherever a compiler is found."""
+
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(3)
         n = 40
@@ -323,14 +357,86 @@ class TestThomas:
     @pytest.mark.parametrize("n", [1, 2, 3, 2001])
     @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
     def test_bit_identical_to_indexed_elimination(self, n, strided):
-        rng = np.random.default_rng(n)
-        lower = np.concatenate(([0.0], rng.uniform(-1.0, 0.0, n - 1)))
-        upper = np.concatenate((rng.uniform(-1.0, 0.0, n - 1), [0.0]))
-        diag = 2.0 + rng.uniform(0.0, 1.0, n)
+        rng, mat = _random_bands(n, n)
         rhs = rng.standard_normal(2 * n)
         rhs = rhs[::2] if strided else rhs[:n]
-        mat = Tridiagonal(lower, diag, upper)
         assert np.array_equal(thomas_solve(mat, rhs), _indexed_thomas(mat, rhs))
+
+
+class TestThomasLoop(TestThomas):
+    """The same cases on _thomas_loop, the path where no compiler is found."""
+
+    @pytest.fixture(autouse=True)
+    def no_compiler(self, monkeypatch):
+        monkeypatch.setattr(tridiag, "_kernel", lambda: None)
+
+
+class TestThomasKernel:
+    """The kernel's build, its cache and the checks in front of it."""
+
+    @needs_cc
+    def test_kernel_gives_the_loops_bits_on_a_large_matrix(self):
+        assert _solves_like_the_loop(200001, 7)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_bands_of_another_length_never_reach_the_solve(self, monkeypatch, n):
+        # the bands are mutable after construction, and C would read past a short one;
+        # at n = 0 its back substitution would write x[-1]
+        if n == 0:
+            mat = Tridiagonal([], [], [])
+        else:
+            _, mat = _random_bands(n, 1)
+            mat.diag = mat.diag[:-1]
+        picked = []
+        monkeypatch.setattr(tridiag, "_kernel", lambda: picked.append("a path"))
+        with pytest.raises(ValueError, match="need n >= 1 values each"):
+            thomas_solve(mat, np.ones(n))
+        assert not picked
+
+    @needs_cc
+    def test_the_kernel_builds_where_a_compiler_is_found(self):
+        # a broken build fails here instead of leaving the solver on the loop
+        assert tridiag._kernel() is not None
+
+    @needs_cc
+    def test_a_warm_cache_loads_without_compiling(self, fresh_kernel, monkeypatch):
+        assert tridiag._kernel() is not None
+        assert [p.suffix for p in fresh_kernel.iterdir()] == [".so"]
+        tridiag._kernel.cache_clear()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert _solves_like_the_loop(31, 2)
+
+    @needs_cc
+    def test_an_unwritable_cache_builds_a_private_copy(self, fresh_kernel, monkeypatch, tmp_path):
+        (tmp_path / "cache").write_text("a file where the cache directory would go")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert tridiag._kernel() is not None
+        # the private copy is removed once loaded
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+        assert _solves_like_the_loop(31, 3)
+
+    @needs_cc
+    def test_a_failing_compiler_raises(self, fresh_kernel, monkeypatch):
+        monkeypatch.setattr(tridiag, "_FLAGS", tridiag._FLAGS + ("-no-such-flag",))
+        with pytest.raises(RuntimeError, match="failed to build"):
+            tridiag._kernel()
+        assert list(fresh_kernel.iterdir()) == []
+
+    def test_without_a_compiler_the_loop_runs(self, fresh_kernel, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        assert tridiag._kernel() is None
+        assert _solves_like_the_loop(2001, 4)
+
+    def test_the_kernel_source_ships_with_the_package(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+            shipped = tomllib.load(f)["tool"]["setuptools"]["package-data"]["degen_blowup"]
+        assert shipped == ["_thomas.c"]
+        assert (Path(tridiag.__file__).parent / "_thomas.c").is_file()
 
 
 def _reference_residual(grid, u, problem, penalty, lower, upper):

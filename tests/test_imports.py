@@ -110,15 +110,16 @@ def test_cli_import_leaves_the_process_pool_out():
     # sweep alone imports the process pool, at 12-16 ms of every command's
     # start, and b2 alone the thread pool and its queue, at 5-12 ms; numpy
     # loads numpy.polynomial lazily (4.5-7 ms and 0.9 MB), and a(r) does not
-    # need it
+    # need it; only a cold kernel cache needs subprocess, and hashlib loads
+    # OpenSSL, 3.5 MB of every command's peak RSS
     src = str(PACKAGE.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import sys\n"
         "import degen_blowup.cli\n"
         "degen_blowup.cli.BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=1.0, a_coef=1.5).a_R\n"
-        "pools = ('multiprocessing', 'concurrent', 'queue')\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in pools or m.startswith('numpy.polynomial'))\n"
+        "unwanted = ('multiprocessing', 'concurrent', 'queue', 'subprocess', 'hashlib', '_hashlib')\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in unwanted or m.startswith('numpy.polynomial'))\n"
         "assert not loaded, loaded\n"
     )
     proc = subprocess.run(
