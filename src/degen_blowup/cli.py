@@ -39,13 +39,14 @@ checks its first subdomain, schedule, weight and grid after its envelopes.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .assembly import (
     CallableNonlinearity,
     Problem,
@@ -66,7 +67,6 @@ from .exhaustion import (
     solve_in_slab,
     solve_large_solution,
 )
-from .floatfmt import format_g17
 from .grids import build_graded_grid, first_nested_index
 from .penalty_solver import SolveOptions, solve_penalized
 from .subsuper import (
@@ -207,24 +207,32 @@ _CSV_CHUNK_ROWS = 8192
 def _write_csv(path: Path, header: list[str], columns: tuple) -> None:
     """Write equal-length columns as CSV rows, one chunk of rows at a time.
 
-    When every column is a float64 array, format_g17 turns a chunk into its
-    (rows, columns, SLOT) table of 0-padded text; the last byte of each slot
-    takes the separator, so the table without its 0 bytes is the chunk's CSV
-    text.  Any other table (a few dozen rows of Python values) joins the _fmt
-    text of its cells, which format_g17 matches for every float.
+    When every column is a float64 array, the C kernel kernels.load().g17_rows
+    writes a chunk's rows, each value as '%.17g' % x, into one buffer of 25
+    bytes a value, reused for every chunk.  Any other table (a few dozen rows
+    of Python values), and every table where no C compiler is found, joins
+    the _fmt text of its cells, which the kernel matches for every float.
     """
     floats = all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
+    lib = kernels.load() if floats else None
     n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):  # the kernel would read past a short one
+        raise ValueError(f"CSV columns need {n_rows} values each; got {[len(c) for c in columns]}")
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            chunk = [c[start : start + _CSV_CHUNK_ROWS] for c in columns]
-            if floats:
-                table = format_g17(np.stack(chunk, axis=1))
-                table[:, :-1, -1] = ord(",")
-                table[:, -1, -1] = ord("\n")
-                fh.write(table[table != 0])
-            else:
+        if lib is not None:
+            columns = [np.ascontiguousarray(c) for c in columns]
+            pointers = (ctypes.c_void_p * len(columns))(*(c.ctypes.data for c in columns))
+            hi, lo = (table.ctypes.data for table in kernels.pow10())
+            text = np.empty(_CSV_CHUNK_ROWS * len(columns) * 25, np.uint8)
+            slow = ctypes.c_long()  # values the kernel handed to snprintf
+            for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+                rows = min(_CSV_CHUNK_ROWS, n_rows - start)
+                size = lib.g17_rows(rows, len(columns), pointers, start, hi, lo, text.ctypes.data, ctypes.byref(slow))
+                fh.write(text[:size])
+        else:
+            for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+                chunk = [c[start : start + _CSV_CHUNK_ROWS] for c in columns]
                 fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in zip(*chunk)).encode())
 
 

@@ -3,36 +3,22 @@
 Storage convention: row j reads  lower[j]*u[j-1] + diag[j]*u[j] + upper[j]*u[j+1],
 with lower[0] and upper[-1] fixed at zero.
 
-thomas_solve runs the elimination in C (_thomas.c), called through ctypes,
-which releases the interpreter lock for the call.  The system ``cc`` builds
-it on first use into $XDG_CACHE_HOME/degen-blowup (default ~/.cache), in a
-file named by a CRC of the source and the build flags, so later processes
-load it without compiling; where that directory cannot be written, each
-process builds its own copy in a private temporary directory.  The build
-passes -ffp-contract=off because a fused multiply-add rounds once where the
-loop rounds twice, and the benchmark's reference fields, stalled Newton
-iterates, move with the last bits of every solve.  Only where no ``cc`` is
-on PATH does thomas_solve run the pure-Python loop _thomas_loop, with the
-same operation order and so the same bits; a compiler that is there but
-fails raises.
+thomas_solve runs the elimination in C, kernels.load()'s thomas, in the
+loop's operation order and without fused multiply-add, so the benchmark's
+reference fields, stalled Newton iterates that move with the last bits of
+every solve, keep their bits.  Only where no ``cc`` is on PATH does
+thomas_solve run the pure-Python loop _thomas_loop, with the same operation
+order and so the same bits.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
-import shutil
-import tempfile
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import SolverError
-
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_thomas.c")
-_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 @dataclass
@@ -82,60 +68,15 @@ def thomas_solve(mat: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     if n < 1 or any(a.shape != (n,) for a in arrays):
         shapes = ", ".join(str(a.shape) for a in arrays)
         raise ValueError(f"lower, diag, upper and rhs need n >= 1 values each; got shapes {shapes}")
-    kernel = _kernel()
-    if kernel is None:
+    lib = kernels.load()
+    if lib is None:
         return _thomas_loop(*arrays)
     d = np.empty(n)
     out = np.empty(n)
-    bad = kernel(n, *(a.ctypes.data for a in arrays), d.ctypes.data, out.ctypes.data)
+    bad = lib.thomas(n, *(a.ctypes.data for a in arrays), d.ctypes.data, out.ctypes.data)
     if bad >= 0:
         raise SolverError(f"singular pivot at row {bad}")
     return out
-
-
-@functools.cache
-def _kernel():
-    """_thomas.c's thomas function, or None where no C compiler is on PATH."""
-    cc = shutil.which("cc")
-    if cc is None:
-        return None
-    with open(_SOURCE, "rb") as f:
-        key = zlib.crc32(f.read() + " ".join(_FLAGS).encode())
-    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "degen-blowup")
-    path = os.path.join(cache, f"thomas-{key:08x}.so")
-    private = None
-    if not os.path.exists(path):
-        try:
-            os.makedirs(cache, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-        except OSError:  # no writable cache: a copy for this process alone
-            private = tempfile.mkdtemp()
-            path = os.path.join(private, os.path.basename(path))
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=private)
-        os.close(fd)
-        _build(cc, tmp, path)
-    lib = ctypes.CDLL(path)
-    if private is not None:
-        shutil.rmtree(private, ignore_errors=True)  # the loaded library stays mapped
-    thomas = lib.thomas
-    thomas.argtypes = (ctypes.c_long,) + (ctypes.c_void_p,) * 6
-    thomas.restype = ctypes.c_long
-    return thomas
-
-
-def _build(cc: str, tmp: str, path: str) -> None:
-    """Compile _SOURCE into tmp, then move it to path in one step, so that a
-    process loading path never sees a half-written file."""
-    import subprocess  # only a cold cache needs it
-
-    try:
-        proc = subprocess.run([cc, *_FLAGS, "-o", tmp, _SOURCE], capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(f"{cc} failed to build {_SOURCE}:\n{proc.stderr}")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def _thomas_loop(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:

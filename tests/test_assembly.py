@@ -26,8 +26,9 @@ from degen_blowup import (
     thomas_solve,
     volume_weights,
 )
-from degen_blowup import tridiag
+from degen_blowup import kernels, tridiag
 from degen_blowup.assembly import residual_rows
+from degen_blowup.cli import _write_csv
 
 IDENTITY = CallableNonlinearity(lambda t: t, lambda t: np.ones_like(t))
 
@@ -312,11 +313,11 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 
 
 @pytest.fixture
 def fresh_kernel(monkeypatch, tmp_path):
-    """_kernel() uncached, with its cache under tmp_path; later tests load the usual one again."""
+    """kernels.load() uncached, with its cache under tmp_path; later tests load the usual one again."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    tridiag._kernel.cache_clear()
+    kernels.load.cache_clear()
     yield tmp_path / "cache" / "degen-blowup"
-    tridiag._kernel.cache_clear()
+    kernels.load.cache_clear()
 
 
 class TestThomas:
@@ -368,11 +369,11 @@ class TestThomasLoop(TestThomas):
 
     @pytest.fixture(autouse=True)
     def no_compiler(self, monkeypatch):
-        monkeypatch.setattr(tridiag, "_kernel", lambda: None)
+        monkeypatch.setattr(kernels, "load", lambda: None)
 
 
 class TestThomasKernel:
-    """The kernel's build, its cache and the checks in front of it."""
+    """The kernels' build, their cache and the checks in front of the solve."""
 
     @needs_cc
     def test_kernel_gives_the_loops_bits_on_a_large_matrix(self):
@@ -388,7 +389,7 @@ class TestThomasKernel:
             _, mat = _random_bands(n, 1)
             mat.diag = mat.diag[:-1]
         picked = []
-        monkeypatch.setattr(tridiag, "_kernel", lambda: picked.append("a path"))
+        monkeypatch.setattr(kernels, "load", lambda: picked.append("a path"))
         with pytest.raises(ValueError, match="need n >= 1 values each"):
             thomas_solve(mat, np.ones(n))
         assert not picked
@@ -396,13 +397,13 @@ class TestThomasKernel:
     @needs_cc
     def test_the_kernel_builds_where_a_compiler_is_found(self):
         # a broken build fails here instead of leaving the solver on the loop
-        assert tridiag._kernel() is not None
+        assert kernels.load() is not None
 
     @needs_cc
     def test_a_warm_cache_loads_without_compiling(self, fresh_kernel, monkeypatch):
-        assert tridiag._kernel() is not None
+        assert kernels.load() is not None
         assert [p.suffix for p in fresh_kernel.iterdir()] == [".so"]
-        tridiag._kernel.cache_clear()
+        kernels.load.cache_clear()
 
         def no_compiler(*args, **kwargs):
             raise AssertionError("the compiler ran")
@@ -414,29 +415,38 @@ class TestThomasKernel:
     def test_an_unwritable_cache_builds_a_private_copy(self, fresh_kernel, monkeypatch, tmp_path):
         (tmp_path / "cache").write_text("a file where the cache directory would go")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        assert tridiag._kernel() is not None
+        assert kernels.load() is not None
         # the private copy is removed once loaded
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
         assert _solves_like_the_loop(31, 3)
 
     @needs_cc
     def test_a_failing_compiler_raises(self, fresh_kernel, monkeypatch):
-        monkeypatch.setattr(tridiag, "_FLAGS", tridiag._FLAGS + ("-no-such-flag",))
+        monkeypatch.setattr(kernels, "_FLAGS", kernels._FLAGS + ("-no-such-flag",))
         with pytest.raises(RuntimeError, match="failed to build"):
-            tridiag._kernel()
+            kernels.load()
         assert list(fresh_kernel.iterdir()) == []
 
-    def test_without_a_compiler_the_loop_runs(self, fresh_kernel, monkeypatch):
+    def test_without_a_compiler_the_loop_runs(self, fresh_kernel, monkeypatch, tmp_path):
+        # both kernels' callers fall back to Python: the solve to _thomas_loop,
+        # the CSV writer to the _fmt join, with the same bits and bytes
         monkeypatch.setattr(shutil, "which", lambda name: None)
-        assert tridiag._kernel() is None
-        assert _solves_like_the_loop(2001, 4)
+        assert kernels.load() is None
+        rng, mat = _random_bands(2001, 4)
+        rhs = rng.standard_normal(2001)
+        assert np.array_equal(thomas_solve(mat, rhs), _indexed_thomas(mat, rhs))
+        values = np.concatenate([[0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e-4, 1e16, 1e17], rhs])
+        columns = (values, -values[::-1], values * 1e250)
+        _write_csv(tmp_path / "table.csv", ["a", "b", "c"], columns)
+        want = "a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in zip(*(c.tolist() for c in columns)))
+        assert (tmp_path / "table.csv").read_bytes() == want.encode()
 
     def test_the_kernel_source_ships_with_the_package(self):
         tomllib = pytest.importorskip("tomllib")
         with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
             shipped = tomllib.load(f)["tool"]["setuptools"]["package-data"]["degen_blowup"]
-        assert shipped == ["_thomas.c"]
-        assert (Path(tridiag.__file__).parent / "_thomas.c").is_file()
+        assert shipped == ["_kernels.c"]
+        assert (Path(kernels.__file__).parent / "_kernels.c").is_file()
 
 
 def _reference_residual(grid, u, problem, penalty, lower, upper):

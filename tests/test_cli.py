@@ -1288,7 +1288,7 @@ def test_csv_writer_bit_identical_to_joined_rows(tmp_path, n_rows):
 @pytest.mark.parametrize("n_cols", range(1, 7))
 @pytest.mark.parametrize("n_rows", [0, 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1, 3 * _CSV_CHUNK_ROWS + 5])
 def test_csv_writer_float_table_bit_identical_to_joined_rows(tmp_path, n_rows, n_cols):
-    # every column a float64 array, so each chunk is one format_g17 table;
+    # every column a float64 array, so each chunk goes to the C row writer;
     # the first column holds the special values and powers in order
     rng = np.random.default_rng(10 * n_rows + n_cols)
     pool = np.concatenate([_SPECIAL, _POWERS, rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)])
@@ -1311,6 +1311,12 @@ def test_csv_writer_memory_stays_at_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_csv_writer_refuses_float_columns_of_unequal_length(tmp_path):
+    # the C kernel reads every column to the first one's length
+    with pytest.raises(ValueError, match="need 3 values each"):
+        _write_csv(tmp_path / "short.csv", ["a", "b"], (np.ones(3), np.ones(2)))
 
 
 def test_solve_builds_stiffness_once(tmp_path, monkeypatch):

@@ -1,24 +1,39 @@
-"""The vectorized %.17g kernel against Python's own '%.17g' % x, value by value."""
+"""The C %.17g row formatter, g17_rows, against Python's own '%.17g' % x, value by value."""
 
+import ctypes
 import math
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degen_blowup import floatfmt
-from degen_blowup.floatfmt import SLOT, format_g17
+from degen_blowup import kernels
+
+pytestmark = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+GUARD = 64  # bytes past the 25 a value that must stay untouched
+
+
+def kernel_rows(table):
+    """g17_rows' text of a (rows, columns) table, and the count of values it handed to snprintf."""
+    table = np.asarray(table, dtype=np.float64)
+    rows, cols = table.shape
+    columns = [np.ascontiguousarray(table[:, j]) for j in range(cols)]
+    pointers = (ctypes.c_void_p * cols)(*(c.ctypes.data for c in columns))
+    hi, lo = (t.ctypes.data for t in kernels.pow10())
+    out = np.full(25 * table.size + GUARD, 0xAB, np.uint8)
+    slow = ctypes.c_long()
+    size = kernels.load().g17_rows(rows, cols, pointers, 0, hi, lo, out.ctypes.data, ctypes.byref(slow))
+    assert size <= 25 * table.size
+    assert (out[25 * table.size :] == 0xAB).all(), "g17_rows wrote past 25 bytes a value"
+    return out[:size].tobytes().decode(), slow.value
 
 
 def kernel_text(values):
-    """The kernel's text of each value: the non-zero bytes of its slot."""
-    slots = format_g17(np.asarray(values, dtype=np.float64))
-    assert slots.shape == np.shape(values) + (SLOT,)
-    slots = slots.reshape(-1, SLOT).copy()
-    assert not slots[:, -1].any(), "the last byte of a slot is left free"
-    slots[:, -1] = ord("\n")
-    return slots[slots != 0].tobytes().decode().splitlines()
+    """The kernel's text of each value, one value a row."""
+    return kernel_rows(np.reshape(values, (-1, 1)))[0].splitlines()
 
 
 def assert_matches_g17(values):
@@ -101,32 +116,51 @@ def test_special_values():
     assert kernel_text(values) == ["0", "-0", "nan", "nan", "inf", "-inf", "1250000000000000.2", "1250000000000000.8"]
 
 
-@pytest.mark.parametrize("shape", [(0,), (1,), (4097,), (3, 0), (5, 3), (2, 4096)])
+def test_values_of_24_characters_fill_the_buffer():
+    # the longest '%.17g' texts, 24 characters and a separator: placed by the
+    # kernel (the first two) and by snprintf (the rest)
+    values = [-1.2345678901234567e-100, -1.2345678901234567e200, -4.9406564584124654e-324, -2.2250738585072014e-308]
+    want = ["%.17g" % v for v in values]
+    assert [len(w) for w in want] == [24] * 4
+    text, slow = kernel_rows(np.array(values * 100).reshape(100, 4))
+    assert len(text) == 25 * 400
+    assert text == ",".join(want) + "\n" + (",".join(want) + "\n") * 99
+    assert slow == 200
+
+
+def test_notation_switches():
+    # %g writes 0.0001 but 1.0000000000000001e-05, and 17 digits but 1e+17
+    values = [1e-5, np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, np.nextafter(1e17, 0), 1e17]
+    assert kernel_text(values) == [
+        "1.0000000000000001e-05",
+        "9.9999999999999991e-05",
+        "0.0001",
+        "9999999999999998",
+        "10000000000000000",
+        "99999999999999984",
+        "1e+17",
+    ]
+    assert_matches_g17(neighbours([1e-5, 1e-4, 1e16, 1e17], 1000))
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (1, 1), (8193, 1), (0, 3), (5, 3), (2, 4096)])
 def test_shapes_and_block_edges(shape):
     rng = np.random.default_rng(sum(shape))
-    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
-    assert_matches_g17(values)
-    assert format_g17(values).shape == shape + (SLOT,)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    text, _ = kernel_rows(table)
+    assert text == "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
 
 
-def test_fallback_takes_only_what_the_kernel_cannot_place(monkeypatch):
-    # the per-value path costs about 1 us a value: zeros (68,798 of them in
-    # the solve-fine subsolution column) and ordinary values must not reach it
-    seen = []
-    dtoa = floatfmt._dtoa
-
-    def counted(values):
-        seen.extend(values.tolist())
-        return dtoa(values)
-
-    monkeypatch.setattr(floatfmt, "_dtoa", counted)
+def test_fallback_takes_only_what_the_kernel_cannot_place():
+    # snprintf costs several times the kernel's own path: zeros (68,798 of
+    # them in the solve-fine subsolution column) and ordinary values must not reach it
     rng = np.random.default_rng(1)
-    ordinary = np.concatenate([[0.0, -0.0, 1.0, 1e-4, 0.5, 1e16, 1e17], rng.standard_normal(10000)])
+    ordinary = np.concatenate([[0.0, -0.0, np.nan, 1.0, 1e-4, 0.5, 1e16, 1e17], rng.standard_normal(10000)])
     assert_matches_g17(ordinary)
-    assert seen == []
+    assert kernel_rows(ordinary[:, None])[1] == 0
     hard = [np.inf, -np.inf, 1e300, 1e-300, 5e-324, 1250000000000000.25]
     assert_matches_g17(hard)
-    assert seen == hard
+    assert kernel_rows(np.array(hard)[:, None])[1] == len(hard)
 
 
 @settings(max_examples=300, deadline=None)

@@ -110,8 +110,9 @@ def test_cli_import_leaves_the_process_pool_out():
     # sweep alone imports the process pool, at 12-16 ms of every command's
     # start, and b2 alone the thread pool and its queue, at 5-12 ms; numpy
     # loads numpy.polynomial lazily (4.5-7 ms and 0.9 MB), and a(r) does not
-    # need it; only a cold kernel cache needs subprocess, and hashlib loads
-    # OpenSSL, 3.5 MB of every command's peak RSS
+    # need it; the C kernels load at their first call, only a cold kernel
+    # cache needs subprocess, and hashlib loads OpenSSL, 3.5 MB of every
+    # command's peak RSS
     src = str(PACKAGE.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
@@ -121,6 +122,8 @@ def test_cli_import_leaves_the_process_pool_out():
         "unwanted = ('multiprocessing', 'concurrent', 'queue', 'subprocess', 'hashlib', '_hashlib')\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] in unwanted or m.startswith('numpy.polynomial'))\n"
         "assert not loaded, loaded\n"
+        "kernels = degen_blowup.kernels\n"
+        "assert kernels.load.cache_info().currsize == kernels.pow10.cache_info().currsize == 0\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
