@@ -1,6 +1,7 @@
 /* The package's C kernels, built by kernels.load without fused multiply-add
-   (-ffp-contract=off): thomas must round as tridiag._thomas_loop does, and g17_rows'
-   two-product is exact only when every product in it rounds on its own. */
+   (-ffp-contract=off): thomas, residual_rows and jacobian_diag must round as the
+   Python and numpy code they replace does, and g17_rows' two-product is exact only
+   when every product in it rounds on its own. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -27,6 +28,86 @@ long thomas(long n, const double *lower, const double *diag, const double *upper
     for (long j = n - 2; j >= 0; j--)
         x[j] = d[j] - x[j] * x[j + 1];
     return -1;
+}
+
+/* What the residual and the Jacobian read of assembly.GridTerms, built once per solve
+   (kernels.Terms mirrors it): the operator's bands (the stiffness with identity
+   Dirichlet rows), the volume weights mu, b, the weight w at the nodes (read only when
+   penalty > 0), h * mu, the Dirichlet mask and, in row order, the data of its rows,
+   and the slab bounds. */
+struct terms {
+    const double *lower_band, *diag, *upper_band, *mu, *b, *w, *h_mu;
+    const unsigned char *mask;
+    const double *datum, *lower, *upper;
+    double penalty;
+};
+
+/* Rows lo .. lo + n - 1 (n >= 1) of assembly.assemble_residual into out, for a field
+   that is u there (a neighbour outside the window counts as zero), from clipped (u
+   clipped to the slab) and f = f(clipped), in numpy's operation order:
+   (diag*u + lower*u_prev) + upper*u_next, then + (b*f)*mu, then, when penalty > 0,
+   + ((((u - clipped) + 0.0)*penalty)*w)*mu, then - h*mu.  A Dirichlet row is
+   u - datum[first], first counting on from the window's first Dirichlet row.  Returns
+   the first row where |out| is largest, or -1 - k where row k is the first that is not
+   finite.  The penalty and the window offset are here because the formula still has
+   them. */
+long residual_rows(long n, long lo, const struct terms *t, long first, const double *u,
+                   const double *f, const double *clipped, double *out)
+{
+    long peak = 0, bad = -1;
+    double top = -1.0;
+    for (long i = 0; i < n; i++) {
+        long g = lo + i;
+        double r;
+        if (t->mask[g]) {
+            r = u[i] - t->datum[first++];
+        } else {
+            r = t->diag[g] * u[i];
+            if (i > 0)
+                r += t->lower_band[g] * u[i - 1];
+            if (i < n - 1)
+                r += t->upper_band[g] * u[i + 1];
+            r += (t->b[g] * f[i]) * t->mu[g];
+            if (t->penalty > 0.0)
+                r += ((((u[i] - clipped[i]) + 0.0) * t->penalty) * t->w[g]) * t->mu[g];
+            r -= t->h_mu[g];
+        }
+        out[i] = r;
+        if (!isfinite(r)) {
+            if (bad < 0)
+                bad = i;
+        } else if (fabs(r) > top) {
+            top = fabs(r);
+            peak = i;
+        }
+    }
+    return bad < 0 ? peak : -1 - bad;
+}
+
+/* The n values of assembly.assemble_jacobian's diagonal into out, from slope = f'(u),
+   in numpy's operation order: (b*(inside ? slope : 0.0))*mu, then, when penalty > 0,
+   + ((penalty*w)*mu)*violated, then + diag, with inside = lower < u < upper and
+   violated = (u < lower or u > upper) as 1.0 or 0.0; a Dirichlet row is 1.0.  Returns
+   the first row that is not finite, or -1. */
+long jacobian_diag(long n, const struct terms *t, const double *u, const double *slope, double *out)
+{
+    long bad = -1;
+    for (long g = 0; g < n; g++) {
+        double d = 1.0;
+        if (!t->mask[g]) {
+            int inside = u[g] > t->lower[g] && u[g] < t->upper[g];
+            d = (t->b[g] * (inside ? slope[g] : 0.0)) * t->mu[g];
+            if (t->penalty > 0.0) {
+                double violated = u[g] < t->lower[g] || u[g] > t->upper[g] ? 1.0 : 0.0;
+                d += ((t->penalty * t->w[g]) * t->mu[g]) * violated;
+            }
+            d += t->diag[g];
+        }
+        out[g] = d;
+        if (bad < 0 && !isfinite(d))
+            bad = g;
+    }
+    return bad;
 }
 
 /* The decimal exponents k = floor(log10|x|) of the values placed here, 1e-280 < |x| <

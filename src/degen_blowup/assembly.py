@@ -14,6 +14,14 @@ vanishes and row 0 degenerates to pure flux balance, which enforces the
 symmetry condition u'(0) = 0 to second order.  ``GridTerms`` holds the slab
 [lower, upper] of nodal bounds that truncates f between a sub- and a
 supersolution (Amann): f only sees u clipped to it; a missing bound is +-inf.
+
+The residual and the Jacobian's diagonal are assembled row by row in C
+(``residual_rows`` and ``jacobian_diag`` in _kernels.c, loaded by
+kernels.load), in numpy's operation order and without fused multiply-add,
+so they keep the bits of the numpy formulas here, which run only where no
+C compiler is found.  The clip to the slab, f and f' stay in numpy: f may
+be user code, and numpy's array power need not round as the C library's
+pow does.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .errors import ParameterError, SolverError
 from .grids import Grid
 from .subsuper import BlowupParams
@@ -206,6 +215,8 @@ class GridTerms:
     is the problem's nonlinearity, evaluated only inside the slab
     [``lower``, ``upper``]; the penalty acts outside the same slab, and
     ``w_nodes`` (the weight at the nodes) is only built for a positive one.
+    ``kernel`` holds the addresses of these arrays for the C kernels, taken
+    once per solve, or None where no C compiler is found.
     """
 
     grid: Grid
@@ -220,6 +231,7 @@ class GridTerms:
     lower: np.ndarray
     upper: np.ndarray
     penalty: float
+    kernel: kernels.Terms | None
 
 
 def grid_terms(
@@ -232,7 +244,8 @@ def grid_terms(
     """Check a solve's inputs and build its u-independent terms, once; solve_penalized
     adds only that its bounds and initial guess are finite.
 
-    ``lower``/``upper`` (shared, not copied) bound the slab nodewise; a missing one is -inf/+inf.
+    ``lower``/``upper`` (shared, not copied, when they are contiguous float arrays) bound the
+    slab nodewise; a missing one is -inf/+inf.
     The checks are the hypotheses of the comparison argument on the grid:
     lower <= upper, b/w finite at the half-nodes, f monotone nondecreasing on
     [min lower, max upper] (sampled when both ends are finite), f finite at
@@ -244,8 +257,8 @@ def grid_terms(
     """
     if penalty is not None and penalty < 0.0:
         raise ParameterError(f"penalty coefficient must be nonnegative; got {penalty}")
-    lower = np.full(grid.m, -np.inf) if lower is None else lower
-    upper = np.full(grid.m, np.inf) if upper is None else upper
+    lower = np.full(grid.m, -np.inf) if lower is None else np.ascontiguousarray(lower, dtype=float)
+    upper = np.full(grid.m, np.inf) if upper is None else np.ascontiguousarray(upper, dtype=float)
     if lower.shape != (grid.m,) or upper.shape != (grid.m,):
         raise ParameterError(f"slab bounds need {grid.m} values each; got shapes {lower.shape}, {upper.shape}")
     if np.any(lower > upper):
@@ -278,24 +291,43 @@ def grid_terms(
     operator.diag[mask] = 1.0
     operator.lower[mask] = 0.0
     operator.upper[mask] = 0.0
+    b = _values(problem.b_at(r), grid.m)
+    h_mu = _values(problem.h_at(r) * mu, grid.m)
+    w_nodes = _values(eval_weight(problem.weight, grid.boundary_gap), grid.m) if penalty > 0.0 else None
+    datum = _values(problem.g_at(r[mask]), np.count_nonzero(mask))
+    kernel = None
+    if kernels.load() is not None:
+        arrays = (operator.lower, operator.diag, operator.upper, mu, b, w_nodes, h_mu, mask, datum, lower, upper)
+        kernel = kernels.Terms(*(None if a is None else a.ctypes.data for a in arrays), penalty)
+        kernel.arrays = arrays  # alive as long as the addresses are
     return GridTerms(
         grid=grid,
         operator=operator,
         mu=mu,
-        b=problem.b_at(r),
-        h_mu=problem.h_at(r) * mu,
-        w_nodes=eval_weight(problem.weight, grid.boundary_gap) if penalty > 0.0 else None,
+        b=b,
+        h_mu=h_mu,
+        w_nodes=w_nodes,
         mask=mask,
-        datum=problem.g_at(r[mask]),
+        datum=datum,
         nonlin=nonlin,
         lower=lower,
         upper=upper,
         penalty=penalty,
+        kernel=kernel,
     )
 
 
-def assemble_residual(u: np.ndarray, terms: GridTerms) -> np.ndarray:
-    """Integrated nodal residual of the (optionally penalized) problem.
+def _values(values, n: int) -> np.ndarray:
+    """values as n contiguous floats, the form in which a C kernel reads them."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        values = np.broadcast_to(values, (n,))
+    return np.ascontiguousarray(values)
+
+
+def assemble_residual(u: np.ndarray, terms: GridTerms) -> tuple[np.ndarray, float, int]:
+    """Integrated nodal residual of the (optionally penalized) problem, its
+    max-norm and the first row that attains it.
 
     Interior entry j:
 
@@ -306,22 +338,18 @@ def assemble_residual(u: np.ndarray, terms: GridTerms) -> np.ndarray:
     with f, the penalty and the slab [lower, upper] those of ``terms``.
     Dirichlet rows hold u_j - g_j.  The one-sided parts follow the sign
     convention t^- = min(t, 0), t^+ = max(t, 0), so the penalty vanishes
-    identically inside the slab.
+    identically inside the slab.  u holds the nodal values on ``terms.grid``.
 
-    u is clipped to the slab once (against +-inf it keeps its bits), and
-    the clipped values feed both f and the penalty: one of (u-lower)^- and
-    (u-upper)^+ is always an exact 0.0, so their sum is (u - clipped) + 0.0,
-    bit for bit (the + 0.0 turns the -0.0 of u = -0.0 on a zero bound into +0.0).
-    Products keep the order (b*f)*mu and ((penalty*s)*w)*mu, and only
-    arrays this function allocated are updated in place, since f may
-    return its argument.  The entries come from ``residual_rows`` over
-    every row.  u holds the nodal values on ``terms.grid``.
+    The entries come from ``residual_rows`` over every row, and so does the
+    norm where the C kernel runs: the pass that writes the entries also
+    finds the first non-finite one, which raises SolverError naming its
+    node, and the largest magnitude, the first of equal ones.
     """
-    res = residual_rows(u, terms)
-    if not np.all(np.isfinite(res)):
-        j = int(np.argmin(np.isfinite(res)))
+    res, peak = _residual(u, terms, 0)
+    if peak < 0:
+        j = -1 - peak
         raise SolverError(f"non-finite residual entry at node {j} (r = {terms.grid.nodes[j]})")
-    return res
+    return res, float(abs(res[peak])), peak
 
 
 def residual_rows(values: np.ndarray, terms: GridTerms, lo: int = 0) -> np.ndarray:
@@ -332,15 +360,47 @@ def residual_rows(values: np.ndarray, terms: GridTerms, lo: int = 0) -> np.ndarr
     lies outside the window misses that neighbour's flux, so only rows with
     both neighbours inside it (or beyond the ends of the grid) are exact;
     those equal ``assemble_residual``'s entries bit for bit, since every
-    operation is elementwise and in the same order for any window.  Values
-    go through numpy arrays, never scalars: an array power and a scalar
-    power need not round alike.
+    operation is elementwise and in the same order for any window.  The
+    line search probes 3-row windows through ``lo``.  The C kernel carries
+    the window offset and the penalty term only because the formula still
+    has them: stopping Newton on its correction, which deletes the line
+    search, and deleting the penalty each remove one branch of it.
     """
-    rows = slice(lo, lo + values.size)
+    return _residual(values, terms, lo)[0]
+
+
+def _residual(values: np.ndarray, terms: GridTerms, lo: int) -> tuple[np.ndarray, int]:
+    """residual_rows' rows, and the row where their magnitude first peaks, or
+    -1 - k where row k is the first that is not finite.
+
+    The field u is clipped to the slab once (against +-inf it keeps its bits),
+    and the clipped values feed both f and the penalty: one of (u-lower)^- and
+    (u-upper)^+ is always an exact 0.0, so their sum is (u - clipped) + 0.0,
+    bit for bit (the + 0.0 turns the -0.0 of u = -0.0 on a zero bound into
+    +0.0).  Products keep the order (b*f)*mu and ((penalty*s)*w)*mu, and
+    only arrays this function allocated are updated in place, since f may
+    return its argument.  Values go through numpy arrays, never scalars: an
+    array power and a scalar power need not round alike.  The numpy code
+    below runs only where no C compiler is found.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    n = values.size
+    if values.ndim != 1 or n < 1 or lo < 0 or lo + n > terms.grid.m:
+        raise ValueError(f"residual rows need 1 to {terms.grid.m - lo} values from row {lo}; got shape {values.shape}")
+    rows = slice(lo, lo + n)
+    clipped = np.clip(values, terms.lower[rows], terms.upper[rows])
+    f = terms.nonlin.value(clipped)
+    first = np.count_nonzero(terms.mask[:lo])  # datum holds the Dirichlet rows in order
+    if terms.kernel is not None:
+        f = _values(f, n)
+        res = np.empty(n)
+        peak = kernels.load().residual_rows(
+            n, lo, terms.kernel, first, values.ctypes.data, f.ctypes.data, clipped.ctypes.data, res.ctypes.data
+        )
+        return res, peak
     mu = terms.mu[rows]
     res = terms.operator.matvec(values, lo)
-    clipped = np.clip(values, terms.lower[rows], terms.upper[rows])
-    reaction = terms.b[rows] * terms.nonlin.value(clipped)
+    reaction = terms.b[rows] * f
     reaction *= mu
     res += reaction
     if terms.penalty > 0.0:
@@ -352,9 +412,11 @@ def residual_rows(values: np.ndarray, terms: GridTerms, lo: int = 0) -> np.ndarr
         res += outside
     res -= terms.h_mu[rows]
     mask = terms.mask[rows]
-    first = np.count_nonzero(terms.mask[:lo])  # datum holds the Dirichlet rows in order
     res[mask] = values[mask] - terms.datum[first:first + np.count_nonzero(mask)]
-    return res
+    finite = np.isfinite(res)
+    if not np.all(finite):
+        return res, -1 - int(np.argmin(finite))
+    return res, int(np.argmax(np.abs(res)))
 
 
 def assemble_jacobian(u: np.ndarray, terms: GridTerms) -> Tridiagonal:
@@ -365,16 +427,28 @@ def assemble_jacobian(u: np.ndarray, terms: GridTerms) -> Tridiagonal:
     active strictly outside it.  Dirichlet rows become identity rows.
     Only the diagonal is new, so only it is checked: the off-diagonal bands
     are those of ``terms``, whose conductances ``edge_conductances`` checked.
+    The C kernel jacobian_diag builds the diagonal in one pass, in the
+    numpy formula's operation order; f' stays in numpy, and the numpy
+    formula runs only where no C compiler is found.
     """
-    mu = terms.mu
-    lower, upper = terms.lower, terms.upper
-    inside = (u > lower) & (u < upper)
-    diag = terms.b * np.where(inside, terms.nonlin.slope(u), 0.0) * mu
-    if terms.penalty > 0.0:
-        violated = (u < lower) | (u > upper)
-        diag += terms.penalty * terms.w_nodes * mu * violated
-    diag += terms.operator.diag
-    diag[terms.mask] = 1.0
-    if not np.all(np.isfinite(diag)):
+    u = np.ascontiguousarray(u, dtype=float)
+    if u.shape != (terms.grid.m,):
+        raise ValueError(f"a Jacobian needs {terms.grid.m} nodal values; got shape {u.shape}")
+    slope = terms.nonlin.slope(u)
+    if terms.kernel is not None:
+        slope = _values(slope, u.size)
+        diag = np.empty(u.size)
+        finite = kernels.load().jacobian_diag(u.size, terms.kernel, u.ctypes.data, slope.ctypes.data, diag.ctypes.data) < 0
+    else:
+        mu, lower, upper = terms.mu, terms.lower, terms.upper
+        inside = (u > lower) & (u < upper)
+        diag = terms.b * np.where(inside, slope, 0.0) * mu
+        if terms.penalty > 0.0:
+            violated = (u < lower) | (u > upper)
+            diag += terms.penalty * terms.w_nodes * mu * violated
+        diag += terms.operator.diag
+        diag[terms.mask] = 1.0
+        finite = np.all(np.isfinite(diag))
+    if not finite:
         raise SolverError("non-finite Jacobian entry")
     return Tridiagonal(lower=terms.operator.lower, diag=diag, upper=terms.operator.upper)

@@ -200,7 +200,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# Rows formatted per write: the writer holds one chunk of text, not the table.
+# Rows formatted per write: the writer holds a few chunks of text, not the table.
 _CSV_CHUNK_ROWS = 8192
 
 
@@ -208,31 +208,55 @@ def _write_csv(path: Path, header: list[str], columns: tuple) -> None:
     """Write equal-length columns as CSV rows, one chunk of rows at a time.
 
     When every column is a float64 array, the C kernel kernels.load().g17_rows
-    writes a chunk's rows, each value as '%.17g' % x, into one buffer of 25
-    bytes a value, reused for every chunk.  Any other table (a few dozen rows
-    of Python values), and every table where no C compiler is found, joins
-    the _fmt text of its cells, which the kernel matches for every float.
+    writes a chunk's rows, each value as '%.17g' % x, into a buffer of 25
+    bytes a value.  A table of more than one chunk is formatted on a pool of
+    two threads (a ctypes call releases the interpreter lock) into three
+    buffers in turn, while this thread writes the finished chunks in order,
+    so at most three chunks of text exist at a time.  Any other table (a few
+    dozen rows of Python values), and every table where no C compiler is
+    found, joins the _fmt text of its cells, which the kernel matches for
+    every float; float64 columns go through Python floats, which format
+    faster than numpy scalars.
     """
     floats = all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
     lib = kernels.load() if floats else None
     n_rows = len(columns[0]) if columns else 0
     if any(len(c) != n_rows for c in columns):  # the kernel would read past a short one
         raise ValueError(f"CSV columns need {n_rows} values each; got {[len(c) for c in columns]}")
+    starts = range(0, n_rows, _CSV_CHUNK_ROWS)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if lib is not None:
             columns = [np.ascontiguousarray(c) for c in columns]
             pointers = (ctypes.c_void_p * len(columns))(*(c.ctypes.data for c in columns))
             hi, lo = (table.ctypes.data for table in kernels.pow10())
-            text = np.empty(_CSV_CHUNK_ROWS * len(columns) * 25, np.uint8)
-            slow = ctypes.c_long()  # values the kernel handed to snprintf
-            for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-                rows = min(_CSV_CHUNK_ROWS, n_rows - start)
-                size = lib.g17_rows(rows, len(columns), pointers, start, hi, lo, text.ctypes.data, ctypes.byref(slow))
-                fh.write(text[:size])
+            buffers = [np.empty(_CSV_CHUNK_ROWS * len(columns) * 25, np.uint8) for _ in starts[:3]]
+
+            def chunk(k: int) -> np.ndarray:
+                """Chunk k's text, in buffer k % len(buffers)."""
+                text = buffers[k % len(buffers)]
+                rows = min(_CSV_CHUNK_ROWS, n_rows - starts[k])
+                slow = ctypes.c_long()  # values the kernel handed to snprintf
+                return text[: lib.g17_rows(rows, len(columns), pointers, starts[k], hi, lo, text.ctypes.data, ctypes.byref(slow))]
+
+            if len(starts) > 1:
+                from concurrent.futures import ThreadPoolExecutor  # a multi-chunk table alone needs the pool
+
+                with ThreadPoolExecutor(2) as pool:
+                    futures = []
+                    for k in range(len(starts)):
+                        if k >= len(buffers):  # chunk k's buffer is free once chunk k - 3 is written
+                            fh.write(futures[k - len(buffers)].result())
+                        futures.append(pool.submit(chunk, k))
+                    for future in futures[-len(buffers):]:
+                        fh.write(future.result())
+            else:
+                for k in range(len(starts)):
+                    fh.write(chunk(k))
         else:
-            for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-                chunk = [c[start : start + _CSV_CHUNK_ROWS] for c in columns]
+            for start in starts:
+                rows = slice(start, start + _CSV_CHUNK_ROWS)
+                chunk = [c[rows].tolist() if isinstance(c, np.ndarray) and c.dtype == np.float64 else c[rows] for c in columns]
                 fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in zip(*chunk)).encode())
 
 

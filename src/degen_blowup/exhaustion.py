@@ -156,5 +156,4 @@ def residual_on_monitor(params: BlowupParams, monitor: Grid, limit: np.ndarray) 
     value, so only the interior consistency of the limit is measured.
     """
     problem = radial_blowup_problem(params, boundary_value=float(limit[-1]))
-    res = assemble_residual(limit, grid_terms(monitor, problem))
-    return float(np.max(np.abs(res)))
+    return assemble_residual(limit, grid_terms(monitor, problem))[1]

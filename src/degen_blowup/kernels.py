@@ -1,15 +1,17 @@
 """The package's C kernels (_kernels.c), built once per user and loaded through ctypes.
 
-``thomas`` runs tridiag.thomas_solve's elimination and ``g17_rows`` writes
-cli._write_csv's float rows; a ctypes call releases the interpreter lock.
-The system ``cc`` builds the source on first use into
-$XDG_CACHE_HOME/degen-blowup (default ~/.cache), in a file named by a CRC of
-the source and the build flags, so later processes load it without
-compiling; where that directory cannot be written, each process builds its
-own copy in a private temporary directory.  Only where no ``cc`` is on PATH
-does load() return None, and the callers run their Python paths
-(tridiag._thomas_loop, cli._fmt) with the same results; a compiler that is
-there but fails raises.
+``thomas`` runs tridiag.thomas_solve's elimination, ``residual_rows`` and
+``jacobian_diag`` assemble the residual and the Jacobian's diagonal for
+assembly, and ``g17_rows`` writes cli._write_csv's float rows; a ctypes call
+releases the interpreter lock.  The system ``cc`` builds the source on first
+use into $XDG_CACHE_HOME/degen-blowup (default ~/.cache), in a file named by a
+CRC of the source and the build flags, so later processes load it without
+compiling, and a new build removes the ones it replaces; where that directory
+cannot be written, each process builds its own copy in a private temporary
+directory.  Only where no ``cc`` is on PATH does load() return None, and the
+callers run their Python paths (tridiag._thomas_loop, assembly's numpy
+formulas, cli._fmt) with the same results; a compiler that is there but
+fails raises.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def load():
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=private)
         os.close(fd)
         _build(cc, tmp, path)
+        if private is None:
+            _remove_stale(cache, os.path.basename(path))
     lib = ctypes.CDLL(path)
     if private is not None:
         shutil.rmtree(private, ignore_errors=True)  # the loaded library stays mapped
@@ -55,7 +59,34 @@ def load():
     lib.thomas.restype = ctypes.c_long
     lib.g17_rows.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_long) + (ctypes.c_void_p,) * 4
     lib.g17_rows.restype = ctypes.c_long
+    lib.residual_rows.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.POINTER(Terms), ctypes.c_long) + (ctypes.c_void_p,) * 4
+    lib.residual_rows.restype = ctypes.c_long
+    lib.jacobian_diag.argtypes = (ctypes.c_long, ctypes.POINTER(Terms)) + (ctypes.c_void_p,) * 3
+    lib.jacobian_diag.restype = ctypes.c_long
     return lib
+
+
+class Terms(ctypes.Structure):
+    """_kernels.c's struct terms: the addresses of assembly.GridTerms' arrays and its penalty."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in ("lower_band", "diag", "upper_band", "mu", "b", "w", "h_mu", "mask", "datum", "lower", "upper")),
+        ("penalty", ctypes.c_double),
+    ]
+
+
+def _remove_stale(cache: str, keep: str) -> None:
+    """Remove every build in cache but keep: older kernels-*.so and the thomas-*.so they replaced."""
+    try:
+        names = os.listdir(cache)
+    except OSError:
+        return
+    for name in names:
+        if name != keep and name.endswith(".so") and name.startswith(("kernels-", "thomas-")):
+            try:
+                os.remove(os.path.join(cache, name))
+            except OSError:  # another process may have removed it first
+                pass
 
 
 def _build(cc: str, tmp: str, path: str) -> None:

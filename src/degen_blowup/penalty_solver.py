@@ -13,7 +13,11 @@ Newton step backtracks through at most 14 step lengths, 1 down to 2**-13
 as stalled.  The step-1 trial is always assembled in full; a shorter one
 is first evaluated on the one row where the current residual peaks
 (``assembly.residual_rows``), and fails there without an assembly when
-that row alone keeps the max-norm from decreasing.  A solve's inputs are
+that row alone keeps the max-norm from decreasing.  ``assemble_residual``
+returns each full residual with its max-norm and the row where it peaks,
+and where a C compiler is found one pass in C writes the residual and
+finds both, as one pass writes the Jacobian's diagonal and one the
+elimination (``kernels``).  A solve's inputs are
 checked, and its default penalty picked, once, by ``assembly.grid_terms``;
 ``solve_penalized`` adds only that the bounds and the initial guess are finite.
 """
@@ -143,14 +147,7 @@ def solve_penalized(
         raise ParameterError(f"initial guess needs {grid.m} values; got shape {u.shape}")
     check_finite("initial guess", u, grid.nodes)
 
-    def residual_norm(candidate: np.ndarray) -> tuple[float, int, np.ndarray]:
-        """The residual's max-norm, the first row that attains it, and the residual."""
-        res = assemble_residual(candidate, terms)
-        magnitudes = np.abs(res)
-        row = int(np.argmax(magnitudes))
-        return float(magnitudes[row]), row, res
-
-    norm, row, res = residual_norm(u)
+    res, norm, row = assemble_residual(u, terms)
     history = [norm]
     converged = norm <= opts.abs_tol
     iters = 0
@@ -173,7 +170,7 @@ def solve_penalized(
                     continue
             trial = delta * step
             trial += u
-            trial_norm, trial_row, trial_res = residual_norm(trial)
+            trial_res, trial_norm, trial_row = assemble_residual(trial, terms)
             if trial_norm < norm:
                 u, norm, row, res = trial, trial_norm, trial_row, trial_res
                 accepted = True

@@ -150,7 +150,7 @@ class TestTruncation:
         mu = volume_weights(grid, 1)
         for t, clamped in ((-5.0, -1.0), (1.0, 1.0), (3.0, 2.0)):
             u = np.full(grid.m, t)
-            res = assemble_residual(u, terms)
+            res, _, _ = assemble_residual(u, terms)
             np.testing.assert_array_equal(seen.pop(), np.full(grid.m, clamped))
             reaction = res[1:-1] - stiff.matvec(u)[1:-1]
             np.testing.assert_allclose(reaction, clamped**3 * mu[1:-1], rtol=1e-12)
@@ -205,8 +205,8 @@ class TestResidual:
         lo = np.full(grid.m, 0.0)
         hi = np.full(grid.m, 1.0)
         u = np.full(grid.m, 0.5)
-        with_pen = assemble_residual(u, grid_terms(grid, problem, lo, hi, 1e6))
-        without = assemble_residual(u, grid_terms(grid, problem, lo, hi, 0.0))
+        with_pen, _, _ = assemble_residual(u, grid_terms(grid, problem, lo, hi, 1e6))
+        without, _, _ = assemble_residual(u, grid_terms(grid, problem, lo, hi, 0.0))
         np.testing.assert_array_equal(with_pen, without)
 
     def test_penalty_entry_below_slab(self):
@@ -216,7 +216,7 @@ class TestResidual:
         lo = np.full(grid.m, 0.0)
         hi = np.full(grid.m, 1.0)
         u = np.full(grid.m, -1.0)
-        res = assemble_residual(u, grid_terms(grid, problem, lo, hi, 10.0))
+        res, _, _ = assemble_residual(u, grid_terms(grid, problem, lo, hi, 10.0))
         mu = volume_weights(grid, 1)
         np.testing.assert_allclose(res[1:-1], -10.0 * mu[1:-1], rtol=1e-14)
 
@@ -231,8 +231,8 @@ class TestResidual:
         rhs = mu.copy()
         rhs[0] = rhs[-1] = 0.0
         u = thomas_solve(jac, rhs)
-        res = assemble_residual(u, terms)
-        assert np.max(np.abs(res)) < 1e-11
+        _, norm, _ = assemble_residual(u, terms)
+        assert norm < 1e-11
 
     def test_nonfinite_coefficient_names_node(self):
         # a non-finite b is refused by grid_terms already (b/w); a source is not checked there
@@ -286,8 +286,8 @@ class TestJacobian:
         terms = grid_terms(grid, problem, lo, hi, 3.0)
         jac = assemble_jacobian(u, terms)
         step = 1e-6
-        plus = assemble_residual(u + step * direction, terms)
-        minus = assemble_residual(u - step * direction, terms)
+        plus, _, _ = assemble_residual(u + step * direction, terms)
+        minus, _, _ = assemble_residual(u - step * direction, terms)
         fd = (plus - minus) / (2.0 * step)
         jd = jac.matvec(direction)
         denom = np.max(np.abs(jd))
@@ -412,6 +412,23 @@ class TestThomasKernel:
         assert _solves_like_the_loop(31, 2)
 
     @needs_cc
+    def test_a_build_removes_the_builds_it_replaces(self, fresh_kernel):
+        # each edit of _kernels.c or of the flags names a new build, and the
+        # kernels were first built as thomas-<crc>.so
+        fresh_kernel.mkdir(parents=True)
+        stale = ["kernels-00000000.so", "thomas-00000000.so"]
+        for name in stale:
+            (fresh_kernel / name).write_bytes(b"an older build")
+        assert kernels.load() is not None
+        built = [p.name for p in fresh_kernel.iterdir()]
+        assert len(built) == 1 and built[0] not in stale and built[0].endswith(".so")
+        # a warm load builds nothing, so it removes nothing
+        kernels.load.cache_clear()
+        (fresh_kernel / stale[0]).write_bytes(b"an older build")
+        assert kernels.load() is not None
+        assert sorted(p.name for p in fresh_kernel.iterdir()) == sorted([*built, stale[0]])
+
+    @needs_cc
     def test_an_unwritable_cache_builds_a_private_copy(self, fresh_kernel, monkeypatch, tmp_path):
         (tmp_path / "cache").write_text("a file where the cache directory would go")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -518,7 +535,7 @@ class TestGridTerms:
             (grid_terms(grid, problem, penalty=penalty), unbounded),
         ):
             args = (grid, values, problem, penalty, lower, upper)
-            res = assemble_residual(values, terms)
+            res, _, _ = assemble_residual(values, terms)
             expected = _reference_residual(*args)
             assert np.all(res == expected) and np.array_equal(np.signbit(res), np.signbit(expected))
 
@@ -541,7 +558,7 @@ class TestGridTerms:
         before = [a.tobytes() for a in (values, lower, upper)]
 
         terms = grid_terms(grid, problem, lower, upper, 1e6)
-        res = assemble_residual(values, terms)
+        res, _, _ = assemble_residual(values, terms)
         expected = _reference_residual(grid, values, problem, 1e6, lower, upper)
         assert np.array_equal(res, expected)
         assert np.array_equal(np.signbit(res), np.signbit(expected))
@@ -590,6 +607,30 @@ class TestGridTerms:
             grid_terms(grid, interval_problem(), **bounds)
 
 
+def _window_case(domain, nonlin):
+    """A grid, a problem and a slab [lower, upper] with values below, inside, above and on it."""
+    grid = build_graded_grid(R=1.0, eta=1e-2, m=41, grading=1.5)
+    r = grid.nodes
+    problem = Problem(
+        domain=domain,
+        weight=WeightFamily.power(0.5),
+        nonlin=nonlin,
+        # a negative b keeps the zero of a reaction term negative
+        b_coef=lambda r: np.where(r < 0.5, -1e4, 1e4) * (1.0 + 0.5 * r),
+        source=lambda r: np.sin(3.0 * r),
+        boundary_value=lambda r: 0.2 + r,
+    )
+    lower = -0.5 - r
+    upper = 0.5 + r
+    values = 1.5 * np.sin(7.0 * r) + 0.2  # below, inside and above the slab
+    values[3], values[5] = lower[3], upper[5]  # exactly on the clamp
+    lower[8], values[8] = 0.0, -0.0  # -0.0 on a zero bound
+    upper[9], values[9] = 0.0, -0.0
+    lower[10], values[10] = 0.0, 0.0
+    assert np.any(values < lower) and np.any(values > upper)
+    return grid, problem, lower, upper, values
+
+
 class TestResidualRows:
     """A window of rows gives assemble_residual's entries bit for bit, signed zeros included."""
 
@@ -599,28 +640,10 @@ class TestResidualRows:
     )
     @pytest.mark.parametrize("domain", [Domain.interval(1.0), Domain.ball(1.0, 3)], ids=["interval", "ball"])
     def test_every_row_of_a_three_row_window(self, domain, truncated, penalty, nonlin):
-        grid = build_graded_grid(R=1.0, eta=1e-2, m=41, grading=1.5)
-        r = grid.nodes
-        problem = Problem(
-            domain=domain,
-            weight=WeightFamily.power(0.5),
-            nonlin=nonlin,
-            # a negative b keeps the zero of a reaction term negative
-            b_coef=lambda r: np.where(r < 0.5, -1e4, 1e4) * (1.0 + 0.5 * r),
-            source=lambda r: np.sin(3.0 * r),
-            boundary_value=lambda r: 0.2 + r,
-        )
-        lower = -0.5 - r
-        upper = 0.5 + r
-        values = 1.5 * np.sin(7.0 * r) + 0.2  # below, inside and above the slab
-        values[3], values[5] = lower[3], upper[5]  # exactly on the clamp
-        lower[8], values[8] = 0.0, -0.0  # -0.0 on a zero bound
-        upper[9], values[9] = 0.0, -0.0
-        lower[10], values[10] = 0.0, 0.0
-        assert np.any(values < lower) and np.any(values > upper)
+        grid, problem, lower, upper, values = _window_case(domain, nonlin)
         slab = (lower, upper) if truncated else (None, None)
         terms = grid_terms(grid, problem, *slab, penalty)
-        full = assemble_residual(values, terms)
+        full, _, _ = assemble_residual(values, terms)
         assert np.array_equal(residual_rows(values, terms), full)
 
         for j in range(grid.m):
@@ -630,3 +653,107 @@ class TestResidualRows:
             assert entry == full[j], j
             assert np.signbit(entry) == np.signbit(full[j]), j
             assert np.array_equal(window, values[lo:hi])
+
+
+    @pytest.mark.parametrize("lo, size", [(-1, 3), (39, 3), (0, 0), (0, 42)])
+    def test_rows_outside_the_grid_are_refused(self, lo, size):
+        # the C kernel would read past the ends of the terms' arrays
+        grid, problem, lower, upper, _ = _window_case(Domain.interval(1.0), IDENTITY)
+        terms = grid_terms(grid, problem, lower, upper, 1e6)
+        with pytest.raises(ValueError, match="residual rows need"):
+            residual_rows(np.zeros(size), terms, lo)
+        with pytest.raises(ValueError, match="a Jacobian needs 41 nodal values"):
+            assemble_jacobian(np.zeros(size), terms)
+
+
+class TestResidualRowsNumpy(TestResidualRows):
+    """The same windows on the numpy formulas, the path where no compiler is found."""
+
+    @pytest.fixture(autouse=True)
+    def no_compiler(self, monkeypatch):
+        monkeypatch.setattr(kernels, "load", lambda: None)
+
+
+class TestGridTermsNumpy(TestGridTerms):
+    """The same terms, residuals and Jacobians on the numpy formulas."""
+
+    @pytest.fixture(autouse=True)
+    def no_compiler(self, monkeypatch):
+        monkeypatch.setattr(kernels, "load", lambda: None)
+
+
+def _on_both_paths(monkeypatch, run):
+    """run() with the C kernels, then with kernels.load patched to None (the numpy formulas)."""
+    kernel = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "load", lambda: None)
+        return kernel, run()
+
+
+@needs_cc
+class TestAssemblyKernel:
+    """The C residual and Jacobian give the numpy formulas' bits, norm and errors in one process."""
+
+    @pytest.mark.parametrize("nonlin", [PowerNonlinearity(3.0), IDENTITY], ids=["cube", "identity"])
+    @pytest.mark.parametrize("slab", ["finite", "partly-infinite", "unbounded"])
+    @pytest.mark.parametrize("penalty", [0.0, 1e6])
+    @pytest.mark.parametrize("domain", [Domain.interval(1.0), Domain.ball(1.0, 3)], ids=["interval", "ball"])
+    def test_kernel_gives_the_numpy_bits(self, monkeypatch, domain, penalty, slab, nonlin):
+        grid, problem, lower, upper, values = _window_case(domain, nonlin)
+        if slab == "partly-infinite":
+            lower[::3] = -np.inf
+            upper[1::4] = np.inf
+        bounds = (None, None) if slab == "unbounded" else (lower, upper)
+        windows = (0, grid.m // 2 - 1, grid.m - 3)  # at the start, in the interior and at the last row
+
+        def assemble():
+            terms = grid_terms(grid, problem, *bounds, penalty)
+            res, norm, row = assemble_residual(values, terms)
+            rows = [residual_rows(values[lo:lo + 3], terms, lo) for lo in windows]
+            return terms.kernel is not None, res, norm, row, rows, assemble_jacobian(values, terms).diag
+
+        (kernel, *got), (numpy_, *want) = _on_both_paths(monkeypatch, assemble)
+        assert kernel and not numpy_
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize(
+        "left, right, row", [(-5.0, 5.0, 0), (-1.0, 5.0, 10), (0.0, 0.0, 0)], ids=["tie", "last", "zero"]
+    )
+    def test_norm_is_the_first_largest_magnitude(self, monkeypatch, left, right, row):
+        # u = 0 leaves every interior entry an exact zero and the two
+        # Dirichlet rows -g: a tie goes to the first row, as np.argmax does
+        grid = uniform_grid(m=11)
+        problem = interval_problem(boundary_value=lambda r: np.where(r < 0.5, -left, -right))
+
+        def peak():
+            res, norm, at = assemble_residual(np.zeros(grid.m), grid_terms(grid, problem))
+            magnitudes = np.abs(res)
+            assert norm == magnitudes.max() and at == np.argmax(magnitudes)
+            return norm, at
+
+        assert _on_both_paths(monkeypatch, peak) == ((max(abs(left), abs(right)), row),) * 2
+
+    def test_nonfinite_entries_raise_the_same_errors(self, monkeypatch):
+        grid = uniform_grid(m=10)
+        problem = interval_problem(source=lambda r: np.where(r > 0.5, np.inf, 0.0))
+        steep = interval_problem(nonlin=CallableNonlinearity(lambda t: t, lambda t: np.full_like(t, np.inf)))
+
+        def errors():
+            messages = []
+            u = np.full(grid.m, 0.5)
+            gapped = u.copy()
+            gapped[4] = np.nan  # its flux reaches rows 3 and 5
+            for call, terms, values in (
+                (assemble_residual, grid_terms(grid, problem), u),
+                (assemble_residual, grid_terms(grid, interval_problem()), gapped),
+                (assemble_jacobian, grid_terms(grid, steep, np.zeros(grid.m), np.ones(grid.m)), u),
+            ):
+                with pytest.raises(SolverError) as raised:
+                    call(values, terms)
+                messages.append(str(raised.value))
+            return messages
+
+        kernel, numpy_ = _on_both_paths(monkeypatch, errors)
+        assert kernel == numpy_
+        assert kernel[1].startswith("non-finite residual entry at node 3 ")

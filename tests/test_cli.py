@@ -1299,9 +1299,25 @@ def test_csv_writer_float_table_bit_identical_to_joined_rows(tmp_path, n_rows, n
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def test_csv_writer_threads_keep_the_chunks_in_order(tmp_path, monkeypatch):
+    # 143 chunks of 7 rows through the two formatting threads and the three
+    # rotating buffers, with the interpreter switching threads as often as it can
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
+    rng = np.random.default_rng(3)
+    columns = (rng.standard_normal(1000), np.arange(1000.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _write_csv(tmp_path / "new.csv", ["x", "i"], columns)
+    finally:
+        sys.setswitchinterval(interval)
+    _reference_write_csv(tmp_path / "old.csv", ["x", "i"], zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_csv_writer_memory_stays_at_one_chunk(tmp_path):
     # the solve-fine table: six float64 columns of 200001 rows, 22 MB of text;
-    # joining it whole peaked at 84 MB, one chunk at a time near 4 MB
+    # joining it whole peaked at 84 MB, the C writer's three chunk buffers near 4.4 MB
     rng = np.random.default_rng(0)
     columns = tuple(rng.standard_normal(200001) for _ in range(6))
     tracemalloc.start()

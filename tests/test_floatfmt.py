@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degen_blowup import kernels
+from degen_blowup import cli, kernels
 
 pytestmark = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
@@ -173,3 +173,18 @@ def test_property_floats(values):
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
 def test_property_bit_patterns(bits):
     assert_matches_g17(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_the_fallback_writes_the_kernels_bytes(tmp_path, monkeypatch):
+    # where no compiler is found, _write_csv joins the _fmt text of Python
+    # floats; a table of several chunks goes through the kernel's two threads
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308, -1.2345678901234567e-300]
+    values = np.concatenate([special, rng.standard_normal(3 * cli._CSV_CHUNK_ROWS) * 10.0 ** rng.integers(-320, 300, 3 * cli._CSV_CHUNK_ROWS)])
+    columns = (values, -values[::-1], rng.permutation(values))
+    cli._write_csv(tmp_path / "kernel.csv", ["a", "b", "c"], columns)
+    monkeypatch.setattr(kernels, "load", lambda: None)
+    cli._write_csv(tmp_path / "fallback.csv", ["a", "b", "c"], columns)
+    text = (tmp_path / "kernel.csv").read_bytes()
+    assert text == (tmp_path / "fallback.csv").read_bytes()
+    assert max(map(len, text.replace(b"\n", b",").split(b","))) == 24

@@ -1,5 +1,5 @@
 """The package's imports: every module uses each name it imports, the CLI
-leaves each pool to the one command that uses it, exception types live in
+leaves each pool to the one command or table that uses it, exception types live in
 errors alone, grids alone constructs a Grid, and the CLI verifies
 barriers in one function."""
 
@@ -133,3 +133,29 @@ def test_cli_import_leaves_the_process_pool_out():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_one_chunk_csv_leaves_the_thread_pool_out(tmp_path):
+    # only a float table of more than one chunk formats on the two-thread
+    # pool; solve at m = 2001 writes a one-chunk solution.csv
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("run.command = solve\ngrid.m = 2001\n", encoding="utf-8")
+    out = tmp_path / "out"
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from degen_blowup import cli\n"
+        f"cli.main(['solve', '--config', {str(cfg)!r}, '--out', {str(out)!r}, '--quiet'])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent')\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len((out / "solution.csv").read_text(encoding="utf-8").splitlines()) == 2002

@@ -166,7 +166,7 @@ class TestSolverBehaviour:
         lo = 0.9 * u_star(grid.nodes)
         hi = 1.1 * u_star(grid.nodes)
         u, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9, max_iters=max_iters))
-        again = assembly.assemble_residual(u, assembly.grid_terms(grid, problem, lo, hi, report.penalty))
+        again, _, _ = assembly.assemble_residual(u, assembly.grid_terms(grid, problem, lo, hi, report.penalty))
         assert np.array_equal(report.residual, again)
         assert np.max(np.abs(report.residual)) == report.residual_history[-1]
 
