@@ -45,7 +45,12 @@ from .weights import Domain, WeightFamily, eval_weight
 
 @dataclass(frozen=True)
 class PowerNonlinearity:
-    """Odd power law f(t) = sign(t)*|t|**p with p > 1."""
+    """Odd power law f(t) = sign(t)*|t|**p with p > 1.
+
+    value and slope give the bits of sign(t) * |t|**p and p * |t|**(p - 1),
+    computed in place on one fresh array each: at m = 200001 a fresh array
+    costs about as much as the power.
+    """
 
     p: float
 
@@ -54,12 +59,17 @@ class PowerNonlinearity:
             raise ParameterError(f"power nonlinearity needs p > 1; got p={self.p}")
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.sign(t) * np.abs(t) ** self.p
+        out = np.array(t, dtype=float)
+        negative = out < 0.0
+        np.abs(out, out=out)
+        out **= self.p
+        return np.negative(out, out=out, where=negative)
 
     def slope(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.p * np.abs(t) ** (self.p - 1.0)
+        out = np.abs(np.asarray(t, dtype=float))
+        out **= self.p - 1.0
+        out *= self.p
+        return out
 
 
 @dataclass(frozen=True)
@@ -171,10 +181,14 @@ def cell_volumes(grid: Grid, n_dim: int) -> np.ndarray:
     return np.diff(edges**n_dim) / n_dim
 
 
-def edge_conductances(grid: Grid, problem: Problem, w_half: np.ndarray | None = None) -> np.ndarray:
-    """W_{j+1/2} / h_{j+1/2} with the weight taken at mid-edge gaps, checked finite.
+def assemble_stiffness(grid: Grid, problem: Problem, w_half: np.ndarray | None = None) -> Tridiagonal:
+    """Symmetric conservative flux operator, before any boundary rows.
 
-    ``w_half`` is the weight there when the caller has already evaluated it.
+    Row j couples neighbours through the edge conductances
+    cond_j = W_{j+1/2} / h_{j+1/2}, with the weight taken at the mid-edge
+    gaps (``w_half`` when the caller has already evaluated it there) and
+    refused unless finite; the operator annihilates constants and is
+    positive semidefinite, with v.S.v = sum_j cond_j * (v_{j+1} - v_j)**2.
     """
     rh = grid.half_nodes
     w = eval_weight(problem.weight, grid.R - rh) if w_half is None else w_half
@@ -182,17 +196,6 @@ def edge_conductances(grid: Grid, problem: Problem, w_half: np.ndarray | None = 
     if not np.all(np.isfinite(cond)):
         j = int(np.argmin(np.isfinite(cond)))
         raise SolverError(f"non-finite edge conductance at half-node {j} (r = {rh[j]})")
-    return cond
-
-
-def assemble_stiffness(grid: Grid, problem: Problem, w_half: np.ndarray | None = None) -> Tridiagonal:
-    """Symmetric conservative flux operator, before any boundary rows.
-
-    Row j couples neighbours through the edge conductances; the operator
-    annihilates constants and is positive semidefinite, with
-    v.S.v = sum_j cond_j * (v_{j+1} - v_j)**2.
-    """
-    cond = edge_conductances(grid, problem, w_half)
     m = grid.m
     lower = np.zeros(m)
     diag = np.zeros(m)
@@ -216,7 +219,9 @@ class GridTerms:
     [``lower``, ``upper``]; the penalty acts outside the same slab, and
     ``w_nodes`` (the weight at the nodes) is only built for a positive one.
     ``kernel`` holds the addresses of these arrays for the C kernels, taken
-    once per solve, or None where no C compiler is found.
+    once per solve, or None where no C compiler is found; the terms hold
+    every array it points at, so those live as long as it does, provided no
+    band of ``operator`` is reassigned.
     """
 
     grid: Grid
@@ -299,7 +304,6 @@ def grid_terms(
     if kernels.load() is not None:
         arrays = (operator.lower, operator.diag, operator.upper, mu, b, w_nodes, h_mu, mask, datum, lower, upper)
         kernel = kernels.Terms(*(None if a is None else a.ctypes.data for a in arrays), penalty)
-        kernel.arrays = arrays  # alive as long as the addresses are
     return GridTerms(
         grid=grid,
         operator=operator,
@@ -426,7 +430,7 @@ def assemble_jacobian(u: np.ndarray, terms: GridTerms) -> Tridiagonal:
     wins, keeping an M-matrix for monotone f); the penalty indicator is
     active strictly outside it.  Dirichlet rows become identity rows.
     Only the diagonal is new, so only it is checked: the off-diagonal bands
-    are those of ``terms``, whose conductances ``edge_conductances`` checked.
+    are those of ``terms``, whose conductances ``assemble_stiffness`` checked.
     The C kernel jacobian_diag builds the diagonal in one pass, in the
     numpy formula's operation order; f' stays in numpy, and the numpy
     formula runs only where no C compiler is found.

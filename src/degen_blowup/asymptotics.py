@@ -18,7 +18,7 @@ from .assembly import PowerNonlinearity, Problem
 from .errors import ParameterError
 from .weights import Domain, WeightFamily
 
-DEFAULT_SLACK = 0.05
+SLACK = 0.05
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,11 @@ def check_epsilon_bounds(
     beta: float,
     epsilon: float,
     window,
-    slack: float = DEFAULT_SLACK,
 ) -> EpsilonBoundsReport:
     """Ratios u / (K * d**(-beta)) over the window nodes of grid against 1 -+ epsilon.
 
-    The continuum statement is a limit; on a finite grid the stated slack
-    is added on both sides and reported alongside the raw ratios.
+    The continuum statement is a limit; on a finite grid SLACK is added on
+    both sides and reported alongside the raw ratios.
     """
     mask = window_mask(grid, window)
     d = grid.boundary_gap[mask]
@@ -97,7 +96,7 @@ def check_epsilon_bounds(
     ratios = values / (K * d ** (-beta))
     min_ratio = float(np.min(ratios))
     max_ratio = float(np.max(ratios))
-    ok = (min_ratio >= 1.0 - epsilon - slack) and (max_ratio <= 1.0 + epsilon + slack)
+    ok = (min_ratio >= 1.0 - epsilon - SLACK) and (max_ratio <= 1.0 + epsilon + SLACK)
     return EpsilonBoundsReport(ok=ok, min_ratio=min_ratio, max_ratio=max_ratio, d=d, u=values, ratios=ratios)
 
 

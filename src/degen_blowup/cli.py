@@ -12,9 +12,12 @@ the error type each one handles (_EXIT_TABLE):
        refused before a solve, nothing written (CertificationError)
 
 The sweep command runs its member configs in up to min(4, members)
-worker processes (forked on Linux), chosen while the tridiagonal solve
-was a Python loop that held the interpreter lock, and prints their lines
-once all have finished, in the order its config lists them.  The b2
+worker processes (forked on Linux) and prints their lines once all have
+finished, in the order its config lists them.  Since the C kernels, two
+members on threads are faster (0.063 against 0.086 s per op of the
+benchmark's sweep-pair), but its peak_rss_mb reads the op process alone,
+about 62 MB with the members on threads against 32 MB in processes, so
+they stay processes until it reads the members' memory too.  The b2
 command checks its entries on two threads, which share one table of
 midpoint offsets and own one work array each (weights.QuadWork), and
 writes its rows and lines in entry order: its quadratures are numpy
@@ -393,6 +396,7 @@ def cmd_solve(cfg, out: Path, say) -> int:
         out / "report.txt",
         [
             ("converged", report.converged),
+            ("stop", report.stop),
             ("iters", report.iters),
             ("final_residual", report.residual_history[-1]),
             ("penalty", report.penalty),
@@ -673,11 +677,9 @@ def cmd_sweep(cfg, out: Path, say) -> int:
         jobs.append((sub_command, sub_path, job_out))
 
     # forked, not spawned: a spawned member imports numpy and the package
-    # again, which cost more than sharing the interpreter lock did while the
-    # tridiagonal solve was a Python loop.  The sweep process runs no thread
-    # of its own when it forks, and multiprocessing flushes stdout and
-    # stderr before each fork, so no member writes the parent's buffered
-    # lines again when it exits.
+    # again.  The sweep process runs no thread of its own when it forks, and
+    # multiprocessing flushes stdout and stderr before each fork, so no
+    # member writes the parent's buffered lines again when it exits.
     context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
     with ProcessPoolExecutor(max_workers=min(4, len(jobs)), mp_context=context) as pool:
         results = list(pool.map(_run_member, jobs))

@@ -38,7 +38,6 @@ class ExhaustionRun:
     monitor: Grid
     n_values: list[int] = field(default_factory=list)
     outer_radii: list[float] = field(default_factory=list)
-    monitor_values: list[np.ndarray] = field(default_factory=list)
     deltas: list[float] = field(default_factory=list)
     sandwich_ok: list[bool] = field(default_factory=list)
     status: str = STATUS_EXHAUSTED
@@ -135,17 +134,15 @@ def solve_large_solution(
             break
 
         on_monitor = np.interp(run.monitor.nodes, grid_n.nodes, u_n)
-        run.monitor_values.append(on_monitor)
-        if len(run.monitor_values) > 1:
-            delta = float(np.max(np.abs(on_monitor - run.monitor_values[-2])))
+        last_on_monitor, run.limit_on_monitor = run.limit_on_monitor, on_monitor
+        if last_on_monitor is not None:
+            delta = float(np.max(np.abs(on_monitor - last_on_monitor)))
             run.deltas.append(delta)
             if delta < tol:
                 run.status = STATUS_CONVERGED
                 break
         previous = grid_n.nodes, u_n
 
-    if run.monitor_values:
-        run.limit_on_monitor = run.monitor_values[-1]
     return run
 
 

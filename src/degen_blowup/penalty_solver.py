@@ -76,6 +76,7 @@ class SandwichReport:
 @dataclass
 class SolveReport:
     converged: bool
+    stop: str  # "converged", "stalled" (no step length accepted) or "max-iters"
     iters: int
     residual: np.ndarray  # of the returned field
     sandwich: SandwichReport  # of the returned field, at sandwich_tol(upper)
@@ -134,9 +135,10 @@ def solve_penalized(
     norm the trial is rejected without building it; otherwise it is
     assembled.  Rejecting on the probe changes nothing but the work done.
     Exhausting max_iters or that budget returns the current field with
-    converged = False.  The report carries the field's sandwich
-    certificate.  lower, upper and an initial guess are float arrays of
-    finite values at the nodes of grid (grid_terms reads +-inf as no bound).
+    converged = False and stop "max-iters" or "stalled".  The report
+    carries the field's sandwich certificate.  lower, upper and an
+    initial guess are float arrays of finite values at the nodes of grid
+    (grid_terms reads +-inf as no bound).
     """
     opts = opts or SolveOptions()
     terms = grid_terms(grid, problem, lower, upper, opts.penalty)
@@ -151,6 +153,7 @@ def solve_penalized(
     history = [norm]
     converged = norm <= opts.abs_tol
     iters = 0
+    stop = "max-iters"
     while not converged and iters < opts.max_iters:
         jac = assemble_jacobian(u, terms)
         delta = thomas_solve(jac, -res)
@@ -177,13 +180,15 @@ def solve_penalized(
                 break
             step *= _DAMPING
         if not accepted:
-            break  # stalled: no step length reduces the residual
+            stop = "stalled"  # no step length reduces the residual
+            break
         iters += 1
         history.append(norm)
         converged = norm <= opts.abs_tol
 
     report = SolveReport(
         converged=converged,
+        stop="converged" if converged else stop,
         iters=iters,
         residual=res,
         sandwich=check_sandwich(u, lower, upper, sandwich_tol(upper)),

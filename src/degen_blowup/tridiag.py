@@ -23,21 +23,11 @@ from .errors import SolverError
 
 @dataclass
 class Tridiagonal:
+    """The three bands of a tridiagonal matrix, unchecked: thomas_solve checks them."""
+
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
-
-    def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        n = self.diag.size
-        if self.lower.size != n or self.upper.size != n:
-            raise ValueError("band arrays must share one length")
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
 
     def matvec(self, u: np.ndarray, lo: int = 0) -> np.ndarray:
         """Rows lo .. lo + len(u) - 1 of the product with a vector that is u there.
@@ -59,12 +49,13 @@ def thomas_solve(mat: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """Solve mat @ x = rhs by forward elimination and back substitution.
 
     No pivoting; raises SolverError on a zero or non-finite pivot, naming the
-    first such row.  The bands are mutable, so their lengths are checked here,
-    before any of them reaches C, and C gets them as contiguous float arrays,
-    copied where they are not.
+    first such row.  This is the one place that checks a system: Tridiagonal
+    takes its bands as given, and they may be reassigned after construction,
+    so here, before C or _thomas_loop reads them, they become contiguous float
+    arrays (copied where they are not) and must hold n >= 1 values each.
     """
-    n = mat.n
     arrays = [np.ascontiguousarray(a, dtype=float) for a in (mat.lower, mat.diag, mat.upper, rhs)]
+    n = arrays[1].size
     if n < 1 or any(a.shape != (n,) for a in arrays):
         shapes = ", ".join(str(a.shape) for a in arrays)
         raise ValueError(f"lower, diag, upper and rhs need n >= 1 values each; got shapes {shapes}")

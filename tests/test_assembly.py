@@ -35,7 +35,7 @@ IDENTITY = CallableNonlinearity(lambda t: t, lambda t: np.ones_like(t))
 
 def _indexed_thomas(mat, rhs):
     """Reference elimination with row 0 as a special case and indexed numpy access."""
-    n = mat.n
+    n = mat.diag.size
     c = np.empty(n)
     d = np.empty(n)
     c[0] = mat.upper[0] / mat.diag[0]
@@ -77,6 +77,36 @@ def ball_problem():
 
 def uniform_grid(m=11, eta=1e-9):
     return build_graded_grid(R=1.0, eta=eta, m=m, grading=1.0)
+
+
+_SUBNORMAL = np.nextafter(0.0, 1.0)
+_EDGES = np.array([0.0, -0.0, _SUBNORMAL, -_SUBNORMAL, 1e-310, -1e-310, np.inf, -np.inf, 1e308, -1e308, 1.0, -1.0])
+
+
+class TestPowerNonlinearity:
+    @pytest.mark.parametrize("p", [1.02, 1.5, 2.0, 3.0, 5.0, 7.3])
+    def test_value_and_slope_keep_the_plain_formulas_bits(self, p):
+        # value and slope work in place; they must equal these expressions bit for bit,
+        # signed zeros, subnormals, infinities and 0-d input included
+        rng = np.random.default_rng(int(p * 100))
+        inputs = [_EDGES, rng.standard_normal(1000) * 10.0, rng.standard_normal(1000) * 1e-200]
+        inputs += [np.array(t) for t in _EDGES] + [float(t) for t in _EDGES]
+        f = PowerNonlinearity(p)
+        for t in inputs:
+            a = np.asarray(t, dtype=float)
+            with np.errstate(over="ignore"):
+                pairs = [
+                    (f.value(t), np.sign(a) * np.abs(a) ** p),
+                    (f.slope(t), p * np.abs(a) ** (p - 1.0)),
+                ]
+            for got, plain in pairs:
+                assert np.shape(got) == np.shape(plain)
+                assert np.asarray(got).tobytes() == np.asarray(plain).tobytes(), (t, got, plain)
+
+    def test_value_leaves_its_argument_alone(self):
+        t = np.array([-2.0, 0.5, 3.0])
+        PowerNonlinearity(3.0).value(t)
+        assert np.array_equal(t, [-2.0, 0.5, 3.0])
 
 
 class TestStiffness:

@@ -30,6 +30,8 @@ from degen_blowup import (
 from degen_blowup.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from degen_blowup.config import Config, parse_config_text, resolve
 
+from test_bench_wraps import STALLING_SOLVE_CFG
+
 LINEAR_CFG = """
 run.command = solve
 problem.kind = linear
@@ -87,6 +89,20 @@ def test_linear_solve_matches_closed_form(tmp_path):
     report = (out / "report.txt").read_text()
     assert "converged = true" in report
     assert "sandwich_ok = true" in report
+
+
+@pytest.mark.parametrize(
+    "m, max_iters, code, stop",
+    [(2001, 100, 0, "converged"), (3001, 100, 2, "stalled"), (3001, 1, 2, "max-iters")],
+    ids=["converged", "stalled", "max-iters"],
+)
+def test_solve_report_says_why_newton_stopped(tmp_path, m, max_iters, code, stop):
+    # test_bench_wraps' stalling solve (m = 3001) converges at m = 2001
+    text = _with_key(_with_key(STALLING_SOLVE_CFG, "grid.m", m), "solver.max_iters", max_iters)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write(tmp_path / "solve.cfg", text)), "--out", str(out), "--quiet"]) == code
+    lines = (out / "report.txt").read_text().splitlines()
+    assert lines[:2] == [f"converged = {str(code == 0).lower()}", f"stop = {stop}"]
 
 
 def test_eta_above_radius_is_config_error(tmp_path, capsys):

@@ -135,6 +135,30 @@ def test_cli_import_leaves_the_process_pool_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_adds_only_these_modules_to_numpy():
+    # every command's setup time is the interpreter's start, numpy's import
+    # and this one: beyond numpy, the package may load only these modules
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import degen_blowup.cli\n"
+        "allowed = {'argparse', 'dataclasses', 'copy', 'gettext', '__future__'}\n"
+        "extra = sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in allowed | {'degen_blowup'})\n"
+        "assert not extra, extra\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_a_one_chunk_csv_leaves_the_thread_pool_out(tmp_path):
     # only a float table of more than one chunk formats on the two-thread
     # pool; solve at m = 2001 writes a one-chunk solution.csv
