@@ -11,7 +11,7 @@
    k = 0 .. n-1, n >= 1, in tridiag._thomas_loop's operation order.
 
    x holds the eliminated upper band c until the back substitution overwrites it, and
-   d is scratch of n values.  Returns -1, or the first row whose pivot is zero or not
+   d is scratch of n values.  Returns -1, or the lowest row whose pivot is zero or not
    finite; x and d are then partly written. */
 long thomas(long n, const double *lower, const double *diag, const double *upper,
             const double *rhs, double *d, double *x)
@@ -31,14 +31,13 @@ long thomas(long n, const double *lower, const double *diag, const double *upper
 }
 
 /* What the residual and the Jacobian read of assembly.GridTerms, built once per solve
-   (kernels.Terms mirrors it): the operator's bands (the stiffness with identity
-   Dirichlet rows), the volume weights mu, b, the weight w at the nodes (read only when
-   penalty > 0), h * mu, the Dirichlet mask and, in row order, the data of its rows,
-   and the slab bounds. */
+   (kernels.Terms mirrors it): the operator's bands, the volume weights mu, b, the
+   weight w at the nodes (read only when penalty > 0), the right-hand side rhs = h * mu
+   and the slab bounds.  grid_terms makes each Dirichlet row data: an identity row of
+   the operator, mu = 0 and rhs = g, the boundary value, so the one row formula below
+   gives u - g there. */
 struct terms {
-    const double *lower_band, *diag, *upper_band, *mu, *b, *w, *h_mu;
-    const unsigned char *mask;
-    const double *datum, *lower, *upper;
+    const double *lower_band, *diag, *upper_band, *mu, *b, *w, *rhs, *lower, *upper;
     double penalty;
 };
 
@@ -46,32 +45,26 @@ struct terms {
    that is u there (a neighbour outside the window counts as zero), from clipped (u
    clipped to the slab) and f = f(clipped), in numpy's operation order:
    (diag*u + lower*u_prev) + upper*u_next, then + (b*f)*mu, then, when penalty > 0,
-   + ((((u - clipped) + 0.0)*penalty)*w)*mu, then - h*mu.  A Dirichlet row is
-   u - datum[first], first counting on from the window's first Dirichlet row.  Returns
-   the first row where |out| is largest, or -1 - k where row k is the first that is not
-   finite.  The penalty and the window offset are here because the formula still has
-   them. */
-long residual_rows(long n, long lo, const struct terms *t, long first, const double *u,
-                   const double *f, const double *clipped, double *out)
+   + ((((u - clipped) + 0.0)*penalty)*w)*mu, then - rhs; on a Dirichlet row, an identity
+   row with mu = 0 and rhs = g, that is u - g.  Returns the lowest row where |out| is
+   largest, or -1 - k where row k is the lowest that is not finite.  The penalty and the
+   window offset are here because the formula still has them. */
+long residual_rows(long n, long lo, const struct terms *t, const double *u, const double *f,
+                   const double *clipped, double *out)
 {
     long peak = 0, bad = -1;
     double top = -1.0;
     for (long i = 0; i < n; i++) {
         long g = lo + i;
-        double r;
-        if (t->mask[g]) {
-            r = u[i] - t->datum[first++];
-        } else {
-            r = t->diag[g] * u[i];
-            if (i > 0)
-                r += t->lower_band[g] * u[i - 1];
-            if (i < n - 1)
-                r += t->upper_band[g] * u[i + 1];
-            r += (t->b[g] * f[i]) * t->mu[g];
-            if (t->penalty > 0.0)
-                r += ((((u[i] - clipped[i]) + 0.0) * t->penalty) * t->w[g]) * t->mu[g];
-            r -= t->h_mu[g];
-        }
+        double r = t->diag[g] * u[i];
+        if (i > 0)
+            r += t->lower_band[g] * u[i - 1];
+        if (i < n - 1)
+            r += t->upper_band[g] * u[i + 1];
+        r += (t->b[g] * f[i]) * t->mu[g];
+        if (t->penalty > 0.0)
+            r += ((((u[i] - clipped[i]) + 0.0) * t->penalty) * t->w[g]) * t->mu[g];
+        r -= t->rhs[g];
         out[i] = r;
         if (!isfinite(r)) {
             if (bad < 0)
@@ -87,22 +80,19 @@ long residual_rows(long n, long lo, const struct terms *t, long first, const dou
 /* The n values of assembly.assemble_jacobian's diagonal into out, from slope = f'(u),
    in numpy's operation order: (b*(inside ? slope : 0.0))*mu, then, when penalty > 0,
    + ((penalty*w)*mu)*violated, then + diag, with inside = lower < u < upper and
-   violated = (u < lower or u > upper) as 1.0 or 0.0; a Dirichlet row is 1.0.  Returns
-   the first row that is not finite, or -1. */
+   violated = (u < lower or u > upper) as 1.0 or 0.0; on a Dirichlet row, where mu = 0
+   and diag = 1, that is 1.0.  Returns the lowest row that is not finite, or -1. */
 long jacobian_diag(long n, const struct terms *t, const double *u, const double *slope, double *out)
 {
     long bad = -1;
     for (long g = 0; g < n; g++) {
-        double d = 1.0;
-        if (!t->mask[g]) {
-            int inside = u[g] > t->lower[g] && u[g] < t->upper[g];
-            d = (t->b[g] * (inside ? slope[g] : 0.0)) * t->mu[g];
-            if (t->penalty > 0.0) {
-                double violated = u[g] < t->lower[g] || u[g] > t->upper[g] ? 1.0 : 0.0;
-                d += ((t->penalty * t->w[g]) * t->mu[g]) * violated;
-            }
-            d += t->diag[g];
+        int inside = u[g] > t->lower[g] && u[g] < t->upper[g];
+        double d = (t->b[g] * (inside ? slope[g] : 0.0)) * t->mu[g];
+        if (t->penalty > 0.0) {
+            double violated = u[g] < t->lower[g] || u[g] > t->upper[g] ? 1.0 : 0.0;
+            d += ((t->penalty * t->w[g]) * t->mu[g]) * violated;
         }
+        d += t->diag[g];
         out[g] = d;
         if (bad < 0 && !isfinite(d))
             bad = g;

@@ -11,9 +11,11 @@ symmetric.  Reaction, penalty and source terms carry the radial volume
 weight mu_j = r_j**(N-1) * (dual cell width), so every residual entry is an
 integrated (volume-weighted) quantity.  At the center of a ball mu_0
 vanishes and row 0 degenerates to pure flux balance, which enforces the
-symmetry condition u'(0) = 0 to second order.  ``GridTerms`` holds the slab
-[lower, upper] of nodal bounds that truncates f between a sub- and a
-supersolution (Amann): f only sees u clipped to it; a missing bound is +-inf.
+symmetry condition u'(0) = 0 to second order.  A Dirichlet row u_j = g_j is
+data: an identity row of the operator, mu_j = 0 and right-hand side g_j.
+``GridTerms`` holds them and the slab [lower, upper] of nodal bounds that
+truncates f between a sub- and a supersolution (Amann): f only sees u
+clipped to it; a missing bound is +-inf.
 
 The residual and the Jacobian's diagonal are assembled row by row in C
 (``residual_rows`` and ``jacobian_diag`` in _kernels.c, loaded by
@@ -211,10 +213,9 @@ def assemble_stiffness(grid: Grid, problem: Problem, w_half: np.ndarray | None =
 class GridTerms:
     """Everything a residual and a Jacobian need besides u, built once per solve.
 
-    ``operator`` is the stiffness with every Dirichlet row replaced by an
-    identity row: the residual overwrites those rows and the Jacobian
-    needs them as identity rows, so one set of bands serves both, and a
-    Jacobian shares its off-diagonal bands with these terms.  ``nonlin``
+    A Dirichlet row is an identity row of ``operator`` (the stiffness), 0 in
+    ``mu`` and g in ``rhs`` (h * mu elsewhere); a Jacobian shares its
+    off-diagonal bands with these terms.  ``nonlin``
     is the problem's nonlinearity, evaluated only inside the slab
     [``lower``, ``upper``]; the penalty acts outside the same slab, and
     ``w_nodes`` (the weight at the nodes) is only built for a positive one.
@@ -228,10 +229,8 @@ class GridTerms:
     operator: Tridiagonal
     mu: np.ndarray
     b: np.ndarray
-    h_mu: np.ndarray
+    rhs: np.ndarray
     w_nodes: np.ndarray | None
-    mask: np.ndarray
-    datum: np.ndarray
     nonlin: object
     lower: np.ndarray
     upper: np.ndarray
@@ -291,28 +290,27 @@ def grid_terms(
         penalty = 1.0 + float(np.max(b_over_w)) * slope
     r = grid.nodes
     mu = volume_weights(grid, problem.domain.N)
+    rhs = _values(problem.h_at(r) * mu, grid.m)
     operator = assemble_stiffness(grid, problem, w_half)
-    mask = problem.dirichlet_mask(grid)
-    operator.diag[mask] = 1.0
-    operator.lower[mask] = 0.0
-    operator.upper[mask] = 0.0
+    dirichlet = problem.dirichlet_mask(grid)
+    operator.diag[dirichlet] = 1.0
+    operator.lower[dirichlet] = 0.0
+    operator.upper[dirichlet] = 0.0
+    mu[dirichlet] = 0.0
+    rhs[dirichlet] = problem.g_at(r[dirichlet])
     b = _values(problem.b_at(r), grid.m)
-    h_mu = _values(problem.h_at(r) * mu, grid.m)
     w_nodes = _values(eval_weight(problem.weight, grid.boundary_gap), grid.m) if penalty > 0.0 else None
-    datum = _values(problem.g_at(r[mask]), np.count_nonzero(mask))
     kernel = None
     if kernels.load() is not None:
-        arrays = (operator.lower, operator.diag, operator.upper, mu, b, w_nodes, h_mu, mask, datum, lower, upper)
+        arrays = (operator.lower, operator.diag, operator.upper, mu, b, w_nodes, rhs, lower, upper)
         kernel = kernels.Terms(*(None if a is None else a.ctypes.data for a in arrays), penalty)
     return GridTerms(
         grid=grid,
         operator=operator,
         mu=mu,
         b=b,
-        h_mu=h_mu,
+        rhs=rhs,
         w_nodes=w_nodes,
-        mask=mask,
-        datum=datum,
         nonlin=nonlin,
         lower=lower,
         upper=upper,
@@ -333,16 +331,17 @@ def assemble_residual(u: np.ndarray, terms: GridTerms) -> tuple[np.ndarray, floa
     """Integrated nodal residual of the (optionally penalized) problem, its
     max-norm and the first row that attains it.
 
-    Interior entry j:
+    Entry j, Dirichlet rows included:
 
         (S u)_j + b_j * f(u_j) * mu_j
             + penalty * ((u-lower)^- + (u-upper)^+)_j * w_j * mu_j
-            - h_j * mu_j
+            - rhs_j
 
-    with f, the penalty and the slab [lower, upper] those of ``terms``.
-    Dirichlet rows hold u_j - g_j.  The one-sided parts follow the sign
-    convention t^- = min(t, 0), t^+ = max(t, 0), so the penalty vanishes
-    identically inside the slab.  u holds the nodal values on ``terms.grid``.
+    with f, the penalty and the slab of ``terms`` and rhs_j = h_j * mu_j.  A
+    Dirichlet row (S's row the identity, mu_j = 0, rhs_j = g_j) gives u_j - g_j
+    while b, f and its neighbours are finite there, as in ``solve_penalized``
+    (else NaN, which raises), but may be +0.0 where u_j - g_j is -0.0.  The
+    penalty, with t^- = min(t, 0) and t^+ = max(t, 0), vanishes inside the slab.
 
     The entries come from ``residual_rows`` over every row, and so does the
     norm where the C kernel runs: the pass that writes the entries also
@@ -365,10 +364,9 @@ def residual_rows(values: np.ndarray, terms: GridTerms, lo: int = 0) -> np.ndarr
     both neighbours inside it (or beyond the ends of the grid) are exact;
     those equal ``assemble_residual``'s entries bit for bit, since every
     operation is elementwise and in the same order for any window.  The
-    line search probes 3-row windows through ``lo``.  The C kernel carries
-    the window offset and the penalty term only because the formula still
-    has them: stopping Newton on its correction, which deletes the line
-    search, and deleting the penalty each remove one branch of it.
+    line search probes 3-row windows through ``lo``; a Dirichlet row, whose
+    neighbours' coefficients are 0, is exact in any window.  Stopping Newton
+    on its correction and deleting the penalty would each remove a branch.
     """
     return _residual(values, terms, lo)[0]
 
@@ -385,7 +383,8 @@ def _residual(values: np.ndarray, terms: GridTerms, lo: int) -> tuple[np.ndarray
     only arrays this function allocated are updated in place, since f may
     return its argument.  Values go through numpy arrays, never scalars: an
     array power and a scalar power need not round alike.  The numpy code
-    below runs only where no C compiler is found.
+    below runs only where no C compiler is found; as the C kernel does, it
+    gives NaN, with no warning, where a Dirichlet row's zeros meet an inf.
     """
     values = np.ascontiguousarray(values, dtype=float)
     n = values.size
@@ -394,29 +393,28 @@ def _residual(values: np.ndarray, terms: GridTerms, lo: int) -> tuple[np.ndarray
     rows = slice(lo, lo + n)
     clipped = np.clip(values, terms.lower[rows], terms.upper[rows])
     f = terms.nonlin.value(clipped)
-    first = np.count_nonzero(terms.mask[:lo])  # datum holds the Dirichlet rows in order
     if terms.kernel is not None:
         f = _values(f, n)
         res = np.empty(n)
         peak = kernels.load().residual_rows(
-            n, lo, terms.kernel, first, values.ctypes.data, f.ctypes.data, clipped.ctypes.data, res.ctypes.data
+            n, lo, terms.kernel, values.ctypes.data, f.ctypes.data, clipped.ctypes.data, res.ctypes.data
         )
         return res, peak
     mu = terms.mu[rows]
-    res = terms.operator.matvec(values, lo)
     reaction = terms.b[rows] * f
-    reaction *= mu
+    with np.errstate(invalid="ignore"):  # 0 * inf on a Dirichlet row
+        res = terms.operator.matvec(values, lo)
+        reaction *= mu
     res += reaction
     if terms.penalty > 0.0:
         outside = values - clipped
         outside += 0.0
         outside *= terms.penalty
         outside *= terms.w_nodes[rows]
-        outside *= mu
+        with np.errstate(invalid="ignore"):  # 0 * inf on a Dirichlet row
+            outside *= mu
         res += outside
-    res -= terms.h_mu[rows]
-    mask = terms.mask[rows]
-    res[mask] = values[mask] - terms.datum[first:first + np.count_nonzero(mask)]
+    res -= terms.rhs[rows]
     finite = np.isfinite(res)
     if not np.all(finite):
         return res, -1 - int(np.argmin(finite))
@@ -428,7 +426,8 @@ def assemble_jacobian(u: np.ndarray, terms: GridTerms) -> Tridiagonal:
 
     f's slope counts strictly inside the slab only (on a bound the clamp
     wins, keeping an M-matrix for monotone f); the penalty indicator is
-    active strictly outside it.  Dirichlet rows become identity rows.
+    active strictly outside it.  A Dirichlet row is an identity row: its zero
+    mu makes the diagonal 1.0 while b and f' are finite there (else NaN).
     Only the diagonal is new, so only it is checked: the off-diagonal bands
     are those of ``terms``, whose conductances ``assemble_stiffness`` checked.
     The C kernel jacobian_diag builds the diagonal in one pass, in the
@@ -446,12 +445,12 @@ def assemble_jacobian(u: np.ndarray, terms: GridTerms) -> Tridiagonal:
     else:
         mu, lower, upper = terms.mu, terms.lower, terms.upper
         inside = (u > lower) & (u < upper)
-        diag = terms.b * np.where(inside, slope, 0.0) * mu
+        with np.errstate(invalid="ignore"):  # 0 * inf on a Dirichlet row
+            diag = terms.b * np.where(inside, slope, 0.0) * mu
         if terms.penalty > 0.0:
             violated = (u < lower) | (u > upper)
             diag += terms.penalty * terms.w_nodes * mu * violated
         diag += terms.operator.diag
-        diag[terms.mask] = 1.0
         finite = np.all(np.isfinite(diag))
     if not finite:
         raise SolverError("non-finite Jacobian entry")

@@ -399,6 +399,7 @@ def cmd_solve(cfg, out: Path, say) -> int:
             ("stop", report.stop),
             ("iters", report.iters),
             ("final_residual", report.residual_history[-1]),
+            ("last_correction", report.corrections[-1] if report.corrections else float("nan")),
             ("penalty", report.penalty),
             ("sandwich_ok", cert.ok),
             ("max_below", cert.max_below),

@@ -59,7 +59,7 @@ def load():
     lib.thomas.restype = ctypes.c_long
     lib.g17_rows.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_long) + (ctypes.c_void_p,) * 4
     lib.g17_rows.restype = ctypes.c_long
-    lib.residual_rows.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.POINTER(Terms), ctypes.c_long) + (ctypes.c_void_p,) * 4
+    lib.residual_rows.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.POINTER(Terms)) + (ctypes.c_void_p,) * 4
     lib.residual_rows.restype = ctypes.c_long
     lib.jacobian_diag.argtypes = (ctypes.c_long, ctypes.POINTER(Terms)) + (ctypes.c_void_p,) * 3
     lib.jacobian_diag.restype = ctypes.c_long
@@ -67,10 +67,10 @@ def load():
 
 
 class Terms(ctypes.Structure):
-    """_kernels.c's struct terms: the addresses of assembly.GridTerms' arrays and its penalty."""
+    """_kernels.c's struct terms: addresses of assembly.GridTerms' arrays (Dirichlet rows as data) and its penalty."""
 
     _fields_ = [
-        *((name, ctypes.c_void_p) for name in ("lower_band", "diag", "upper_band", "mu", "b", "w", "h_mu", "mask", "datum", "lower", "upper")),
+        *((name, ctypes.c_void_p) for name in ("lower_band", "diag", "upper_band", "mu", "b", "w", "rhs", "lower", "upper")),
         ("penalty", ctypes.c_double),
     ]
 

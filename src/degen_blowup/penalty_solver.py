@@ -82,6 +82,7 @@ class SolveReport:
     sandwich: SandwichReport  # of the returned field, at sandwich_tol(upper)
     residual_history: list = field(default_factory=list)
     penalty: float = 0.0
+    corrections: list = field(default_factory=list)  # _correction of each accepted step
 
 
 @dataclass
@@ -106,6 +107,17 @@ def check_sandwich(u: np.ndarray, lower: np.ndarray, upper: np.ndarray, tol: flo
         max_below=max_below,
         max_above=max_above,
     )
+
+
+def _correction(delta: np.ndarray, step: float, u: np.ndarray) -> float:
+    """max_j |step * delta_j| / max(|u_j|, 1): the nodewise size of the
+    correction step * delta applied to u.  It overwrites delta and makes one
+    temporary, since at m = 200001 each fresh array costs more than its pass."""
+    scale = np.abs(u)
+    np.maximum(scale, 1.0, out=scale)
+    delta *= step
+    delta /= scale
+    return float(np.max(np.abs(delta, out=delta)))
 
 
 def check_finite(name: str, values: np.ndarray, r: np.ndarray, *names: str) -> None:
@@ -136,7 +148,8 @@ def solve_penalized(
     assembled.  Rejecting on the probe changes nothing but the work done.
     Exhausting max_iters or that budget returns the current field with
     converged = False and stop "max-iters" or "stalled".  The report
-    carries the field's sandwich certificate.  lower, upper and an
+    carries the field's sandwich certificate and the nodewise size of each
+    accepted step's correction (``_correction``).  lower, upper and an
     initial guess are float arrays of finite values at the nodes of grid
     (grid_terms reads +-inf as no bound).
     """
@@ -151,6 +164,7 @@ def solve_penalized(
 
     res, norm, row = assemble_residual(u, terms)
     history = [norm]
+    corrections = []
     converged = norm <= opts.abs_tol
     iters = 0
     stop = "max-iters"
@@ -175,6 +189,7 @@ def solve_penalized(
             trial += u
             trial_res, trial_norm, trial_row = assemble_residual(trial, terms)
             if trial_norm < norm:
+                corrections.append(_correction(delta, step, u))  # delta's last use
                 u, norm, row, res = trial, trial_norm, trial_row, trial_res
                 accepted = True
                 break
@@ -194,6 +209,7 @@ def solve_penalized(
         sandwich=check_sandwich(u, lower, upper, sandwich_tol(upper)),
         residual_history=history,
         penalty=terms.penalty,
+        corrections=corrections,
     )
     return u, report
 

@@ -3,10 +3,13 @@
 import shutil
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degen_blowup import (
     CallableNonlinearity,
@@ -787,3 +790,107 @@ class TestAssemblyKernel:
         kernel, numpy_ = _on_both_paths(monkeypatch, errors)
         assert kernel == numpy_
         assert kernel[1].startswith("non-finite residual entry at node 3 ")
+
+
+# finite values from +-0 and subnormals up to 1e100, where the cube and its
+# slope stay finite
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, _SUBNORMAL, -_SUBNORMAL, 1e-310, -1e-310, 1e100, -1e100]),
+    st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _dirichlet_cases(draw):
+    """A problem on an interval or a ball of dimension 1 to 3, its Dirichlet
+    data, a field, a finite, partly infinite or absent slab, a penalty and
+    the windows of residual_rows that end or start on a Dirichlet row."""
+    if draw(st.booleans()):
+        domain = Domain.interval(1.0)
+    else:
+        domain = Domain.ball(1.0, draw(st.sampled_from([1, 2, 3])))
+    m = draw(st.integers(4, 12))
+    grid = build_graded_grid(R=1.0, eta=1e-2, m=m, grading=1.5)
+    left, right = draw(_FINITE), draw(_FINITE)
+    problem = Problem(
+        domain=domain,
+        weight=draw(st.sampled_from([WeightFamily.constant(), WeightFamily.power(0.5)])),
+        nonlin=PowerNonlinearity(3.0),
+        b_coef=lambda r: np.where(r < 0.5, -1e4, 1e4) * (1.0 + 0.5 * r),
+        source=lambda r: np.sin(3.0 * r),
+        boundary_value=lambda r: np.where(r < 0.5, left, right),
+    )
+    field = st.lists(_FINITE, min_size=m, max_size=m).map(np.array)
+    values = draw(field)
+    slab = draw(st.sampled_from(["finite", "partly-infinite", "absent"]))
+    bounds = (None, None)
+    if slab != "absent":
+        a, b = draw(field), draw(field)
+        lower, upper = np.minimum(a, b), np.maximum(a, b)
+        if slab == "partly-infinite":
+            lower[draw(st.lists(st.booleans(), min_size=m, max_size=m).map(np.array))] = -np.inf
+            upper[draw(st.lists(st.booleans(), min_size=m, max_size=m).map(np.array))] = np.inf
+        bounds = (lower, upper)
+    penalty = draw(st.sampled_from([0.0, 1e6]))
+    ends = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))  # windows lo .. m - 1
+    starts = draw(st.lists(st.integers(1, m), min_size=1, max_size=3))  # windows 0 .. k - 1
+    return grid, problem, values, bounds, penalty, ends, starts
+
+
+@needs_cc
+class TestDirichletRowsAreData:
+    """A Dirichlet row, an identity row with zero volume and its datum as right-hand
+    side, reads u - g in the residual and 1.0 in the Jacobian on both paths."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dirichlet_cases())
+    def test_residual_reads_u_minus_g_and_jacobian_identity_rows(self, case):
+        grid, problem, values, bounds, penalty, ends, starts = case
+        rows = np.flatnonzero(problem.dirichlet_mask(grid))
+        g = problem.g_at(grid.nodes)
+
+        def assemble():
+            terms = grid_terms(grid, problem, *bounds, penalty)
+            full = residual_rows(values, terms)
+            windows = [residual_rows(values[lo:], terms, lo)[-1] for lo in ends]
+            if problem.domain.kind == "interval":
+                windows += [residual_rows(values[:k], terms)[0] for k in starts]
+            jac = assemble_jacobian(values, terms)
+            return terms.kernel is not None, full, np.array(windows), jac.lower, jac.diag, jac.upper
+
+        with pytest.MonkeyPatch.context() as patch:
+            (kernel, *got), (numpy_, *want) = _on_both_paths(patch, assemble)
+        assert kernel and not numpy_
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        full, windows, lower, diag, upper = got
+        assert np.all(full[rows] == values[rows] - g[rows])
+        expected = [values[-1] - g[-1]] * len(ends)
+        if problem.domain.kind == "interval":
+            expected += [values[0] - g[0]] * len(starts)
+        assert np.all(windows == expected)
+        assert np.all(diag[rows] == 1.0) and np.all(lower[rows] == 0.0) and np.all(upper[rows] == 0.0)
+
+    def test_f_overflowing_at_a_dirichlet_node_raises_the_same_error(self, monkeypatch):
+        # with no slab to clip it, f(u) and f'(u) are inf at the last node:
+        # the zero volume weight there makes that row NaN, not u - g
+        grid = uniform_grid(m=11)
+        problem = interval_problem(nonlin=PowerNonlinearity(3.0))
+        u = np.full(grid.m, 0.5)
+        u[-1] = 1e200
+
+        def errors():
+            terms = grid_terms(grid, problem)
+            messages = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for call in (assemble_residual, assemble_jacobian):
+                    with np.errstate(over="ignore"), pytest.raises(SolverError) as raised:  # f's own overflow
+                        call(u, terms)
+                    messages.append(str(raised.value))
+            return messages
+
+        kernel, numpy_ = _on_both_paths(monkeypatch, errors)
+        assert kernel == numpy_
+        assert kernel[0].startswith("non-finite residual entry at node 10 ")
+        assert kernel[1] == "non-finite Jacobian entry"

@@ -131,6 +131,27 @@ def _with_key(text, key, value):
     return "\n".join([*lines, f"{key} = {value}"]) + "\n"
 
 
+@pytest.mark.parametrize(
+    "text, code, bound",
+    [
+        # m = 2001 "converges" one step early: its last step still moved u by over 1%
+        (_with_key(STALLING_SOLVE_CFG, "grid.m", 2001), 0, lambda c: c > 1e-2),
+        # the all-default solve stalls after corrections at round-off
+        ("run.command = solve\n", 2, lambda c: c < 1e-10),
+        # a solve that needs no step has no correction to report
+        (_with_key(LINEAR_CFG, "solver.tol", "1e10"), 0, math.isnan),
+    ],
+    ids=["one-step-early", "all-default", "no-step"],
+)
+def test_solve_report_gives_the_last_applied_correction(tmp_path, text, code, bound):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write(tmp_path / "solve.cfg", text)), "--out", str(out), "--quiet"]) == code
+    lines = (out / "report.txt").read_text().splitlines()
+    assert lines[3].startswith("final_residual = ")
+    key, value = lines[4].split(" = ")
+    assert key == "last_correction" and bound(float(value)), value
+
+
 VERIFY_CFG = "run.command = verify-subsuper\nverify.samples = 1001\n"
 
 

@@ -182,6 +182,39 @@ class TestSolverBehaviour:
         assert report.sandwich == expected
         assert report.sandwich.ok == (scale == 1.1)
 
+    def test_report_carries_each_applied_correction(self, monkeypatch):
+        # max_j |step * delta_j| / max(|u_j|, 1) per accepted step, u the field
+        # before it: read here from the fields the Jacobians are built at
+        fields = []
+        jacobian = penalty_solver.assemble_jacobian
+
+        def recorded(u, terms):
+            fields.append(u.copy())
+            return jacobian(u, terms)
+
+        monkeypatch.setattr(penalty_solver, "assemble_jacobian", recorded)
+        problem, u_star = oracle_exact_1d(R=1.0)
+        grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
+        lo = 0.9 * u_star(grid.nodes)
+        hi = 1.1 * u_star(grid.nodes)
+        u, report = solve_penalized(problem, grid, lo, hi, SolveOptions(abs_tol=1e-9))
+        assert report.converged and report.iters >= 2
+        assert len(report.corrections) == report.iters == len(fields)
+        fields.append(u)
+        for k, correction in enumerate(report.corrections):
+            before, after = fields[k], fields[k + 1]
+            moved = np.max(np.abs(after - before) / np.maximum(np.abs(before), 1.0))
+            assert correction == pytest.approx(moved, rel=1e-9, abs=1e-15), k
+        assert report.corrections[-1] < report.corrections[0]
+
+    def test_correction_is_the_nodewise_relative_step(self):
+        u = np.array([-3.0, -0.0, 0.25, 2.0, -1e300, 1e-310])
+        delta = np.array([1.5, -0.5, 0.75, -8.0, 3e300, 1.0])
+        for step in (1.0, 0.5, 2.0**-13):
+            expected = np.max(np.abs(step * delta) / np.maximum(np.abs(u), 1.0))
+            assert penalty_solver._correction(delta.copy(), step, u) == expected
+        assert penalty_solver._correction(np.zeros(3), 1.0, np.ones(3)) == 0.0
+
     def test_max_iters_exhaustion_returns_field(self):
         problem, u_star = oracle_exact_1d(R=1.0)
         grid = build_graded_grid(R=1.0, eta=0.1, m=200, grading=2.0)
