@@ -19,11 +19,11 @@ clipped to it; a missing bound is +-inf.
 
 The residual and the Jacobian's diagonal are assembled row by row in C
 (``residual_rows`` and ``jacobian_diag`` in _kernels.c, loaded by
-kernels.load), in numpy's operation order and without fused multiply-add,
-so they keep the bits of the numpy formulas here, which run only where no
-C compiler is found.  The clip to the slab, f and f' stay in numpy: f may
-be user code, and numpy's array power need not round as the C library's
-pow does.
+kernels.load), in numpy's operation order and without fused multiply-add.
+Only where no C compiler is found do the numpy formulas here run; they
+mirror the kernels, give their bits and errors, and do not warn.  The clip
+to the slab, f and f' stay in numpy: f may be user code, and numpy's array
+power need not round as the C library's pow does.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def grid_terms(
                 raise ParameterError("nonlinearity is not monotone nondecreasing on the slab")
         finite_bounds = [bound[np.isfinite(bound)] for bound in (lower, upper)]
         if not all(np.all(np.isfinite(nonlin.value(bound))) for bound in finite_bounds):
-            raise ParameterError("nonlinearity overflows on the slab")
+            raise ParameterError("nonlinearity overflows on the slab", "nonlin", "lower", "upper", "grid")
     if penalty is None:
         slope = max(float(np.max(np.abs(nonlin.slope(bound)), initial=0.0)) for bound in finite_bounds)
         penalty = 1.0 + float(np.max(b_over_w)) * slope
@@ -382,9 +382,7 @@ def _residual(values: np.ndarray, terms: GridTerms, lo: int) -> tuple[np.ndarray
     +0.0).  Products keep the order (b*f)*mu and ((penalty*s)*w)*mu, and
     only arrays this function allocated are updated in place, since f may
     return its argument.  Values go through numpy arrays, never scalars: an
-    array power and a scalar power need not round alike.  The numpy code
-    below runs only where no C compiler is found; as the C kernel does, it
-    gives NaN, with no warning, where a Dirichlet row's zeros meet an inf.
+    array power and a scalar power need not round alike.
     """
     values = np.ascontiguousarray(values, dtype=float)
     n = values.size
@@ -401,20 +399,19 @@ def _residual(values: np.ndarray, terms: GridTerms, lo: int) -> tuple[np.ndarray
         )
         return res, peak
     mu = terms.mu[rows]
-    reaction = terms.b[rows] * f
-    with np.errstate(invalid="ignore"):  # 0 * inf on a Dirichlet row
-        res = terms.operator.matvec(values, lo)
+    with np.errstate(all="ignore"):  # silent where the kernel is; a non-finite row raises in the caller
+        reaction = terms.b[rows] * f
         reaction *= mu
-    res += reaction
-    if terms.penalty > 0.0:
-        outside = values - clipped
-        outside += 0.0
-        outside *= terms.penalty
-        outside *= terms.w_nodes[rows]
-        with np.errstate(invalid="ignore"):  # 0 * inf on a Dirichlet row
+        res = terms.operator.matvec(values, lo)
+        res += reaction
+        if terms.penalty > 0.0:
+            outside = values - clipped
+            outside += 0.0
+            outside *= terms.penalty
+            outside *= terms.w_nodes[rows]
             outside *= mu
-        res += outside
-    res -= terms.rhs[rows]
+            res += outside
+        res -= terms.rhs[rows]
     finite = np.isfinite(res)
     if not np.all(finite):
         return res, -1 - int(np.argmin(finite))
@@ -431,8 +428,7 @@ def assemble_jacobian(u: np.ndarray, terms: GridTerms) -> Tridiagonal:
     Only the diagonal is new, so only it is checked: the off-diagonal bands
     are those of ``terms``, whose conductances ``assemble_stiffness`` checked.
     The C kernel jacobian_diag builds the diagonal in one pass, in the
-    numpy formula's operation order; f' stays in numpy, and the numpy
-    formula runs only where no C compiler is found.
+    numpy formula's operation order; f' stays in numpy.
     """
     u = np.ascontiguousarray(u, dtype=float)
     if u.shape != (terms.grid.m,):
@@ -444,13 +440,11 @@ def assemble_jacobian(u: np.ndarray, terms: GridTerms) -> Tridiagonal:
         finite = kernels.load().jacobian_diag(u.size, terms.kernel, u.ctypes.data, slope.ctypes.data, diag.ctypes.data) < 0
     else:
         mu, lower, upper = terms.mu, terms.lower, terms.upper
-        inside = (u > lower) & (u < upper)
-        with np.errstate(invalid="ignore"):  # 0 * inf on a Dirichlet row
-            diag = terms.b * np.where(inside, slope, 0.0) * mu
-        if terms.penalty > 0.0:
-            violated = (u < lower) | (u > upper)
-            diag += terms.penalty * terms.w_nodes * mu * violated
-        diag += terms.operator.diag
+        with np.errstate(all="ignore"):  # silent where the kernel is; a non-finite entry raises below
+            diag = terms.b * np.where((u > lower) & (u < upper), slope, 0.0) * mu
+            if terms.penalty > 0.0:
+                diag += terms.penalty * terms.w_nodes * mu * ((u < lower) | (u > upper))
+            diag += terms.operator.diag
         finite = np.all(np.isfinite(diag))
     if not finite:
         raise SolverError("non-finite Jacobian entry")

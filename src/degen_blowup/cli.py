@@ -35,8 +35,10 @@ problem.alpha and problem.N, grid.m and grid.grading, b2.N, b2.alpha, ...,
 exhaust.n0 and exhaust.n_max, rate.d_min and rate.d_max) names each key its
 check read, and so do envelopes past the float range on a solve grid
 (problem.p and grid.eta; in exhaust, problem.p and its schedule keys, at the
-last truncation).  Each such check runs before the first solve; exhaust
-checks its first subdomain, schedule, weight and grid after its envelopes.
+last truncation) and f past it on the slab (problem.p, problem.A and grid.eta
+or the schedule keys).  Each such check but f's runs before the first solve;
+exhaust checks its first subdomain, schedule, weight and grid after its
+envelopes.
 """
 
 from __future__ import annotations
@@ -307,17 +309,23 @@ def _value_of(cfg, key):
     """Report a ParameterError raised inside as a config error naming the
     file, the line and the key.
 
-    key is one config key, or a dict from parameter names to config keys:
-    an error then names the key of each parameter its check read, and one
-    that names none of them propagates as it is."""
+    key is one config key, or a dict from parameter names to config keys
+    (one, or a tuple of them): an error then names the keys of each parameter
+    its check read, and one that names none of them propagates as it is."""
     try:
         yield
     except ParameterError as exc:
-        keys = [key] if isinstance(key, str) else [key[n] for n in exc.names if n in key]
+        mapped = [key] if isinstance(key, str) else [key[n] for n in exc.names if n in key]
+        keys = [k for entry in mapped for k in ([entry] if isinstance(entry, str) else entry)]
         if not keys:
             raise
         raise ConfigError(", ".join(map(cfg.where, keys)) + f": {exc}") from exc
 
+
+# a solve's slab between the envelopes of problem.C and problem.A on the grid
+# up to R - grid.eta: past the float range there, the envelopes (p, eta) or f
+# at them (nonlin, upper, grid) are refused
+_SLAB_KEYS = {"p": "problem.p", "eta": "grid.eta", "nonlin": "problem.p", "upper": "problem.A", "grid": "grid.eta"}
 
 # the lower barrier's samples end this far below R, where the envelope blows up
 _SUB_SAMPLES_GAP = 1e-6
@@ -379,7 +387,7 @@ def cmd_solve(cfg, out: Path, say) -> int:
         params = _blowup_params(cfg)
         base = _blowup_problem(cfg, params)
         grid = _grid(cfg)
-        with _value_of(cfg, {"p": "problem.p", "eta": "grid.eta"}):  # envelopes past the float range on grid
+        with _value_of(cfg, _SLAB_KEYS):
             lo, hi, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
     else:
         raise ConfigError(f"{cfg.where('problem.kind')}: must be 'linear' or 'blowup'; got {kind!r}")
@@ -423,7 +431,7 @@ def cmd_rate(cfg, out: Path, say) -> int:
     grid = _grid(cfg)
     with _value_of(cfg, {"d_min": "rate.d_min", "d_max": "rate.d_max"}):
         window_mask(grid, window)  # before the solve
-    with _value_of(cfg, {"p": "problem.p", "eta": "grid.eta"}):  # envelopes past the float range on grid
+    with _value_of(cfg, _SLAB_KEYS):
         _, _, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
     fit = fit_blowup_rate(grid, u, window)
     bounds = check_epsilon_bounds(grid, u, params.K, params.beta, params.epsilon, window)
@@ -456,6 +464,7 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     if n_samples < 2:
         raise ConfigError(f"{cfg.where('verify.samples')}: must be at least 2; got {n_samples}")
     params = _blowup_params(cfg)
+    _blowup_problem(cfg, params)  # refuses the alpha that solve, rate and exhaust refuse
     sub_report, sup_report = _barriers(cfg, params, n_samples, "verify.C")
     sub, sup = sub_report.envelope, sup_report.envelope
     with _value_of(cfg, "verify.C_list"):
@@ -494,8 +503,10 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
     sub, sup = _envelopes(cfg, params)
     # the weight, each truncation's grid, the schedule n0, 2 n0, ... up to n_max,
     # its tol, and the envelopes, which must stay finite up to its last truncation
+    # and keep f finite on each truncation's slab
     keys = {"alpha": "problem.alpha", "n_dim": "problem.N", "m": "grid.m", "grading": "grid.grading"}
     keys |= {"n0": "exhaust.n0", "n": "exhaust.n0", "n_max": "exhaust.n_max", "tol": "exhaust.tol", "p": "problem.p"}
+    keys |= {"nonlin": "problem.p", "upper": "problem.A", "grid": ("exhaust.n0", "exhaust.n_max")}
     with _value_of(cfg, keys):
         run = solve_large_solution(
             params,

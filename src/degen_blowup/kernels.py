@@ -10,8 +10,8 @@ compiling, and a new build removes the ones it replaces; where that directory
 cannot be written, each process builds its own copy in a private temporary
 directory.  Only where no ``cc`` is on PATH does load() return None, and the
 callers run their Python paths (tridiag._thomas_loop, assembly's numpy
-formulas, cli._fmt) with the same results; a compiler that is there but
-fails raises.
+formulas, cli._fmt), which mirror the kernels: they give the kernels' bits
+and errors, and do not warn.  A compiler that is there but fails raises.
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ thomas_solve runs the elimination in C, kernels.load()'s thomas, in the
 loop's operation order and without fused multiply-add, so the benchmark's
 reference fields, stalled Newton iterates that move with the last bits of
 every solve, keep their bits.  Only where no ``cc`` is on PATH does
-thomas_solve run the pure-Python loop _thomas_loop, with the same operation
-order and so the same bits.
+thomas_solve run the pure-Python loop _thomas_loop, which mirrors the kernel:
+it gives its bits and its errors, and does not warn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,45 +72,21 @@ def thomas_solve(mat: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
 
 
 def _thomas_loop(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """thomas_solve in pure Python, for checked bands and rhs of one length n >= 1.
-
-    Row 0 is the general step with c = d = 0, since lower[0] is zero.  The
-    loops index memoryviews, which yield Python floats without copying the
-    bands into lists.  Row j keeps its c and d at index j + 1 behind a
-    leading 0.0, so the pivots are checked after the sweep by recomputing
-    them all at once, diag - lower * c[j-1], with the loop's two roundings;
-    a zero pivot stops the sweep early through ZeroDivisionError.
-    """
+    """thomas_solve in pure Python, for checked bands and rhs of one length n >= 1:
+    the C kernel thomas row for row, with the kernel's bits and errors and no warnings."""
     n = diag.size
-    c_shifted = np.empty(n + 1)
-    c_shifted[0] = 0.0
-    c = memoryview(c_shifted)
-    d = memoryview(np.empty(n + 1))
     out = np.empty(n)
-    x = memoryview(out)
+    x = memoryview(out)  # the eliminated upper band until the back substitution overwrites it
+    d = memoryview(np.empty(n))
     c_prev = d_prev = 0.0
-    swept = n
-    rows = zip(
-        range(1, n + 1),
-        memoryview(lower),
-        memoryview(diag),
-        memoryview(upper),
-        memoryview(rhs),
-    )
-    try:
-        for k, lo, di, up, b in rows:
-            piv = di - lo * c_prev
-            c_prev = c[k] = up / piv
-            d_prev = d[k] = (b - lo * d_prev) / piv
-    except ZeroDivisionError:
-        swept = k
-    pivots = out[:swept]  # back substitution overwrites them
-    np.multiply(lower[:swept], c_shifted[:swept], out=pivots)
-    np.subtract(diag[:swept], pivots, out=pivots)
-    if not (np.all(pivots) and np.all(np.isfinite(pivots))):
-        bad = (pivots == 0.0) | ~np.isfinite(pivots)
-        raise SolverError(f"singular pivot at row {int(np.argmax(bad))}")
+    rows = zip(range(n), memoryview(lower), memoryview(diag), memoryview(upper), memoryview(rhs))
+    for k, lo, di, up, b in rows:
+        piv = di - lo * c_prev
+        if piv == 0.0 or not math.isfinite(piv):
+            raise SolverError(f"singular pivot at row {k}")
+        c_prev = x[k] = up / piv
+        d_prev = d[k] = (b - lo * d_prev) / piv
     x_next = x[n - 1] = d_prev
-    for c_j, d_j, j in zip(c[n - 1:0:-1], d[n - 1:0:-1], range(n - 2, -1, -1)):
-        x_next = x[j] = d_j - c_j * x_next
+    for j in range(n - 2, -1, -1):
+        x_next = x[j] = d[j] - x[j] * x_next
     return out

@@ -620,9 +620,11 @@ class TestGridTerms:
         assert terms.penalty == (1.0 if side == "neither" else 4.0)
 
     def test_f_overflowing_at_a_finite_bound_is_refused(self):
+        # naming f, the bounds and the grid that reaches where they are largest
         grid = uniform_grid(m=12)
-        with np.errstate(over="ignore"), pytest.raises(ParameterError, match="nonlinearity overflows on the slab"):
+        with np.errstate(over="ignore"), pytest.raises(ParameterError, match="nonlinearity overflows on the slab") as raised:
             grid_terms(grid, interval_problem(nonlin=PowerNonlinearity(3.0)), upper=np.full(grid.m, 1e200))
+        assert raised.value.names == ("nonlin", "lower", "upper", "grid")
 
     def test_nonfinite_b_over_w_is_refused(self):
         grid = uniform_grid(m=10)
@@ -894,3 +896,96 @@ class TestDirichletRowsAreData:
         assert kernel == numpy_
         assert kernel[0].startswith("non-finite residual entry at node 10 ")
         assert kernel[1] == "non-finite Jacobian entry"
+
+
+# the values the C kernels and their Python mirrors must treat alike: signed
+# zeros, subnormals, the ends of the float range, infinities and NaN
+_INJECTED = st.sampled_from([*_EDGES.tolist(), np.nan])
+
+
+def _outcome(call, *args):
+    """call(*args)'s arrays, or the message of the SolverError it raised."""
+    try:
+        return call(*args)
+    except SolverError as exc:
+        return str(exc)
+
+
+def _same_outcome(a, b):
+    """Both raised the same message, or gave equal arrays: signs and NaN positions included."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return all(
+        np.array_equal(x, y, equal_nan=True) and np.array_equal(np.signbit(x), np.signbit(y)) for x, y in zip(a, b)
+    )
+
+
+@st.composite
+def _injected_systems(draw):
+    """Bands and an rhs of n = 1 .. 64 rows, diagonally dominant, with special values injected."""
+    n = draw(st.integers(1, 64))
+    rng, mat = _random_bands(n, draw(st.integers(0, 2**32 - 1)))
+    arrays = [mat.lower, mat.diag, mat.upper, rng.standard_normal(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        arrays[draw(st.integers(0, 3))][draw(st.integers(0, n - 1))] = draw(_INJECTED)
+    return arrays
+
+
+@st.composite
+def _overflowing_fields(draw):
+    """A problem whose b * f, flux or penalty may overflow, and a field with special values.
+
+    f(t) = k * t is user code that silences its own overflow, so that any
+    warning left comes from the assembly."""
+    domain = Domain.interval(1.0) if draw(st.booleans()) else Domain.ball(1.0, draw(st.sampled_from([1, 2, 3])))
+    m = draw(st.integers(4, 12))
+    k = draw(st.sampled_from([1.0, 1e300]))
+
+    def value(t):
+        with np.errstate(all="ignore"):
+            return k * t
+
+    problem = Problem(
+        domain=domain,
+        weight=draw(st.sampled_from([WeightFamily.constant(), WeightFamily.power(0.5)])),
+        nonlin=CallableNonlinearity(value, lambda t: np.full_like(t, k)),
+        b_coef=draw(st.sampled_from([1.0, -1e10, 1e300])),
+    )
+    grid = build_graded_grid(R=1.0, eta=1e-2, m=m, grading=1.5)
+    values = np.array(draw(st.lists(st.one_of(_INJECTED, st.floats(-1e10, 1e10)), min_size=m, max_size=m)))
+    bounds = draw(st.sampled_from([(None, None), (np.full(m, -1.0), np.full(m, 1.0))]))
+    return grid, problem, values, bounds, draw(st.sampled_from([0.0, 1e300]))
+
+
+@needs_cc
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPythonPathsMirrorTheKernels:
+    """Where no compiler is found, the Python paths give the kernels' bits and
+    errors on any input, and do not warn where the kernels are silent."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_injected_systems())
+    def test_thomas_loop_gives_the_kernels_bits_or_refuses_the_same_row(self, arrays):
+        lower, diag, upper, rhs = arrays
+        kernel = _outcome(lambda: (thomas_solve(Tridiagonal(lower, diag, upper), rhs),))
+        loop = _outcome(lambda: (tridiag._thomas_loop(lower, diag, upper, rhs),))
+        assert _same_outcome(kernel, loop), (kernel, loop)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_overflowing_fields())
+    def test_assembly_gives_the_kernels_bits_or_raises_the_same_error(self, case):
+        grid, problem, values, bounds, penalty = case
+
+        def assemble():
+            terms = grid_terms(grid, problem, *bounds, penalty)
+            outcomes = (
+                _outcome(lambda: assemble_residual(values, terms)),
+                _outcome(lambda: (assemble_jacobian(values, terms).diag,)),
+            )
+            return terms.kernel is not None, outcomes
+
+        with pytest.MonkeyPatch.context() as patch:
+            (kernel, got), (numpy_, want) = _on_both_paths(patch, assemble)
+        assert kernel and not numpy_
+        for a, b in zip(got, want):
+            assert _same_outcome(a, b), (a, b)

@@ -421,10 +421,28 @@ def test_misordered_slab_is_config_error(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "command, body, code, err",
     [
-        ("solve", "problem.A = 1e300", 1, "config error: nonlinearity overflows on the slab\n"),
-        ("solve", "problem.A = 2\nproblem.p = 1e6", 1, "config error: nonlinearity overflows on the slab\n"),
+        (
+            "solve",
+            "problem.A = 1e300",
+            1,
+            "config error: run.cfg: key 'problem.p' (default), run.cfg:2: key 'problem.A', "
+            "run.cfg: key 'grid.eta' (default): nonlinearity overflows on the slab\n",
+        ),
+        (
+            "solve",
+            "problem.A = 2\nproblem.p = 1e6",
+            1,
+            "config error: run.cfg:3: key 'problem.p', run.cfg:2: key 'problem.A', "
+            "run.cfg: key 'grid.eta' (default): nonlinearity overflows on the slab\n",
+        ),
         # find_min_A's margins overflow to +inf, a passing verdict, before the slab's refusal
-        ("solve", "problem.p = 1e6", 1, "config error: nonlinearity overflows on the slab\n"),
+        (
+            "solve",
+            "problem.p = 1e6",
+            1,
+            "config error: run.cfg:2: key 'problem.p', run.cfg: key 'problem.A' (default), "
+            "run.cfg: key 'grid.eta' (default): nonlinearity overflows on the slab\n",
+        ),
         # the upper barrier's margins overflow to +inf: it holds, and nothing is refused
         ("verify-subsuper", "problem.A = 1e300", 0, ""),
     ],
@@ -876,11 +894,11 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
                 "run.cfg:4: key 'problem.alpha', run.cfg:3: key 'problem.N': "
                 "power-type profile needs alpha < N-1 = 1; got alpha=1.5",
             )
-            for command in ("solve", "rate", "exhaust")
+            for command in ("solve", "rate", "exhaust", "verify-subsuper")
         ),
         *(
             (command, "problem.alpha = -1.5", "run.cfg:3: key 'problem.alpha': power-type profile needs alpha > -1")
-            for command in ("solve", "rate", "exhaust")
+            for command in ("solve", "rate", "exhaust", "verify-subsuper")
         ),
         # the lower envelope reaches about 1e400 at r = R - eta; A = 1e250 is an upper barrier there
         *(
@@ -910,15 +928,30 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
             "run.cfg:3: key 'problem.p', run.cfg:5: key 'exhaust.n0', run.cfg:6: key 'exhaust.n_max': "
             "lower bound is not finite at r = 0.96875: inf",
         ),
+        # f of the upper envelope overflows on the slab, at its first solve
+        (
+            "rate",
+            "problem.p = 9\nproblem.A = 1e50",
+            "run.cfg:3: key 'problem.p', run.cfg:4: key 'problem.A', run.cfg: key 'grid.eta' (default): "
+            "nonlinearity overflows on the slab",
+        ),
+        (
+            "exhaust",
+            "problem.A = 1e120",
+            "run.cfg: key 'problem.p' (default), run.cfg:3: key 'problem.A', run.cfg: key 'exhaust.n0' (default), "
+            "run.cfg: key 'exhaust.n_max' (default): nonlinearity overflows on the slab",
+        ),
     ],
     ids=[
         "epsilon", "R", "N", "p", "gamma-alpha", "a", "solve-a-dip", "rate-a-dip", "exhaust-a-dip",
         "verify-a-dip", "m", "exhaust-m", "eta-R", "grading",
         "linear-R", "b2-N", "b2-alpha", "b2-family", "n_max", "n_max-derived-n0", "window-order",
         "window-empty", "grid-collision", "exhaust-grid-collision",
-        "solve-alpha-N", "rate-alpha-N", "exhaust-alpha-N", "solve-alpha", "rate-alpha", "exhaust-alpha",
+        "solve-alpha-N", "rate-alpha-N", "exhaust-alpha-N", "verify-alpha-N",
+        "solve-alpha", "rate-alpha", "exhaust-alpha", "verify-alpha",
         "solve-envelope-overflow", "rate-envelope-overflow", "solve-envelope-overflow-eta",
-        "exhaust-envelope-overflow", "exhaust-envelope-overflow-schedule",
+        "exhaust-envelope-overflow", "exhaust-envelope-overflow-schedule", "rate-slab-overflow",
+        "exhaust-slab-overflow",
     ],
 )
 def test_refused_range_names_file_line_and_keys(tmp_path, monkeypatch, capsys, command, body, message):

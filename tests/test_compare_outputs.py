@@ -1,9 +1,10 @@
 """tools/compare_outputs.py finds no difference between a checkout and itself,
-and names the one output file that a changed source tree writes differently;
-the C kernels and their Python twins give the same outputs on every tiny
-workload command."""
+with or without a C compiler on PATH, and names the one output file that a
+changed source tree writes differently; the C kernels and their Python twins
+give the same outputs on every tiny workload command."""
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -18,9 +19,9 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_outputs.py"
 
 
-def _compare(parent, change):
+def _compare(parent, change, env=None):
     args = [sys.executable, str(TOOL), str(parent), str(change), "--tiny"]
-    return subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    return subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def test_tiny_comparison_finds_exactly_the_changed_output(tmp_path):
@@ -30,12 +31,17 @@ def test_tiny_comparison_finds_exactly_the_changed_output(tmp_path):
     changed = text.replace('("iters", report.iters)', '("iters", report.iters + 1)')
     assert changed != text
     cli.write_text(changed, encoding="utf-8")
-    # both comparisons at once: each runs five commands per tree
+    # three comparisons at once, each of five commands per tree; the third is the
+    # documented one with no cc on PATH, which runs the Python paths, the tool's
+    # children started by its absolute sys.executable
     same, moved = _compare(ROOT, ROOT), _compare(ROOT, tmp_path)
+    bare = _compare(ROOT, ROOT, {**os.environ, "PATH": ""})
     (out, err), (moved_out, moved_err) = same.communicate(timeout=120), moved.communicate(timeout=120)
+    bare_out, bare_err = bare.communicate(timeout=120)
 
-    assert same.returncode == 0, out + err
-    assert out.splitlines() == ["compare_outputs: 5 commands, 0 with differences"]
+    for proc, text in ((same, out + err), (bare, bare_out + bare_err)):
+        assert proc.returncode == 0, text
+        assert text.splitlines() == ["compare_outputs: 5 commands, 0 with differences"]
     assert moved.returncode == 1, moved_out + moved_err
     lines = [line.strip() for line in moved_out.splitlines()]
     assert [line for line in lines if line.startswith(("DIFF", "---"))] == ["DIFF solve-fine/tiny/solve", "--- PARENT/report.txt"]
