@@ -24,27 +24,18 @@ writes its rows and lines in entry order: its quadratures are numpy
 ufuncs on large arrays, which run without the lock.
 
 solve, rate and exhaust verify their barriers as verify-subsuper does
-(_barriers) and refuse them unless both hold at 4097 samples.  A value of one
-key that a command refuses while it runs (problem.kind, problem.A, problem.C,
-verify.C, an entry of verify.C_list, verify.samples, exhaust.n0, exhaust.tol,
-b2.margin, b2.quad_nodes, solver.tol, solver.max_iters) is a config error
-naming the file, the line and the key, like the errors of the config module.
-A refused range of the problem, its weight, the grid, a b2 weight, the
-exhaust schedule or the rate window (problem.p, ..., problem.a and problem.R,
-problem.alpha and problem.N, grid.m and grid.grading, b2.N, b2.alpha, ...,
-exhaust.n0 and exhaust.n_max, rate.d_min and rate.d_max) names each key its
-check read, and so do envelopes past the float range on a solve grid
-(problem.p and grid.eta; in exhaust, problem.p and its schedule keys, at the
-last truncation) and f past it on the slab (problem.p, problem.A and grid.eta
-or the schedule keys).  Each such check but f's runs before the first solve;
-exhaust checks its first subdomain, schedule, weight and grid after its
-envelopes.
+(_barriers) and refuse them unless both hold at 4097 samples.  A value that a
+command refuses while it runs is a config error naming the file, the line and
+each key the refusing check read, like the errors of the config module: each
+row of SCHEMAS carries the names of the library parameters its key sets, and
+_dispatch looks up there the names a ParameterError lists (_value_of).
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -115,32 +106,36 @@ _HANDLED = tuple(t for types, _, _ in _EXIT_TABLE for t in types)
 # config schemas
 # ---------------------------------------------------------------------------
 
+# Each row is (kind, default, *names): the names of the library parameters
+# that its key sets, by which _value_of locates a refusal.
+
 _RUN_KEYS = {
     "run.command": ("str", None),
 }
 
-# the blow-up problem's data; solve alone also takes problem.kind
+# the blow-up problem's data; solve alone also takes problem.kind.  p also
+# sets f (nonlin), A the slab's upper envelope and C the lower one (sub)
 _PROBLEM_KEYS = {
-    "problem.p": ("float", 3.0),
-    "problem.alpha": ("float", 0.0),
-    "problem.gamma": ("float", 0.0),
-    "problem.N": ("int", 3),
-    "problem.R": ("float", 1.0),
-    "problem.a": ("coefficient", (1.0,)),
-    "problem.epsilon": ("float", 0.1),
-    "problem.A": ("float-or-auto", None),
-    "problem.C": ("float", -1.0),
+    "problem.p": ("float", 3.0, "p", "nonlin"),
+    "problem.alpha": ("float", 0.0, "alpha"),
+    "problem.gamma": ("float", 0.0, "gamma"),
+    "problem.N": ("int", 3, "N", "n_dim"),
+    "problem.R": ("float", 1.0, "R"),
+    "problem.a": ("coefficient", (1.0,), "a_coef"),
+    "problem.epsilon": ("float", 0.1, "epsilon"),
+    "problem.A": ("float-or-auto", None, "A", "upper"),
+    "problem.C": ("float", -1.0, "C", "sub"),
 }
 
 _GRID_KEYS = {
-    "grid.m": ("int", 2001),
-    "grid.eta": ("float", 1e-4),
-    "grid.grading": ("float", 2.0),
+    "grid.m": ("int", 2001, "m"),
+    "grid.eta": ("float", 1e-4, "eta", "grid"),  # the slab's grid ends at R - eta
+    "grid.grading": ("float", 2.0, "grading"),
 }
 
 _SOLVER_KEYS = {
-    "solver.tol": ("float", 1e-7),
-    "solver.max_iters": ("int", 60),
+    "solver.tol": ("float", 1e-7, "abs_tol"),
+    "solver.max_iters": ("int", 60, "max_iters"),
 }
 
 
@@ -156,14 +151,15 @@ SCHEMAS = {
         **_PROBLEM_KEYS,
         **_GRID_KEYS,
         **_SOLVER_KEYS,
-        "rate.d_min": ("float", 1e-3),
-        "rate.d_max": ("float", 1e-2),
+        "rate.d_min": ("float", 1e-3, "d_min"),
+        "rate.d_max": ("float", 1e-2, "d_max"),
     },
     "verify-subsuper": {
         **_RUN_KEYS,
         **_without(_PROBLEM_KEYS, "problem.C"),  # the sub-solution's C is verify.C
         "verify.samples": ("int", 10001),
-        "verify.C": ("float", -1.0),
+        "verify.C": ("float", -1.0, "C", "sub"),
+        # its entries are shifts too: cmd_verify_subsuper maps their C to it
         "verify.C_list": ("float-list", (-8.0, -4.0, -2.0, -1.0, -0.5, -0.1)),
     },
     "exhaust": {
@@ -171,20 +167,20 @@ SCHEMAS = {
         **_PROBLEM_KEYS,
         **_without(_GRID_KEYS, "grid.eta"),  # each truncation sets its own eta
         **_SOLVER_KEYS,
-        "exhaust.n0": ("int", 0),  # 0 = derive from the radius
-        "exhaust.n_max": ("int", 64),
-        "exhaust.tol": ("float", 1e-6),
+        "exhaust.n0": ("int", 0, "n0", "n", "grid"),  # 0 = derive from the radius
+        "exhaust.n_max": ("int", 64, "n_max", "grid"),
+        "exhaust.tol": ("float", 1e-6, "tol"),
     },
     "b2": {
         **_RUN_KEYS,
-        "b2.N": ("int", 3),
-        "b2.R": ("float", 1.0),
-        "b2.margin": ("float", 0.1),
-        "b2.quad_nodes": ("int", 256),
-        "b2.family": ("str", "catalogue"),
-        "b2.alpha": ("float", 0.0),
-        "b2.beta_log": ("float", 1.0),
-        "b2.a_exp": ("float", -1.0),
+        "b2.N": ("int", 3, "N", "n_dim"),
+        "b2.R": ("float", 1.0, "R"),
+        "b2.margin": ("float", 0.1, "margin"),
+        "b2.quad_nodes": ("int", 256, "quad_nodes"),
+        "b2.family": ("str", "catalogue", "tag"),
+        "b2.alpha": ("float", 0.0, "alpha"),
+        "b2.beta_log": ("float", 1.0, "beta_log"),
+        "b2.a_exp": ("float", -1.0, "a_exp"),
     },
     "sweep": {
         **_RUN_KEYS,
@@ -274,58 +270,39 @@ def _write_report(path: Path, items: list[tuple[str, object]]) -> None:
 # ---------------------------------------------------------------------------
 
 def _blowup_params(cfg) -> BlowupParams:
-    keys = {
-        "p": "problem.p",
-        "alpha": "problem.alpha",
-        "gamma": "problem.gamma",
-        "N": "problem.N",
-        "R": "problem.R",
-        "a_coef": "problem.a",
-        "epsilon": "problem.epsilon",
-    }
-    with _value_of(cfg, keys):
-        return BlowupParams(**{name: cfg[key] for name, key in keys.items()})
-
-
-def _blowup_problem(cfg, params: BlowupParams) -> Problem:
-    # the weight (R - r)**alpha needs -1 < alpha < N - 1
-    with _value_of(cfg, {"alpha": "problem.alpha", "n_dim": "problem.N"}):
-        return radial_blowup_problem(params)
+    return BlowupParams(
+        p=cfg["problem.p"],
+        alpha=cfg["problem.alpha"],
+        gamma=cfg["problem.gamma"],
+        N=cfg["problem.N"],
+        R=cfg["problem.R"],
+        a_coef=cfg["problem.a"],
+        epsilon=cfg["problem.epsilon"],
+    )
 
 
 def _grid(cfg):
-    keys = {"R": "problem.R", "eta": "grid.eta", "m": "grid.m", "grading": "grid.grading"}
-    with _value_of(cfg, keys):
-        return build_graded_grid(**{name: cfg[key] for name, key in keys.items()})
+    return build_graded_grid(R=cfg["problem.R"], eta=cfg["grid.eta"], m=cfg["grid.m"], grading=cfg["grid.grading"])
 
 
 def _solve_options(cfg) -> SolveOptions:
-    with _value_of(cfg, {"abs_tol": "solver.tol", "max_iters": "solver.max_iters"}):
-        return SolveOptions(abs_tol=cfg["solver.tol"], max_iters=cfg["solver.max_iters"])
+    return SolveOptions(abs_tol=cfg["solver.tol"], max_iters=cfg["solver.max_iters"])
 
 
 @contextmanager
-def _value_of(cfg, key):
+def _value_of(cfg, schema):
     """Report a ParameterError raised inside as a config error naming the
-    file, the line and the key.
-
-    key is one config key, or a dict from parameter names to config keys
-    (one, or a tuple of them): an error then names the keys of each parameter
-    its check read, and one that names none of them propagates as it is."""
+    file, the line and the key of each parameter its check read: for each of
+    its names in turn, every key of schema whose row carries that name, in
+    schema order.  One that names no such parameter propagates as it is."""
     try:
         yield
     except ParameterError as exc:
-        mapped = [key] if isinstance(key, str) else [key[n] for n in exc.names if n in key]
-        keys = [k for entry in mapped for k in ([entry] if isinstance(entry, str) else entry)]
+        keys = [key for name in exc.names for key, (_, _, *names) in schema.items() if name in names]
         if not keys:
             raise
         raise ConfigError(", ".join(map(cfg.where, keys)) + f": {exc}") from exc
 
-
-# a solve's slab between the envelopes of problem.C and problem.A on the grid
-# up to R - grid.eta: past the float range there, the envelopes (p, eta) or f
-# at them (nonlin, upper, grid) are refused
-_SLAB_KEYS = {"p": "problem.p", "eta": "grid.eta", "nonlin": "problem.p", "upper": "problem.A", "grid": "grid.eta"}
 
 # the lower barrier's samples end this far below R, where the envelope blows up
 _SUB_SAMPLES_GAP = 1e-6
@@ -334,16 +311,14 @@ _SUB_SAMPLES_GAP = 1e-6
 def _barriers(cfg, params: BlowupParams, samples: int, c_key: str):
     """The reports of the lower barrier of c_key's shift and the upper one of
     problem.A (find_min_A's when auto), each verified as built at samples points."""
-    with _value_of(cfg, c_key):
-        # a shift deep enough puts the activation radius past the last sample
-        sub = build_subsolution(params, cfg[c_key])
-        sub_samples = np.linspace(sub.activation_radius, params.R - _SUB_SAMPLES_GAP, samples)
-        sub_report = verify_sub_inequality(params, sub, sub_samples)
+    sub = build_subsolution(params, cfg[c_key])
+    # a shift deep enough puts the activation radius past the last sample
+    sub_samples = np.linspace(sub.activation_radius, params.R - _SUB_SAMPLES_GAP, samples)
+    sub_report = verify_sub_inequality(params, sub, sub_samples)
     sup_samples = np.linspace(0.0, params.R, samples)
     if cfg["problem.A"] is None:
         return sub_report, find_min_A(params, sup_samples)
-    with _value_of(cfg, "problem.A"):
-        sup = build_supersolution(params, cfg["problem.A"])
+    sup = build_supersolution(params, cfg["problem.A"])
     return sub_report, verify_super_inequality(params, sup, sup_samples)
 
 
@@ -377,18 +352,16 @@ def _linear_test_problem(R: float) -> Problem:
 def cmd_solve(cfg, out: Path, say) -> int:
     kind = cfg["problem.kind"]
     if kind == "linear":
-        with _value_of(cfg, "problem.R"):
-            problem = _linear_test_problem(cfg["problem.R"])
+        problem = _linear_test_problem(cfg["problem.R"])
         grid = _grid(cfg)
         lo = np.zeros(grid.m)
         hi = np.ones(grid.m)
         u, report = solve_penalized(problem, grid, lo, hi, _solve_options(cfg))
     elif kind == "blowup":
         params = _blowup_params(cfg)
-        base = _blowup_problem(cfg, params)
+        base = radial_blowup_problem(params)
         grid = _grid(cfg)
-        with _value_of(cfg, _SLAB_KEYS):
-            lo, hi, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
+        lo, hi, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
     else:
         raise ConfigError(f"{cfg.where('problem.kind')}: must be 'linear' or 'blowup'; got {kind!r}")
 
@@ -427,12 +400,10 @@ def cmd_solve(cfg, out: Path, say) -> int:
 def cmd_rate(cfg, out: Path, say) -> int:
     window = (cfg["rate.d_min"], cfg["rate.d_max"])
     params = _blowup_params(cfg)
-    base = _blowup_problem(cfg, params)
+    base = radial_blowup_problem(params)
     grid = _grid(cfg)
-    with _value_of(cfg, {"d_min": "rate.d_min", "d_max": "rate.d_max"}):
-        window_mask(grid, window)  # before the solve
-    with _value_of(cfg, _SLAB_KEYS):
-        _, _, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
+    window_mask(grid, window)  # before the solve
+    _, _, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
     fit = fit_blowup_rate(grid, u, window)
     bounds = check_epsilon_bounds(grid, u, params.K, params.beta, params.epsilon, window)
 
@@ -464,11 +435,11 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     if n_samples < 2:
         raise ConfigError(f"{cfg.where('verify.samples')}: must be at least 2; got {n_samples}")
     params = _blowup_params(cfg)
-    _blowup_problem(cfg, params)  # refuses the alpha that solve, rate and exhaust refuse
+    radial_blowup_problem(params)  # refuses the alpha that solve, rate and exhaust refuse
     sub_report, sup_report = _barriers(cfg, params, n_samples, "verify.C")
     sub, sup = sub_report.envelope, sup_report.envelope
-    with _value_of(cfg, "verify.C_list"):
-        # verify.C is bisected once, also when the list repeats it
+    # the entries are shifts like verify.C, which is bisected once, also when the list repeats it
+    with _value_of(cfg, {"verify.C_list": ("float-list", None, "C")}):
         c_table = [(c, sub if c == sub.shift else build_subsolution(params, c)) for c in cfg["verify.C_list"]]
 
     A_key = "min_A" if cfg["problem.A"] is None else "A"
@@ -501,25 +472,18 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
     params = _blowup_params(cfg)
     n0 = cfg["exhaust.n0"] or first_nested_index(params.R)  # a derived n0's subdomain holds [0, R/2]
     sub, sup = _envelopes(cfg, params)
-    # the weight, each truncation's grid, the schedule n0, 2 n0, ... up to n_max,
-    # its tol, and the envelopes, which must stay finite up to its last truncation
-    # and keep f finite on each truncation's slab
-    keys = {"alpha": "problem.alpha", "n_dim": "problem.N", "m": "grid.m", "grading": "grid.grading"}
-    keys |= {"n0": "exhaust.n0", "n": "exhaust.n0", "n_max": "exhaust.n_max", "tol": "exhaust.tol", "p": "problem.p"}
-    keys |= {"nonlin": "problem.p", "upper": "problem.A", "grid": ("exhaust.n0", "exhaust.n_max")}
-    with _value_of(cfg, keys):
-        run = solve_large_solution(
-            params,
-            sub,
-            sup,
-            n0=n0,
-            n_max=cfg["exhaust.n_max"],
-            compact_radius=params.R / 2,
-            tol=cfg["exhaust.tol"],
-            m=cfg["grid.m"],
-            grading=cfg["grid.grading"],
-            opts=_solve_options(cfg),
-        )
+    run = solve_large_solution(
+        params,
+        sub,
+        sup,
+        n0=n0,
+        n_max=cfg["exhaust.n_max"],
+        compact_radius=params.R / 2,
+        tol=cfg["exhaust.tol"],
+        m=cfg["grid.m"],
+        grading=cfg["grid.grading"],
+        opts=_solve_options(cfg),
+    )
 
     out.mkdir(parents=True, exist_ok=True)
     # row i > 0 holds the change from solve i-1 to solve i, nan where none was taken
@@ -585,8 +549,7 @@ def cmd_b2(cfg, out: Path, say) -> int:
 
     n_dim = cfg["b2.N"]
     R = cfg["b2.R"]
-    with _value_of(cfg, {"R": "b2.R", "N": "b2.N"}):
-        domain = Domain.ball(R, n_dim)
+    domain = Domain.ball(R, n_dim)
     margin = cfg["b2.margin"]
     quad = cfg["b2.quad_nodes"]
 
@@ -597,16 +560,12 @@ def cmd_b2(cfg, out: Path, say) -> int:
         entries.append((f"interior-vanishing(|x-{R / 2:g}|)", InteriorVanishingWeight(R / 2), Domain.interval(R)))
     else:
         # each tag reads only its own parameters; an unknown tag raises ParameterError
-        keys = {"tag": "b2.family", "alpha": "b2.alpha", "beta_log": "b2.beta_log", "a_exp": "b2.a_exp", "n_dim": "b2.N"}
-        with _value_of(cfg, keys):
-            family = WeightFamily(mode, alpha=cfg["b2.alpha"], beta_log=cfg["b2.beta_log"], a_exp=cfg["b2.a_exp"])
-            family.validate_for_dimension(n_dim)
+        family = WeightFamily(mode, alpha=cfg["b2.alpha"], beta_log=cfg["b2.beta_log"], a_exp=cfg["b2.a_exp"])
+        family.validate_for_dimension(n_dim)
         entries.append((mode, family, domain))
-    with _value_of(cfg, "b2.margin"):
-        for _, _, dom in entries:  # before any quadrature or work array
-            check_b2_margin(dom, margin)
-    with _value_of(cfg, "b2.quad_nodes"):
-        check_quad_nodes(quad)
+    for _, _, dom in entries:  # before any quadrature or work array
+        check_b2_margin(dom, margin)
+    check_quad_nodes(quad)
 
     # one i + 0.5 table for the run, one values array and block per thread;
     # check_a2's largest grid, 8 * quad cells, is the largest either check builds
@@ -722,21 +681,26 @@ def _exit_row(exc: Exception) -> tuple[int, str]:
 
 
 def _dispatch(command: str, config_path: Path, out: Path, say) -> int:
-    """Run one command on config_path resolved against its schema; say(line)
-    takes each progress line.  A run.command naming another command is refused
-    before the other keys are resolved, so the mismatch is what is reported,
-    not the first key that command lacks."""
+    """Run one command on config_path resolved against its schema, which also
+    locates the command's refusals; say(line) takes each progress line.  A
+    run.command naming another command is refused before the other keys are
+    resolved, so that mismatch is reported, not the first key it lacks."""
     raw = parse_config_file(config_path)
     declared, _ = raw.get("run.command", (command, None))
     if declared != command:
         raise ConfigError(
             f"{config_path}: run.command = {declared!r} does not match the invoked command {command!r}"
         )
-    cfg = resolve(raw, SCHEMAS[command], source=str(config_path))
-    return _HANDLERS[command](cfg, out, say)
+    schema = SCHEMAS[command]
+    cfg = resolve(raw, schema, source=str(config_path))
+    with _value_of(cfg, schema):
+        return _HANDLERS[command](cfg, out, say)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built at main's first call: building it
+    loads locale, which importing this module does not."""
     parser = argparse.ArgumentParser(
         prog="degen-blowup",
         description=(
@@ -746,14 +710,15 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SCHEMAS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, type=Path, help="path to the run config")
-        p.add_argument("--out", default=Path("."), type=Path, help="output directory")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+    parser.add_argument("command", choices=SCHEMAS)
+    parser.add_argument("--config", required=True, type=Path, help="path to the run config")
+    parser.add_argument("--out", default=Path("."), type=Path, help="output directory")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args.command, args.config, args.out, (lambda line: None) if args.quiet else print)
     except _HANDLED as exc:

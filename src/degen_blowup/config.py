@@ -96,15 +96,15 @@ class Config(dict):
 
 def resolve(
     raw: dict[str, tuple[str, int]],
-    schema: dict[str, tuple[str, object]],
+    schema: dict[str, tuple],
     source: str = "<config>",
 ) -> Config:
-    """Apply a {key: (type, default)} schema; unknown keys are rejected."""
+    """Apply a {key: (kind, default, *names)} schema, ignoring names; unknown keys are rejected."""
     for key, (_, lineno) in raw.items():
         if key not in schema:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} for this command")
     resolved: dict[str, object] = {}
-    for key, (kind, default) in schema.items():
+    for key, (kind, default, *_) in schema.items():
         if key in raw:
             value, lineno = raw[key]
             resolved[key] = _convert(key, value, lineno, kind, source)

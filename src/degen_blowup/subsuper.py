@@ -168,7 +168,7 @@ class Envelope:
 def build_supersolution(params: BlowupParams, A: float) -> Envelope:
     """Upper envelope with amplitude factor 1 + eps and vertical shift A > 0."""
     if A <= 0.0:
-        raise ParameterError(f"shift A must be positive; got A={A}")
+        raise ParameterError(f"shift A must be positive; got A={A}", "A")
     B = _envelope_amplitude(params, 1.0 + params.epsilon)
     return Envelope(shift=float(A), B=B, beta=params.beta, R=params.R)
 
@@ -183,7 +183,7 @@ def build_subsolution(params: BlowupParams, C: float) -> Envelope:
     to 0, as C -> -inf it approaches R.
     """
     if C >= 0.0:
-        raise ParameterError(f"shift C must be negative; got C={C}")
+        raise ParameterError(f"shift C must be negative; got C={C}", "C")
     B = _envelope_amplitude(params, 1.0 - params.epsilon)
     beta, R = params.beta, params.R
 
@@ -196,7 +196,7 @@ def build_subsolution(params: BlowupParams, C: float) -> Envelope:
     lo, hi = 0.0, R * (1.0 - 1e-13)
     if profile(hi) <= 0.0:
         raise ParameterError(
-            f"activation radius not bracketed below r = {hi}: |C| = {abs(C)} too large"
+            f"activation radius not bracketed below r = {hi}: |C| = {abs(C)} too large", "C"
         )
     c_bar = 0.5 * (lo + hi)
     while lo < c_bar < hi:
@@ -317,9 +317,9 @@ def verify_sub_inequality(params: BlowupParams, sub: Envelope, samples: np.ndarr
     """
     samples = np.asarray(samples, dtype=float)
     if np.any(samples < sub.activation_radius - 1e-9):
-        raise ParameterError("samples must lie at or beyond the activation radius")
+        raise ParameterError("samples must lie at or beyond the activation radius", "sub")
     if np.any(samples >= params.R):
-        raise ParameterError("samples must stay strictly below R")
+        raise ParameterError("samples must stay strictly below R", "sub")
 
     def full_margins(r):
         return _barrier_lhs(params, sub.B, r) - _barrier_rhs(params, sub.shift, sub.B, r)

@@ -293,18 +293,18 @@ def _midpoint(f, a: float, b: float, n: int, half: np.ndarray, out: np.ndarray) 
 def check_b2_margin(domain: Domain, margin: float) -> None:
     """Refuse a margin that leaves ``check_b2`` no compact subset {d >= margin} of the domain."""
     if not 0.0 < margin < domain.R:
-        raise ParameterError(f"margin must lie in (0, R); got margin={margin}, R={domain.R}")
+        raise ParameterError(f"margin must lie in (0, R); got margin={margin}, R={domain.R}", "margin")
     if domain.kind == "interval" and not margin < domain.R / 2.0:
         # the subset (margin, R - margin) is empty or reversed from R/2 on
         raise ParameterError(
-            f"on an interval the margin must lie in (0, R/2); got margin={margin}, R/2={domain.R / 2.0}"
+            f"on an interval the margin must lie in (0, R/2); got margin={margin}, R/2={domain.R / 2.0}", "margin"
         )
 
 
 def check_quad_nodes(quad_nodes: int) -> None:
     """Refuse a coarsest grid of fewer than 16 cells, for either check."""
     if quad_nodes < 16:
-        raise ParameterError(f"quad_nodes must be at least 16; got {quad_nodes}")
+        raise ParameterError(f"quad_nodes must be at least 16; got {quad_nodes}", "quad_nodes")
 
 
 def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256, work: QuadWork | None = None) -> B2Report:

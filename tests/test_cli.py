@@ -1455,7 +1455,7 @@ def test_solve_memory_holds_no_per_residual_rebuilds(monkeypatch):
     monkeypatch.setattr(exhaustion, "solve_penalized", traced)
     cfg = resolve(parse_config_text(SOLVE_FINE_CFG), cli.SCHEMAS["solve"])
     params = cli._blowup_params(cfg)
-    base = cli._blowup_problem(cfg, params)
+    base = assembly.radial_blowup_problem(params)
     exhaustion.solve_in_slab(base, cli._grid(cfg), *cli._envelopes(cfg, params), cli._solve_options(cfg))
     assert len(peaks) == 1
     assert peaks[0] < 28.2e6, f"traced peak {peaks[0] / 1e6:.1f} MB"

@@ -1,7 +1,8 @@
 """The package's imports: every module uses each name it imports, the CLI
 leaves each pool to the one command or table that uses it, exception types live in
-errors alone, grids alone constructs a Grid, and the CLI verifies
-barriers in one function."""
+errors alone, grids alone constructs a Grid, the CLI verifies
+barriers in one function, and its schema rows carry each parameter name a
+refusal raises."""
 
 import ast
 import importlib
@@ -97,6 +98,32 @@ def test_only_barriers_verifies_a_barrier():
         **{name: {"_barriers"} for name in once},
         "build_subsolution": {"_barriers", "cmd_verify_subsuper"},
     }
+
+
+# the call whose arguments from this index on are parameter names: a
+# ParameterError's own, or those check_finite and _bound_values pass on to one
+_NAMES_FROM = {"ParameterError": 1, "check_finite": 3, "_bound_values": 3}
+
+
+def test_schema_rows_carry_exactly_the_raised_names():
+    # a refusal names its config keys through the rows that carry its
+    # parameter names, so a name no row carries reaches the user unlocated.
+    # The slab's overflow also names lower, which no row carries: f is
+    # monotone and lower <= upper, so f overflows at the upper envelope
+    # whenever it does at the lower one, and the refusal blames problem.p,
+    # problem.A and the grid's keys (test_overflowing_slab_prints_only_its_refusal).
+    from degen_blowup.cli import SCHEMAS
+
+    raised = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                first = _NAMES_FROM.get(getattr(node.func, "id", getattr(node.func, "attr", None)))
+                if first is not None:
+                    raised |= {arg.value for arg in node.args[first:] if isinstance(arg, ast.Constant)}
+    carried = {name for schema in SCHEMAS.values() for _, _, *names in schema.values() for name in names}
+    assert raised - carried == {"lower"}
+    assert carried <= raised, f"carried but never raised: {sorted(carried - raised)}"
 
 
 def test_allowed_imports_are_still_unused():

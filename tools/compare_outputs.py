@@ -6,8 +6,10 @@ Usage:
 
 PARENT and CHANGE are checkouts, directories that hold src/degen_blowup.
 The cases are every command of every variant of the benchmark's workloads,
-the tiny size included, and each command's all-default config (run.command
-alone).  The configs come from bench/workloads.py of the checkout this script
+the tiny size included, each command's all-default config (run.command
+alone), and REFUSALS: one config per kind of refusal that names its config
+keys, whose exit code and stderr are then compared like any output.  The
+workload configs come from bench/workloads.py of the checkout this script
 lives in, which is imported without writing bytecode.  --tiny runs only the
 workloads' tiny size, in a few seconds.
 
@@ -37,6 +39,29 @@ COMMANDS = ("solve", "rate", "verify-subsuper", "exhaust", "b2", "sweep")
 _CONTEXT = 3  # lines before the first difference
 _SHOWN = 30  # lines compared from the first difference on
 
+# (label, command, the keys set after run.command) of configs the CLI refuses
+# with exit code 1, naming the keys each refusal's check read
+REFUSALS = (
+    ("A", "verify-subsuper", "problem.A = -1"),
+    ("C-past-samples", "verify-subsuper", "verify.C = -1e10"),
+    ("C_list", "verify-subsuper", "verify.C_list = -1,-1e20"),
+    ("exhaust-C", "exhaust", "problem.C = -1e20"),
+    ("gamma-alpha", "solve", "problem.gamma = -1"),
+    ("alpha-N", "rate", "problem.N = 2\nproblem.alpha = 1.5\nproblem.gamma = 1.5"),
+    ("eta-R", "solve", "grid.eta = 2"),
+    ("linear-R", "solve", "problem.kind = linear\nproblem.R = -1"),
+    ("tol", "solve", "solver.tol = 0"),
+    ("window-order", "rate", "rate.d_min = 0.5\nrate.d_max = 0.1"),
+    ("envelope-overflow", "solve", "problem.p = 1.02\nproblem.A = 1e250"),
+    ("slab-overflow", "exhaust", "problem.A = 1e120"),
+    ("n0", "exhaust", "exhaust.n0 = 2"),
+    ("n_max", "exhaust", "exhaust.n0 = 8\nexhaust.n_max = 4"),
+    ("exhaust-tol", "exhaust", "exhaust.tol = 0"),
+    ("b2-alpha", "b2", "b2.family = power\nb2.alpha = -2"),
+    ("quad_nodes", "b2", "b2.quad_nodes = 8"),
+    ("margin-default", "b2", "b2.R = 0.1"),
+)
+
 
 def load_workloads():
     """bench/workloads.py of this checkout, imported without writing a __pycache__ there."""
@@ -57,11 +82,13 @@ def cases(configs: Path, tiny: bool) -> list[tuple[str, str, Path]]:
             for command, config in workload.commands:
                 found.append((f"{workload.name}/{variant}/{command}", command, paths[config]))
     if not tiny:
-        for command in COMMANDS:
-            path = configs / "default" / f"{command}.cfg"
+        own = [(f"default/{command}", command, "") for command in COMMANDS]
+        own += [(f"refused/{label}", command, body + "\n") for label, command, body in REFUSALS]
+        for label, command, keys in own:
+            path = configs / f"{label}.cfg"
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(f"run.command = {command}\n", encoding="utf-8")
-            found.append((f"default/{command}", command, path))
+            path.write_text(f"run.command = {command}\n{keys}", encoding="utf-8")
+            found.append((label, command, path))
     return found
 
 
