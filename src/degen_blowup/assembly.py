@@ -147,7 +147,6 @@ def radial_blowup_problem(params: BlowupParams, boundary_value=0.0) -> Problem:
     because gamma - alpha >= 0.
     """
     weight = WeightFamily.constant() if params.alpha == 0.0 else WeightFamily.power(params.alpha)
-    weight.validate_for_dimension(params.N)
     # N = 1 too: the slab (-R, R) is symmetric, so r = 0 carries the ball's symmetry row
     domain = Domain.ball(params.R, params.N)
 

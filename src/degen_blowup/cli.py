@@ -44,8 +44,6 @@ import numpy as np
 
 from . import __version__, kernels
 from .assembly import (
-    CallableNonlinearity,
-    Problem,
     assemble_residual,  # not called here; bench/tracing.py wraps cli.assemble_residual
     radial_blowup_problem,
 )
@@ -64,7 +62,10 @@ from .exhaustion import (
     solve_large_solution,
 )
 from .grids import build_graded_grid, first_nested_index
-from .penalty_solver import SolveOptions, solve_penalized
+from .penalty_solver import (
+    SolveOptions,
+    solve_penalized,  # not called here; bench/tracing.py wraps cli.solve_penalized
+)
 from .subsuper import (
     BlowupParams,
     build_subsolution,
@@ -113,7 +114,8 @@ _RUN_KEYS = {
     "run.command": ("str", None),
 }
 
-# the blow-up problem's data; solve alone also takes problem.kind.  p also
+# the blow-up problem's data; solve alone also takes problem.kind, whose one
+# value, blowup, configs may still name.  p also
 # sets f (nonlin), A the slab's upper envelope and C the lower one (sub)
 _PROBLEM_KEYS = {
     "problem.p": ("float", 3.0, "p", "nonlin"),
@@ -333,38 +335,17 @@ def _envelopes(cfg, params: BlowupParams):
     return tuple(report.envelope for report in reports)
 
 
-def _linear_test_problem(R: float) -> Problem:
-    """-u'' + u = 1 with zero boundary data; closed form 1 - cosh(r - R/2)/cosh(R/2)."""
-    return Problem(
-        domain=Domain.interval(R),
-        weight=WeightFamily.constant(),
-        nonlin=CallableNonlinearity(lambda t: t, lambda t: np.ones_like(t)),
-        b_coef=1.0,
-        source=1.0,
-        boundary_value=0.0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg, out: Path, say) -> int:
-    kind = cfg["problem.kind"]
-    if kind == "linear":
-        problem = _linear_test_problem(cfg["problem.R"])
-        grid = _grid(cfg)
-        lo = np.zeros(grid.m)
-        hi = np.ones(grid.m)
-        u, report = solve_penalized(problem, grid, lo, hi, _solve_options(cfg))
-    elif kind == "blowup":
-        params = _blowup_params(cfg)
-        base = radial_blowup_problem(params)
-        grid = _grid(cfg)
-        lo, hi, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
-    else:
-        raise ConfigError(f"{cfg.where('problem.kind')}: must be 'linear' or 'blowup'; got {kind!r}")
-
+    if cfg["problem.kind"] != "blowup":
+        raise ConfigError(f"{cfg.where('problem.kind')}: must be 'blowup'; got {cfg['problem.kind']!r}")
+    params = _blowup_params(cfg)
+    base = radial_blowup_problem(params)
+    grid = _grid(cfg)
+    lo, hi, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
     cert = report.sandwich
 
     out.mkdir(parents=True, exist_ok=True)
@@ -435,7 +416,6 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     if n_samples < 2:
         raise ConfigError(f"{cfg.where('verify.samples')}: must be at least 2; got {n_samples}")
     params = _blowup_params(cfg)
-    radial_blowup_problem(params)  # refuses the alpha that solve, rate and exhaust refuse
     sub_report, sup_report = _barriers(cfg, params, n_samples, "verify.C")
     sub, sup = sub_report.envelope, sup_report.envelope
     # the entries are shifts like verify.C, which is bisected once, also when the list repeats it
@@ -704,8 +684,8 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degen-blowup",
         description=(
-            "Finite-difference experiments for degenerate/singular semilinear "
-            "radial problems: penalized solves between explicit two-sided "
+            "Finite-difference experiments for degenerate/singular radial "
+            "reaction problems: penalized solves between explicit two-sided "
             "bounds, nested-domain blow-up limits, rate fits and weight checks."
         ),
     )

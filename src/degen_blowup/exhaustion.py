@@ -115,7 +115,12 @@ def solve_large_solution(
     # so that weight evaluations keep the correct boundary gap
     run = ExhaustionRun(monitor=build_graded_grid(R=params.R, eta=params.R - compact_radius, m=_MONITOR_M, grading=1.0))
     schedule = _geometric_schedule(n0, n_max)
-    _bound_values(lower, upper, np.array([params.R - nested_margin(params.R, schedule[-1])]), "p", "n0", "n_max")
+    last_radius = params.R - nested_margin(params.R, schedule[-1])
+    if not last_radius < params.R:
+        raise ParameterError(
+            f"the last subdomain's radius R - 1/{schedule[-1]} rounds to R = {params.R}", "n_max", "n0"
+        )
+    _bound_values(lower, upper, np.array([last_radius]), "p", "n0", "n_max")
     previous = None  # (nodes, values) of the last solve
     for n in schedule:
         margin = nested_margin(params.R, n)

@@ -60,6 +60,8 @@ def build_graded_grid(R: float, eta: float, m: int, grading: float = 2.0) -> Gri
     """
     if not 0.0 < eta < R:
         raise ParameterError(f"eta must lie in (0, R); got eta={eta}, R={R}", "eta", "R")
+    if not R - eta < R:  # the last node would sit at r = R, where the solution blows up
+        raise ParameterError(f"R - eta rounds to R; got eta={eta}, R={R}", "eta", "R")
     if m < 3:
         raise ParameterError(f"node count m must be at least 3; got {m}", "m")
     if grading < 1.0:

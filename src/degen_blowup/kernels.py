@@ -6,12 +6,14 @@ assembly, and ``g17_rows`` writes cli._write_csv's float rows; a ctypes call
 releases the interpreter lock.  The system ``cc`` builds the source on first
 use into $XDG_CACHE_HOME/degen-blowup (default ~/.cache), in a file named by a
 CRC of the source and the build flags, so later processes load it without
-compiling, and a new build removes the ones it replaces; where that directory
-cannot be written, each process builds its own copy in a private temporary
-directory.  Only where no ``cc`` is on PATH does load() return None, and the
-callers run their Python paths (tridiag._thomas_loop, assembly's numpy
-formulas, cli._fmt), which mirror the kernels: they give the kernels' bits
-and errors, and do not warn.  A compiler that is there but fails raises.
+compiling, and a new build removes the ones it replaces.  A build is loaded
+before it is published, so no process loads a file that another may remove
+in between; where that directory cannot be written, each process builds its
+own copy in a private temporary directory.  Only where no ``cc`` is on PATH
+does load() return None, and the callers run their Python paths
+(tridiag._thomas_loop, assembly's numpy formulas, cli._fmt), which mirror
+the kernels: they give the kernels' bits and errors, and do not warn.  A
+compiler that is there but fails raises.
 """
 
 from __future__ import annotations
@@ -38,23 +40,11 @@ def load():
     with open(_SOURCE, "rb") as f:
         key = zlib.crc32(f.read() + " ".join(_FLAGS).encode())
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "degen-blowup")
-    path = os.path.join(cache, f"kernels-{key:08x}.so")
-    private = None
-    if not os.path.exists(path):
-        try:
-            os.makedirs(cache, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-        except OSError:  # no writable cache: a copy for this process alone
-            private = tempfile.mkdtemp()
-            path = os.path.join(private, os.path.basename(path))
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=private)
-        os.close(fd)
-        _build(cc, tmp, path)
-        if private is None:
-            _remove_stale(cache, os.path.basename(path))
-    lib = ctypes.CDLL(path)
-    if private is not None:
-        shutil.rmtree(private, ignore_errors=True)  # the loaded library stays mapped
+    name = f"kernels-{key:08x}.so"
+    try:
+        lib = ctypes.CDLL(os.path.join(cache, name))
+    except OSError:  # not built yet, removed by a build of another version, or cut short
+        lib = _build(cc, cache, name)
     lib.thomas.argtypes = (ctypes.c_long,) + (ctypes.c_void_p,) * 6
     lib.thomas.restype = ctypes.c_long
     lib.g17_rows.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_long) + (ctypes.c_void_p,) * 4
@@ -89,19 +79,31 @@ def _remove_stale(cache: str, keep: str) -> None:
                 pass
 
 
-def _build(cc: str, tmp: str, path: str) -> None:
-    """Compile _SOURCE into tmp, then move it to path in one step, so that a
-    process loading path never sees a half-written file."""
+def _build(cc: str, cache: str, name: str):
+    """Compile _SOURCE in a fresh directory (in cache, or a private one where
+    cache cannot be written) and load it, then move it to cache/name in one
+    step (no process loads a half-written file) and remove the builds it replaces."""
     import subprocess  # only a cold cache needs it
 
     try:
+        os.makedirs(cache, exist_ok=True)
+        work = tempfile.mkdtemp(dir=cache)
+    except OSError:  # no writable cache: a copy for this process alone
+        work = tempfile.mkdtemp()
+    try:
+        tmp = os.path.join(work, name)
         proc = subprocess.run([cc, *_FLAGS, "-o", tmp, _SOURCE], capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{cc} failed to build {_SOURCE}:\n{proc.stderr}")
-        os.replace(tmp, path)
+        lib = ctypes.CDLL(tmp)
+        try:
+            os.replace(tmp, os.path.join(cache, name))
+        except OSError:  # a private copy, with no cache to publish it in
+            return lib
+        _remove_stale(cache, name)
+        return lib
     finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        shutil.rmtree(work, ignore_errors=True)  # the loaded library stays mapped
 
 
 @functools.cache

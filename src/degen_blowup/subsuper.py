@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .weights import WeightFamily
 
 
 def blowup_exponent(p: float, alpha: float, gamma: float) -> float:
@@ -111,6 +112,8 @@ class BlowupParams:
             _envelope_amplitude(self, 1.0 + self.epsilon)
         except OverflowError:
             raise ParameterError(f"envelope amplitude overflows the float range at p={self.p}", "p") from None
+        if self.alpha != 0.0:  # the weight (R-r)**alpha needs -1 < alpha < N-1
+            WeightFamily.power(self.alpha).validate_for_dimension(self.N)
 
     def a_at(self, r) -> np.ndarray:
         """a(r) by Horner's rule."""

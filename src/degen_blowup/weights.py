@@ -341,31 +341,23 @@ def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256, work:
             return np.divide(1.0, weight.value_in_place(x), out=x)
 
         a, b = margin, domain.R - margin
-    elif domain.kind == "ball":
+    else:
         weight.validate_for_dimension(domain.N)
 
         def integrand(r):
-            # r**(N-1) / tau(R - r)
+            # r**(N-1) / tau(gap), the gap R - r on a ball and min(r, R - r)
+            # on an interval, where N = 1 makes it 1 / tau(gap)
             for lo in range(0, r.size, _BLOCK):
                 part = r[lo : lo + _BLOCK]
                 g = np.subtract(domain.R, part, out=gap[: part.size])
+                if domain.kind == "interval":
+                    np.minimum(part, g, out=g)
                 weight.tau_in_place(g, work.block)
                 part **= domain.N - 1
                 np.divide(part, g, out=part)
             return r
 
-        a, b = 0.0, domain.R - margin
-    else:
-        weight.validate_for_dimension(domain.N)
-
-        def integrand(x):
-            # 1 / tau(min(x, R - x))
-            for lo in range(0, x.size, _BLOCK):
-                part = x[lo : lo + _BLOCK]
-                np.minimum(part, np.subtract(domain.R, part, out=gap[: part.size]), out=part)
-            return np.divide(1.0, weight.tau_in_place(x, work.block), out=x)
-
-        a, b = margin, domain.R - margin
+        a, b = (0.0 if domain.kind == "ball" else margin), domain.R - margin
 
     with np.errstate(divide="ignore", over="ignore"):
         estimates = [_midpoint(integrand, a, b, quad_nodes * k, work.half, points) for k in (1, 2, 4)]

@@ -81,6 +81,8 @@ def oracle_solves():
 
 @pytest.fixture(scope="module")
 def linear_solve():
+    """-u'' + u = 1 on (0, 1) with zero boundary data, in the slab [0, 1];
+    closed form 1 - cosh(r - 1/2)/cosh(1/2)."""
     problem = Problem(
         domain=Domain.interval(1.0),
         weight=WeightFamily.constant(),
@@ -154,6 +156,14 @@ def test_criterion_3_sandwich_certificates(blowup_solve, oracle_solves, linear_s
     report(3, "sandwich certificate", ok, detail)
     for name, cert in certificates:
         assert cert.ok, f"{name} violated the certificate: {cert}"
+
+
+def test_criterion_3_linear_run_matches_its_closed_form(linear_solve):
+    # the linear run certified above is the solution, not merely inside its slab
+    grid, _, _, u, rep = linear_solve
+    worst = float(np.max(np.abs(u - (1.0 - np.cosh(grid.nodes - 0.5) / np.cosh(0.5)))))
+    assert rep.converged
+    assert worst < 1e-6, worst
 
 
 def test_criterion_4_constant_formulas():

@@ -1,5 +1,6 @@
 """Discrete operator assembly: stiffness, the truncating slab, residual, Jacobian."""
 
+import os
 import shutil
 import subprocess
 import tempfile
@@ -460,6 +461,36 @@ class TestThomasKernel:
         (fresh_kernel / stale[0]).write_bytes(b"an older build")
         assert kernels.load() is not None
         assert sorted(p.name for p in fresh_kernel.iterdir()) == sorted([*built, stale[0]])
+
+    @needs_cc
+    def test_a_build_removed_right_after_it_is_published_still_loads(self, fresh_kernel, monkeypatch):
+        # a process of another version may remove the build as stale in
+        # between: the building process has loaded it before publishing it
+        replace = os.replace
+
+        def replace_then_remove(src, dst):
+            replace(src, dst)
+            os.remove(dst)
+
+        monkeypatch.setattr(os, "replace", replace_then_remove)
+        assert kernels.load() is not None
+        assert _solves_like_the_loop(31, 5)
+        assert list(fresh_kernel.iterdir()) == []
+
+    @needs_cc
+    def test_a_truncated_build_in_the_cache_is_built_again(self, fresh_kernel, monkeypatch, tmp_path):
+        # the build's name, from a build in another cache
+        assert kernels.load() is not None
+        (name,) = (p.name for p in fresh_kernel.iterdir())
+        kernels.load.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
+        cut = tmp_path / "other" / "degen-blowup" / name
+        cut.parent.mkdir(parents=True)
+        cut.write_bytes(b"\x7fELF")
+        assert kernels.load() is not None
+        assert _solves_like_the_loop(31, 6)
+        assert [p.name for p in cut.parent.iterdir()] == [name]
+        assert cut.stat().st_size == (fresh_kernel / name).stat().st_size
 
     @needs_cc
     def test_an_unwritable_cache_builds_a_private_copy(self, fresh_kernel, monkeypatch, tmp_path):

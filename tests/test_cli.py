@@ -32,14 +32,14 @@ from degen_blowup.config import Config, parse_config_text, resolve
 
 from test_bench_wraps import STALLING_SOLVE_CFG
 
-LINEAR_CFG = """
+# a blow-up solve that converges in well under a second
+SMALL_SOLVE_CFG = """
 run.command = solve
-problem.kind = linear
+problem.kind = blowup
 problem.R = 1.0
 grid.m = 401
-grid.eta = 1e-9
-grid.grading = 1.0
-solver.tol = 1e-10
+solver.tol = 1e-5
+solver.max_iters = 100
 """
 
 BLOWUP_SOLVE_CFG = """
@@ -74,23 +74,6 @@ def read_csv(path):
     return header, rows
 
 
-def test_linear_solve_matches_closed_form(tmp_path):
-    cfg = write(tmp_path / "linear.cfg", LINEAR_CFG)
-    out = tmp_path / "out"
-    assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    header, rows = read_csv(out / "solution.csv")
-    assert header == ["r", "d", "u", "sub", "super", "residual"]
-    worst = 0.0
-    for row in rows:
-        r, u = float(row[0]), float(row[2])
-        exact = 1.0 - math.cosh(r - 0.5) / math.cosh(0.5)
-        worst = max(worst, abs(u - exact))
-    assert worst < 1e-6
-    report = (out / "report.txt").read_text()
-    assert "converged = true" in report
-    assert "sandwich_ok = true" in report
-
-
 @pytest.mark.parametrize(
     "m, max_iters, code, stop",
     [(2001, 100, 0, "converged"), (3001, 100, 2, "stalled"), (3001, 1, 2, "max-iters")],
@@ -106,7 +89,7 @@ def test_solve_report_says_why_newton_stopped(tmp_path, m, max_iters, code, stop
 
 
 def test_eta_above_radius_is_config_error(tmp_path, capsys):
-    cfg = write(tmp_path / "bad.cfg", LINEAR_CFG.replace("grid.eta = 1e-9", "grid.eta = 1.5"))
+    cfg = write(tmp_path / "bad.cfg", _with_key(SMALL_SOLVE_CFG, "grid.eta", "1.5"))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
     assert "eta" in capsys.readouterr().err
@@ -114,13 +97,13 @@ def test_eta_above_radius_is_config_error(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
-    cfg = write(tmp_path / "bad.cfg", LINEAR_CFG + "solver.typo = 1\n")
+    cfg = write(tmp_path / "bad.cfg", SMALL_SOLVE_CFG + "solver.typo = 1\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "solver.typo" in capsys.readouterr().err
 
 
 def test_damping_is_not_a_config_key(tmp_path, capsys):
-    cfg = write(tmp_path / "bad.cfg", LINEAR_CFG + "solver.damping = 0.5\n")
+    cfg = write(tmp_path / "bad.cfg", SMALL_SOLVE_CFG + "solver.damping = 0.5\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "solver.damping" in capsys.readouterr().err
 
@@ -139,7 +122,7 @@ def _with_key(text, key, value):
         # the all-default solve stalls after corrections at round-off
         ("run.command = solve\n", 2, lambda c: c < 1e-10),
         # a solve that needs no step has no correction to report
-        (_with_key(LINEAR_CFG, "solver.tol", "1e10"), 0, math.isnan),
+        (_with_key(SMALL_SOLVE_CFG, "solver.tol", "1e10"), 0, math.isnan),
     ],
     ids=["one-step-early", "all-default", "no-step"],
 )
@@ -159,8 +142,8 @@ VERIFY_CFG = "run.command = verify-subsuper\nverify.samples = 1001\n"
     "command, base, key, value, names",
     [
         # a nan tolerance can never be met
-        ("solve", LINEAR_CFG, "solver.tol", "nan", "key 'solver.tol'"),
-        ("solve", LINEAR_CFG, "grid.eta", "inf", "key 'grid.eta'"),
+        ("solve", SMALL_SOLVE_CFG, "solver.tol", "nan", "key 'solver.tol'"),
+        ("solve", SMALL_SOLVE_CFG, "grid.eta", "inf", "key 'grid.eta'"),
         ("verify-subsuper", VERIFY_CFG, "problem.A", "nan", "key 'problem.A'"),
         ("verify-subsuper", VERIFY_CFG, "verify.C_list", "-1,nan", "'verify.C_list' expects comma-separated finite"),
         ("verify-subsuper", VERIFY_CFG, "problem.a", "poly:1,nan", "'poly:1,nan'"),
@@ -179,13 +162,13 @@ def test_nonfinite_number_is_config_error(tmp_path, capsys, command, base, key, 
 
 
 def test_duplicate_key_rejected(tmp_path, capsys):
-    cfg = write(tmp_path / "bad.cfg", LINEAR_CFG + "problem.R = 2.0\n")
+    cfg = write(tmp_path / "bad.cfg", SMALL_SOLVE_CFG + "problem.R = 2.0\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "duplicate" in capsys.readouterr().err
 
 
 def test_malformed_line_reports_line_number(tmp_path, capsys):
-    cfg = write(tmp_path / "bad.cfg", "problem.kind = linear\nnot an assignment\n")
+    cfg = write(tmp_path / "bad.cfg", "problem.kind = blowup\nnot an assignment\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert ":2:" in capsys.readouterr().err
 
@@ -210,7 +193,7 @@ def test_command_mismatch_rejected(tmp_path, capsys):
 
 def test_command_mismatch_is_refused_before_keys_the_command_lacks(tmp_path, capsys):
     # problem.kind is a solve key that rate lacks; the mismatch is what is reported
-    cfg = write(tmp_path / "linear.cfg", LINEAR_CFG)
+    cfg = write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
     out = tmp_path / "o"
     assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
@@ -789,7 +772,7 @@ def test_b2_run_traced_peak_at_65536_nodes(tmp_path):
         ("b2", "b2.margin = 0.6", ":3: key 'b2.margin': on an interval the margin must lie in (0, R/2)"),
         # the default margin 0.1 leaves a ball of radius 0.1 no compact subset
         ("b2", "b2.R = 0.1", ": key 'b2.margin' (default): margin must lie in (0, R)"),
-        ("solve", "problem.kind = bogus", ":3: key 'problem.kind': must be 'linear' or 'blowup'; got 'bogus'"),
+        ("solve", "problem.kind = linear", ":3: key 'problem.kind': must be 'blowup'; got 'linear'"),
         # the first subdomain, r < R - 1/n0, must hold the monitored [0, R/2]
         ("exhaust", "exhaust.n0 = 2", ":3: key 'exhaust.n0': compact_radius=0.5 must stay inside the first"),
         ("exhaust", "exhaust.n0 = 1", ":3: key 'exhaust.n0': margin 1/1 >= R = 1.0 leaves an empty subdomain"),
@@ -799,11 +782,15 @@ def test_b2_run_traced_peak_at_65536_nodes(tmp_path):
         # the sweep could never stop early, so it would run the whole schedule
         ("exhaust", "exhaust.tol = 0", ":3: key 'exhaust.tol': tol must be positive; got 0.0"),
         ("exhaust", "exhaust.tol = -1", ":3: key 'exhaust.tol': tol must be positive; got -1.0"),
+        # R - eta, or the last subdomain's radius R - 1/n, rounds to R, where the envelopes blow up
+        ("solve", "grid.eta = 1e-17", ":3: key 'grid.eta', "),
+        ("exhaust", "exhaust.n_max = 1152921504606846976", ":3: key 'exhaust.n_max', "),
     ],
     ids=[
         "A", "C", "C_list", "C-past-samples", "C_list-default", "solve-A", "exhaust-C",
         "samples", "quad_nodes", "margin", "margin-default", "solve-kind", "n0", "n0-empty",
         "tol", "max_iters", "exhaust-tol", "exhaust.tol-0", "exhaust.tol-negative",
+        "eta-rounds-to-R", "n_max-rounds-to-R",
     ],
 )
 def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, where):
@@ -849,7 +836,7 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
             "run.cfg:3: key 'grid.eta', run.cfg: key 'problem.R' (default): eta must lie in (0, R); got eta=2.0, R=1.0",
         ),
         ("rate", "grid.grading = 0.5", "run.cfg:3: key 'grid.grading': grading must be >= 1; got 0.5"),
-        ("solve", "problem.kind = linear\nproblem.R = -1", "run.cfg:4: key 'problem.R': radius R must be positive"),
+        ("solve", "problem.R = -1", "run.cfg:3: key 'problem.R': radius R must be positive; got -1.0"),
         ("b2", "b2.N = 0", "run.cfg:3: key 'b2.N': dimension N must be a positive integer; got 0"),
         ("b2", "b2.family = power\nb2.alpha = -2", "run.cfg:4: key 'b2.alpha': power-type profile needs alpha > -1"),
         ("b2", "b2.family = bogus", "run.cfg:3: key 'b2.family': unknown weight family tag 'bogus'"),
@@ -945,7 +932,7 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
     ids=[
         "epsilon", "R", "N", "p", "gamma-alpha", "a", "solve-a-dip", "rate-a-dip", "exhaust-a-dip",
         "verify-a-dip", "m", "exhaust-m", "eta-R", "grading",
-        "linear-R", "b2-N", "b2-alpha", "b2-family", "n_max", "n_max-derived-n0", "window-order",
+        "solve-R", "b2-N", "b2-alpha", "b2-family", "n_max", "n_max-derived-n0", "window-order",
         "window-empty", "grid-collision", "exhaust-grid-collision",
         "solve-alpha-N", "rate-alpha-N", "exhaust-alpha-N", "verify-alpha-N",
         "solve-alpha", "rate-alpha", "exhaust-alpha", "verify-alpha",
@@ -1028,21 +1015,21 @@ def test_blowup_only_commands_reject_other_problem_kind(tmp_path, capsys, comman
     ids=["solve-huge-C", "verify-bad-C_list", "rate-bogus-kind"],
 )
 def test_sweep_member_config_error_does_not_abort_sweep(tmp_path, member):
-    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
     write(tmp_path / "bad.cfg", member)
-    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, bad.cfg\n")
+    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = solve.cfg, bad.cfg\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(sweep), "--out", str(out), "--quiet"]) == 1
-    assert (out / "linear" / "solution.csv").exists()
+    assert (out / "solve" / "solution.csv").exists()
 
 
 def test_sweep_runs_members_in_own_directories(tmp_path):
-    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
     write(tmp_path / "b2.cfg", "run.command = b2\n")
-    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, b2.cfg\n")
+    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = solve.cfg, b2.cfg\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(sweep), "--out", str(out), "--quiet"]) == 0
-    assert (out / "linear" / "solution.csv").exists()
+    assert (out / "solve" / "solution.csv").exists()
     assert (out / "b2" / "b2.csv").exists()
 
 
@@ -1054,8 +1041,8 @@ needs_fork = pytest.mark.skipif(sys.platform != "linux", reason="sweep members f
 def test_sweep_prints_member_lines_in_config_order(tmp_path, capsys, monkeypatch):
     # the first member waits until the second has finished, yet its lines come first
     write(tmp_path / "b2.cfg", "run.command = b2\nb2.quad_nodes = 16\n")
-    write(tmp_path / "linear.cfg", LINEAR_CFG)
-    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = b2.cfg, linear.cfg\n")
+    write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
+    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = b2.cfg, solve.cfg\n")
     second_done = multiprocessing.get_context("fork").Event()  # shared by the forked members
     handlers = dict(cli._HANDLERS)
 
@@ -1078,8 +1065,8 @@ def test_sweep_prints_member_lines_in_config_order(tmp_path, capsys, monkeypatch
 
 @needs_fork
 def test_sweep_member_unhandled_exception_propagates(tmp_path, monkeypatch):
-    write(tmp_path / "linear.cfg", LINEAR_CFG)
-    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg\n")
+    write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
+    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = solve.cfg\n")
 
     def broken(*args):
         raise RuntimeError("member bug")
@@ -1106,9 +1093,9 @@ def _run_python(tmp_path, args, timeout=120):
 @needs_fork
 def test_sweep_member_whose_process_dies_ends_the_sweep(tmp_path):
     # os._exit skips every handler: the pool reports the dead worker, it does not wait for it
-    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
     write(tmp_path / "b2.cfg", "run.command = b2\nb2.quad_nodes = 16\n")
-    write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, b2.cfg\n")
+    write(tmp_path / "sweep.cfg", "sweep.configs = solve.cfg, b2.cfg\n")
     script = (
         "import os\n"
         "from degen_blowup import cli\n"
@@ -1131,9 +1118,9 @@ def test_sweep_member_whose_process_dies_ends_the_sweep(tmp_path):
     ids=["module", "printed-before"],
 )
 def test_sweep_to_a_pipe_prints_each_line_once(tmp_path, args):
-    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
     write(tmp_path / "b2.cfg", "run.command = b2\nb2.quad_nodes = 16\n")
-    write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, b2.cfg\n")
+    write(tmp_path / "sweep.cfg", "sweep.configs = solve.cfg, b2.cfg\n")
     proc = _run_python(tmp_path, args)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -1144,7 +1131,7 @@ def test_sweep_to_a_pipe_prints_each_line_once(tmp_path, args):
 
 
 def test_sweep_member_needs_command(tmp_path):
-    write(tmp_path / "anon.cfg", "problem.kind = linear\n")
+    write(tmp_path / "anon.cfg", "problem.kind = blowup\n")
     sweep = write(tmp_path / "sweep.cfg", "sweep.configs = anon.cfg\n")
     assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "o")]) == 1
 
@@ -1154,7 +1141,7 @@ def test_sweep_members_sharing_an_output_directory_are_refused(tmp_path, capsys,
     # both would write out/rate: refused before any member runs
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
-        write(tmp_path / sub / "rate.cfg", LINEAR_CFG)
+        write(tmp_path / sub / "rate.cfg", SMALL_SOLVE_CFG)
     sweep = write(tmp_path / "sweep.cfg", f"sweep.configs = a/rate.cfg, {second}\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(sweep), "--out", str(out), "--quiet"]) == 1
@@ -1165,9 +1152,9 @@ def test_sweep_members_sharing_an_output_directory_are_refused(tmp_path, capsys,
 
 def test_sweep_member_that_is_a_sweep_is_refused(tmp_path, capsys):
     # refused while the members are read, before the first member runs
-    write(tmp_path / "linear.cfg", LINEAR_CFG)
-    inner = write(tmp_path / "inner.cfg", "run.command = sweep\nsweep.configs = linear.cfg\n")
-    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = linear.cfg, inner.cfg\n")
+    write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
+    inner = write(tmp_path / "inner.cfg", "run.command = sweep\nsweep.configs = solve.cfg\n")
+    sweep = write(tmp_path / "sweep.cfg", "sweep.configs = solve.cfg, inner.cfg\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(sweep), "--out", str(out), "--quiet"]) == 1
     assert f"{inner.resolve()}: run.command = 'sweep' is not runnable in a sweep" in capsys.readouterr().err
@@ -1175,8 +1162,8 @@ def test_sweep_member_that_is_a_sweep_is_refused(tmp_path, capsys):
 
 
 def test_sweep_config_naming_another_command_is_refused(tmp_path, capsys):
-    write(tmp_path / "linear.cfg", LINEAR_CFG)
-    sweep = write(tmp_path / "sweep.cfg", "run.command = solve\nsweep.configs = linear.cfg\n")
+    write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
+    sweep = write(tmp_path / "sweep.cfg", "run.command = solve\nsweep.configs = solve.cfg\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(sweep), "--out", str(out), "--quiet"]) == 1
     assert "run.command = 'solve' does not match the invoked command 'sweep'" in capsys.readouterr().err
@@ -1240,17 +1227,16 @@ class _RecordingRaw(_Recording, dict):
         self.reads = reads
 
 
-# every mode of every command (both problem kinds of solve and both of b2.family), on
-# configs small enough to run in well under a second each
+# every mode of every command (both of b2.family), on configs small enough
+# to run in well under a second each
 _EVERY_MODE = [
-    ("solve", LINEAR_CFG),
     ("solve", "run.command = solve\ngrid.m = 201\nsolver.max_iters = 2\n"),
     ("rate", "run.command = rate\ngrid.m = 301\nsolver.max_iters = 2\n"),
     ("verify-subsuper", VERIFY_CFG),
     ("exhaust", "run.command = exhaust\ngrid.m = 101\nsolver.max_iters = 2\nexhaust.n0 = 4\nexhaust.n_max = 8\n"),
     ("b2", "run.command = b2\nb2.quad_nodes = 64\n"),
     ("b2", "run.command = b2\nb2.family = power\nb2.alpha = 0.5\nb2.quad_nodes = 64\n"),
-    ("sweep", "run.command = sweep\nsweep.configs = linear.cfg\n"),
+    ("sweep", "run.command = sweep\nsweep.configs = solve.cfg\n"),
 ]
 
 
@@ -1274,7 +1260,7 @@ def test_every_schema_key_is_read_by_its_command(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "resolve", recording)
     monkeypatch.setattr(cli, "parse_config_file", recording_parse)
-    write(tmp_path / "linear.cfg", LINEAR_CFG)
+    write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
     for i, (command, text) in enumerate(_EVERY_MODE):
         cfg = write(tmp_path / f"{i}.cfg", text)
         main([command, "--config", str(cfg), "--out", str(tmp_path / f"out{i}"), "--quiet"])
@@ -1283,7 +1269,7 @@ def test_every_schema_key_is_read_by_its_command(tmp_path, monkeypatch):
 
 
 def test_outputs_are_bit_identical_across_reruns(tmp_path):
-    cfg = write(tmp_path / "linear.cfg", LINEAR_CFG)
+    cfg = write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", "--config", str(cfg), "--out", str(out1), "--quiet"]) == 0
     assert main(["solve", "--config", str(cfg), "--out", str(out2), "--quiet"]) == 0
@@ -1294,7 +1280,7 @@ def test_outputs_are_bit_identical_across_reruns(tmp_path):
 def test_package_never_loads_scipy(tmp_path):
     # scipy.linalg alone adds about 26 MB of RSS; lazy imports count too, so
     # the commands run in a fresh interpreter before sys.modules is checked.
-    write(tmp_path / "solve.cfg", LINEAR_CFG)
+    write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
     write(
         tmp_path / "exhaust.cfg",
         "run.command = exhaust\ngrid.m = 201\nexhaust.n0 = 4\nexhaust.n_max = 8\n",

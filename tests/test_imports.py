@@ -17,9 +17,10 @@ import degen_blowup
 
 PACKAGE = Path(degen_blowup.__file__).parent
 
-# bench/tracing.py wraps cli.assemble_residual, so cli keeps the name
-# although it no longer calls it; only a change to the benchmark may drop it.
-ALLOWED = {("cli", "assemble_residual")}
+# bench/tracing.py wraps cli.assemble_residual and cli.solve_penalized, so
+# cli keeps the names although it no longer calls them; only a change to the
+# benchmark may drop them.
+ALLOWED = {("cli", "assemble_residual"), ("cli", "solve_penalized")}
 
 
 def imported_names(tree):
@@ -98,6 +99,13 @@ def test_only_barriers_verifies_a_barrier():
         **{name: {"_barriers"} for name in once},
         "build_subsolution": {"_barriers", "cmd_verify_subsuper"},
     }
+
+
+def test_only_solve_and_rate_build_the_blowup_problem():
+    # BlowupParams refuses every weight exponent the problem refuses, so no
+    # command builds the problem only to check its data
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _callers(tree, ("radial_blowup_problem",)) == {"radial_blowup_problem": {"cmd_solve", "cmd_rate"}}
 
 
 # the call whose arguments from this index on are parameter names: a

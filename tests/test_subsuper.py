@@ -1,6 +1,7 @@
 """Blow-up exponent and amplitude formulas, explicit envelopes, inequalities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ class TestConstants:
         # envelope exists, and the envelope builders refuse only their shift
         with pytest.raises(ParameterError, match="beta \\+ 1 - alpha must be positive"):
             BlowupParams(p=3.0, alpha=3.0, gamma=3.0, N=3, R=1.0)
+
+    @pytest.mark.parametrize(
+        "N, alpha, gamma, message",
+        [(2, 1.5, 1.5, "alpha < N-1 = 1; got alpha=1.5"), (3, -1.5, 0.0, "alpha > -1; got alpha=-1.5")],
+        ids=["above-N-1", "below-minus-1"],
+    )
+    def test_params_whose_weight_exponent_no_command_accepts_are_refused(self, N, alpha, gamma, message):
+        # the weight (R-r)**alpha is admissible only for -1 < alpha < N-1: BlowupParams
+        # refuses the rest with the weight's own message and names
+        with pytest.raises(ParameterError, match=f"power-type profile needs {re.escape(message)}") as info:
+            BlowupParams(p=3.0, alpha=alpha, gamma=gamma, N=N, R=1.0)
+        assert "alpha" in info.value.names
 
     @pytest.mark.parametrize(
         "a_coef, R, ok",

@@ -49,13 +49,15 @@ REFUSALS = (
     ("gamma-alpha", "solve", "problem.gamma = -1"),
     ("alpha-N", "rate", "problem.N = 2\nproblem.alpha = 1.5\nproblem.gamma = 1.5"),
     ("eta-R", "solve", "grid.eta = 2"),
-    ("linear-R", "solve", "problem.kind = linear\nproblem.R = -1"),
+    ("R", "solve", "problem.R = -1"),
+    ("eta-rounds-to-R", "solve", "grid.eta = 1e-17"),
     ("tol", "solve", "solver.tol = 0"),
     ("window-order", "rate", "rate.d_min = 0.5\nrate.d_max = 0.1"),
     ("envelope-overflow", "solve", "problem.p = 1.02\nproblem.A = 1e250"),
     ("slab-overflow", "exhaust", "problem.A = 1e120"),
     ("n0", "exhaust", "exhaust.n0 = 2"),
     ("n_max", "exhaust", "exhaust.n0 = 8\nexhaust.n_max = 4"),
+    ("n_max-rounds-to-R", "exhaust", "exhaust.n_max = 1152921504606846976"),
     ("exhaust-tol", "exhaust", "exhaust.tol = 0"),
     ("b2-alpha", "b2", "b2.family = power\nb2.alpha = -2"),
     ("quad_nodes", "b2", "b2.quad_nodes = 8"),
