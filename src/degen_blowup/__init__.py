@@ -48,12 +48,10 @@ from .subsuper import (
     Envelope,
     InequalityReport,
     SubInequalityReport,
-    blowup_constant,
     blowup_exponent,
     build_subsolution,
     build_supersolution,
     find_min_A,
-    leading_balance_residual,
     verify_sub_inequality,
     verify_super_inequality,
 )

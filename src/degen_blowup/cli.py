@@ -71,7 +71,6 @@ from .subsuper import (
     build_subsolution,
     build_supersolution,
     find_min_A,
-    leading_balance_residual,
     verify_sub_inequality,
     verify_super_inequality,
 )
@@ -434,7 +433,7 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
         (A_key, A),
         ("super_ok", sup_report.ok),
         ("reduced_endpoint_ok", reduced_lhs >= reduced_rhs),
-        ("balance_residual_at_K", leading_balance_residual(params.p, params.alpha, params.gamma, params.K, params.a_R)),
+        ("balance_residual_at_K", params.balance_residual(params.K)),
         ("sub_ok_full", sub_report.ok_full),
         ("sub_ok_sufficient", sub_report.ok_sufficient),
         ("activation_radius", sub.activation_radius),
@@ -510,7 +509,7 @@ def _b2_row(entry, margin: float, quad: int, work: QuadWork) -> tuple:
     else:
         # reciprocal already fails local integrability across the
         # degeneracy point, so the two-sided averages diverge too
-        two_sided = A2Report(passes=False, a2_estimate=float("inf"), divergent=True)
+        two_sided = A2Report(passes=False, a2_estimate=float("inf"))
     return (
         label,
         report.passes,
@@ -673,6 +672,9 @@ def _dispatch(command: str, config_path: Path, out: Path, say) -> int:
         )
     schema = SCHEMAS[command]
     cfg = resolve(raw, schema, source=str(config_path))
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():  # out.mkdir would fail, after all the work
+        raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
     with _value_of(cfg, schema):
         return _HANDLERS[command](cfg, out, say)
 

@@ -50,27 +50,6 @@ def blowup_exponent(p: float, alpha: float, gamma: float) -> float:
     return (2.0 + gamma - alpha) / (p - 1.0)
 
 
-def blowup_constant(p: float, alpha: float, a_R: float, beta: float) -> float:
-    """Amplitude K = (beta*(beta+1-alpha)/a_R)**(1/(p-1)) of the boundary rate."""
-    if p <= 1.0:
-        raise ParameterError(f"superlinear power p > 1 required; got p={p}")
-    if beta <= 0.0:
-        raise ParameterError(f"growth rate beta must be positive; got beta={beta}")
-    if beta + 1.0 - alpha <= 0.0:
-        raise ParameterError(
-            f"beta + 1 - alpha must be positive for the amplitude; got {beta + 1.0 - alpha}"
-        )
-    if a_R <= 0.0:
-        raise ParameterError(f"reaction coefficient a(R) must be positive; got {a_R}")
-    return (beta * (beta + 1.0 - alpha) / a_R) ** (1.0 / (p - 1.0))
-
-
-def leading_balance_residual(p: float, alpha: float, gamma: float, B: float, a_R: float) -> float:
-    """beta*(beta+1-alpha) - a_R * B**(p-1); zero exactly when B = K."""
-    beta = blowup_exponent(p, alpha, gamma)
-    return beta * (beta + 1.0 - alpha) - a_R * B ** (p - 1.0)
-
-
 @dataclass(frozen=True)
 class BlowupParams:
     """Data of the singular radial problem with power reaction; ``a_coef`` holds
@@ -109,11 +88,20 @@ class BlowupParams:
                 f"beta + 1 - alpha must be positive; got {self.beta + 1.0 - self.alpha}", "p", "alpha", "gamma"
             )
         try:  # the largest amplitude, the upper envelope's, is a power 1/(p-1): near p = 1 it overflows
-            _envelope_amplitude(self, 1.0 + self.epsilon)
+            B = _envelope_amplitude(self, 1.0 + self.epsilon)
         except OverflowError:
             raise ParameterError(f"envelope amplitude overflows the float range at p={self.p}", "p") from None
         if self.alpha != 0.0:  # the weight (R-r)**alpha needs -1 < alpha < N-1
             WeightFamily.power(self.alpha).validate_for_dimension(self.N)
+        try:  # the barrier checks need a(R)*B**p, the upper envelope's reaction at r = R, finite
+            finite = np.isfinite(self.a_R * B**self.p)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ParameterError(
+                f"upper envelope's reaction a(R)*B**p overflows the float range; B = {B:g}",
+                "p", "alpha", "gamma", "a_coef",
+            )
 
     def a_at(self, r) -> np.ndarray:
         """a(r) by Horner's rule."""
@@ -129,14 +117,19 @@ class BlowupParams:
 
     @property
     def K(self) -> float:
-        return blowup_constant(self.p, self.alpha, self.a_R, self.beta)
+        return _envelope_amplitude(self, 1.0)
+
+    def balance_residual(self, B: float) -> float:
+        """beta*(beta+1-alpha) - a(R) * B**(p-1); zero exactly when B = K."""
+        beta = self.beta
+        return beta * (beta + 1.0 - self.alpha) - self.a_R * B ** (self.p - 1.0)
 
 
 def _envelope_amplitude(params: BlowupParams, factor: float) -> float:
     """Amplitude B with B**(p-1)*a(R) = factor * beta*(beta+1-alpha).
 
-    factor = 1 + eps gives the upper envelope, 1 - eps the lower one; both
-    collapse onto the balanced amplitude K as eps -> 0.
+    factor = 1 + eps gives the upper envelope, 1 - eps the lower one, and
+    factor = 1 the balanced amplitude K onto which both collapse as eps -> 0.
     """
     beta = params.beta
     return (factor * beta * (beta + 1.0 - params.alpha) / params.a_R) ** (
@@ -320,9 +313,9 @@ def verify_sub_inequality(params: BlowupParams, sub: Envelope, samples: np.ndarr
     """
     samples = np.asarray(samples, dtype=float)
     if np.any(samples < sub.activation_radius - 1e-9):
-        raise ParameterError("samples must lie at or beyond the activation radius", "sub")
+        raise ParameterError("samples must lie at or beyond the activation radius", "sub", "R")
     if np.any(samples >= params.R):
-        raise ParameterError("samples must stay strictly below R", "sub")
+        raise ParameterError("samples must stay strictly below R", "sub", "R")
 
     def full_margins(r):
         return _barrier_lhs(params, sub.B, r) - _barrier_rhs(params, sub.shift, sub.B, r)

@@ -213,7 +213,7 @@ def distance_to_boundary(domain: Domain, x) -> float:
     return domain.R - x
 
 
-def eval_weight(family: WeightFamily, d) -> np.ndarray | float:
+def eval_weight(family: WeightFamily, d) -> np.ndarray:
     """Evaluate w = tau(d) at boundary gaps d > 0.
 
     Evaluation at d = 0 is refused whenever the profile is singular or
@@ -221,16 +221,13 @@ def eval_weight(family: WeightFamily, d) -> np.ndarray | float:
     half-nodes, so the endpoint is never needed.
     """
     arr = np.asarray(d, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(arr < 0.0):
         raise ParameterError("boundary gap d must be nonnegative")
     if np.any(arr == 0.0) and not family.finite_positive_at_zero():
         raise ParameterError(
             f"{family.tag} weight cannot be evaluated at the boundary (d = 0)"
         )
-    out = family.tau(arr)
-    return float(out[0]) if scalar else out
+    return family.tau(arr)
 
 
 @dataclass(frozen=True)
@@ -378,7 +375,6 @@ class A2Report:
 
     passes: bool
     a2_estimate: float
-    divergent: bool
 
 
 def _refinement_verdict(estimates: list[float]):
@@ -463,9 +459,9 @@ def check_a2(
             direct_k, div_direct = _refinement_verdict(direct[k])
             recip_k, div_recip = _refinement_verdict(recip[k])
             if div_direct or div_recip:
-                return A2Report(False, math.inf, True)
+                return A2Report(False, math.inf)
             worst = max(worst, (direct_k / b) * (recip_k / b))
-    return A2Report(True, worst, False)
+    return A2Report(True, worst)
 
 
 def catalogue_families(n_dim: int = 3) -> list[tuple[str, WeightFamily]]:

@@ -18,7 +18,6 @@ from degen_blowup import (
     Problem,
     SolveOptions,
     WeightFamily,
-    blowup_constant,
     blowup_exponent,
     build_graded_grid,
     build_subsolution,
@@ -28,7 +27,6 @@ from degen_blowup import (
     check_sandwich,
     find_min_A,
     fit_blowup_rate,
-    leading_balance_residual,
     oracle_exact_1d,
     radial_blowup_problem,
     residual_on_monitor,
@@ -175,11 +173,12 @@ def test_criterion_4_constant_formulas():
         alpha = rng.uniform(-1.0, 1.0)
         gamma = alpha + gap
         a_R = rng.uniform(0.5, 2.0)
+        params = BlowupParams(p=p, alpha=alpha, gamma=gamma, N=3, R=1.0, a_coef=a_R)
         beta = blowup_exponent(p, alpha, gamma)
-        K = blowup_constant(p, alpha, a_R, beta)
+        K = params.K
         assert beta == pytest.approx((2.0 + gamma - alpha) / (p - 1.0), rel=1e-14)
         assert K == pytest.approx((beta * (beta + 1.0 - alpha) / a_R) ** (1.0 / (p - 1.0)), rel=1e-14)
-        worst_balance = max(worst_balance, abs(leading_balance_residual(p, alpha, gamma, K, a_R)))
+        worst_balance = max(worst_balance, abs(params.balance_residual(K)))
     ok = worst_balance <= 1e-12
     report(4, "constant formulas", ok, f"worst balance residual {worst_balance:.2e}")
     assert worst_balance <= 1e-12

@@ -10,7 +10,6 @@ from degen_blowup import (
     BlowupParams,
     ParameterError,
     SolveOptions,
-    blowup_constant,
     blowup_exponent,
     build_graded_grid,
     build_supersolution,
@@ -101,7 +100,7 @@ class TestExactOracle:
     def test_exponent_and_amplitude_match_formulas(self):
         beta = blowup_exponent(3.0, 0.0, 0.0)
         assert beta == pytest.approx(1.0)
-        assert blowup_constant(3.0, 0.0, 1.0, beta) == pytest.approx(math.sqrt(2.0))
+        assert BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=1.0).K == pytest.approx(math.sqrt(2.0))
         _, u_star = oracle_exact_1d(R=1.0)
         d = np.asarray([1e-3, 1e-2, 1e-1])
         np.testing.assert_allclose(u_star(1.0 - d), math.sqrt(2.0) * d ** (-1.0), rtol=1e-12)

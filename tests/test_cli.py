@@ -684,7 +684,7 @@ def _serial_b2(n_dim=3, R=1.0, margin=0.1, quad=256, family=None):
         if isinstance(weight, WeightFamily):
             a2 = check_a2(weight, R=dom.R, quad_nodes=quad)
         else:
-            a2 = A2Report(passes=False, a2_estimate=math.inf, divergent=True)
+            a2 = A2Report(passes=False, a2_estimate=math.inf)
         rows.append((label, b2.passes, b2.integral_estimate, b2.relative_change, b2.divergent, a2.passes, a2.a2_estimate))
         lines.append(f"b2: {label:32s} passes={b2.passes} divergent={b2.divergent} two_sided={a2.passes}\n")
     return rows, "".join(lines)
@@ -762,7 +762,11 @@ def test_b2_run_traced_peak_at_65536_nodes(tmp_path):
         ("verify-subsuper", "verify.C = -1e20", ":3: key 'verify.C': activation radius not bracketed"),
         ("verify-subsuper", "verify.C_list = -1,-1e20", ":3: key 'verify.C_list': activation radius not bracketed"),
         # bracketed, but past R - 1e-6, where the sub-solution's samples end
-        ("verify-subsuper", "verify.C = -1e10", ":3: key 'verify.C': samples must lie at or beyond"),
+        (
+            "verify-subsuper",
+            "verify.C = -1e10",
+            ":3: key 'verify.C', {cfg}: key 'problem.R' (default): samples must lie at or beyond",
+        ),
         # -8, the first default entry, is too deep for the flat envelope of p = 100
         ("verify-subsuper", "problem.p = 100", ": key 'verify.C_list' (default): activation radius not bracketed"),
         ("solve", "problem.A = -1", ":3: key 'problem.A': shift A must be positive"),
@@ -797,8 +801,27 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
     cfg = write(tmp_path / "run.cfg", f"run.command = {command}\n# the value under test\n{body}\n")
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err.startswith(f"config error: {cfg}{where}")
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}{where.format(cfg=cfg)}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "x"], ids=["file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_is_refused_before_any_work(tmp_path, capsys, below):
+    blocker = write(tmp_path / "taken", "not a directory\n")
+    cfg = write(tmp_path / "b2.cfg", "run.command = b2\n")
+    out = blocker / below if below else blocker
+    assert main(["b2", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: --out {out}: {blocker} exists and is not a directory\n"
+    assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("value", ["1e-300", "1e-7", "1.0000001", "1e150", "1e200", "1e300", "-1e300"])
+@pytest.mark.parametrize("key", [key for key in cli.SCHEMAS["verify-subsuper"] if key.startswith("problem.")])
+def test_extreme_problem_data_ends_in_an_exit_code(tmp_path, key, value):
+    # a refusal, a failed barrier or a pass: no traceback, and no numpy
+    # warning, which this suite turns into an error
+    cfg = write(tmp_path / "run.cfg", f"run.command = verify-subsuper\nverify.samples = 101\n{key} = {value}\n")
+    assert main(["verify-subsuper", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) in range(4)
 
 
 @pytest.mark.parametrize(
@@ -928,6 +951,43 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
             "run.cfg: key 'problem.p' (default), run.cfg:3: key 'problem.A', run.cfg: key 'exhaust.n0' (default), "
             "run.cfg: key 'exhaust.n_max' (default): nonlinearity overflows on the slab",
         ),
+        # a(R)*B**p of the upper envelope past the float range: B**p overflows, or B itself
+        (
+            "verify-subsuper",
+            "problem.gamma = 1e150",
+            "run.cfg: key 'problem.p' (default), run.cfg: key 'problem.alpha' (default), run.cfg:3: key 'problem.gamma', "
+            "run.cfg: key 'problem.a' (default): upper envelope's reaction a(R)*B**p overflows the float range; "
+            "B = 5.24404e+149",
+        ),
+        (
+            "verify-subsuper",
+            "problem.gamma = 1e200",
+            "run.cfg: key 'problem.p' (default), run.cfg: key 'problem.alpha' (default), run.cfg:3: key 'problem.gamma', "
+            "run.cfg: key 'problem.a' (default): upper envelope's reaction a(R)*B**p overflows the float range; B = inf",
+        ),
+        *(
+            (
+                command,
+                "problem.a = 1e-300",
+                "run.cfg: key 'problem.p' (default), run.cfg: key 'problem.alpha' (default), "
+                "run.cfg: key 'problem.gamma' (default), run.cfg:3: key 'problem.a': "
+                "upper envelope's reaction a(R)*B**p overflows the float range; B = 1.48324e+150",
+            )
+            for command in ("solve", "verify-subsuper")
+        ),
+        # the lower barrier's samples end 1e-6 below R, short of its activation radius
+        (
+            "verify-subsuper",
+            "problem.R = 1e-7",
+            "run.cfg: key 'verify.C' (default), run.cfg:3: key 'problem.R': "
+            "samples must lie at or beyond the activation radius",
+        ),
+        (
+            "exhaust",
+            "problem.R = 1e-7",
+            "run.cfg: key 'problem.C' (default), run.cfg:3: key 'problem.R': "
+            "samples must lie at or beyond the activation radius",
+        ),
     ],
     ids=[
         "epsilon", "R", "N", "p", "gamma-alpha", "a", "solve-a-dip", "rate-a-dip", "exhaust-a-dip",
@@ -938,7 +998,8 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
         "solve-alpha", "rate-alpha", "exhaust-alpha", "verify-alpha",
         "solve-envelope-overflow", "rate-envelope-overflow", "solve-envelope-overflow-eta",
         "exhaust-envelope-overflow", "exhaust-envelope-overflow-schedule", "rate-slab-overflow",
-        "exhaust-slab-overflow",
+        "exhaust-slab-overflow", "gamma-power-overflow", "gamma-amplitude-overflow", "solve-a-overflow",
+        "verify-a-overflow", "verify-R-below-sample-gap", "exhaust-R-below-sample-gap",
     ],
 )
 def test_refused_range_names_file_line_and_keys(tmp_path, monkeypatch, capsys, command, body, message):

@@ -10,12 +10,10 @@ from degen_blowup import (
     BlowupParams,
     Envelope,
     ParameterError,
-    blowup_constant,
     blowup_exponent,
     build_subsolution,
     build_supersolution,
     find_min_A,
-    leading_balance_residual,
     verify_sub_inequality,
     verify_super_inequality,
 )
@@ -42,19 +40,14 @@ class TestConstants:
         [(3.0, 0.0, 1.0, 1.0, math.sqrt(2.0)), (2.0, 1.0, 1.0, 2.0, 4.0), (2.0, 0.5, 2.0, 2.5, 3.75)],
     )
     def test_amplitude(self, p, alpha, a_R, beta, expected):
-        assert blowup_constant(p, alpha, a_R, beta) == pytest.approx(expected)
+        gamma = beta * (p - 1.0) + alpha - 2.0  # exact for these values
+        assert BlowupParams(p=p, alpha=alpha, gamma=gamma, N=3, R=1.0, a_coef=a_R).K == pytest.approx(expected)
 
     def test_exponent_preconditions(self):
         with pytest.raises(ParameterError):
             blowup_exponent(1.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
             blowup_exponent(2.0, 1.0, 0.0)
-
-    def test_amplitude_preconditions(self):
-        with pytest.raises(ParameterError):
-            blowup_constant(2.0, 4.0, 1.0, 2.0)  # beta + 1 - alpha <= 0
-        with pytest.raises(ParameterError):
-            blowup_constant(2.0, 0.0, -1.0, 2.0)
 
     def test_params_without_an_envelope_amplitude_are_refused(self):
         # alpha = gamma = 3, p = 3: beta = 1 and beta + 1 - alpha = -1, so no
@@ -102,11 +95,11 @@ class TestConstants:
                 make()
 
     def test_balance_residual_signs(self):
-        K = blowup_constant(3.0, 0.0, 1.0, 1.0)
-        assert leading_balance_residual(3.0, 0.0, 0.0, K, 1.0) == pytest.approx(0.0, abs=1e-14)
-        K2 = blowup_constant(2.0, 0.0, 1.0, 2.0)
-        assert leading_balance_residual(2.0, 0.0, 0.0, 1.1 * K2, 1.0) < 0.0
-        assert leading_balance_residual(2.0, 0.0, 0.0, 0.9 * K2, 1.0) > 0.0
+        params = BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=1.0, a_coef=1.0)
+        assert params.balance_residual(params.K) == pytest.approx(0.0, abs=1e-14)
+        params2 = BlowupParams(p=2.0, alpha=0.0, gamma=0.0, N=3, R=1.0, a_coef=1.0)  # beta = 2
+        assert params2.balance_residual(1.1 * params2.K) < 0.0
+        assert params2.balance_residual(0.9 * params2.K) > 0.0
 
     def test_balance_residual_zero_at_amplitude_over_draws(self):
         rng = np.random.default_rng(0)
@@ -116,9 +109,8 @@ class TestConstants:
             alpha = rng.uniform(-1.0, 1.0)
             gamma = alpha + gap
             a_R = rng.uniform(0.5, 2.0)
-            beta = blowup_exponent(p, alpha, gamma)
-            K = blowup_constant(p, alpha, a_R, beta)
-            assert abs(leading_balance_residual(p, alpha, gamma, K, a_R)) <= 1e-12
+            params = BlowupParams(p=p, alpha=alpha, gamma=gamma, N=3, R=1.0, a_coef=a_R)
+            assert abs(params.balance_residual(params.K)) <= 1e-12
 
 
 class TestEnvelopeConstruction:

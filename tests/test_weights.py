@@ -176,11 +176,11 @@ class TestCheckA2:
         fam = WeightFamily.power(1.9)
         assert check_b2(fam, Domain.ball(1.0, 3), margin=0.1).passes
         rep = check_a2(fam)
-        assert not rep.passes and rep.divergent
+        assert not rep.passes
 
     def test_linear_vanishing_fails(self):
         rep = check_a2(WeightFamily.exp_deficit(-1.0))
-        assert not rep.passes and rep.divergent
+        assert not rep.passes
 
     def test_singular_admissible_profile_passes(self):
         rep = check_a2(WeightFamily.power(-0.9))
@@ -276,9 +276,9 @@ def _reference_check_a2(family, R, levels, quad_nodes):
             direct, div_direct = _reference_refined_integral(lambda t: _literal_tau(family, t), 0.0, b, quad_nodes)
             recip, div_recip = _reference_refined_integral(lambda t: 1.0 / _literal_tau(family, t), 0.0, b, quad_nodes)
             if div_direct or div_recip:
-                return False, math.inf, True
+                return False, math.inf
             worst = max(worst, (direct / b) * (recip / b))
-    return True, worst, False
+    return True, worst
 
 
 # catalogue N = 3 and N = 5; power(1.9) and exp-deficit(-1) take the early return
@@ -293,7 +293,7 @@ def test_check_a2_bit_identical_to_per_level_quadrature(label, quad_nodes):
         for levels in (1, 3, 6, 9):
             rep = check_a2(family, R=R, levels=levels, quad_nodes=quad_nodes)
             expected = _reference_check_a2(family, R, levels, quad_nodes)
-            assert (rep.passes, rep.a2_estimate, rep.divergent) == expected, (R, levels)
+            assert (rep.passes, rep.a2_estimate) == expected, (R, levels)
 
 
 @pytest.mark.parametrize("label", list(_A2_FAMILIES))

@@ -62,6 +62,9 @@ REFUSALS = (
     ("b2-alpha", "b2", "b2.family = power\nb2.alpha = -2"),
     ("quad_nodes", "b2", "b2.quad_nodes = 8"),
     ("margin-default", "b2", "b2.R = 0.1"),
+    ("gamma-overflow", "verify-subsuper", "problem.gamma = 1e150"),
+    ("a-overflow", "solve", "problem.a = 1e-300"),
+    ("R-below-sample-gap", "verify-subsuper", "problem.R = 1e-7"),
 )
 
 
