@@ -66,6 +66,5 @@ from .weights import (
     catalogue_families,
     check_a2,
     check_b2,
-    distance_to_boundary,
     eval_weight,
 )

@@ -43,10 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, kernels
-from .assembly import (
-    assemble_residual,  # not called here; bench/tracing.py wraps cli.assemble_residual
-    radial_blowup_problem,
-)
+from .assembly import assemble_residual  # not called here; bench/tracing.py wraps cli.assemble_residual
 from .asymptotics import check_epsilon_bounds, fit_blowup_rate, window_mask
 from .config import (
     REQUIRED,
@@ -226,6 +223,7 @@ def _write_csv(path: Path, header: list[str], columns: tuple) -> None:
     if any(len(c) != n_rows for c in columns):  # the kernel would read past a short one
         raise ValueError(f"CSV columns need {n_rows} values each; got {[len(c) for c in columns]}")
     starts = range(0, n_rows, _CSV_CHUNK_ROWS)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if lib is not None:
@@ -263,6 +261,7 @@ def _write_csv(path: Path, header: list[str], columns: tuple) -> None:
 
 
 def _write_report(path: Path, items: list[tuple[str, object]]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in items), encoding="utf-8")
 
 
@@ -342,12 +341,10 @@ def cmd_solve(cfg, out: Path, say) -> int:
     if cfg["problem.kind"] != "blowup":
         raise ConfigError(f"{cfg.where('problem.kind')}: must be 'blowup'; got {cfg['problem.kind']!r}")
     params = _blowup_params(cfg)
-    base = radial_blowup_problem(params)
     grid = _grid(cfg)
-    lo, hi, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
+    lo, hi, u, report = solve_in_slab(params, grid, *_envelopes(cfg, params), _solve_options(cfg))
     cert = report.sandwich
 
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "solution.csv",
         ["r", "d", "u", "sub", "super", "residual"],
@@ -380,14 +377,12 @@ def cmd_solve(cfg, out: Path, say) -> int:
 def cmd_rate(cfg, out: Path, say) -> int:
     window = (cfg["rate.d_min"], cfg["rate.d_max"])
     params = _blowup_params(cfg)
-    base = radial_blowup_problem(params)
     grid = _grid(cfg)
     window_mask(grid, window)  # before the solve
-    _, _, u, report = solve_in_slab(base, grid, *_envelopes(cfg, params), _solve_options(cfg))
+    _, _, u, report = solve_in_slab(params, grid, *_envelopes(cfg, params), _solve_options(cfg))
     fit = fit_blowup_rate(grid, u, window)
     bounds = check_epsilon_bounds(grid, u, params.K, params.beta, params.epsilon, window)
 
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "rate.csv", ["d", "u", "ratio"], (bounds.d, bounds.u, bounds.ratios))
     _write_report(
         out / "rate_summary.txt",
@@ -417,8 +412,10 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     params = _blowup_params(cfg)
     sub_report, sup_report = _barriers(cfg, params, n_samples, "verify.C")
     sub, sup = sub_report.envelope, sup_report.envelope
-    # the entries are shifts like verify.C, which is bisected once, also when the list repeats it
-    with _value_of(cfg, {"verify.C_list": ("float-list", None, "C")}):
+    # the entries are shifts like verify.C, which is bisected once, also when the list repeats it;
+    # an entry's refusal names the problem's keys next to verify.C_list, as verify.C's does
+    entry_schema = {**_without(SCHEMAS["verify-subsuper"], "verify.C"), "verify.C_list": ("float-list", None, "C")}
+    with _value_of(cfg, entry_schema):
         c_table = [(c, sub if c == sub.shift else build_subsolution(params, c)) for c in cfg["verify.C_list"]]
 
     A_key = "min_A" if cfg["problem.A"] is None else "A"
@@ -426,7 +423,6 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
     reduced_lhs = params.a_R * sup.B**params.p
     reduced_rhs = sup.B * params.beta * (params.beta + 1.0 - params.alpha)
 
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "super_margins.csv", ["r", "margin"], (sup_report.samples, sup_report.margins))
     _write_csv(out / "sub_margins.csv", ["r", "sufficient_margin"], (sub_report.samples, sub_report.sufficient_margins))
     items = [
@@ -464,7 +460,6 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
         opts=_solve_options(cfg),
     )
 
-    out.mkdir(parents=True, exist_ok=True)
     # row i > 0 holds the change from solve i-1 to solve i, nan where none was taken
     n_rows = len(run.n_values)
     deltas = ([float("nan"), *run.deltas] + [float("nan")] * n_rows)[:n_rows]
@@ -567,7 +562,6 @@ def cmd_b2(cfg, out: Path, say) -> int:
             rows.append(row)
             say(f"b2: {row[0]:32s} passes={row[1]} divergent={row[4]} two_sided={row[5]}")
 
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "b2.csv",
         [
@@ -673,7 +667,7 @@ def _dispatch(command: str, config_path: Path, out: Path, say) -> int:
     schema = SCHEMAS[command]
     cfg = resolve(raw, schema, source=str(config_path))
     existing = next(path for path in (out, *out.parents) if path.exists())
-    if not existing.is_dir():  # out.mkdir would fail, after all the work
+    if not existing.is_dir():  # the writers' mkdir would fail, after all the work
         raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
     with _value_of(cfg, schema):
         return _HANDLERS[command](cfg, out, say)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import Problem, assemble_residual, grid_terms, radial_blowup_problem
+from .assembly import assemble_residual, grid_terms, radial_blowup_problem
 from .errors import ParameterError
 from .grids import Grid, build_graded_grid, nested_margin
 from .penalty_solver import SolveOptions, check_finite, solve_penalized
@@ -65,14 +65,15 @@ def _bound_values(lower, upper, r: np.ndarray, *names: str) -> tuple[np.ndarray,
     return lo, hi
 
 
-def solve_in_slab(base: Problem, grid: Grid, lower, upper, opts: SolveOptions, guess: np.ndarray | None = None):
-    """(lo, hi, u, report): base solved on grid between lo and hi, the bound
-    callables at its nodes, with the Dirichlet datum (lo + hi)/2 at the last
-    node.  The iteration starts from guess, nodal values on grid clipped to
-    the slab, when one is given.  A bound that is not finite on grid is
-    refused naming p and eta: the envelopes outgrow the float range there."""
+def solve_in_slab(params: BlowupParams, grid: Grid, lower, upper, opts: SolveOptions, guess: np.ndarray | None = None):
+    """(lo, hi, u, report): the blow-up problem of params solved on grid
+    between lo and hi, the bound callables at its nodes, with the Dirichlet
+    datum (lo + hi)/2 at the last node.  The iteration starts from guess,
+    nodal values on grid clipped to the slab, when one is given.  A bound
+    that is not finite on grid is refused naming p and eta: the envelopes
+    outgrow the float range there."""
     lo, hi = _bound_values(lower, upper, grid.nodes, "p", "eta")
-    problem = replace(base, boundary_value=float(0.5 * (lo[-1] + hi[-1])))
+    problem = radial_blowup_problem(params, boundary_value=float(0.5 * (lo[-1] + hi[-1])))
     if guess is not None:
         opts = replace(opts, initial_guess=np.clip(guess, lo, hi))
     u, report = solve_penalized(problem, grid, lo, hi, opts)
@@ -105,7 +106,6 @@ def solve_large_solution(
     """
     if tol <= 0.0:  # the sweep could never stop early
         raise ParameterError(f"tol must be positive; got {tol}", "tol")
-    base = radial_blowup_problem(params)
     outer_radius = params.R - nested_margin(params.R, n0)
     if not compact_radius < outer_radius:
         raise ParameterError(
@@ -126,7 +126,7 @@ def solve_large_solution(
         margin = nested_margin(params.R, n)
         grid_n = build_graded_grid(R=params.R, eta=margin, m=m, grading=grading)
         guess = None if previous is None else np.interp(grid_n.nodes, *previous)
-        _, _, u_n, report = solve_in_slab(base, grid_n, lower, upper, opts or SolveOptions(), guess)
+        _, _, u_n, report = solve_in_slab(params, grid_n, lower, upper, opts or SolveOptions(), guess)
         run.n_values.append(n)
         run.outer_radii.append(params.R - margin)
         run.sandwich_ok.append(report.sandwich.ok)

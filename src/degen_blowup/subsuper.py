@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .weights import WeightFamily
+from .weights import Domain, WeightFamily
 
 
 def blowup_exponent(p: float, alpha: float, gamma: float) -> float:
@@ -68,10 +68,7 @@ class BlowupParams:
         blowup_exponent(self.p, self.alpha, self.gamma)
         if not 0.0 < self.epsilon < 1.0:
             raise ParameterError(f"epsilon must lie in (0, 1); got {self.epsilon}", "epsilon")
-        if self.R <= 0.0:
-            raise ParameterError(f"radius R must be positive; got {self.R}", "R")
-        if int(self.N) != self.N or self.N < 1:
-            raise ParameterError(f"dimension N must be a positive integer; got {self.N}", "N")
+        Domain.ball(self.R, self.N)  # refuses a radius R that is not positive and a dimension N below 1
         # a's extremes on [0, R] lie at 0, R and real roots of a' between them; each
         # root's real part is probed (a double root may carry a rounding imaginary
         # part).  a' is taken of a scaled to coefficients in [-1, 1], so it cannot overflow.
@@ -157,8 +154,7 @@ class Envelope:
         x = np.asarray(r, dtype=float)
         if np.any(x >= self.R) or np.any(x < 0.0):
             raise ParameterError("envelope evaluation needs 0 <= r < R (blow-up at r = R)")
-        out = np.maximum(0.0, self.shift + self.B * (x / self.R) ** 2 * (self.R - x) ** (-self.beta))
-        return float(out) if np.ndim(r) == 0 else out
+        return np.maximum(0.0, self.shift + self.B * (x / self.R) ** 2 * (self.R - x) ** (-self.beta))
 
 
 def build_supersolution(params: BlowupParams, A: float) -> Envelope:
@@ -190,9 +186,11 @@ def build_subsolution(params: BlowupParams, C: float) -> Envelope:
             return float("inf")
 
     lo, hi = 0.0, R * (1.0 - 1e-13)
-    if profile(hi) <= 0.0:
+    if profile(hi) <= 0.0:  # |C| too deep, or a profile too flat or too small: all its data are named
         raise ParameterError(
-            f"activation radius not bracketed below r = {hi}: |C| = {abs(C)} too large", "C"
+            f"activation radius not bracketed below r = {hi}: |C| = {abs(C)} too large "
+            f"for the profile's B = {B:g}, beta = {beta:g}",
+            "C", "p", "alpha", "gamma", "a_coef", "R", "epsilon",
         )
     c_bar = 0.5 * (lo + hi)
     while lo < c_bar < hi:

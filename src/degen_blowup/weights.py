@@ -97,10 +97,6 @@ class WeightFamily:
         if self.tag == "exp-deficit" and n_dim <= 2:
             raise ParameterError("exp-deficit profile needs dimension N > 2", "n_dim")
 
-    def tau(self, t):
-        """Raw profile evaluation; callers guard the t=0 endpoint."""
-        return self.tau_in_place(np.array(t, dtype=float))
-
     def tau_in_place(self, t: np.ndarray, block: np.ndarray | None = None) -> np.ndarray:
         """Overwrite the float array t with tau(t) and return it.
 
@@ -193,26 +189,6 @@ class Domain:
         return cls("ball", R=R, N=N)
 
 
-def distance_to_boundary(domain: Domain, x) -> float:
-    """Distance from a point to the boundary, in the radial convention.
-
-    Ball, centred at the origin: R - |x| with x a point in R^N (a scalar is a radius).
-    Interval: returns R - x, the gap to the blow-up end r = R.  The
-    two-sided geometric distance would be min(x, R - x); the radial
-    discretisation measures everything against the right endpoint, so the
-    one-sided convention is used throughout.
-    """
-    if domain.kind == "ball":
-        r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-        if r > domain.R:
-            raise ParameterError(f"point at radius {r} lies outside the ball of radius {domain.R}")
-        return domain.R - r
-    x = float(x)
-    if x < 0.0 or x > domain.R:
-        raise ParameterError(f"point {x} lies outside the interval (0, {domain.R})")
-    return domain.R - x
-
-
 def eval_weight(family: WeightFamily, d) -> np.ndarray:
     """Evaluate w = tau(d) at boundary gaps d > 0.
 
@@ -220,14 +196,14 @@ def eval_weight(family: WeightFamily, d) -> np.ndarray:
     degenerates there; discrete schemes only ever evaluate w at interior
     half-nodes, so the endpoint is never needed.
     """
-    arr = np.asarray(d, dtype=float)
+    arr = np.array(d, dtype=float)  # tau_in_place overwrites it
     if np.any(arr < 0.0):
         raise ParameterError("boundary gap d must be nonnegative")
     if np.any(arr == 0.0) and not family.finite_positive_at_zero():
         raise ParameterError(
             f"{family.tag} weight cannot be evaluated at the boundary (d = 0)"
         )
-    return family.tau(arr)
+    return family.tau_in_place(arr)
 
 
 @dataclass(frozen=True)
@@ -311,8 +287,11 @@ def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256, work:
     4*quad_nodes points; the check passes when the finest estimate is
     finite and the last refinement moved it by less than 1e-3 relative.
     A monotone-growing sequence whose increments do not shrink is flagged
-    divergent (the signature of a non-integrable 1/w).  This is a
-    surrogate for local integrability, not a proof.
+    divergent (the signature of a non-integrable 1/w), and so is a
+    non-finite estimate of the interior-vanishing weight.  A non-finite
+    estimate of a ``WeightFamily``, whose 1/w is bounded there, is refused
+    naming R and margin.  This is a surrogate for local integrability,
+    not a proof.
 
     The grids are built in ``work`` (see ``QuadWork``), or in arrays
     allocated for this call when it is None.
@@ -356,10 +335,15 @@ def check_b2(weight, domain: Domain, margin: float, quad_nodes: int = 256, work:
 
         a, b = (0.0 if domain.kind == "ball" else margin), domain.R - margin
 
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         estimates = [_midpoint(integrand, a, b, quad_nodes * k, work.half, points) for k in (1, 2, 4)]
 
     if not all(np.isfinite(estimates)):
+        if isinstance(weight, WeightFamily):  # 1/w is bounded on {d >= margin}, so the float range overflowed
+            raise ParameterError(
+                f"integral of 1/w over {{d >= margin}} overflows the float range at R={domain.R}, margin={margin}",
+                "R", "margin",
+            )
         return B2Report(False, estimates[-1], math.inf, True)
 
     rel = abs(estimates[2] - estimates[1]) / max(abs(estimates[2]), 1e-300)

@@ -755,12 +755,28 @@ def test_b2_run_traced_peak_at_65536_nodes(tmp_path):
     assert peak <= 12.5, peak
 
 
+def _profile_keys(source: str = "{cfg}", line3: str = "") -> str:
+    """The keys of the lower envelope's profile data as a refusal names them,
+    problem.<line3> set on line 3 of source and the others left at their defaults."""
+    return ", ".join(
+        f"{source}:3: key 'problem.{key}'" if key == line3 else f"{source}: key 'problem.{key}' (default)"
+        for key in ("p", "alpha", "gamma", "a", "R", "epsilon")
+    )
+
+
 @pytest.mark.parametrize(
     "command, body, where",
     [
         ("verify-subsuper", "problem.A = -1", ":3: key 'problem.A': shift A must be positive"),
-        ("verify-subsuper", "verify.C = -1e20", ":3: key 'verify.C': activation radius not bracketed"),
-        ("verify-subsuper", "verify.C_list = -1,-1e20", ":3: key 'verify.C_list': activation radius not bracketed"),
+        # the profile's data are named too: each may make it too flat or too small for the shift
+        *(
+            (
+                "verify-subsuper",
+                f"{key} = {value}",
+                f":3: key '{key}', {_profile_keys()}: activation radius not bracketed",
+            )
+            for key, value in (("verify.C", "-1e20"), ("verify.C_list", "-1,-1e20"))
+        ),
         # bracketed, but past R - 1e-6, where the sub-solution's samples end
         (
             "verify-subsuper",
@@ -768,9 +784,13 @@ def test_b2_run_traced_peak_at_65536_nodes(tmp_path):
             ":3: key 'verify.C', {cfg}: key 'problem.R' (default): samples must lie at or beyond",
         ),
         # -8, the first default entry, is too deep for the flat envelope of p = 100
-        ("verify-subsuper", "problem.p = 100", ": key 'verify.C_list' (default): activation radius not bracketed"),
+        (
+            "verify-subsuper",
+            "problem.p = 100",
+            f": key 'verify.C_list' (default), {_profile_keys(line3='p')}: activation radius not bracketed",
+        ),
         ("solve", "problem.A = -1", ":3: key 'problem.A': shift A must be positive"),
-        ("exhaust", "problem.C = -1e20", ":3: key 'problem.C': activation radius not bracketed"),
+        ("exhaust", "problem.C = -1e20", f":3: key 'problem.C', {_profile_keys()}: activation radius not bracketed"),
         ("verify-subsuper", "verify.samples = 1", ":3: key 'verify.samples': must be at least 2; got 1"),
         ("b2", "b2.quad_nodes = 8", ":3: key 'b2.quad_nodes': quad_nodes must be at least 16; got 8"),
         ("b2", "b2.margin = 0.6", ":3: key 'b2.margin': on an interval the margin must lie in (0, R/2)"),
@@ -828,7 +848,7 @@ def test_extreme_problem_data_ends_in_an_exit_code(tmp_path, key, value):
     "command, body, message",
     [
         ("solve", "problem.epsilon = 2", "run.cfg:3: key 'problem.epsilon': epsilon must lie in (0, 1); got 2.0"),
-        ("rate", "problem.R = -1", "run.cfg:3: key 'problem.R': radius R must be positive; got -1.0"),
+        ("rate", "problem.R = -1", "run.cfg:3: key 'problem.R': radius R must be positive; got R=-1.0"),
         ("exhaust", "problem.N = 0", "run.cfg:3: key 'problem.N': dimension N must be a positive integer; got 0"),
         ("verify-subsuper", "problem.p = 0.5", "run.cfg:3: key 'problem.p': superlinear power p > 1 required; got p=0.5"),
         (
@@ -859,7 +879,7 @@ def test_extreme_problem_data_ends_in_an_exit_code(tmp_path, key, value):
             "run.cfg:3: key 'grid.eta', run.cfg: key 'problem.R' (default): eta must lie in (0, R); got eta=2.0, R=1.0",
         ),
         ("rate", "grid.grading = 0.5", "run.cfg:3: key 'grid.grading': grading must be >= 1; got 0.5"),
-        ("solve", "problem.R = -1", "run.cfg:3: key 'problem.R': radius R must be positive; got -1.0"),
+        ("solve", "problem.R = -1", "run.cfg:3: key 'problem.R': radius R must be positive; got R=-1.0"),
         ("b2", "b2.N = 0", "run.cfg:3: key 'b2.N': dimension N must be a positive integer; got 0"),
         ("b2", "b2.family = power\nb2.alpha = -2", "run.cfg:4: key 'b2.alpha': power-type profile needs alpha > -1"),
         ("b2", "b2.family = bogus", "run.cfg:3: key 'b2.family': unknown weight family tag 'bogus'"),
@@ -975,6 +995,32 @@ def test_extreme_problem_data_ends_in_an_exit_code(tmp_path, key, value):
             )
             for command in ("solve", "verify-subsuper")
         ),
+        # at 1e150 the lower envelope's profile is flat (p: beta = 2e-150, B = 1) or
+        # tiny (a: B = 1.3e-75; R: (R - r)**(-beta) = 1e-137 at the bracket's end),
+        # so no activation radius of the default shift is bracketed
+        *(
+            (
+                "verify-subsuper",
+                f"problem.{key} = 1e150",
+                f"run.cfg: key 'verify.C' (default), {_profile_keys('run.cfg', key)}: "
+                f"activation radius not bracketed below r = {end}: |C| = 1.0 too large for the profile's {profile}",
+            )
+            for key, end, profile in (
+                ("p", "0.9999999999999", "B = 1, beta = 2e-150"),
+                ("a", "0.9999999999999", "B = 1.34164e-75, beta = 1"),
+                ("R", "9.999999999999e+149", "B = 1.34164, beta = 1"),
+            )
+        ),
+        # past R = 1e102, r**2 / w overflows on {d >= margin}, where 1/w is bounded
+        *(
+            (
+                "b2",
+                f"b2.R = {R}",
+                "run.cfg:3: key 'b2.R', run.cfg: key 'b2.margin' (default): "
+                f"integral of 1/w over {{d >= margin}} overflows the float range at R={float(R):g}, margin=0.1",
+            )
+            for R in ("1e103", "1e300")
+        ),
         # the lower barrier's samples end 1e-6 below R, short of its activation radius
         (
             "verify-subsuper",
@@ -999,7 +1045,9 @@ def test_extreme_problem_data_ends_in_an_exit_code(tmp_path, key, value):
         "solve-envelope-overflow", "rate-envelope-overflow", "solve-envelope-overflow-eta",
         "exhaust-envelope-overflow", "exhaust-envelope-overflow-schedule", "rate-slab-overflow",
         "exhaust-slab-overflow", "gamma-power-overflow", "gamma-amplitude-overflow", "solve-a-overflow",
-        "verify-a-overflow", "verify-R-below-sample-gap", "exhaust-R-below-sample-gap",
+        "verify-a-overflow", "verify-p-flat-lower-envelope", "verify-a-tiny-lower-envelope",
+        "verify-R-tiny-lower-envelope", "b2-R-overflow", "b2-R-overflow-1e300",
+        "verify-R-below-sample-gap", "exhaust-R-below-sample-gap",
     ],
 )
 def test_refused_range_names_file_line_and_keys(tmp_path, monkeypatch, capsys, command, body, message):
@@ -1502,7 +1550,6 @@ def test_solve_memory_holds_no_per_residual_rebuilds(monkeypatch):
     monkeypatch.setattr(exhaustion, "solve_penalized", traced)
     cfg = resolve(parse_config_text(SOLVE_FINE_CFG), cli.SCHEMAS["solve"])
     params = cli._blowup_params(cfg)
-    base = assembly.radial_blowup_problem(params)
-    exhaustion.solve_in_slab(base, cli._grid(cfg), *cli._envelopes(cfg, params), cli._solve_options(cfg))
+    exhaustion.solve_in_slab(params, cli._grid(cfg), *cli._envelopes(cfg, params), cli._solve_options(cfg))
     assert len(peaks) == 1
     assert peaks[0] < 28.2e6, f"traced peak {peaks[0] / 1e6:.1f} MB"

@@ -101,11 +101,18 @@ def test_only_barriers_verifies_a_barrier():
     }
 
 
-def test_only_solve_and_rate_build_the_blowup_problem():
-    # BlowupParams refuses every weight exponent the problem refuses, so no
-    # command builds the problem only to check its data
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    assert _callers(tree, ("radial_blowup_problem",)) == {"radial_blowup_problem": {"cmd_solve", "cmd_rate"}}
+def test_only_the_slab_solve_and_the_limit_residual_build_the_blowup_problem():
+    # a solve takes the data and the barriers alone, so the CLI never builds
+    # the problem; BlowupParams refuses every weight exponent the problem
+    # refuses, so nothing builds it only to check its data
+    calls = {
+        module: _callers(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), ("radial_blowup_problem",))
+        for module in ("cli", "exhaustion")
+    }
+    assert calls == {
+        "cli": {"radial_blowup_problem": set()},
+        "exhaustion": {"radial_blowup_problem": {"solve_in_slab", "residual_on_monitor"}},
+    }
 
 
 # the call whose arguments from this index on are parameter names: a

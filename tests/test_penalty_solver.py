@@ -104,9 +104,8 @@ def _solve_counting_stalled_trials(cfg, monkeypatch):
         for name in ("assemble_residual", "residual_rows", "assemble_jacobian"):
             patch.setattr(penalty_solver, name, _logged(getattr(penalty_solver, name), name, events))
         params = cli._blowup_params(cfg)
-        base = assembly.radial_blowup_problem(params)
         grid = cli._grid(cfg)
-        _, _, u, report = exhaustion.solve_in_slab(base, grid, *cli._envelopes(cfg, params), cli._solve_options(cfg))
+        _, _, u, report = exhaustion.solve_in_slab(params, grid, *cli._envelopes(cfg, params), cli._solve_options(cfg))
     # every Newton step assembles its step-1 trial in full before it probes any shorter one
     steps = [i for i, name in enumerate(events) if name == "assemble_jacobian"]
     assert steps and all(events[i + 1] == "assemble_residual" for i in steps)

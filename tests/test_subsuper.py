@@ -55,6 +55,13 @@ class TestConstants:
         with pytest.raises(ParameterError, match="beta \\+ 1 - alpha must be positive"):
             BlowupParams(p=3.0, alpha=3.0, gamma=3.0, N=3, R=1.0)
 
+    @pytest.mark.parametrize("R", [-1.0, 0.0, float("nan")])
+    def test_radius_that_is_not_positive_is_refused_naming_R(self, R):
+        # checked as Domain.ball checks it, so a nan radius no longer reaches the a(r) refusal
+        with pytest.raises(ParameterError, match=f"radius R must be positive; got R={R}$") as info:
+            BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=R)
+        assert info.value.names == ("R",)
+
     @pytest.mark.parametrize(
         "N, alpha, gamma, message",
         [(2, 1.5, 1.5, "alpha < N-1 = 1; got alpha=1.5"), (3, -1.5, 0.0, "alpha > -1; got alpha=-1.5")],
@@ -140,6 +147,11 @@ class TestEnvelopeConstruction:
         sup = build_supersolution(std_params(), 10.0)
         assert sup(0.0) == pytest.approx(10.0)
         assert sup(0.5) == pytest.approx(10.0 + math.sqrt(3.0) / 2.0)
+
+    def test_scalar_radius_gives_numpys_own_result(self):
+        # no scalar branch: a scalar radius gets what np.maximum gives, a float64
+        sub = build_subsolution(std_params(), -1.0)
+        assert type(sub(0.9)) is np.float64 and sub(0.9) == sub(np.array([0.9]))[0]
 
     def test_upper_envelope_is_the_unclamped_formula_bit_for_bit(self):
         # for a shift A > 0 the clamp at 0 never acts
@@ -233,6 +245,14 @@ class TestActivationRadius:
     def test_unbracketable_shift_raises(self):
         with pytest.raises(ParameterError, match="activation radius not bracketed below r = .*: [|]C[|] = 1e[+]20 too large"):
             build_subsolution(std_params(), -1e20)
+
+    def test_flat_profile_refusal_names_every_datum(self):
+        # at p = 1e150, beta = 2e-150 and B = 1: the profile stays below |C| = 1
+        # up to the bracket's end, and the cause is its data, not C alone
+        params = BlowupParams(p=1e150, alpha=0.0, gamma=0.0, N=3, R=1.0)
+        with pytest.raises(ParameterError, match="[|]C[|] = 1.0 too large for the profile's B = 1, beta = 2e-150$") as info:
+            build_subsolution(params, -1.0)
+        assert info.value.names == ("C", "p", "alpha", "gamma", "a_coef", "R", "epsilon")
 
     def test_profile_past_the_float_range_counts_as_positive(self):
         # p = 1.05: beta = 40, so (R - r)**(-beta) overflows near R while the

@@ -65,6 +65,8 @@ REFUSALS = (
     ("gamma-overflow", "verify-subsuper", "problem.gamma = 1e150"),
     ("a-overflow", "solve", "problem.a = 1e-300"),
     ("R-below-sample-gap", "verify-subsuper", "problem.R = 1e-7"),
+    ("p-flat-lower-envelope", "verify-subsuper", "problem.p = 1e150"),
+    ("b2-R-overflow", "b2", "b2.R = 1e300\nb2.quad_nodes = 64"),
 )
 
 
