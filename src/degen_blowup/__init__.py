@@ -33,7 +33,7 @@ from .exhaustion import (
     solve_in_slab,
     solve_large_solution,
 )
-from .grids import build_graded_grid, first_nested_index, nested_margin
+from .grids import build_graded_grid, nested_margin
 from .penalty_solver import (
     SandwichReport,
     SolveOptions,

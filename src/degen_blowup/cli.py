@@ -19,9 +19,10 @@ benchmark's sweep-pair), but its peak_rss_mb reads the op process alone,
 about 62 MB with the members on threads against 32 MB in processes, so
 they stay processes until it reads the members' memory too.  The b2
 command checks its entries on two threads, which share one table of
-midpoint offsets and own one work array each (weights.QuadWork), and
-writes its rows and lines in entry order: its quadratures are numpy
-ufuncs on large arrays, which run without the lock.
+midpoint offsets and own one work array each (weights.QuadWork): its
+quadratures are numpy ufuncs on large arrays, which run without the lock.
+Once every entry is checked, it prints its lines and writes its rows in
+entry order.
 
 solve, rate and exhaust verify their barriers as verify-subsuper does
 (_barriers) and refuse them unless both hold at 4097 samples.  A value that a
@@ -58,7 +59,7 @@ from .exhaustion import (
     solve_in_slab,
     solve_large_solution,
 )
-from .grids import build_graded_grid, first_nested_index
+from .grids import build_graded_grid
 from .penalty_solver import (
     SolveOptions,
     solve_penalized,  # not called here; bench/tracing.py wraps cli.solve_penalized
@@ -72,7 +73,6 @@ from .subsuper import (
     verify_super_inequality,
 )
 from .weights import (
-    A2Report,
     Domain,
     InteriorVanishingWeight,
     QuadWork,
@@ -420,15 +420,13 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
 
     A_key = "min_A" if cfg["problem.A"] is None else "A"
     A = sup.shift if sup_report.ok or A_key == "A" else "not-found"
-    reduced_lhs = params.a_R * sup.B**params.p
-    reduced_rhs = sup.B * params.beta * (params.beta + 1.0 - params.alpha)
 
     _write_csv(out / "super_margins.csv", ["r", "margin"], (sup_report.samples, sup_report.margins))
     _write_csv(out / "sub_margins.csv", ["r", "sufficient_margin"], (sub_report.samples, sub_report.sufficient_margins))
     items = [
         (A_key, A),
         ("super_ok", sup_report.ok),
-        ("reduced_endpoint_ok", reduced_lhs >= reduced_rhs),
+        ("reduced_endpoint_ok", bool(sup_report.margins[-1] >= 0.0)),  # the last sample is r = R
         ("balance_residual_at_K", params.balance_residual(params.K)),
         ("sub_ok_full", sub_report.ok_full),
         ("sub_ok_sufficient", sub_report.ok_sufficient),
@@ -445,13 +443,12 @@ def cmd_verify_subsuper(cfg, out: Path, say) -> int:
 
 def cmd_exhaust(cfg, out: Path, say) -> int:
     params = _blowup_params(cfg)
-    n0 = cfg["exhaust.n0"] or first_nested_index(params.R)  # a derived n0's subdomain holds [0, R/2]
     sub, sup = _envelopes(cfg, params)
     run = solve_large_solution(
         params,
         sub,
         sup,
-        n0=n0,
+        n0=cfg["exhaust.n0"] or None,  # None: the first subdomain that holds [0, R/2]
         n_max=cfg["exhaust.n_max"],
         compact_radius=params.R / 2,
         tol=cfg["exhaust.tol"],
@@ -495,27 +492,6 @@ def cmd_exhaust(cfg, out: Path, say) -> int:
 _B2_WORKERS = 2
 
 
-def _b2_row(entry, margin: float, quad: int, work: QuadWork) -> tuple:
-    """The b2.csv row of one (label, weight, domain) entry, its grids built in work."""
-    label, weight, dom = entry
-    report = check_b2(weight, dom, margin, quad, work)
-    if isinstance(weight, WeightFamily):
-        two_sided = check_a2(weight, R=dom.R, quad_nodes=quad, work=work)
-    else:
-        # reciprocal already fails local integrability across the
-        # degeneracy point, so the two-sided averages diverge too
-        two_sided = A2Report(passes=False, a2_estimate=float("inf"))
-    return (
-        label,
-        report.passes,
-        report.integral_estimate,
-        report.relative_change,
-        report.divergent,
-        two_sided.passes,
-        two_sided.a2_estimate,
-    )
-
-
 def cmd_b2(cfg, out: Path, say) -> int:
     # imported here: at module level they would add 5-12 ms to every command's start
     import queue
@@ -550,17 +526,28 @@ def cmd_b2(cfg, out: Path, say) -> int:
         free.put(work)
 
     def check(entry):
+        """The b2.csv row of one (label, weight, domain) entry, its grids built in a QuadWork taken from free."""
+        label, weight, dom = entry
         work = free.get()  # never waits: there are as many as threads
         try:
-            return _b2_row(entry, margin, quad, work)
+            report = check_b2(weight, dom, margin, quad, work)
+            two_sided = check_a2(weight, R=dom.R, quad_nodes=quad, work=work)
         finally:
             free.put(work)
+        return (
+            label,
+            report.passes,
+            report.integral_estimate,
+            report.relative_change,
+            report.divergent,
+            two_sided.passes,
+            two_sided.a2_estimate,
+        )
 
-    rows = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for row in pool.map(check, entries):  # in entry order; the first error raises
-            rows.append(row)
-            say(f"b2: {row[0]:32s} passes={row[1]} divergent={row[4]} two_sided={row[5]}")
+        rows = list(pool.map(check, entries))  # in entry order; the first error raises
+    for row in rows:  # once every entry is in: a refused run prints none
+        say(f"b2: {row[0]:32s} passes={row[1]} divergent={row[4]} two_sided={row[5]}")
 
     _write_csv(
         out / "b2.csv",

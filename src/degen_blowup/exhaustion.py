@@ -13,6 +13,7 @@ asserted, only eventual smallness).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -84,7 +85,7 @@ def solve_large_solution(
     params: BlowupParams,
     lower,
     upper,
-    n0: int,
+    n0: int | None,
     n_max: int,
     compact_radius: float,
     tol: float,
@@ -92,7 +93,8 @@ def solve_large_solution(
     grading: float = 2.0,
     opts: SolveOptions | None = None,
 ) -> ExhaustionRun:
-    """Sweep the geometric schedule n0, 2*n0, ... up to n_max.
+    """Sweep the geometric schedule n0, 2*n0, ... up to n_max.  n0 = None
+    takes the smallest n whose subdomain r < R - 1/n holds [0, compact_radius].
 
     lower and upper are callables of r supplying the two-sided bounds on
     every truncation (the explicit blow-up envelopes in the intended use).
@@ -106,10 +108,15 @@ def solve_large_solution(
     """
     if tol <= 0.0:  # the sweep could never stop early
         raise ParameterError(f"tol must be positive; got {tol}", "tol")
+    if n0 is None:
+        if not compact_radius < params.R:  # no subdomain can hold the monitor
+            raise ParameterError(f"the monitored interval [0, {compact_radius}] must lie inside R = {params.R}", "R")
+        n0 = math.floor(1.0 / (params.R - compact_radius)) + 1
     outer_radius = params.R - nested_margin(params.R, n0)
     if not compact_radius < outer_radius:
         raise ParameterError(
-            f"compact_radius={compact_radius} must stay inside the first subdomain of radius {outer_radius}", "n0"
+            f"the monitored interval [0, {compact_radius}] must lie inside the first subdomain, "
+            f"of radius {outer_radius}", "n0",
         )
     # uniform nodes on [0, compact_radius], a truncation of the full domain
     # so that weight evaluations keep the correct boundary gap

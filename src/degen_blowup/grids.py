@@ -8,7 +8,6 @@ same truncation with eta = 1/n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +82,3 @@ def nested_margin(R: float, n: int) -> float:
         raise ParameterError(f"margin 1/{n} >= R = {R} leaves an empty subdomain", "n")
     return 1.0 / n
 
-
-def first_nested_index(R: float) -> int:
-    """Smallest n whose subdomain keeps more than half the radius.
-
-    Any n with 1/n < R gives a nonempty subdomain, but starting the
-    exhaustion at R - 1/n > R/2 avoids degenerate first solves and keeps
-    a compact radius of R/2 (the default 0.5 at R = 1) strictly inside.
-    """
-    return math.floor(2.0 / R) + 1

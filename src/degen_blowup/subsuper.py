@@ -257,14 +257,14 @@ def super_inequality_margins(params: BlowupParams, sup: Envelope, samples: np.nd
     return _barrier_rhs(params, sup.shift, sup.B, samples) - _barrier_lhs(params, sup.B, samples)
 
 
-def _refine_worst(margins_of, samples: np.ndarray, refine: int = 64) -> tuple[float, np.ndarray]:
+def _refine_worst(margins_of, samples: np.ndarray) -> tuple[float, np.ndarray]:
     """Worst margin, with a dense local re-scan around the coarsest worst sample,
     and the margins at the samples."""
     margins = margins_of(samples)
     k = int(np.argmin(margins))
     lo = samples[max(k - 1, 0)]
     hi = samples[min(k + 1, samples.size - 1)]
-    local_margins = margins_of(np.linspace(lo, hi, refine))
+    local_margins = margins_of(np.linspace(lo, hi, 64))
     return float(min(margins[k], np.min(local_margins))), margins
 
 

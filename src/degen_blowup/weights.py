@@ -380,7 +380,8 @@ def _refinement_verdict(estimates: list[float]):
 
 
 def check_a2(
-    family: WeightFamily, R: float = 1.0, levels: int = 6, quad_nodes: int = 256, work: QuadWork | None = None
+    family: WeightFamily | InteriorVanishingWeight, R: float = 1.0, levels: int = 6, quad_nodes: int = 256,
+    work: QuadWork | None = None,
 ) -> A2Report:
     """Two-sided average surrogate over boundary-touching gap intervals.
 
@@ -388,7 +389,9 @@ def check_a2(
 
         avg_I(tau) * avg_I(1/tau),   I = (0, R / 2**k),  k = 0..levels-1,
 
-    and reports the largest product.  Divergence of either average on any
+    and reports the largest product.  Each average is the mean of its
+    midpoint values, not an integral divided by the interval's length, so
+    a large R cannot overflow it.  Divergence of either average on any
     interval fails the check: the two-sided class is strictly smaller than
     integrability of 1/w alone (tau(t) = t**1.9 passes the latter in three
     dimensions but fails here).  Nothing downstream gates on this check;
@@ -413,6 +416,8 @@ def check_a2(
     if levels < 1:
         raise ParameterError(f"levels must be at least 1; got {levels}")
     check_quad_nodes(quad_nodes)
+    if isinstance(family, InteriorVanishingWeight):  # 1/w is not integrable across its zero
+        return A2Report(False, math.inf)
     direct: list[list[float]] = [[] for _ in range(levels)]
     recip: list[list[float]] = [[] for _ in range(levels)]
     worst = 0.0
@@ -425,26 +430,24 @@ def check_a2(
         for s in range(levels + 3):
             # level k meets scale s with quad_nodes * 2**(s-k) cells; the
             # first such level has the largest grid, the others its prefixes
-            ks = range(max(s - 3, 0), min(s, levels - 1) + 1)
-            grids = [(k, R / 2.0**k, quad_nodes * 2 ** (s - k)) for k in ks]
-            _, b, cells = grids[0]
-            t = np.multiply(half[:cells], b, out=values[:cells])
+            grids = [(k, quad_nodes * 2 ** (s - k)) for k in range(max(s - 3, 0), min(s, levels - 1) + 1)]
+            k, cells = grids[0]
+            t = np.multiply(half[:cells], R / 2.0**k, out=values[:cells])
             t /= cells
             family.tau_in_place(t, work.block)
-            for k, b, c in grids:
-                direct[k].append(float(b / c * np.sum(t[:c])))
+            for k, c in grids:
+                direct[k].append(float(np.sum(t[:c]) / c))
             np.divide(1.0, t, out=t)
-            for k, b, c in grids:
-                recip[k].append(float(b / c * np.sum(t[:c])))
+            for k, c in grids:
+                recip[k].append(float(np.sum(t[:c]) / c))
             k = s - 3
             if k < 0:
                 continue
-            b = R / 2.0**k
             direct_k, div_direct = _refinement_verdict(direct[k])
             recip_k, div_recip = _refinement_verdict(recip[k])
             if div_direct or div_recip:
                 return A2Report(False, math.inf)
-            worst = max(worst, (direct_k / b) * (recip_k / b))
+            worst = max(worst, direct_k * recip_k)
     return A2Report(True, worst)
 
 

@@ -25,6 +25,7 @@ from degen_blowup import (
     cli,
     errors,
     exhaustion,
+    penalty_solver,
     subsuper,
 )
 from degen_blowup.cli import _CSV_CHUNK_ROWS, _write_csv, main
@@ -210,6 +211,19 @@ def test_forced_nonconvergence_exits_two(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert (out / "solution.csv").exists()  # field still reported
+
+
+def test_forced_sandwich_violation_exits_three(tmp_path, capsys, monkeypatch):
+    def failing(u, lower, upper, tol):
+        return penalty_solver.SandwichReport(ok=False, max_below=1.0, max_above=0.0)
+
+    monkeypatch.setattr(penalty_solver, "check_sandwich", failing)
+    cfg = write(tmp_path / "solve.cfg", SMALL_SOLVE_CFG)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().out == "solve: sandwich violated (below=1, above=0)\n"
+    report = (out / "report.txt").read_text().splitlines()
+    assert "converged = true" in report and "sandwich_ok = false" in report  # still reported
 
 
 def test_rate_window_outside_grid_is_config_error(tmp_path):
@@ -428,15 +442,26 @@ def test_misordered_slab_is_config_error(tmp_path, capsys, monkeypatch):
         ),
         # the upper barrier's margins overflow to +inf: it holds, and nothing is refused
         ("verify-subsuper", "problem.A = 1e300", 0, ""),
+        # the constant entry passes before a later entry's integral overflows
+        (
+            "b2",
+            "b2.R = 1e102\nb2.quad_nodes = 64",
+            1,
+            "config error: run.cfg:2: key 'b2.R', run.cfg: key 'b2.margin' (default): "
+            "integral of 1/w over {d >= margin} overflows the float range at R=1e+102, margin=0.1\n",
+        ),
     ],
-    ids=["A", "p", "p-auto-A", "verify-A"],
+    ids=["A", "p", "p-auto-A", "verify-A", "b2-R-late"],
 )
 def test_overflowing_slab_prints_only_its_refusal(tmp_path, command, body, code, err):
-    # a float overflow prints no numpy warning: stderr holds the refusal, if any, alone
+    # a float overflow prints no numpy warning: stderr holds the refusal, if any, alone,
+    # and a refused run prints no progress line of work it does not deliver
     write(tmp_path / "run.cfg", f"run.command = {command}\n{body}\n")
     proc = _run_python(tmp_path, ["-m", "degen_blowup.cli", command, "--config", "run.cfg", "--out", "o"])
     assert proc.returncode == code
     assert proc.stderr == err
+    if code:
+        assert proc.stdout == ""
     assert (tmp_path / "o").exists() == (code == 0)
 
 
@@ -798,8 +823,12 @@ def _profile_keys(source: str = "{cfg}", line3: str = "") -> str:
         ("b2", "b2.R = 0.1", ": key 'b2.margin' (default): margin must lie in (0, R)"),
         ("solve", "problem.kind = linear", ":3: key 'problem.kind': must be 'blowup'; got 'linear'"),
         # the first subdomain, r < R - 1/n0, must hold the monitored [0, R/2]
-        ("exhaust", "exhaust.n0 = 2", ":3: key 'exhaust.n0': compact_radius=0.5 must stay inside the first"),
+        ("exhaust", "exhaust.n0 = 2", ":3: key 'exhaust.n0': the monitored interval [0, 0.5] must lie inside the first subdomain, of radius 0.5"),
         ("exhaust", "exhaust.n0 = 1", ":3: key 'exhaust.n0': margin 1/1 >= R = 1.0 leaves an empty subdomain"),
+        ("exhaust", "exhaust.n0 = -1", ":3: key 'exhaust.n0': subdomain index n must be a positive integer; got -1"),
+        ("solve", "= 3", ":3: empty key"),
+        ("sweep", "", ": missing required key 'sweep.configs'"),
+        ("sweep", "sweep.configs = ,", ": sweep.configs lists no config files"),
         ("solve", "solver.tol = 0", ":3: key 'solver.tol': abs_tol must be positive; got 0.0"),
         ("rate", "solver.max_iters = 0", ":3: key 'solver.max_iters': max_iters must be at least 1; got 0"),
         ("exhaust", "solver.tol = -1e-9", ":3: key 'solver.tol': abs_tol must be positive; got -1e-09"),
@@ -813,6 +842,7 @@ def _profile_keys(source: str = "{cfg}", line3: str = "") -> str:
     ids=[
         "A", "C", "C_list", "C-past-samples", "C_list-default", "solve-A", "exhaust-C",
         "samples", "quad_nodes", "margin", "margin-default", "solve-kind", "n0", "n0-empty",
+        "n0-negative", "empty-key", "sweep-no-configs", "sweep-empty-configs",
         "tol", "max_iters", "exhaust-tol", "exhaust.tol-0", "exhaust.tol-negative",
         "eta-rounds-to-R", "n_max-rounds-to-R",
     ],
@@ -822,6 +852,17 @@ def test_refused_value_names_file_line_and_key(tmp_path, capsys, command, body, 
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {cfg}{where.format(cfg=cfg)}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_config_that_cannot_be_read_is_refused(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
     assert not out.exists()
 
 

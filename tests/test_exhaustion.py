@@ -1,5 +1,7 @@
 """Nested-domain sweeps toward the boundary blow-up solution."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,10 +98,29 @@ def test_empty_first_subdomain_propagates(setup):
         solve_large_solution(params, sub, sup, n0=1, n_max=8, compact_radius=0.5, tol=1e-3)
 
 
+def test_derived_n0_is_the_first_subdomain_holding_half_the_radius():
+    # n0 = None starts at floor(2/R) + 1, the smallest n with R - 1/n > R/2
+    for R in (0.3, 0.5, 1.0, 2.5, 10.0):
+        params = BlowupParams(p=3.0, alpha=0.0, gamma=0.0, N=3, R=R, epsilon=0.1)
+        sup = find_min_A(params, np.linspace(0.0, R, 1001)).envelope
+        n0 = math.floor(2.0 / R) + 1
+        run = solve_large_solution(
+            params, build_subsolution(params, -1.0), sup,
+            n0=None, n_max=n0, compact_radius=R / 2, tol=1e-2,
+            m=201, opts=SolveOptions(abs_tol=1e-5, max_iters=80),
+        )
+        assert run.n_values == [n0], R
+        assert run.outer_radii == [R - 1.0 / n0] and R - 1.0 / n0 > R / 2 == run.monitor.nodes[-1]
+        if n0 > 1:
+            assert R - 1.0 / (n0 - 1) <= R / 2
+
+
 def test_compact_radius_must_fit_first_subdomain(setup):
     params, sub, sup = setup
-    with pytest.raises(ParameterError):
-        solve_large_solution(params, sub, sup, n0=4, n_max=8, compact_radius=0.9, tol=1e-3)
+    # inside a given n0's subdomain, or with n0 = None inside the ball
+    for n0, compact_radius in ((4, 0.9), (None, 1.0), (None, 1.5)):
+        with pytest.raises(ParameterError, match=r"the monitored interval \[0, .*\] must lie inside"):
+            solve_large_solution(params, sub, sup, n0=n0, n_max=8, compact_radius=compact_radius, tol=1e-3)
 
 
 def test_limit_grows_toward_the_boundary(setup):

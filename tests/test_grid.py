@@ -6,7 +6,6 @@ import pytest
 from degen_blowup import (
     ParameterError,
     build_graded_grid,
-    first_nested_index,
     nested_margin,
 )
 
@@ -71,11 +70,3 @@ def test_nested_radius_formula_and_monotonicity():
     for n, r in zip(range(2, 40), radii):
         assert r == 1.0 - 1.0 / n
     assert np.all(np.diff(radii) > 0.0)
-
-
-def test_first_nested_index_keeps_half_radius():
-    for R in (0.3, 1.0, 2.5, 10.0):
-        n0 = first_nested_index(R)
-        assert R - 1.0 / n0 > R / 2.0
-        if n0 > 1:
-            assert R - 1.0 / (n0 - 1) <= R / 2.0

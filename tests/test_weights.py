@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from degen_blowup import (
+    A2Report,
     Domain,
     InteriorVanishingWeight,
     ParameterError,
@@ -176,6 +177,18 @@ class TestCheckA2:
         rep = check_a2(WeightFamily.power(-0.9))
         assert rep.passes
 
+    @pytest.mark.parametrize("label, R", [("power(-0.9)", 1e170), ("power(-0.9)", 1e300), ("power(0.5)", 1e300)])
+    def test_product_of_averages_does_not_depend_on_a_large_radius(self, label, R):
+        # the averages' sums stay in the float range: the estimate is the one at R = 1
+        family = dict(catalogue_families(3))[label]
+        rep = check_a2(family, R=R)
+        assert rep.passes
+        assert rep.a2_estimate == pytest.approx(check_a2(family).a2_estimate, rel=1e-12)
+
+    def test_interior_vanishing_weight_fails(self):
+        # its reciprocal is not integrable across the zero, so no two-sided average is
+        assert check_a2(InteriorVanishingWeight(0.5)) == A2Report(False, math.inf)
+
     def test_preconditions(self):
         with pytest.raises(ParameterError):
             check_a2(WeightFamily.constant(), R=-1.0)
@@ -244,9 +257,15 @@ def _reference_midpoint(f, a, b, n):
     return float((b - a) / n * np.sum(f(x)))
 
 
-def _reference_refined_integral(f, a, b, n):
-    """Midpoint estimates at n, 2n, 4n, 8n cells with a divergence verdict."""
-    estimates = [_reference_midpoint(f, a, b, n * k) for k in (1, 2, 4, 8)]
+def _reference_average(f, a, b, n):
+    """The mean of f at the midpoints that _reference_midpoint sums."""
+    x = a + (b - a) * (np.arange(n) + 0.5) / n
+    return float(np.sum(f(x)) / n)
+
+
+def _reference_refined_average(f, a, b, n):
+    """Midpoint averages at n, 2n, 4n, 8n cells with a divergence verdict."""
+    estimates = [_reference_average(f, a, b, n * k) for k in (1, 2, 4, 8)]
     if not all(math.isfinite(e) for e in estimates):
         return math.inf, True
     d = [estimates[i + 1] - estimates[i] for i in range(3)]
@@ -263,11 +282,11 @@ def _reference_check_a2(family, R, levels, quad_nodes):
     with np.errstate(divide="ignore", over="ignore"):
         for k in range(levels):
             b = R / 2.0**k
-            direct, div_direct = _reference_refined_integral(lambda t: _literal_tau(family, t), 0.0, b, quad_nodes)
-            recip, div_recip = _reference_refined_integral(lambda t: 1.0 / _literal_tau(family, t), 0.0, b, quad_nodes)
+            direct, div_direct = _reference_refined_average(lambda t: _literal_tau(family, t), 0.0, b, quad_nodes)
+            recip, div_recip = _reference_refined_average(lambda t: 1.0 / _literal_tau(family, t), 0.0, b, quad_nodes)
             if div_direct or div_recip:
                 return False, math.inf
-            worst = max(worst, (direct / b) * (recip / b))
+            worst = max(worst, direct * recip)
     return True, worst
 
 

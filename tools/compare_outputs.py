@@ -40,7 +40,7 @@ _CONTEXT = 3  # lines before the first difference
 _SHOWN = 30  # lines compared from the first difference on
 
 # (label, command, the keys set after run.command) of configs the CLI refuses
-# with exit code 1, naming the keys each refusal's check read
+# with exit code 1, naming the line or the keys each refusal's check read
 REFUSALS = (
     ("A", "verify-subsuper", "problem.A = -1"),
     ("C-past-samples", "verify-subsuper", "verify.C = -1e10"),
@@ -67,6 +67,11 @@ REFUSALS = (
     ("R-below-sample-gap", "verify-subsuper", "problem.R = 1e-7"),
     ("p-flat-lower-envelope", "verify-subsuper", "problem.p = 1e150"),
     ("b2-R-overflow", "b2", "b2.R = 1e300\nb2.quad_nodes = 64"),
+    ("b2-R-late-refusal", "b2", "b2.R = 1e102\nb2.quad_nodes = 64"),
+    ("sweep-no-configs", "sweep", ""),
+    ("sweep-empty-configs", "sweep", "sweep.configs = ,"),
+    ("empty-key", "solve", "= 3"),
+    ("n0-negative", "exhaust", "exhaust.n0 = -1"),
 )
 
 
